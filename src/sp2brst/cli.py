@@ -10,9 +10,10 @@ Subcommands:
     verify FILE OMEGA     re-verify a previously emitted charge document
 
 Exit codes: 0 all checks pass; 1 a verification failed (nonzero
-residual, method disagreement, non-first-class observable); 2 input
-error (bad document, bad expression, Jacobi-violating structure table,
-or the SP2_BRST_MAX_TERMS safety cap was exceeded).
+residual, method disagreement, non-first-class observable, a failed
+internal convention check); 2 input error (bad document, bad expression,
+Jacobi-violating structure table, an option out of range, or the
+SP2_BRST_MAX_TERMS safety cap was exceeded).
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -37,6 +38,16 @@ from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
 
 OK, FAIL, INPUT_ERROR = 0, 1, 2
 DEFAULT_ORDER = 4
+
+
+class UsageError(ValueError):
+    """A command-line option outside the range the command can use."""
+
+
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def _max_terms() -> int:
@@ -73,7 +84,7 @@ def _check_jacobi(alg: Algebra) -> tuple:
 
 def _order(args, doc: TheoryDocument) -> int:
     if args.order is not None:
-        return args.order
+        return _at_least(args.order, 2, "--order")
     if doc.order is not None:
         return doc.order
     return DEFAULT_ORDER
@@ -106,11 +117,7 @@ def cmd_solve(args) -> int:
         return INPUT_ERROR
     config = SolverConfig(k=_order(args, doc), method=Method(args.method),
                           max_terms=_max_terms())
-    try:
-        res = solve(doc.spec, config, algebra=alg)
-    except ConventionError as e:
-        print(f"verification failed: {e}")
-        return FAIL
+    res = solve(doc.spec, config, algebra=alg)
     for row in _omega_summary(res):
         print(row)
     print(res.render())
@@ -126,19 +133,14 @@ def cmd_lift(args) -> int:
     print(text)
     if not ok:
         return INPUT_ERROR
-    name = args.observable
-    source = doc.observable(name)
+    name, source = doc.observable(args.observable)
     try:
         phi0 = expr.parse(alg, source)
     except expr.ExprError as e:
         raise TheoryFileError(f"observable {name}: {e}") from None
     config = SolverConfig(k=_order(args, doc), method=Method(args.method),
                           max_terms=_max_terms())
-    try:
-        res = solve(doc.spec, config, algebra=alg)
-    except ConventionError as e:
-        print(f"verification failed: {e}")
-        return FAIL
+    res = solve(doc.spec, config, algebra=alg)
     if not res.ok:
         print(res.render())
         return FAIL
@@ -169,6 +171,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
+    _at_least(args.degree, 1, "--degree")
+    _at_least(args.samples, 1, "--samples")
     spec = None
     if args.theory:
         doc, alg = _load(args.theory)
@@ -252,7 +256,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (TheoryFileError, TheoryError, expr.ExprError) as e:
+    except ConventionError as e:
+        print(f"verification failed: {e}")
+        return FAIL
+    except (TheoryFileError, TheoryError, expr.ExprError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except TermBudgetError as e:

@@ -17,11 +17,12 @@ the generalized inverse W+ turns G = 0 into the fixed-point problem
 
     Pi = Pi_0 + 1/2 <Pi, Pi>,      Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F),
 
-whose iteration terminates exactly at any finite truncation degree because
-every bracket application strictly raises the C,pi-degree.  The same
-solution is reproduced by the multi-bracket expansion Pi = <e^(Pi_0)>,
-evaluated either through the normative recursion or as a sum over distinct
-descendant pairing trees; the solver can run both and insists they agree.
+which is solved exactly at any finite truncation degree, one C,pi-degree at
+a time: every bracket application strictly raises the degree, so the
+degree-d part of Pi depends only on the parts below d.  The same solution
+is reproduced by the multi-bracket expansion Pi = <e^(Pi_0)>, whose m-fold
+brackets of equal arguments are built by size from the smaller ones; the
+solver can run both and insists they agree.
 
 All arithmetic is exact (Fraction coefficients); truncation at cp-degree k
 is a projection, not an approximation, so a zero residual through k is a
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import Algebra, GradedPoly, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
@@ -254,136 +254,74 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int,
 
 def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
                          pi0: SymTensor | None = None) -> SymTensor:
-    """Iterate Pi <- Pi_0 + 1/2 <Pi, Pi> from Pi_0 until the truncated
-    iterate repeats; the degree-d part freezes after at most d-1 rounds."""
+    """Solve Pi = Pi_0 + 1/2 <Pi, Pi> one cp-degree at a time.
+
+    <.,.> is bilinear and cp(<x,y>) >= cp(x) + cp(y) - 1 with every part of
+    Pi at cp-degree >= 2, so the degree-d part of Pi is the degree-d part
+    of Pi_0 + Q, where Q = 1/2 <Pi, Pi> has so far collected the brackets
+    among the parts below d.  Each pair of parts is bracketed once.  A
+    bracket that fails to raise the degree of the part it was made from
+    signals a convention bug and raises ConventionError."""
     if pi0 is None:
         pi0 = build_pi0(alg, config)
+    if pi0.is_zero():
+        return pi0
     k, budget = config.k, config.max_terms
-    pi = pi0
-    for _ in range(k + 1):
-        nxt = (pi0 + pair_bracket(pi, pi, k, budget) * HALF).truncate_cp(k)
-        if nxt == pi:
-            return pi
-        pi = _guard(nxt, budget)
-    raise ConventionError(
-        f"fixed-point iteration did not stabilise within {k} rounds")
+    q = SymTensor.zero(alg, 1)
+    pi = SymTensor.zero(alg, 1)
+    parts = []
+    for d in range(pi0.min_cp(), k + 1):
+        part = pi0.cp_part(d) + q.cp_part(d)
+        if not part:
+            continue
+        new = [pair_bracket(part, part, k, budget) * HALF]
+        new += [pair_bracket(part, low, k, budget) for low in parts]
+        for term in new:
+            floor = term.min_cp()
+            if floor is not None and floor <= d:
+                raise ConventionError(
+                    f"bracket of the cp-degree {d} part of Pi failed to raise "
+                    f"the degree (reaches {floor})")
+            q = q + term
+        parts.append(part)
+        _guard(q, budget)
+        pi = _guard(pi + part, budget)
+    return pi
 
 
 # ---------------------------------------------------------------------------
-# multi-brackets and descendants
+# multi-brackets of equal arguments
 
 
-def multi_bracket(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
-    """<X_1, ..., X_m>: <X> = X, <X_1,X_2> = pair_bracket, and for m >= 3
+def power_brackets(x: SymTensor, n: int, k: int,
+                   max_terms: int = DEFAULT_MAX_TERMS) -> list:
+    """[<X>, <X,X>, ..., <X^n>], the m-fold brackets of m equal arguments.
 
-        <X_1..X_m> = 1/2 sum over proper nonempty subsets S of
-                     < <X_S>, <X_complement> >,
+    The multi-bracket <X_1..X_m> is 1/2 the sum over proper nonempty
+    subsets S of < <X_S>, <X_complement> >.  With all arguments equal,
+    <X_S> depends only on |S|, and grouping the subsets by size gives
 
-    which counts every unordered split twice, hence the 1/2.  The result is
-    m-linear and fully symmetric."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("multi_bracket needs at least one argument")
-    cache: dict = {}
+        <X^m> = 1/2 sum_(r=1)^(m-1) C(m,r) << X^r >, < X^(m-r) >>.
 
-    def rec(ids):
-        if ids in cache:
-            return cache[ids]
-        if len(ids) == 1:
-            val = xs[ids[0]]
-        elif len(ids) == 2:
-            val = pair_bracket(xs[ids[0]], xs[ids[1]], k, max_terms)
-        else:
-            total = SymTensor.zero(xs[0].alg, 1)
-            for r in range(1, len(ids)):
-                for sub in combinations(ids, r):
-                    rest = tuple(i for i in ids if i not in sub)
-                    total = total + pair_bracket(rec(sub), rec(rest), k, max_terms)
-            val = total * HALF
-        cache[ids] = val
-        return val
-
-    return rec(tuple(range(len(xs))))
-
-
-def _merge_trees(a: str, b: str) -> str:
-    return "(" + min(a, b) + "," + max(a, b) + ")"
-
-
-def descendant_trees(m: int):
-    """All structurally distinct full pairing trees over leaves 1..m, as
-    canonical strings; there are (2m-3)!! of them."""
-    if m < 1:
-        raise ValueError("need at least one leaf")
-    results = set()
-    seen = set()
-
-    def rec(state):
-        if len(state) == 1:
-            results.add(state[0])
-            return
-        if state in seen:
-            return
-        seen.add(state)
-        for i in range(len(state)):
-            for j in range(i + 1, len(state)):
-                rest = [state[p] for p in range(len(state)) if p not in (i, j)]
-                rest.append(_merge_trees(state[i], state[j]))
-                rec(tuple(sorted(rest)))
-
-    rec(tuple(sorted(str(i) for i in range(1, m + 1))))
-    return results
-
-
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _split_tree(tree: str):
-    depth = 0
-    for pos, ch in enumerate(tree):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return tree[1:pos], tree[pos + 1:-1]
-    raise ValueError(f"malformed tree {tree!r}")
-
-
-def descendant_expand(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
-    """Cross-check path for multi_bracket: the sum of all distinct
-    descendants (fully reduced pairing trees) of (X_1, ..., X_m)."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("descendant_expand needs at least one argument")
-    vals: dict = {}
-
-    def value(tree):
-        if tree in vals:
-            return vals[tree]
-        if "," not in tree:
-            v = xs[int(tree) - 1]
-        else:
-            left, right = _split_tree(tree)
-            v = pair_bracket(value(left), value(right), k, max_terms)
-        vals[tree] = v
-        return v
-
-    total = SymTensor.zero(xs[0].alg, 1)
-    for tree in sorted(descendant_trees(len(xs))):
-        total = total + value(tree)
-    return total
+    <.,.> is symmetric, so only r <= m/2 is bracketed, the terms with
+    r != m-r counted twice: O(n^2) pair brackets in all."""
+    powers = [x]
+    for m in range(2, n + 1):
+        total = SymTensor.zero(x.alg, 1)
+        for r in range(1, m // 2 + 1):
+            weight = math.comb(m, r) * (1 if 2 * r == m else 2)
+            total = total + pair_bracket(powers[r - 1], powers[m - r - 1],
+                                         k, max_terms) * weight
+        powers.append(total * HALF)
+    return powers
 
 
 def solve_pi_descendants(alg: Algebra, config: SolverConfig,
                          pi0: SymTensor | None = None) -> SymTensor:
     """Pi = <e^(Pi_0)> = sum_(m>=1) <Pi_0^m> / m!, a finite sum: the m-fold
-    bracket has cp-degree at least m(b-1)+1 with b = min cp-degree of Pi_0."""
+    bracket has cp-degree at least m(b-1)+1 with b = min cp-degree of Pi_0.
+    The <Pi_0^m> come from power_brackets, which builds each from the
+    smaller ones."""
     if pi0 is None:
         pi0 = build_pi0(alg, config)
     if pi0.is_zero():
@@ -391,12 +329,9 @@ def solve_pi_descendants(alg: Algebra, config: SolverConfig,
     k, budget = config.k, config.max_terms
     b = max(2, pi0.min_cp())
     total = SymTensor.zero(alg, 1)
-    m = 1
-    while m * (b - 1) + 1 <= k:
-        term = multi_bracket([pi0] * m, k, budget)
+    for m, term in enumerate(power_brackets(pi0, (k - 1) // (b - 1), k, budget), 1):
         total = _guard((total + term * Fraction(1, math.factorial(m))).truncate_cp(k),
                        budget)
-        m += 1
     return total
 
 

@@ -56,12 +56,16 @@ class TheoryDocument:
     observables: tuple  # of (name, expression-string)
     order: int | None
 
-    def observable(self, name: str) -> str:
+    def observable(self, key: str) -> tuple:
+        """(name, expression) of the observable named key or, failing
+        that, at 1-based position key."""
         for n, text in self.observables:
-            if n == name:
-                return text
+            if n == key:
+                return n, text
+        if key.isdecimal() and 1 <= int(key) <= len(self.observables):
+            return self.observables[int(key) - 1]
         known = ", ".join(n for n, _ in self.observables) or "none defined"
-        raise TheoryFileError(f"no observable named {name!r} (known: {known})")
+        raise TheoryFileError(f"no observable named {key!r} (known: {known})")
 
 
 def _fail(msg: str) -> None:

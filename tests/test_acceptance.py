@@ -20,11 +20,12 @@ from sp2brst.cli import main
 from sp2brst.identities import run_identity_suite
 from sp2brst.observables import (NotFirstClassError, check_first_class,
                                  lift, restrict, verify_realization)
+from solver_oracles import (descendant_expand, descendant_trees,
+                            double_factorial, multi_bracket)
 from sp2brst.solver import (Method, SolverConfig, SymTensor, build_F,
-                            build_omega1, build_pi0, descendant_expand,
-                            descendant_trees, double_factorial,
-                            multi_bracket, solve, solve_pi_descendants,
-                            solve_pi_fixed_point, verify_master)
+                            build_omega1, build_pi0, solve,
+                            solve_pi_descendants, solve_pi_fixed_point,
+                            verify_master)
 from sp2brst.theory import (TheorySpec, abelian_spec, jacobi_violations,
                             mixed_parity_spec, so3_spec)
 

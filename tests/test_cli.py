@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import sp2brst.cli as cli_mod
 from sp2brst.cli import main
+from sp2brst.solver import ConventionError
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -184,3 +186,61 @@ def test_lift_order_from_document(capsys):
                        "--observable", "Tq", "--method", "fixed-point")
     assert code == 0
     assert "through cp-degree 4" in out
+
+
+def _one_error_line(err):
+    # the error itself, then the timing line every run prints
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "lift"])
+def test_order_below_two_is_input_error(capsys, command):
+    argv = [command, str(THEORY_DIR / "so3.json"), "--order", "1"]
+    if command == "lift":
+        argv += ["--observable", "J1sq"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert _one_error_line(err) == "error: --order must be at least 2, got 1"
+
+
+def test_identity_degree_below_one_is_input_error(capsys):
+    code, out, err = run(capsys, "check-identities", "--degree", "0")
+    assert code == 2
+    assert out == ""
+    assert _one_error_line(err) == "error: --degree must be at least 1, got 0"
+
+
+def test_identity_zero_samples_is_input_error(capsys):
+    code, out, err = run(capsys, "check-identities", "--samples", "0")
+    assert code == 2
+    assert "all identities hold" not in out
+    assert _one_error_line(err) == "error: --samples must be at least 1, got 0"
+
+
+def test_lift_observable_by_index(capsys):
+    args = (str(THEORY_DIR / "so3.json"), "--order", "4", "--method", "fixed-point")
+    code, by_index, _ = run(capsys, "lift", *args, "--observable", "3")
+    assert code == 0
+    code, by_name, _ = run(capsys, "lift", *args, "--observable", "J1sq")
+    assert code == 0
+    assert by_index == by_name
+    code, _, err = run(capsys, "lift", *args, "--observable", "4")
+    assert code == 2
+    assert "no observable named '4'" in err
+
+
+def test_convention_error_in_lift_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConventionError("Neumann term failed to raise cp-degree (3 -> 3)")
+
+    monkeypatch.setattr(cli_mod, "lift", broken)
+    code, out, err = run(capsys, "lift", str(THEORY_DIR / "so3.json"),
+                         "--observable", "J1sq", "--order", "4",
+                         "--method", "fixed-point")
+    assert code == 1
+    assert out.splitlines()[-1] == ("verification failed: Neumann term failed "
+                                    "to raise cp-degree (3 -> 3)")
+    assert "Traceback" not in out + err

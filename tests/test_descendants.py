@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 
-from sp2brst.solver import (
-    SolverConfig,
+from solver_oracles import (
     descendant_expand,
     descendant_trees,
     double_factorial,
     multi_bracket,
-    pair_bracket,
 )
+from sp2brst.solver import pair_bracket
 
 # -- an independent enumeration: grow trees by attaching the next leaf to
 #    every edge of every smaller tree ---------------------------------------

@@ -69,11 +69,19 @@ def test_alias_respects_word_boundaries():
 
 def test_observable_lookup():
     doc = parse_theory(_doc(observables=["T1^2", {"name": "c", "expr": "T2"}]))
-    assert doc.observable("1") == "xi[1]^2"
-    assert doc.observable("c") == "xi[2]"
+    assert doc.observable("1") == ("1", "xi[1]^2")
+    assert doc.observable("c") == ("c", "xi[2]")
+    assert doc.observable("2") == ("c", "xi[2]")  # 1-based position
     with pytest.raises(TheoryFileError) as err:
         doc.observable("missing")
     assert "known: 1, c" in str(err.value)
+    for key in ("0", "3", "-1"):
+        with pytest.raises(TheoryFileError):
+            doc.observable(key)
+    # an exact name wins over a position
+    named = parse_theory(_doc(observables=[{"name": "2", "expr": "T1"},
+                                           {"name": "b", "expr": "T2"}]))
+    assert named.observable("2") == ("2", "xi[1]")
 
 
 def test_document_shape_errors():
