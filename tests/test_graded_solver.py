@@ -15,10 +15,12 @@ import pytest
 
 import sp2brst.solver as solver_mod
 from solver_oracles import fixed_point_by_rounds, multi_bracket
+from sp2brst.algebra import Algebra
 from sp2brst.solver import (ConventionError, SolverConfig, build_pi0,
                             power_brackets, solve_pi_descendants,
                             solve_pi_fixed_point)
 from sp2brst.tensors import SymTensor
+from sp2brst.theory import so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -27,31 +29,35 @@ THEORIES = ("abelian3", "mixed2", "shift", "so3", "so3-deformed")
 
 @cache
 def _bundled(name):
-    """Algebra, config at the document order, Pi_0, and the subset-recursion
-    values multi_bracket([Pi_0] * m) for every m the exponential sum uses."""
+    """Algebra, config at the document order, and Pi_0 of a bundled theory."""
     doc = parse_theory((THEORY_DIR / f"{name}.json").read_bytes())
     alg = build_algebra(doc)
     config = SolverConfig(k=doc.order)
-    pi0 = build_pi0(alg, config)
+    return alg, config, build_pi0(alg, config)
+
+
+@cache
+def _subset_powers(name):
+    """multi_bracket([Pi_0] * m) for every m the exponential sum uses."""
+    _, config, pi0 = _bundled(name)
     if pi0.is_zero():
-        return alg, config, pi0, []
+        return []
     top = (config.k - 1) // (max(2, pi0.min_cp()) - 1)
-    return alg, config, pi0, [multi_bracket([pi0] * m, config.k)
-                              for m in range(1, top + 1)]
+    return [multi_bracket([pi0] * m, config.k) for m in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_fixed_point_matches_round_oracle(name):
-    alg, config, pi0, _ = _bundled(name)
+    alg, config, pi0 = _bundled(name)
     assert solve_pi_fixed_point(alg, config, pi0) == \
         fixed_point_by_rounds(alg, config, pi0)
 
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_descendants_match_subset_oracle(name):
-    alg, config, pi0, subset = _bundled(name)
+    alg, config, pi0 = _bundled(name)
     want = SymTensor.zero(alg, 1)
-    for m, term in enumerate(subset, 1):
+    for m, term in enumerate(_subset_powers(name), 1):
         want = (want + term * Fraction(1, math.factorial(m))).truncate_cp(config.k)
     assert solve_pi_descendants(alg, config, pi0) == want
 
@@ -60,7 +66,8 @@ def test_descendants_match_subset_oracle(name):
 def test_power_brackets_match_subset_recursion(name):
     # so3 at k=6 covers m = 1..5; so3-deformed at k=5 covers m = 1..4, and
     # its <Pi_0^5> starts at cp-degree 6, so it must truncate to zero
-    _, config, pi0, subset = _bundled(name)
+    _, config, pi0 = _bundled(name)
+    subset = _subset_powers(name)
     powers = power_brackets(pi0, 5, config.k)
     assert powers[:len(subset)] == subset
     assert all(p.is_zero() for p in powers[len(subset):])
@@ -69,7 +76,7 @@ def test_power_brackets_match_subset_recursion(name):
 
 def test_descendants_bracket_count(monkeypatch):
     # <Pi_0^m> for m <= 7 at order 8: one pair bracket per r <= m/2
-    alg, _, _, _ = _bundled("so3")
+    alg = Algebra(so3_spec())
     config = SolverConfig(k=8)
     pi0 = build_pi0(alg, config)
     calls = []
@@ -85,7 +92,7 @@ def test_descendants_bracket_count(monkeypatch):
 
 
 def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
-    alg, _, _, _ = _bundled("so3")
+    alg = Algebra(so3_spec())
     config = SolverConfig(k=4)
     pi0 = build_pi0(alg, config)
     # a "bracket" that returns its first argument stays at that degree
