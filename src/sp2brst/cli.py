@@ -259,13 +259,8 @@ def main(argv=None) -> int:
     except ConventionError as e:
         print(f"verification failed: {e}")
         return FAIL
-    except (TheoryFileError, TheoryError, expr.ExprError, UsageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except TermBudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as e:
+    except (TheoryFileError, TheoryError, expr.ExprError, UsageError,
+            TermBudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     finally:
