@@ -97,12 +97,6 @@ class GradedPoly:
         self.alg = alg
         self.terms = terms
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(alg):
-        return GradedPoly(alg, {})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
@@ -128,32 +122,12 @@ class GradedPoly:
     def ngh(self):
         return self._homogeneous(self.alg.term_ngh, "ngh")
 
-    def n_degree(self):
-        return self._homogeneous(self.alg.term_ndeg, "N-degree")
-
-    def cp_degree(self):
-        return self._homogeneous(self.alg.term_cpdeg, "cp-degree")
-
     def min_cp(self):
         """Smallest cp-degree over terms, or None for the zero polynomial."""
         if not self.terms:
             return None
         cp = self.alg.term_cpdeg
         return min(cp(m) for m in self.terms)
-
-    def in_v(self):
-        """True when every term has N-degree >= 1."""
-        nd = self.alg.term_ndeg
-        return all(nd(m) >= 1 for m in self.terms)
-
-    def grade_decompose(self):
-        """Split into homogeneous (N-degree, cp-degree) buckets."""
-        alg = self.alg
-        buckets: dict = {}
-        for m, c in self.terms.items():
-            key = (alg.term_ndeg(m), alg.term_cpdeg(m))
-            buckets.setdefault(key, {})[m] = c
-        return {k: GradedPoly(alg, t) for k, t in sorted(buckets.items())}
 
     def truncate_cp(self, k):
         """Drop every term of cp-degree greater than k."""
@@ -223,7 +197,7 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return GradedPoly.zero(self.alg)
+                return self.alg.zero()
             return GradedPoly(self.alg, {m: c * other for m, c in self.terms.items()})
         if isinstance(other, GradedPoly):
             return self.alg.mul(self, other)
@@ -393,39 +367,6 @@ class Algebra:
         """Build from {monomial: coefficient}, dropping zeros."""
         return GradedPoly(self, {m: Fraction(c) for m, c in terms.items() if c})
 
-    # -- normal ordering ----------------------------------------------------
-
-    def normal_form(self, factors):
-        """Normal-order an unordered product of variables.
-
-        `factors` is a sequence of Variables or ids (repetitions allowed).
-        Returns (sign, monomial), or None when an odd variable repeats.
-        The sign is the parity of the permutation restricted to odd factors.
-        """
-        vids = [f.vid if isinstance(f, Variable) else int(f) for f in factors]
-        par = self.var_parity
-        odd = [v for v in vids if par[v]]
-        if len(odd) != len(set(odd)):
-            return None
-        inv = 0
-        for i in range(len(odd)):
-            for j in range(i + 1, len(odd)):
-                if odd[i] > odd[j]:
-                    inv += 1
-        counts: dict = {}
-        for v in vids:
-            counts[v] = counts.get(v, 0) + 1
-        mono = tuple(sorted(counts.items()))
-        return (-1 if inv & 1 else 1), mono
-
-    def monomial(self, factors):
-        """normal_form wrapped into a polynomial (zero when an odd repeats)."""
-        nf = self.normal_form(factors)
-        if nf is None:
-            return self.zero()
-        sign, mono = nf
-        return GradedPoly(self, {mono: Fraction(sign)})
-
     # -- products -----------------------------------------------------------
 
     def _mul_terms(self, m1, m2):
@@ -469,15 +410,13 @@ class Algebra:
         out.extend(m2[j:])
         return (-1 if flips & 1 else 1), tuple(out)
 
-    def mul(self, p, q):
-        if (p.alg is not self or q.alg is not self) and not (
-                self.compatible(p.alg) and self.compatible(q.alg)):
-            raise TheoryError(
-                "cannot multiply elements of algebras over different theories")
-        out: dict = {}
+    def _mul_into(self, out, t1, t2):
+        """Add the product of two raw term dicts into out, dropping the
+        monomials whose coefficients cancel; returns out.  The products of
+        mul and bracket all accumulate here."""
         mul_terms = self._mul_terms
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
+        for m1, c1 in t1.items():
+            for m2, c2 in t2.items():
                 r = mul_terms(m1, m2)
                 if r is None:
                     continue
@@ -494,7 +433,14 @@ class Algebra:
                         out[m] = acc
                     else:
                         del out[m]
-        return GradedPoly(self, out)
+        return out
+
+    def mul(self, p, q):
+        if (p.alg is not self or q.alg is not self) and not (
+                self.compatible(p.alg) and self.compatible(q.alg)):
+            raise TheoryError(
+                "cannot multiply elements of algebras over different theories")
+        return GradedPoly(self, self._mul_into({}, p.terms, q.terms))
 
     # -- derivatives ---------------------------------------------------------
 
@@ -544,6 +490,7 @@ class Algebra:
         d = self._derive_terms(p.terms, src_vid, True)
         if not d:
             return self.zero()
+        # own loop: through _mul_into this hot path measured 1-3% slower
         head = ((dst_vid, 1),)
         out: dict = {}
         mul_terms = self._mul_terms
@@ -594,9 +541,6 @@ class Algebra:
             return self.vid(Sector.XI_PHYS, i - m)
         raise TheoryError(f"coordinate index {i} out of range 1..{m + p}")
 
-    def _xi_parity(self, i):
-        return self.var_parity[self._xi_vid(i)]
-
     def _build_matter_omega(self):
         from . import expr
 
@@ -637,7 +581,7 @@ class Algebra:
         # antisymmetric completion and consistency checks
         table: dict = {}
         for (i, j), w in given.items():
-            ei, ej = self._xi_parity(i), self._xi_parity(j)
+            ei, ej = (self.var_parity[self._xi_vid(n)] for n in (i, j))
             want = (ei + ej) & 1
             for mono in w.terms:
                 if self.term_parity(mono) != want:
@@ -669,12 +613,6 @@ class Algebra:
                 emit((vi, vj, w.terms[()], None))
             else:
                 emit((vi, vj, _ONE, w.terms))
-        self.matter_table = table
-
-    def matter_bracket_entry(self, i, j):
-        """The pairing {xi_i, xi_j} of two coordinates (global indices)."""
-        w = getattr(self, "matter_table", {}).get((i, j))
-        return w if w is not None else self.zero()
 
     def bracket(self, x, y):
         """Graded Poisson bracket {x, y}."""
@@ -685,26 +623,6 @@ class Algebra:
         out: dict = {}
         dx_cache: dict = {}
         dy_cache: dict = {}
-        mul_terms = self._mul_terms
-
-        def _accumulate(m1, c1, m2, c2, c0):
-            r = mul_terms(m1, m2)
-            if r is None:
-                return
-            s, mres = r
-            c = c0 * c1 * c2
-            if s < 0:
-                c = -c
-            acc = out.get(mres)
-            if acc is None:
-                out[mres] = c
-            else:
-                acc += c
-                if acc:
-                    out[mres] = acc
-                else:
-                    del out[mres]
-
         for va, vb, c0, mid in self._omega:
             dx = dx_cache.get(va)
             if dx is None:
@@ -718,37 +636,9 @@ class Algebra:
                 dy_cache[vb] = dy
             if not dy:
                 continue
-            if mid is None:
-                for m1, c1 in dx.items():
-                    for m2, c2 in dy.items():
-                        _accumulate(m1, c1, m2, c2, c0)
-            else:
-                # dx * w first, then * dy
-                tmp: dict = {}
-                for m1, c1 in dx.items():
-                    for mw, cw in mid.items():
-                        r = mul_terms(m1, mw)
-                        if r is None:
-                            continue
-                        s, m = r
-                        c = c1 * cw
-                        if s < 0:
-                            c = -c
-                        acc = tmp.get(m)
-                        if acc is None:
-                            tmp[m] = c
-                        else:
-                            acc += c
-                            if acc:
-                                tmp[m] = acc
-                            else:
-                                del tmp[m]
-                for m1, c1 in tmp.items():
-                    for m2, c2 in dy.items():
-                        _accumulate(m1, c1, m2, c2, c0)
+            if mid is not None:
+                dx = self._mul_into({}, dx, mid)  # dx * w first, then * dy
+            if c0 != 1:
+                dx = {m: c * c0 for m, c in dx.items()}
+            self._mul_into(out, dx, dy)
         return GradedPoly(self, out)
-
-
-def poisson_bracket(x: GradedPoly, y: GradedPoly) -> GradedPoly:
-    """Module-level convenience wrapper around Algebra.bracket."""
-    return x.alg.bracket(x, y)

@@ -29,7 +29,8 @@ import time
 from . import expr
 from .algebra import Algebra, TheoryError
 from .identities import run_identity_suite
-from .observables import NotFirstClassError, check_first_class, lift, verify_realization
+from .observables import (NotFirstClassError, check_first_class, lift,
+                          require_matter_only, verify_realization)
 from .solver import (DEFAULT_MAX_TERMS, ConventionError, Method, SolverConfig,
                      TermBudgetError, boundary_violations, solve, verify_master)
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
@@ -71,23 +72,38 @@ def _load(path: str) -> tuple:
     return doc, alg
 
 
-def _header(doc: TheoryDocument) -> str:
+def _open_theory(path: str) -> tuple:
+    """Load a theory document and print its header and Jacobi report;
+    returns (document, algebra, whether the Jacobi identity holds)."""
+    doc, alg = _load(path)
     spec = doc.spec
-    return (f"theory {spec.label}: {spec.m} constraints, "
-            f"{spec.n_physical} physical coordinates")
-
-
-def _check_jacobi(alg: Algebra) -> tuple:
+    print(f"theory {spec.label}: {spec.m} constraints, "
+          f"{spec.n_physical} physical coordinates")
     report = validate_jacobi(alg)
-    return report.ok, report.render()
+    print(report.render())
+    return doc, alg, report.ok
 
 
-def _order(args, doc: TheoryDocument) -> int:
+def _config(args, doc: TheoryDocument) -> SolverConfig:
+    """--order, else the document's order, else DEFAULT_ORDER."""
     if args.order is not None:
-        return _at_least(args.order, 2, "--order")
-    if doc.order is not None:
-        return doc.order
-    return DEFAULT_ORDER
+        k = _at_least(args.order, 2, "--order")
+    else:
+        k = doc.order or DEFAULT_ORDER
+    return SolverConfig(k=k, method=Method(args.method), max_terms=_max_terms())
+
+
+def _observables(doc: TheoryDocument, alg: Algebra) -> dict:
+    """Every document observable by name, parsed; each must be a
+    polynomial in the matter variables."""
+    parsed = {}
+    for name, source in doc.observables:
+        try:
+            parsed[name] = expr.parse(alg, source)
+            require_matter_only(parsed[name])
+        except ValueError as e:
+            raise TheoryFileError(f"observable {name}: {e}") from None
+    return parsed
 
 
 def _write_out(path: str, document: dict) -> None:
@@ -109,14 +125,10 @@ def _omega_summary(res) -> list:
 
 
 def cmd_solve(args) -> int:
-    doc, alg = _load(args.file)
-    print(_header(doc))
-    ok, text = _check_jacobi(alg)
-    print(text)
+    doc, alg, ok = _open_theory(args.file)
     if not ok:
         return INPUT_ERROR
-    config = SolverConfig(k=_order(args, doc), method=Method(args.method),
-                          max_terms=_max_terms())
+    config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
     for row in _omega_summary(res):
         print(row)
@@ -127,40 +139,31 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    doc, alg = _load(args.file)
-    print(_header(doc))
-    ok, text = _check_jacobi(alg)
-    print(text)
+    doc, alg, ok = _open_theory(args.file)
     if not ok:
         return INPUT_ERROR
-    name, source = doc.observable(args.observable)
-    try:
-        phi0 = expr.parse(alg, source)
-    except expr.ExprError as e:
-        raise TheoryFileError(f"observable {name}: {e}") from None
-    config = SolverConfig(k=_order(args, doc), method=Method(args.method),
-                          max_terms=_max_terms())
+    name, _ = doc.observable(args.observable)
+    observables = _observables(doc, alg)
+    phi0 = observables.pop(name)
+    config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
     if not res.ok:
         print(res.render())
         return FAIL
     print(f"observable {name} = {expr.serialize(phi0)}")
     try:
-        lifted = lift(phi0, res, max_terms=_max_terms())
+        lifted = lift(phi0, res)
     except NotFirstClassError as e:
         print(f"rejected: {e}")
         return FAIL
     print(lifted.render())
     print(f"Phi' = {expr.serialize(lifted.phi_prime)}")
     status = lifted.ok
-    for other_name, other_source in doc.observables:
-        if other_name == name:
-            continue
-        other = expr.parse(alg, other_source)
+    for other_name, other in observables.items():
         if not check_first_class(other, alg).ok:
             print(f"realization with {other_name}: skipped (not first class)")
             continue
-        other_lift = lift(other, res, max_terms=_max_terms())
+        other_lift = lift(other, res)
         realization = verify_realization(lifted, other_lift)
         print(f"realization with {other_name}: " + realization.render())
         status = status and other_lift.ok and realization.ok
@@ -176,9 +179,9 @@ def cmd_check_identities(args) -> int:
     spec = None
     if args.theory:
         doc, alg = _load(args.theory)
-        ok, text = _check_jacobi(alg)
-        print(text)
-        if not ok:
+        jacobi = validate_jacobi(alg)
+        print(jacobi.render())
+        if not jacobi.ok:
             return INPUT_ERROR
         spec = doc.spec
     report = run_identity_suite(degree=args.degree, samples=args.samples,
@@ -188,10 +191,7 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc, alg = _load(args.file)
-    print(_header(doc))
-    ok, text = _check_jacobi(alg)
-    print(text)
+    doc, alg, ok = _open_theory(args.file)
     if not ok:
         return INPUT_ERROR
     with open(args.omega_file, "rb") as fh:

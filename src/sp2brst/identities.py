@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, TheoryError
 from .operators import (apply_Gamma, apply_M, apply_N, apply_W,
                         apply_W_plus, bar_gamma, bar_w, gamma_component,
                         m_component, n_apply, n_inverse, w_component)
@@ -35,18 +35,18 @@ QUARTER = Fraction(1, 4)
 
 def _pools(alg: Algebra):
     """Generators split by N-weight: counted factors (xi, P, lam) versus
-    ghost-pair factors (C, pi)."""
-    counted, cp = [], []
+    factors of N-weight 0 (C, pi and the physical xip)."""
+    counted, uncounted = [], []
     for a in range(1, alg.m + 1):
         counted.append(alg.xi(a))
         counted.append(alg.lagrange(a))
         for i in (1, 2):
             counted.append(alg.ghost_mom(a, i))
-            cp.append(alg.ghost(a, i))
-        cp.append(alg.lagrange_mom(a))
+            uncounted.append(alg.ghost(a, i))
+        uncounted.append(alg.lagrange_mom(a))
     for a in range(1, alg.n_physical + 1):
-        counted.append(alg.xip(a))
-    return counted, cp
+        uncounted.append(alg.xip(a))
+    return counted, uncounted
 
 
 def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
@@ -54,7 +54,7 @@ def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
     """A random polynomial with every term carrying at least one counted
     factor (so N is invertible on it), cp-degree <= max_cp and N-degree
     <= max_n.  Terms of different degrees and parities are mixed."""
-    counted, cp = _pools(alg)
+    counted, uncounted = _pools(alg)
     out = alg.zero()
     for _ in range(rng.randint(1, max_monomials)):
         for _attempt in range(30):
@@ -64,7 +64,7 @@ def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
             for _ in range(rng.randint(1, max_n)):
                 term = alg.mul(term, rng.choice(counted))
             for _ in range(rng.randint(0, max_cp)):
-                term = alg.mul(term, rng.choice(cp))
+                term = alg.mul(term, rng.choice(uncounted))
             if term:
                 out = out + term
                 break
@@ -116,7 +116,6 @@ class IdentityResult:
 class IdentityReport:
     label: str
     degree: int
-    n_degree: int
     samples: int
     seed: int
     results: tuple
@@ -128,7 +127,7 @@ class IdentityReport:
     def render(self) -> str:
         rows = [
             f"operator identity suite: theory {self.label}, "
-            f"cp-degree <= {self.degree}, N-degree <= {self.n_degree}, "
+            f"cp-degree <= {self.degree}, N-degree <= {self.degree}, "
             f"{self.samples} samples, seed {self.seed}"
         ]
         for r in self.results:
@@ -214,19 +213,19 @@ def _kernel_checks(alg, xc):
 
 
 def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
-                       spec: TheorySpec | None = None,
-                       n_degree: int | None = None) -> IdentityReport:
-    """Check every identity on `samples` seeded random elements.
+                       spec: TheorySpec | None = None) -> IdentityReport:
+    """Check every identity on `samples` seeded random elements of
+    cp-degree and N-degree at most `degree`.
 
     Results are deterministic functions of (degree, samples, seed, spec).
     """
     if spec is None:
         spec = mixed_parity_spec()
-    if n_degree is None:
-        n_degree = degree
+    if spec.m == 0:
+        raise TheoryError("the identity suite needs at least one constraint")
     alg = Algebra(spec)
     rng = random.Random(seed)
-    kw = dict(max_cp=degree, max_n=n_degree)
+    kw = dict(max_cp=degree, max_n=degree)
 
     tally: dict = {}
 
@@ -254,5 +253,5 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
 
     results = tuple(IdentityResult(name, domain, samples, fails, first)
                     for (name, domain), (fails, first) in tally.items())
-    return IdentityReport(spec.label or "anonymous", degree, n_degree,
-                          samples, seed, results)
+    return IdentityReport(spec.label or "anonymous", degree, samples, seed,
+                          results)

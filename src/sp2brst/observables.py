@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, GradedPoly, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
-from .solver import (DEFAULT_MAX_TERMS, SolverResult, apply_A, neumann_apply,
-                     tensor_bracket)
+from .solver import (SolverResult, apply_A, degree_lines, neumann_apply,
+                     render_lines, tensor_bracket)
 from .tensors import SymTensor
 
 _MATTER = (Sector.XI, Sector.XI_PHYS)
@@ -52,7 +52,7 @@ class FirstClassCheck:
     remainder: GradedPoly | None = None
 
 
-def _require_matter_only(phi0: GradedPoly) -> None:
+def require_matter_only(phi0: GradedPoly) -> None:
     sec = phi0.alg.var_sector
     for mono in phi0.terms:
         for v, _ in mono:
@@ -67,7 +67,7 @@ def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> FirstClas
     membership is decided by setting xi = 0: the remainder must vanish."""
     if alg is None:
         alg = phi0.alg
-    _require_matter_only(phi0)
+    require_matter_only(phi0)
     for alpha in range(1, alg.m + 1):
         remainder = alg.bracket(phi0, alg.xi(alpha)).substitute_zero((Sector.XI,))
         if remainder:
@@ -78,14 +78,6 @@ def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> FirstClas
 def restrict(phi_prime: GradedPoly) -> GradedPoly:
     """Inverse of the lift: set the ghosts C and pi to zero."""
     return phi_prime.substitute_zero(_RESTRICTED)
-
-
-@dataclass(frozen=True)
-class LiftLine:
-    degree: int
-    direct_zero: bool
-    structured_zero: bool
-    agree: bool
 
 
 @dataclass(frozen=True)
@@ -119,29 +111,20 @@ class ObservableLift:
             + f" through cp-degree {self.k}",
             f"  correction terms: {self.k_part.term_count()}",
         ]
-        for line in self.lines:
-            status = "zero" if line.direct_zero else "NONZERO"
-            extra = "" if line.agree else "  [structured form DISAGREES]"
-            rows.append(f"  degree {line.degree}: commutator {status}{extra}")
+        rows += render_lines(self.lines, "commutator")
         rows.append(f"  boundary barGamma K = 0: {'yes' if self.bar_gamma_zero else 'NO'}")
         rows.append(f"  restriction returns phi0: {'yes' if self.restriction_ok else 'NO'}")
         return "\n".join(rows)
 
 
-def lift(phi0: GradedPoly, omega_result: SolverResult, k: int | None = None,
-         max_terms: int = DEFAULT_MAX_TERMS) -> ObservableLift:
+def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     """Extend a first-class phi0 to Phi' = phi0 + K with
-    {Omega^a, Phi'}' = 0 through the solver's truncation degree.
+    {Omega^a, Phi'}' = 0 through the solver's truncation degree, under its
+    term budget.
 
-    The truncation must match the solve (a lift at a different order has
-    no residual guarantee); a non-first-class phi0 is rejected with the
-    witnessing constraint and remainder.
+    A non-first-class phi0 is rejected with the witnessing constraint and
+    remainder.
     """
-    if k is None:
-        k = omega_result.config.k
-    if k != omega_result.config.k:
-        raise ValueError(
-            f"lift order {k} differs from the solve order {omega_result.config.k}")
     alg = omega_result.algebra
     if not alg.compatible(phi0.alg):
         raise ValueError("phi0 belongs to an algebra over a different theory")
@@ -150,12 +133,13 @@ def lift(phi0: GradedPoly, omega_result: SolverResult, k: int | None = None,
         raise NotFirstClassError(fc.alpha, fc.remainder)
 
     omega, pi = omega_result.omega, omega_result.pi
+    k = omega_result.config.k
 
     def op(t: SymTensor) -> SymTensor:
         return apply_A(t) + tensor_bracket(pi, t)
 
     seed = -apply_W_plus(tensor_bracket(omega, SymTensor.from_scalar(phi0)))
-    k_tensor = neumann_apply(op, seed, k, max_terms)
+    k_tensor = neumann_apply(op, seed, k, omega_result.config.max_terms)
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
 
@@ -166,19 +150,11 @@ def lift(phi0: GradedPoly, omega_result: SolverResult, k: int | None = None,
                   + tensor_bracket(omega, SymTensor.from_scalar(phi0))
                   + apply_A(k_tensor)
                   + tensor_bracket(pi, k_tensor)).truncate_cp(k)
-    lines = tuple(
-        LiftLine(
-            d,
-            direct.cp_part(d).is_zero(),
-            structured.cp_part(d).is_zero(),
-            direct.cp_part(d) == structured.cp_part(d),
-        )
-        for d in range(k + 1)
-    )
     ngh_ok = all(alg.term_ngh(m) == 0 for m in phi_prime.terms)
     return ObservableLift(
         phi0=phi0, k_part=k_part, phi_prime=phi_prime, k=k,
-        residual=direct, structured=structured, lines=lines,
+        residual=direct, structured=structured,
+        lines=degree_lines(direct, structured, k),
         bar_gamma_zero=bar_gamma(k_part).is_zero(),
         restriction_ok=restrict(phi_prime) == phi0,
         ngh_ok=ngh_ok)

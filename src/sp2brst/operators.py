@@ -8,7 +8,7 @@ Component (scalar) operators, all first-order with left derivatives:
     M      = Gamma_a W^a
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
-output indices, Gamma contracts the last index, N/M/Q/V act per component.
+output indices, Gamma contracts the last index, N/M/Q act per component.
 On rank n >= 1, Q is the exact inverse of (nN + M); its closed form is
 polynomial in M and N^-1 thanks to the reduction
 M^n = (2^(n-1)-1) N^(n-2) M^2 - (2^(n-1)-2) N^(n-1) M.
@@ -19,7 +19,6 @@ so that eps^ab eps_bc = delta^a_c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import GradedPoly, Sector
@@ -161,36 +160,6 @@ def apply_W_plus(t: SymTensor) -> SymTensor:
     return apply_Q(apply_Gamma(t))
 
 
-def apply_V(t: SymTensor, n: int) -> SymTensor:
-    """The rank-n complement factor:
-    V = (1/(n(n+1)(n+2))) (n(n^2+4n+6) I - (n-4) M N^-1 - 2 M^2 N^-2)."""
-    if n < 1:
-        raise ValueError("V is defined for rank n >= 1")
-    c = Fraction(1, n * (n + 1) * (n + 2))
-    p0 = t * (c * n * (n * n + 4 * n + 6))
-    p1 = apply_M(apply_N_inverse(t, 1)) * (c * (n - 4))
-    p2 = apply_M(apply_M(apply_N_inverse(t, 2))) * (2 * c)
-    return p0 - p1 - p2
-
-
-def apply_decompose(t: SymTensor):
-    """Split a rank n >= 1 tensor exactly as X = W+ W X + W W+ X.
-
-    The complement factor is the identity: since Q_n W = W Q_(n-1) for
-    n >= 1 (Q on rank 0 is by construction the rank-1 Q shifted through W),
-    one has (I - W+ W)X = Q_n W Gamma X = W W+ X.  Substituting any other
-    polynomial in M, N^-1 for the complement breaks the reconstruction,
-    because M's minimal polynomial m(m-N)(m-2N) pins it to the identity;
-    see the tests for an explicit check that apply_V's polynomial does not
-    reproduce it.
-    """
-    if t.rank < 1:
-        raise ValueError("decomposition applies to rank >= 1")
-    head = apply_W_plus(apply_W(t))
-    tail = apply_W(apply_W_plus(t))
-    return head, tail
-
-
 # ---------------------------------------------------------------------------
 # contracted second-order operators (rank 0)
 
@@ -203,50 +172,3 @@ def bar_w(p: GradedPoly) -> GradedPoly:
 def bar_gamma(p: GradedPoly) -> GradedPoly:
     """barGamma = eps^ab Gamma_a Gamma_b = Gamma_1 Gamma_2 - Gamma_2 Gamma_1."""
     return gamma_component(gamma_component(p, 2), 1) - gamma_component(gamma_component(p, 1), 2)
-
-
-def apply_bar_ops(t: SymTensor):
-    """On a rank-0 tensor in the invertible domain of N, return
-    (barW x, barGamma x, head, tail) with x = head + tail,
-    head = (1/2) M N^-1 x and tail = (1/4)(barW barGamma - barGamma barW) N^-2 x."""
-    if t.rank != 0:
-        raise ValueError("contracted operators act on rank-0 tensors")
-    x = t.get(())
-    bw = bar_w(x)
-    bg = bar_gamma(x)
-    head = m_component(n_inverse(x, 1)) * Fraction(1, 2)
-    y = n_inverse(x, 2)
-    tail = (bar_w(bar_gamma(y)) - bar_gamma(bar_w(y))) * Fraction(1, 4)
-    return bw, bg, head, tail
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OperatorReport:
-    """Shape summary of one operator application."""
-
-    name: str
-    input_rank: int
-    output_rank: int
-    terms_by_n: dict  # N-degree -> (terms in, terms out)
-
-    def render(self):
-        rows = ", ".join(f"N={n}: {i}->{o}" for n, (i, o) in sorted(self.terms_by_n.items()))
-        return f"{self.name}: rank {self.input_rank} -> {self.output_rank} ({rows or 'empty'})"
-
-
-def operator_report(name, t_in: SymTensor, t_out: SymTensor) -> OperatorReport:
-    def census(t):
-        alg = t.alg
-        by_n: dict = {}
-        for p in t.comps.values():
-            for m in p.terms:
-                d = alg.term_ndeg(m)
-                by_n[d] = by_n.get(d, 0) + 1
-        return by_n
-
-    a, b = census(t_in), census(t_out)
-    merged = {n: (a.get(n, 0), b.get(n, 0)) for n in set(a) | set(b)}
-    return OperatorReport(name, t_in.rank, t_out.rank, merged)

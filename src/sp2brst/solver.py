@@ -347,6 +347,24 @@ class DegreeLine:
     agree: bool
 
 
+def degree_lines(direct: SymTensor, structured: SymTensor, k: int) -> tuple:
+    """One DegreeLine per cp-degree 0..k of a residual evaluated directly
+    and in structured form."""
+    lines = []
+    for d in range(k + 1):
+        dp, sp = direct.cp_part(d), structured.cp_part(d)
+        lines.append(DegreeLine(d, dp.is_zero(), sp.is_zero(), dp == sp))
+    return tuple(lines)
+
+
+def render_lines(lines: tuple, noun: str) -> list:
+    """One report row per DegreeLine, naming the residual `noun`."""
+    return [f"  degree {line.degree}: {noun} "
+            + ("zero" if line.direct_zero else "NONZERO")
+            + ("" if line.agree else "  [structured form DISAGREES]")
+            for line in lines]
+
+
 @dataclass(frozen=True)
 class MasterReport:
     """Residual of the master equations through cp-degree k, evaluated both
@@ -367,13 +385,9 @@ class MasterReport:
         return self.residual == self.structured
 
     def render(self) -> str:
-        rows = []
-        for line in self.lines:
-            status = "zero" if line.direct_zero else "NONZERO"
-            extra = "" if line.agree else "  [structured form DISAGREES]"
-            rows.append(f"  degree {line.degree}: residual {status}{extra}")
         head = "master equations: " + ("satisfied" if self.ok else "VIOLATED")
-        return "\n".join([f"{head} through cp-degree {self.k}"] + rows)
+        return "\n".join([f"{head} through cp-degree {self.k}"]
+                         + render_lines(self.lines, "residual"))
 
 
 def verify_master(omega: SymTensor, k: int) -> MasterReport:
@@ -387,16 +401,7 @@ def verify_master(omega: SymTensor, k: int) -> MasterReport:
     pi = omega - build_omega1(alg)
     structured = (apply_W(pi) + build_F(alg) + apply_A(pi)
                   + quad_term(pi)).truncate_cp(k)
-    lines = tuple(
-        DegreeLine(
-            d,
-            direct.cp_part(d).is_zero(),
-            structured.cp_part(d).is_zero(),
-            direct.cp_part(d) == structured.cp_part(d),
-        )
-        for d in range(k + 1)
-    )
-    return MasterReport(k, direct, structured, lines)
+    return MasterReport(k, direct, structured, degree_lines(direct, structured, k))
 
 
 def boundary_violations(omega: SymTensor):

@@ -18,10 +18,6 @@ class SymmetryError(ValueError):
     """A tensor built from full components failed the symmetry check."""
 
 
-def canonical_indices(rank):
-    return list(combinations_with_replacement((1, 2), rank))
-
-
 class SymTensor:
     __slots__ = ("alg", "rank", "comps")
 
@@ -72,7 +68,7 @@ class SymTensor:
         return p if p is not None else self.alg.zero()
 
     def indices(self):
-        return canonical_indices(self.rank)
+        return list(combinations_with_replacement((1, 2), self.rank))
 
     def is_zero(self):
         return not self.comps
@@ -101,9 +97,6 @@ class SymTensor:
 
     def cp_part(self, d):
         return self.map(lambda p: p.cp_part(d))
-
-    def in_v(self):
-        return all(p.in_v() for p in self.comps.values())
 
     def __add__(self, other):
         if not isinstance(other, SymTensor):

@@ -112,8 +112,9 @@ def _alias_rewriter(names):
     return lambda text: pattern.sub(lambda m: names[m.group(1)], text)
 
 
-def parse_theory(data) -> TheoryDocument:
-    """Parse and validate a theory document (bytes, text, or dict)."""
+def _decode(data, what: str) -> dict:
+    """Decode bytes or text (a dict passes through) into a JSON object of
+    the supported format."""
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
@@ -121,9 +122,15 @@ def parse_theory(data) -> TheoryDocument:
             raise TheoryFileError(
                 f"line {e.lineno}, col {e.colno}: {e.msg}") from None
     if not isinstance(data, dict):
-        _fail("document must be a JSON object")
+        _fail(f"{what} must be a JSON object")
     if data.get("format") != FORMAT:
         _fail(f"unsupported format {data.get('format')!r} (expected {FORMAT})")
+    return data
+
+
+def parse_theory(data) -> TheoryDocument:
+    """Parse and validate a theory document (bytes, text, or dict)."""
+    data = _decode(data, "document")
     unknown = set(data) - {"format", "label", "constraints", "physical",
                            "U", "mixed", "observables", "order"}
     if unknown:
@@ -250,19 +257,14 @@ def dump_document(doc: dict) -> str:
 
 
 def load_omega(data, alg: Algebra):
-    """Read back an omega document; returns (omega tensor, order)."""
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise TheoryFileError(
-                f"line {e.lineno}, col {e.colno}: {e.msg}") from None
-    if not isinstance(data, dict):
-        _fail("omega document must be a JSON object")
-    if data.get("format") != FORMAT:
-        _fail(f"unsupported format {data.get('format')!r}")
+    """Read back an omega document emitted for the theory of alg; returns
+    (omega tensor, order)."""
+    data = _decode(data, "omega document")
     if data.get("kind") != "omega":
         _fail(f"expected an omega document, found kind {data.get('kind')!r}")
+    if data.get("label") != alg.spec.label:
+        _fail(f"omega document is for theory {data.get('label')!r}, "
+              f"not {alg.spec.label!r}")
     order = data.get("order")
     if not isinstance(order, int) or order < 2:
         _fail("omega document: order must be an integer >= 2")

@@ -118,12 +118,15 @@ def test_check_identities(capsys):
     assert out2 == out
 
 
-def test_check_identities_over_document(capsys):
+@pytest.mark.parametrize("theory", ["so3", "shift"])
+def test_check_identities_over_document(capsys, theory):
+    # shift has a physical coordinate, which carries no N-weight
     code, out, _ = run(capsys, "check-identities", "--degree", "2",
                        "--samples", "3", "--seed", "0",
-                       "--theory", str(THEORY_DIR / "so3.json"))
+                       "--theory", str(THEORY_DIR / f"{theory}.json"))
     assert code == 0
-    assert "theory so3" in out
+    assert f"theory {theory}" in out
+    assert out.splitlines()[-1] == "identity suite: all identities hold"
 
 
 def test_input_errors(capsys, tmp_path):
@@ -244,3 +247,42 @@ def test_convention_error_in_lift_exits_one(capsys, monkeypatch):
     assert out.splitlines()[-1] == ("verification failed: Neumann term failed "
                                     "to raise cp-degree (3 -> 3)")
     assert "Traceback" not in out + err
+
+
+def test_verify_rejects_charge_of_another_theory(capsys, tmp_path):
+    omega_path = tmp_path / "omega.json"
+    code, _, _ = run(capsys, "solve", str(THEORY_DIR / "abelian3.json"),
+                     "--order", "3", "--out", str(omega_path))
+    assert code == 0
+    code, out, err = run(capsys, "verify", str(THEORY_DIR / "so3.json"),
+                         str(omega_path))
+    assert code == 2
+    assert _one_error_line(err) == ("error: omega document is for theory "
+                                    "'abelian3', not 'so3'")
+    assert "verification" not in out
+
+
+@pytest.mark.parametrize("observable", ["g", "J1sq"])
+def test_ghost_observable_is_input_error(capsys, tmp_path, observable):
+    # lifting g itself, or any other observable of a document containing g
+    doc = json.loads((THEORY_DIR / "so3.json").read_text())
+    doc["observables"].append({"name": "g", "expr": "C[1,1]"})
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lift", str(path), "--observable", observable,
+                         "--order", "3", "--method", "fixed-point")
+    assert code == 2
+    assert _one_error_line(err) == ("error: observable g: phi0 must be a "
+                                    "polynomial in the matter variables only")
+    assert "observable lift" not in out
+
+
+def test_identities_need_a_constraint(capsys, tmp_path):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"format": 1, "label": "free",
+                                "physical": [{"name": "q", "parity": 0}]}))
+    code, _, err = run(capsys, "check-identities", "--degree", "2",
+                       "--samples", "2", "--theory", str(path))
+    assert code == 2
+    assert _one_error_line(err) == ("error: the identity suite needs at least "
+                                    "one constraint")

@@ -102,8 +102,8 @@ def test_report_renders_failures():
     bad = IdentityResult(name="toy check", domain="V", samples=5,
                          failures=2, first_defect="sample 0: GradedPoly(...)")
     assert not bad.ok
-    rep = IdentityReport(label="toy", degree=1, n_degree=1, samples=5,
-                         seed=0, results=(bad,))
+    rep = IdentityReport(label="toy", degree=1, samples=5, seed=0,
+                         results=(bad,))
     assert not rep.ok
     text = rep.render()
     assert "toy check [V]: FAILED (2/5)" in text

@@ -10,8 +10,8 @@ from sp2brst.observables import (
     restrict,
     verify_realization,
 )
-from sp2brst.solver import Method, SolverConfig, solve
-from sp2brst.theory import TheorySpec, deformed_so3_spec
+from sp2brst.solver import Method, SolverConfig, TermBudgetError, solve
+from sp2brst.theory import TheorySpec, deformed_so3_spec, so3_spec
 
 SHIFT = TheorySpec((0,), physical_parities=(0,),
                    mixed_table={(1, 2): "1"}, label="shift")
@@ -125,14 +125,20 @@ def test_shift_product_observable_lifts():
 def test_lift_guards(so3_result):
     alg = so3_result.algebra
     with pytest.raises(ValueError):
-        lift(alg.xi(1) ** 2, so3_result, k=3)  # order mismatch
-    with pytest.raises(ValueError):
         lift(alg.ghost(1, 1), so3_result)  # not a matter polynomial
     with pytest.raises(ValueError):
         check_first_class(alg.lagrange(1), alg)
     other = Algebra(SHIFT)
     with pytest.raises(ValueError):
         lift(other.xip(1), so3_result)
+
+
+def test_lift_keeps_the_solve_budget():
+    # the solve fits in 100 terms, the Neumann series of J1^2's lift does not
+    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT,
+                                         max_terms=100))
+    with pytest.raises(TermBudgetError):
+        lift(res.algebra.xi(1) ** 2, res)
 
 
 def test_realization_order_mismatch(so3_result):

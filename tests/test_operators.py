@@ -9,12 +9,11 @@ from sp2brst.algebra import Algebra
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import (
     OutsideDomainError,
-    apply_decompose,
     apply_Gamma,
     apply_M,
     apply_N,
+    apply_N_inverse,
     apply_Q,
-    apply_V,
     apply_W,
     apply_W_plus,
     bar_gamma,
@@ -23,7 +22,6 @@ from sp2brst.operators import (
     m_component,
     n_apply,
     n_inverse,
-    operator_report,
     w_component,
 )
 from sp2brst.tensors import SymTensor
@@ -112,23 +110,32 @@ def test_decompose_reconstructs():
     rng = random.Random(5)
     for rank in (1, 2):
         t = random_tensor(ALG, rng, rank, max_cp=3, max_n=3)
-        head, tail = apply_decompose(t)
+        head = apply_W_plus(apply_W(t))
+        tail = apply_W(apply_W_plus(t))
         assert head + tail == t
         # the head lies in the image of W+, which (W+)^2 = 0 detects
         assert apply_W_plus(head).is_zero()
-    with pytest.raises(ValueError):
-        apply_decompose(SymTensor.from_scalar(ALG.xi(1)))
 
 
 def test_v_polynomial_is_not_the_complement():
-    # Substituting the V polynomial for Q in the complement W Q Gamma breaks
-    # the reconstruction X = W+ W X + W Q Gamma X.
+    # Since Q_n W = W Q_(n-1) for n >= 1, (I - W+ W) X = W Q Gamma X = W W+ X:
+    # the complement factor is the identity.  Substituting the rank-n
+    # polynomial
+    #     V = (n(n^2+4n+6) I - (n-4) M N^-1 - 2 M^2 N^-2) / (n(n+1)(n+2))
+    # for Q breaks the reconstruction X = W+ W X + W Q Gamma X, because M's
+    # minimal polynomial m(m-N)(m-2N) pins the factor to the identity.
     a = ALG
 
     def comp(idx):
         i, j = idx
         return a.mul(a.ghost_mom(1, i), a.ghost_mom(2, j)) \
             + a.mul(a.ghost_mom(1, j), a.ghost_mom(2, i))
+
+    def apply_V(x, n):
+        c = Fraction(1, n * (n + 1) * (n + 2))
+        return (x * (c * n * (n * n + 4 * n + 6))
+                - apply_M(apply_N_inverse(x, 1)) * (c * (n - 4))
+                - apply_M(apply_M(apply_N_inverse(x, 2))) * (2 * c))
 
     t = SymTensor.from_full(a, 2, comp)
     head = apply_W_plus(apply_W(t))
@@ -163,10 +170,3 @@ def test_w_raises_rank_symmetrically():
     assert wt.get((1, 1)) == 2 * w_component(t.get((1,)), 1)
     assert apply_W(wt).is_zero()  # symmetrized nilpotency at the tensor level
 
-
-def test_operator_report_render():
-    t = SymTensor.from_scalar(ALG.xi(1) * ALG.lagrange(1))
-    rep = operator_report("W", t, apply_W(t))
-    text = rep.render()
-    assert "W: rank 0 -> 1" in text
-    assert "N=2" in text

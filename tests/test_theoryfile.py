@@ -175,6 +175,9 @@ def test_omega_document_rejections(mixed2_result):
     bad = dict(good, format=9)
     with pytest.raises(TheoryFileError):
         load_omega(json.dumps(bad), alg)
+    bad = dict(good, label="so3")
+    with pytest.raises(TheoryFileError):
+        load_omega(json.dumps(bad), alg)
     bad = dict(good, order=0)
     with pytest.raises(TheoryFileError):
         load_omega(json.dumps(bad), alg)
