@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 all checks pass; 1 a verification failed (nonzero
 residual, method disagreement, non-first-class observable, a failed
-internal convention check); 2 input error (bad document, bad expression,
-Jacobi-violating structure table, an option out of range, or the
-SP2_BRST_MAX_TERMS safety cap was exceeded).
+internal check: ConventionError, SymmetryError or OutsideDomainError);
+2 input error (bad document, bad expression, Jacobi-violating structure
+table, an option out of range, or the SP2_BRST_MAX_TERMS safety cap was
+exceeded).
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -31,8 +32,10 @@ from .algebra import Algebra, TheoryError
 from .identities import run_identity_suite
 from .observables import (NotFirstClassError, check_first_class, lift,
                           require_matter_only, verify_realization)
+from .operators import OutsideDomainError
 from .solver import (DEFAULT_MAX_TERMS, ConventionError, Method, SolverConfig,
                      TermBudgetError, boundary_violations, solve, verify_master)
+from .tensors import SymmetryError
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
                          dump_document, load_omega, observable_document,
                          omega_document, parse_theory, validate_jacobi)
@@ -256,7 +259,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except ConventionError as e:
+    except (ConventionError, SymmetryError, OutsideDomainError) as e:
         print(f"verification failed: {e}")
         return FAIL
     except (TheoryFileError, TheoryError, expr.ExprError, UsageError,

@@ -8,11 +8,12 @@ constraints) extends to Phi' = phi0 + K commuting with both charges,
 
 subject to the boundary conditions ngh(Phi') = 0, Phi'|_(C=pi=0) = phi0
 and barGamma K = 0.  Those conditions remove the homogeneous freedom of
-the projected equation, leaving the finite Neumann sum
+the projected equation, leaving
 
     K = -(I + W+(A + ad Pi))^-1 W+ [Omega, phi0],
 
-which is built from W+ images and therefore satisfies barGamma K = 0
+solved one cp-degree at a time (A + ad Pi raises the degree), which is
+built from W+ images and therefore satisfies barGamma K = 0
 automatically (barGamma W+ = 0).  Restriction to C = pi = 0 inverts the
 lift, and on lifted elements the bracket and the product restrict to the
 bracket and the product of the originals: the first-class functions and

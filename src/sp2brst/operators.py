@@ -108,16 +108,7 @@ def apply_M(t: SymTensor) -> SymTensor:
 
 def apply_W(t: SymTensor) -> SymTensor:
     """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest}."""
-    alg = t.alg
-
-    def comp(idx):
-        out = alg.zero()
-        for j in range(len(idx)):
-            rest = idx[:j] + idx[j + 1:]
-            out = out + w_component(t.get(rest), idx[j])
-        return out
-
-    return SymTensor.from_full(alg, t.rank + 1, comp)
+    return t.placement_sum(w_component)
 
 
 def apply_Gamma(t: SymTensor) -> SymTensor:

@@ -18,11 +18,12 @@ the generalized inverse W+ turns G = 0 into the fixed-point problem
     Pi = Pi_0 + 1/2 <Pi, Pi>,      Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F),
 
 which is solved exactly at any finite truncation degree, one C,pi-degree at
-a time: every bracket application strictly raises the degree, so the
-degree-d part of Pi depends only on the parts below d.  The same solution
-is reproduced by the multi-bracket expansion Pi = <e^(Pi_0)>, whose m-fold
-brackets of equal arguments are built by size from the smaller ones; the
-solver can run both and insists they agree.
+a time: W+ A and every bracket with Pi strictly raise the degree, so the
+degree-d part depends only on the parts below d.  One graded solve gives
+the fixed point and every inverse (I + W+ op)^-1.  The multi-bracket
+expansion Pi = <e^(Pi_0)> reproduces the solution, its m-fold brackets
+built by size from the smaller ones; the solver can run both and insists
+they agree.
 
 All arithmetic is exact (Fraction coefficients); truncation at cp-degree k
 is a projection, not an approximation, so a zero residual through k is a
@@ -165,17 +166,8 @@ def a_component(p: GradedPoly, a: int) -> GradedPoly:
 
 
 def apply_A(t: SymTensor) -> SymTensor:
-    """Rank n -> n+1: (A X)^(a0..an) = sum_j A^(aj) X^(rest), the same
-    index-placement sum as the rank-raising W."""
-    alg = t.alg
-
-    def comp(idx):
-        out = alg.zero()
-        for j in range(len(idx)):
-            out = out + a_component(t.get(idx[:j] + idx[j + 1:]), idx[j])
-        return out
-
-    return SymTensor.from_full(alg, t.rank + 1, comp)
+    """Rank n -> n+1: (A X)^(a0..an) = sum_j A^(aj) X^(rest)."""
+    return t.placement_sum(a_component)
 
 
 def tensor_bracket(x: SymTensor, y: SymTensor) -> SymTensor:
@@ -183,15 +175,8 @@ def tensor_bracket(x: SymTensor, y: SymTensor) -> SymTensor:
     summed over the placements of x's index (no normalisation factor)."""
     if x.rank != 1:
         raise ValueError("tensor_bracket expects a rank-1 first argument")
-    alg = x.alg
-
-    def comp(idx):
-        out = alg.zero()
-        for j in range(len(idx)):
-            out = out + alg.bracket(x.get((idx[j],)), y.get(idx[:j] + idx[j + 1:]))
-        return out
-
-    return SymTensor.from_full(alg, y.rank + 1, comp)
+    bracket = x.alg.bracket
+    return y.placement_sum(lambda p, a: bracket(x.get((a,)), p))
 
 
 def quad_term(pi: SymTensor) -> SymTensor:
@@ -200,30 +185,47 @@ def quad_term(pi: SymTensor) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# the inverse (I + W+ op)^-1 and the pair bracket
+# the graded solve, the inverse (I + W+ op)^-1 and the pair bracket
+
+
+def _graded_solve(seed: SymTensor, grow, k: int, max_terms: int) -> SymTensor:
+    """The X through cp-degree k that equals seed plus everything
+    grow(part, lower) returns for its parts, solved one degree at a time.
+
+    grow is called once per nonzero degree-d part of X, with the parts
+    below d (lowest first), and returns tensors that must lie strictly
+    above d; so the degree-d part of X is seed_d plus the degree-d part of
+    what grow has returned so far.  A returned tensor that fails to raise
+    the degree signals a convention bug and raises ConventionError."""
+    seed = seed.truncate_cp(k)
+    if not seed:
+        return seed
+    x = grown = SymTensor.zero(seed.alg, seed.rank)
+    lower = []
+    for d in range(seed.min_cp(), k + 1):
+        part = seed.cp_part(d) + grown.cp_part(d)
+        if not part:
+            continue
+        for term in grow(part, lower):
+            term = term.truncate_cp(k)
+            floor = term.min_cp()
+            if floor is not None and floor <= d:
+                raise ConventionError(
+                    f"the cp-degree {d} part failed to raise the degree "
+                    f"(reaches {floor})")
+            grown = grown + term
+        lower.append(part)
+        _guard(grown, max_terms)
+        x = _guard(x + part, max_terms)
+    return x
 
 
 def neumann_apply(op, x: SymTensor, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
-    """(I + W+ op)^-1 x = sum_m (-1)^m (W+ op)^m x, exact under truncation.
-
-    Each W+ op application must strictly raise the minimum cp-degree (A adds
-    a ghost; a bracket with Pi adds at least one); the series therefore has
-    at most k nonzero terms.  A step that fails to raise the degree signals
-    a convention bug and raises ConventionError.
-    """
-    total = x.truncate_cp(k)
-    term = total
-    while term:
-        floor = term.min_cp()
-        term = -apply_W_plus(op(term)).truncate_cp(k)
-        _guard(term, max_terms)
-        if term:
-            ceil = term.min_cp()
-            if floor is None or ceil <= floor:
-                raise ConventionError(
-                    f"Neumann term failed to raise cp-degree ({floor} -> {ceil})")
-        total = _guard(total + term, max_terms)
-    return total
+    """(I + W+ op)^-1 x = sum_m (-W+ op)^m x, exact under truncation: the
+    X = x - W+ op(X) solved one degree at a time, since W+ op must raise
+    the cp-degree (A adds a ghost; a bracket with Pi adds at least one)."""
+    return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))],
+                         k, max_terms)
 
 
 def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) -> SymTensor:
@@ -244,8 +246,7 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int,
     cp(<x,y>) >= cp(x) + cp(y) - 1.
     """
     raw = tensor_bracket(x, y) + tensor_bracket(y, x)
-    seed = apply_W_plus(raw).truncate_cp(k) * PAIR_COEFF
-    return neumann_apply(apply_A, seed, k, max_terms)
+    return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +257,26 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
                          pi0: SymTensor | None = None) -> SymTensor:
     """Solve Pi = Pi_0 + 1/2 <Pi, Pi> one cp-degree at a time.
 
-    <.,.> is bilinear and cp(<x,y>) >= cp(x) + cp(y) - 1 with every part of
-    Pi at cp-degree >= 2, so the degree-d part of Pi is the degree-d part
-    of Pi_0 + Q, where Q = 1/2 <Pi, Pi> has so far collected the brackets
-    among the parts below d.  Each pair of parts is bracketed once.  A
-    bracket that fails to raise the degree of the part it was made from
-    signals a convention bug and raises ConventionError."""
+    (I + W+ A) applied to both sides removes the inverse inside <.,.>:
+
+        Pi = (I + W+ A) Pi_0 - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
+
+    Every part of Pi lies at cp-degree >= 2, so W+ A and the bracket both
+    raise the degree, and the degree-d part of Pi follows from the parts
+    below d.  Each pair of parts is bracketed once, and each W+ image is
+    checked to raise the degree on its own."""
     if pi0 is None:
         pi0 = build_pi0(alg, config)
-    if pi0.is_zero():
-        return pi0
-    k, budget = config.k, config.max_terms
-    q = SymTensor.zero(alg, 1)
-    pi = SymTensor.zero(alg, 1)
-    parts = []
-    for d in range(pi0.min_cp(), k + 1):
-        part = pi0.cp_part(d) + q.cp_part(d)
-        if not part:
-            continue
-        new = [pair_bracket(part, part, k, budget) * HALF]
-        new += [pair_bracket(part, low, k, budget) for low in parts]
-        for term in new:
-            floor = term.min_cp()
-            if floor is not None and floor <= d:
-                raise ConventionError(
-                    f"bracket of the cp-degree {d} part of Pi failed to raise "
-                    f"the degree (reaches {floor})")
-            q = q + term
-        parts.append(part)
-        _guard(q, budget)
-        pi = _guard(pi + part, budget)
-    return pi
+
+    def grow(part, lower):
+        pairs = [tensor_bracket(part, part)]
+        pairs += [tensor_bracket(part, low) + tensor_bracket(low, part)
+                  for low in lower]
+        return ([-apply_W_plus(apply_A(part))]
+                + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
+
+    return _graded_solve(pi0 + apply_W_plus(apply_A(pi0)), grow,
+                         config.k, config.max_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,19 @@ class SymTensor:
                 t.comps[key] = p
         return t
 
+    def placement_sum(self, fn):
+        """Rank n -> n+1: out^(a0..an) = sum_j fn(self^(rest_j), aj), with
+        rest_j the indices other than aj, checked symmetric by from_full."""
+        zero = self.alg.zero()
+
+        def comp(idx):
+            out = zero
+            for j in range(len(idx)):
+                out = out + fn(self.get(idx[:j] + idx[j + 1:]), idx[j])
+            return out
+
+        return SymTensor.from_full(self.alg, self.rank + 1, comp)
+
     def get(self, idx):
         key = tuple(sorted(idx))
         p = self.comps.get(key)

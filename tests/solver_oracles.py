@@ -1,16 +1,19 @@
 """Reference constructions the solver is checked against.
 
-These are the direct, unoptimised forms of the two constructions of Pi:
-the multi-bracket recursion memoised on index subsets, the sum over
-distinct descendant pairing trees, and the fixed-point iteration that
-brackets the whole truncated Pi with itself every round.  The solver
-builds the same tensors more cheaply; only tests call these.
+These are the direct, unoptimised forms of the two constructions of Pi
+and of the inverse behind them: the multi-bracket recursion memoised on
+index subsets, the sum over distinct descendant pairing trees, the
+fixed-point iteration that brackets the whole truncated Pi with itself
+every round, and the Neumann series applied to whole tensors term after
+term.  The solver builds the same tensors more cheaply; only tests call
+these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from sp2brst.operators import apply_W_plus
 from sp2brst.solver import (DEFAULT_MAX_TERMS, HALF, ConventionError, _guard,
                             build_pi0, pair_bracket)
 from sp2brst.tensors import SymTensor
@@ -137,3 +140,23 @@ def fixed_point_by_rounds(alg, config, pi0: SymTensor | None = None) -> SymTenso
         pi = _guard(nxt, budget)
     raise ConventionError(
         f"fixed-point iteration did not stabilise within {k} rounds")
+
+
+def neumann_by_terms(op, x: SymTensor, k: int,
+                     max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+    """(I + W+ op)^-1 x = sum_m (-1)^m (W+ op)^m x, each term computed on
+    the whole previous term; a term that fails to raise the minimum
+    cp-degree raises ConventionError."""
+    total = x.truncate_cp(k)
+    term = total
+    while term:
+        floor = term.min_cp()
+        term = -apply_W_plus(op(term)).truncate_cp(k)
+        _guard(term, max_terms)
+        if term:
+            ceil = term.min_cp()
+            if floor is None or ceil <= floor:
+                raise ConventionError(
+                    f"Neumann term failed to raise cp-degree ({floor} -> {ceil})")
+        total = _guard(total + term, max_terms)
+    return total

@@ -7,7 +7,9 @@ import pytest
 
 import sp2brst.cli as cli_mod
 from sp2brst.cli import main
+from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
+from sp2brst.tensors import SymmetryError
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -246,6 +248,34 @@ def test_convention_error_in_lift_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[-1] == ("verification failed: Neumann term failed "
                                     "to raise cp-degree (3 -> 3)")
+    assert "Traceback" not in out + err
+
+
+def test_symmetry_error_in_solve_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SymmetryError("components at (1, 2) and (2, 1) differ; "
+                            "result is not Sp(2)-symmetric")
+
+    monkeypatch.setattr(cli_mod, "solve", broken)
+    code, out, err = run(capsys, "solve", str(THEORY_DIR / "so3.json"),
+                         "--order", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "verification failed: components at (1, 2) and (2, 1) differ; "
+        "result is not Sp(2)-symmetric")
+    assert "Traceback" not in out + err
+
+
+def test_outside_domain_error_in_identities_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise OutsideDomainError("term outside the invertible domain of N: pi[1]")
+
+    monkeypatch.setattr(cli_mod, "run_identity_suite", broken)
+    code, out, err = run(capsys, "check-identities", "--degree", "2",
+                         "--samples", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == ("verification failed: term outside the "
+                                    "invertible domain of N: pi[1]")
     assert "Traceback" not in out + err
 
 

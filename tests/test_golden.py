@@ -1,0 +1,67 @@
+"""Golden output: stdout and exit code of fixed CLI runs on the bundled
+theories, byte for byte.
+
+Each file under tests/golden/ holds one run: a first line `exit N`, then
+the run's stdout, so a refactor that changes a single printed byte fails
+here.  After a deliberate change of output, re-record them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sp2brst.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# the small theories at their document order; so3-deformed at order 3,
+# its lift with the fixed point alone, to keep the whole set near 5 s
+RUNS = {
+    f"{command}-{theory}": [command, f"theories/{theory}.json", *extra]
+    for theory, solve_extra, lift_extra in (
+        ("abelian3", [], []),
+        ("mixed2", [], []),
+        ("shift", [], []),
+        ("so3", [], []),
+        ("so3-deformed", ["--order", "3"],
+         ["--order", "3", "--method", "fixed-point"]),
+    )
+    for command, extra in (("solve", solve_extra),
+                           ("lift", ["--observable", "1", *lift_extra]))
+}
+
+
+def _run(argv, capsys, monkeypatch) -> str:
+    monkeypatch.chdir(ROOT)
+    code = main(argv)
+    return f"exit {code}\n" + capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_output(name, capsys, monkeypatch):
+    want = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert _run(RUNS[name], capsys, monkeypatch) == want
+
+
+def record() -> None:
+    import contextlib
+    import io
+    import os
+
+    os.chdir(ROOT)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(RUNS.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        (GOLDEN_DIR / f"{name}.txt").write_text(
+            f"exit {code}\n" + out.getvalue(), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

@@ -1,9 +1,10 @@
 """The degree-graded solver against the reference constructions.
 
-solve_pi_fixed_point solves one cp-degree at a time and
-solve_pi_descendants builds <Pi_0^m> by size; both must reproduce,
-tensor for tensor, the round-based iteration and the subset-memoised
-multi-bracket recursion kept in solver_oracles.
+solve_pi_fixed_point and neumann_apply solve one cp-degree at a time and
+solve_pi_descendants builds <Pi_0^m> by size; they must reproduce,
+tensor for tensor, the round-based iteration, the whole-tensor Neumann
+series and the subset-memoised multi-bracket recursion kept in
+solver_oracles.
 """
 
 import math
@@ -14,23 +15,34 @@ from pathlib import Path
 import pytest
 
 import sp2brst.solver as solver_mod
-from solver_oracles import fixed_point_by_rounds, multi_bracket
+from solver_oracles import fixed_point_by_rounds, multi_bracket, neumann_by_terms
+from sp2brst import expr
 from sp2brst.algebra import Algebra
-from sp2brst.solver import (ConventionError, SolverConfig, build_pi0,
+from sp2brst.operators import apply_W, apply_W_plus
+from sp2brst.solver import (PAIR_COEFF, ConventionError, SolverConfig, apply_A,
+                            build_F, build_omega1, build_pi0, neumann_apply,
                             power_brackets, solve_pi_descendants,
-                            solve_pi_fixed_point)
+                            solve_pi_fixed_point, tensor_bracket)
 from sp2brst.tensors import SymTensor
 from sp2brst.theory import so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORIES = ("abelian3", "mixed2", "shift", "so3", "so3-deformed")
+# a first-class observable of each bundled theory
+LIFTED = {"abelian3": "quad", "mixed2": "Bsq", "shift": "Tq", "so3": "J1sq",
+          "so3-deformed": "J2sq"}
+
+
+@cache
+def _document(name):
+    return parse_theory((THEORY_DIR / f"{name}.json").read_bytes())
 
 
 @cache
 def _bundled(name):
     """Algebra, config at the document order, and Pi_0 of a bundled theory."""
-    doc = parse_theory((THEORY_DIR / f"{name}.json").read_bytes())
+    doc = _document(name)
     alg = build_algebra(doc)
     config = SolverConfig(k=doc.order)
     return alg, config, build_pi0(alg, config)
@@ -95,7 +107,43 @@ def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
     alg = Algebra(so3_spec())
     config = SolverConfig(k=4)
     pi0 = build_pi0(alg, config)
-    # a "bracket" that returns its first argument stays at that degree
-    monkeypatch.setattr(solver_mod, "pair_bracket", lambda x, y, k, budget: x)
+    # W in place of A: W+ W keeps the cp-degree of the part it acts on
+    monkeypatch.setattr(solver_mod, "apply_A", apply_W)
     with pytest.raises(ConventionError, match="failed to raise"):
         solve_pi_fixed_point(alg, config, pi0)
+
+
+def test_neumann_rejects_non_raising_operator():
+    alg = Algebra(so3_spec())
+    pi0 = build_pi0(alg, SolverConfig(k=4))
+    with pytest.raises(ConventionError, match="failed to raise"):
+        neumann_apply(apply_W, pi0, 4)
+
+
+def _inverse_cases(name):
+    """(op, seed) of each (I + W+ op)^-1 the pipeline takes: Pi_0's, the
+    pair bracket <Pi_0, Pi_0>'s and the lift's of a first-class observable."""
+    alg, config, pi0 = _bundled(name)
+    doc = _document(name)
+    phi0 = expr.parse(alg, doc.observable(LIFTED[name])[1])
+    pi = solve_pi_fixed_point(alg, config, pi0)
+    omega = build_omega1(alg) + pi
+
+    def lift_op(t):
+        return apply_A(t) + tensor_bracket(pi, t)
+
+    pair = tensor_bracket(pi0, pi0) * 2
+    return {
+        "pi0": (apply_A, -apply_W_plus(build_F(alg))),
+        "pair": (apply_A, apply_W_plus(pair).truncate_cp(config.k) * PAIR_COEFF),
+        "lift": (lift_op, -apply_W_plus(tensor_bracket(
+            omega, SymTensor.from_scalar(phi0)))),
+    }
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_neumann_matches_whole_tensor_series(name):
+    _, config, _ = _bundled(name)
+    for case, (op, seed) in _inverse_cases(name).items():
+        assert neumann_apply(op, seed, config.k) == \
+            neumann_by_terms(op, seed, config.k), case
