@@ -24,7 +24,7 @@ antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -282,6 +282,8 @@ class Algebra:
         self.by_name = {v.name: v.vid for v in vars_}
         self._index = {(v.sector, v.alpha, v.sp2): v.vid for v in vars_}
         self._one = GradedPoly(self, {(): _ONE})
+        # replace_left triples of the operators module, built on first use
+        self.operator_fields: dict = {}
 
         # sparse pairing table: list of (vid_a, vid_b, scalar, mid_terms|None)
         self._omega: list = []
@@ -482,35 +484,76 @@ class Algebra:
     def derive_right(self, p, vid):
         return GradedPoly(self, self._derive_terms(p.terms, vid, False))
 
-    def replace_left(self, p, src_vid, dst_vid, coeff):
-        """coeff * dst * (left derivative of p w.r.t. src), term by term."""
-        coeff = Fraction(coeff)
-        if not coeff:
-            return self.zero()
-        d = self._derive_terms(p.terms, src_vid, True)
-        if not d:
-            return self.zero()
-        # own loop: through _mul_into this hot path measured 1-3% slower
-        head = ((dst_vid, 1),)
+    def replace_left(self, p, fields):
+        """The sum of coeff * dst * (left derivative of p w.r.t. src) over
+        the (src, dst, coeff) triples of fields, in one pass over p's terms.
+
+        Each monomial is walked once, counting its odd factors; at every
+        factor that is a source, one power of it is dropped (sign from the
+        odd factors before it) and dst is inserted (sign from the odd
+        factors it passes).  An odd dst already present kills the term; an
+        even one gains a power.  Sources may repeat, dst may equal src, and
+        zero coefficients are skipped.  The first-order operators W^a and
+        Gamma_a are one call each."""
+        par = self.var_parity
+        by_src: dict = {}
+        for src, dst, coeff in fields:
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator  # int factors: no Fraction product
+            if coeff:
+                by_src.setdefault(src, []).append((dst, par[dst], coeff))
         out: dict = {}
-        mul_terms = self._mul_terms
-        for mono, c in d.items():
-            r = mul_terms(head, mono)
-            if r is None:
-                continue
-            s, m = r
-            cc = coeff * c
-            if s < 0:
-                cc = -cc
-            acc = out.get(m)
-            if acc is None:
-                out[m] = cc
-            else:
-                acc += cc
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
+        for mono, c in p.terms.items():
+            vids = []
+            odd_before = [0]  # odd_before[i]: odd factors among mono[:i]
+            hits = []
+            odd = 0
+            for i, (v, _) in enumerate(mono):
+                if v in by_src:
+                    hits.append(i)
+                vids.append(v)
+                odd += par[v]
+                odd_before.append(odd)
+            n = len(mono)
+            for i in hits:
+                v, e = mono[i]
+                pv = par[v]
+                for dst, pd, coeff in by_src[v]:
+                    f = e * coeff
+                    if dst == v:  # the drop and insert signs cancel
+                        m = mono
+                    else:
+                        j = bisect_left(vids, dst)
+                        present = j < n and vids[j] == dst
+                        if present and pd:
+                            continue
+                        # dst passes the odd factors below it, src gone if odd
+                        flips = odd_before[j] - (pv if i < j else 0)
+                        if (pv & odd_before[i]) ^ (pd & flips):
+                            f = -f
+                        lst = list(mono)
+                        if e == 1:
+                            del lst[i]
+                        else:
+                            lst[i] = (v, e - 1)
+                        if present:
+                            jj = j - 1 if e == 1 and i < j else j
+                            lst[jj] = (dst, lst[jj][1] + 1)
+                        else:
+                            lst.insert(j - 1 if e == 1 and i < j else j, (dst, 1))
+                        m = tuple(lst)
+                    cc = c if f == 1 else -c if f == -1 else c * f
+                    acc = out.get(m)
+                    if acc is None:
+                        out[m] = cc
+                    else:
+                        acc += cc
+                        if acc:
+                            out[m] = acc
+                        else:
+                            del out[m]
         return GradedPoly(self, out)
 
     # -- the graded Poisson bracket ------------------------------------------

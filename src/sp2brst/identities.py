@@ -175,25 +175,28 @@ def _n_power(p, k):
 
 
 def _tensor_checks(alg, tensors):
-    """Defects of the rank-level identities on sample tensors."""
+    """Defects of the rank-level identities on sample tensors; W X, M X,
+    W+ W X and W+ X are computed once each and shared by the identities
+    that contain them."""
     out = []
     for t in tensors:
         n = t.rank
         wt = apply_W(t)
+        mt = apply_M(t)
         out.append((f"W M = (M + N) W on rank {n}", "V",
-                    apply_W(apply_M(t)) - (apply_M(wt) + apply_N(wt))))
+                    apply_W(mt) - (apply_M(wt) + apply_N(wt))))
         gw = apply_Gamma(wt)
         if n >= 1:
             gw = gw + apply_W(apply_Gamma(t))
         out.append((f"Gamma W + W Gamma = nN + M on rank {n}", "V",
-                    gw - (apply_N(t) * n + apply_M(t))))
-        out.append((f"W W+ W = W on rank {n}", "V",
-                    apply_W(apply_W_plus(wt)) - wt))
+                    gw - (apply_N(t) * n + mt)))
+        wp_wt = apply_W_plus(wt)
+        out.append((f"W W+ W = W on rank {n}", "V", apply_W(wp_wt) - wt))
         if n >= 1:
-            out.append((f"(W+)^2 = 0 on rank {n}", "V",
-                        apply_W_plus(apply_W_plus(t))))
+            wp_t = apply_W_plus(t)
+            out.append((f"(W+)^2 = 0 on rank {n}", "V", apply_W_plus(wp_t)))
             out.append((f"X = W+ W X + W W+ X on rank {n}", "V",
-                        (apply_W_plus(wt) + apply_W(apply_W_plus(t))) - t))
+                        (wp_wt + apply_W(wp_t)) - t))
     return out
 
 

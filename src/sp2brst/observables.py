@@ -139,7 +139,9 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     def op(t: SymTensor) -> SymTensor:
         return apply_A(t) + tensor_bracket(pi, t)
 
-    seed = -apply_W_plus(tensor_bracket(omega, SymTensor.from_scalar(phi0)))
+    # [Omega, phi0] seeds K and is a term of the structured residual
+    omega_phi0 = tensor_bracket(omega, SymTensor.from_scalar(phi0))
+    seed = -apply_W_plus(omega_phi0)
     k_tensor = neumann_apply(op, seed, k, omega_result.config.max_terms)
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
@@ -148,7 +150,7 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
         alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime)
     ).truncate_cp(k)
     structured = (apply_W(k_tensor)
-                  + tensor_bracket(omega, SymTensor.from_scalar(phi0))
+                  + omega_phi0
                   + apply_A(k_tensor)
                   + tensor_bracket(pi, k_tensor)).truncate_cp(k)
     ngh_ok = all(alg.term_ngh(m) == 0 for m in phi_prime.terms)

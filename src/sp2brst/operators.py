@@ -1,6 +1,8 @@
 """The Sp(2) operator calculus on ghost polynomials and symmetric tensors.
 
-Component (scalar) operators, all first-order with left derivatives:
+Component (scalar) operators, all first-order with left derivatives; each
+component of W and Gamma is applied in one pass over the polynomial
+(Algebra.replace_left with the operator's (src, dst, coeff) triples):
 
     N      = xi d/dxi + P d/dP + lam d/dlam        (counts constraint-sector factors)
     W^a    = xi_r d/dP_ra + eps^ab P_rb d/dlam_r + (-1)^eps_r eps^ab pi^r d/dC^rb
@@ -53,34 +55,52 @@ def n_inverse(p: GradedPoly, power=1) -> GradedPoly:
     return alg.poly(out)
 
 
-def w_component(p: GradedPoly, a: int) -> GradedPoly:
-    alg = p.alg
+def _w_fields(alg, a):
+    """The (src, dst, coeff) triples of W^a: 3m of them."""
     b = 3 - a
     eab = EPS_UP[(a, b)]
-    out = alg.zero()
+    fields = []
     for r in range(1, alg.m + 1):
         eps_r = alg.spec.constraint_parities[r - 1] & 1
-        out = out + alg.replace_left(
-            p, alg.vid(Sector.GHOST_MOM, r, a), alg.vid(Sector.XI, r), 1)
-        out = out + alg.replace_left(
-            p, alg.vid(Sector.LAGRANGE, r), alg.vid(Sector.GHOST_MOM, r, b), eab)
-        out = out + alg.replace_left(
-            p, alg.vid(Sector.GHOST, r, b), alg.vid(Sector.LAGRANGE_MOM, r),
-            -eab if eps_r else eab)
-    return out
+        fields += [
+            (alg.vid(Sector.GHOST_MOM, r, a), alg.vid(Sector.XI, r), 1),
+            (alg.vid(Sector.LAGRANGE, r), alg.vid(Sector.GHOST_MOM, r, b), eab),
+            (alg.vid(Sector.GHOST, r, b), alg.vid(Sector.LAGRANGE_MOM, r),
+             -eab if eps_r else eab),
+        ]
+    return tuple(fields)
+
+
+def _gamma_fields(alg, a):
+    """The (src, dst, coeff) triples of Gamma_a: 2m of them."""
+    b = 3 - a
+    e_ab = EPS_DOWN[(a, b)]
+    fields = []
+    for r in range(1, alg.m + 1):
+        fields += [
+            (alg.vid(Sector.XI, r), alg.vid(Sector.GHOST_MOM, r, a), 1),
+            (alg.vid(Sector.GHOST_MOM, r, b), alg.vid(Sector.LAGRANGE, r), -e_ab),
+        ]
+    return tuple(fields)
+
+
+def _component(p: GradedPoly, build, a: int) -> GradedPoly:
+    """One replace_left pass with the triples of build(alg, a), built once
+    per algebra and kept on it."""
+    alg = p.alg
+    key = (build, a)
+    fields = alg.operator_fields.get(key)
+    if fields is None:
+        fields = alg.operator_fields[key] = build(alg, a)
+    return alg.replace_left(p, fields)
+
+
+def w_component(p: GradedPoly, a: int) -> GradedPoly:
+    return _component(p, _w_fields, a)
 
 
 def gamma_component(p: GradedPoly, a: int) -> GradedPoly:
-    alg = p.alg
-    b = 3 - a
-    e_ab = EPS_DOWN[(a, b)]
-    out = alg.zero()
-    for r in range(1, alg.m + 1):
-        out = out + alg.replace_left(
-            p, alg.vid(Sector.XI, r), alg.vid(Sector.GHOST_MOM, r, a), 1)
-        out = out + alg.replace_left(
-            p, alg.vid(Sector.GHOST_MOM, r, b), alg.vid(Sector.LAGRANGE, r), -e_ab)
-    return out
+    return _component(p, _gamma_fields, a)
 
 
 def m_component(p: GradedPoly) -> GradedPoly:

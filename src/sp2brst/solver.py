@@ -240,12 +240,13 @@ def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) ->
 
 def pair_bracket(x: SymTensor, y: SymTensor, k: int,
                  max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
-    """<x, y> = -1/2 (I + W+ A)^-1 W+ ([x, y] + [y, x]).
+    """<x, y> = -1/2 (I + W+ A)^-1 W+ ([x, y] + [y, x]) for odd rank-1 x, y.
 
     Symmetric in its arguments and cp-degree raising:
-    cp(<x,y>) >= cp(x) + cp(y) - 1.
+    cp(<x,y>) >= cp(x) + cp(y) - 1.  For odd x and y, {f, g}' = {g, f}'
+    makes [y, x] equal [x, y], so one bracket is taken and doubled.
     """
-    raw = tensor_bracket(x, y) + tensor_bracket(y, x)
+    raw = tensor_bracket(x, y) * 2
     return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k, max_terms)
 
 
@@ -263,15 +264,15 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
 
     Every part of Pi lies at cp-degree >= 2, so W+ A and the bracket both
     raise the degree, and the degree-d part of Pi follows from the parts
-    below d.  Each pair of parts is bracketed once, and each W+ image is
+    below d.  Each pair of parts is bracketed once ([low, part] equals
+    [part, low] for odd parts, so it is doubled), and each W+ image is
     checked to raise the degree on its own."""
     if pi0 is None:
         pi0 = build_pi0(alg, config)
 
     def grow(part, lower):
         pairs = [tensor_bracket(part, part)]
-        pairs += [tensor_bracket(part, low) + tensor_bracket(low, part)
-                  for low in lower]
+        pairs += [tensor_bracket(part, low) * 2 for low in lower]
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 

@@ -1,11 +1,18 @@
-"""Graded algebra foundations: variables, gradings, products, guards."""
+"""Graded algebra foundations: variables, gradings, products, guards, and
+the fused replace_left kernel against derivative-by-derivative sums."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sp2brst.algebra import Algebra, Sector, TheoryError
+from sp2brst.identities import random_element
 from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec, so3_spec
+from sp2brst.theoryfile import build_algebra, parse_theory
+
+THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
 
 def _degrees(gen):
@@ -147,3 +154,54 @@ def test_fermionic_self_bracket_allowed():
     # {xi_2, xi_2} = (1 + xi_1) * xi_1 for this theory
     got = alg.bracket(alg.xi(2), alg.xi(2))
     assert got == alg.xi(1) + alg.mul(alg.xi(1), alg.xi(1))
+
+
+def _replace_left_oracle(alg, p, fields):
+    """sum coeff * dst * d_l p / d src, one triple at a time."""
+    out = alg.zero()
+    for src, dst, coeff in fields:
+        out = out + alg.mul(alg.gen(dst), alg.derive_left(p, src)) * Fraction(coeff)
+    return out
+
+
+@pytest.mark.parametrize("name", ("mixed2", "so3", "shift"))
+def test_replace_left_matches_derivative_oracle(name):
+    alg = build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+    rng = random.Random(7)
+    n = len(alg.vars)
+    for _ in range(150):
+        p = random_element(alg, rng) + random_element(alg, rng)
+        fields = tuple(
+            (rng.randrange(n), rng.randrange(n),
+             Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+            for _ in range(rng.randint(1, 6)))
+        assert alg.replace_left(p, fields) == _replace_left_oracle(alg, p, fields)
+
+
+def test_replace_left_edge_cases(mixed_alg):
+    alg = mixed_alg  # xi[1], lam[1] even and P[1,i] odd; xi[2] odd, P[2,i] even
+    vid = alg.by_name.__getitem__
+    cases = [
+        # two triples with the same source
+        (alg.xi(1) * alg.ghost_mom(1, 1),
+         ((vid("P[1,1]"), vid("lam[1]"), 1), (vid("P[1,1]"), vid("pi[1]"), 2)),
+         alg.xi(1) * (alg.lagrange(1) + 2 * alg.lagrange_mom(1))),
+        # an even dst already present: exponents merge
+        (alg.xi(1) ** 2 * alg.lagrange(1),
+         ((vid("lam[1]"), vid("xi[1]"), 3),),
+         3 * alg.xi(1) ** 3),
+        (alg.ghost_mom(2, 1) ** 2 * alg.xi(2),
+         ((vid("xi[2]"), vid("P[2,1]"), 1),),
+         alg.ghost_mom(2, 1) ** 3),
+        # an odd dst already present: the term is dropped
+        (alg.ghost_mom(1, 1) * alg.ghost_mom(1, 2),
+         ((vid("P[1,2]"), vid("P[1,1]"), 1),),
+         alg.zero()),
+        # a zero coefficient contributes nothing
+        (alg.xi(1) * alg.lagrange(1),
+         ((vid("lam[1]"), vid("pi[1]"), 0), (vid("xi[1]"), vid("lam[1]"), 0)),
+         alg.zero()),
+    ]
+    for p, fields, want in cases:
+        assert alg.replace_left(p, fields) == want
+        assert _replace_left_oracle(alg, p, fields) == want

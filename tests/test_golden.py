@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the small theories at their document order; so3-deformed at order 3,
-# its lift with the fixed point alone, to keep the whole set near 5 s
+# its lift with the fixed point alone; the identity suite on the default
+# mixed2 theory and on shift, which has physical coordinates
 RUNS = {
     f"{command}-{theory}": [command, f"theories/{theory}.json", *extra]
     for theory, solve_extra, lift_extra in (
@@ -34,6 +35,9 @@ RUNS = {
     for command, extra in (("solve", solve_extra),
                            ("lift", ["--observable", "1", *lift_extra]))
 }
+RUNS["check-identities-mixed2"] = ["check-identities", "--samples", "10"]
+RUNS["check-identities-shift"] = [
+    "check-identities", "--theory", "theories/shift.json", "--samples", "5"]
 
 
 def _run(argv, capsys, monkeypatch) -> str:

@@ -86,6 +86,17 @@ def test_power_brackets_match_subset_recursion(name):
     assert len(subset) == {"so3": 5, "so3-deformed": 4}[name]
 
 
+@pytest.mark.parametrize("name", THEORIES)
+def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
+    # {f, g}' = {g, f}' for odd f, g: the solver brackets each pair once
+    alg, config, pi0 = _bundled(name)
+    pi = solve_pi_fixed_point(alg, config, pi0)
+    parts = [part for part in map(pi.cp_part, range(config.k + 1)) if part]
+    for i, x in enumerate(parts):
+        for y in parts[i + 1:]:
+            assert tensor_bracket(x, y) == tensor_bracket(y, x)
+
+
 def test_descendants_bracket_count(monkeypatch):
     # <Pi_0^m> for m <= 7 at order 8: one pair bracket per r <= m/2
     alg = Algebra(so3_spec())
