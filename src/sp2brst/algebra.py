@@ -536,13 +536,14 @@ class Algebra:
                         lst = list(mono)
                         if e == 1:
                             del lst[i]
+                            if i < j:
+                                j -= 1
                         else:
                             lst[i] = (v, e - 1)
                         if present:
-                            jj = j - 1 if e == 1 and i < j else j
-                            lst[jj] = (dst, lst[jj][1] + 1)
+                            lst[j] = (dst, lst[j][1] + 1)
                         else:
-                            lst.insert(j - 1 if e == 1 and i < j else j, (dst, 1))
+                            lst.insert(j, (dst, 1))
                         m = tuple(lst)
                     cc = c if f == 1 else -c if f == -1 else c * f
                     acc = out.get(m)
