@@ -412,13 +412,22 @@ class Algebra:
         out.extend(m2[j:])
         return (-1 if flips & 1 else 1), tuple(out)
 
-    def _mul_into(self, out, t1, t2):
+    def _mul_into(self, out, t1, t2, max_cp=None):
         """Add the product of two raw term dicts into out, dropping the
         monomials whose coefficients cancel; returns out.  The products of
-        mul and bracket all accumulate here."""
+        mul and bracket all accumulate here.
+
+        With max_cp, only the pairs whose cp-degrees sum to at most max_cp
+        are formed: cp-degree adds under products, so this is exactly the
+        product truncated at max_cp.  t2 is grouped by cp-degree, and each
+        term of t1 meets only the terms of t2 that fit under the limit."""
         mul_terms = self._mul_terms
-        for m1, c1 in t1.items():
-            for m2, c2 in t2.items():
+        if max_cp is None:
+            rows = ((m1, c1, t2.items()) for m1, c1 in t1.items())
+        else:
+            rows = self._truncated_rows(t1, t2, max_cp)
+        for m1, c1, second in rows:
+            for m2, c2 in second:
                 r = mul_terms(m1, m2)
                 if r is None:
                     continue
@@ -437,12 +446,37 @@ class Algebra:
                         del out[m]
         return out
 
-    def mul(self, p, q):
+    def _truncated_rows(self, t1, t2, max_cp):
+        """(m1, c1, the terms of t2 of cp-degree <= max_cp - cp(m1)) for
+        every term of t1 with room left under max_cp."""
+        cp = self.term_cpdeg
+        by_deg: dict = {}
+        for m2, c2 in t2.items():
+            d = cp(m2)
+            if d <= max_cp:
+                by_deg.setdefault(d, []).append((m2, c2))
+        if not by_deg:
+            return
+        lowest = min(by_deg)
+        upto: dict = {}  # room -> the terms of t2 of cp-degree <= room
+        for m1, c1 in t1.items():
+            room = max_cp - cp(m1)
+            if room < lowest:
+                continue
+            second = upto.get(room)
+            if second is None:
+                second = upto[room] = [
+                    term for d in sorted(by_deg) if d <= room for term in by_deg[d]]
+            yield m1, c1, second
+
+    def mul(self, p, q, *, max_cp=None):
+        """The graded product p q; with max_cp, truncated at that cp-degree
+        without forming the pairs above it."""
         if (p.alg is not self or q.alg is not self) and not (
                 self.compatible(p.alg) and self.compatible(q.alg)):
             raise TheoryError(
                 "cannot multiply elements of algebras over different theories")
-        return GradedPoly(self, self._mul_into({}, p.terms, q.terms))
+        return GradedPoly(self, self._mul_into({}, p.terms, q.terms, max_cp))
 
     # -- derivatives ---------------------------------------------------------
 
@@ -658,31 +692,45 @@ class Algebra:
             else:
                 emit((vi, vj, _ONE, w.terms))
 
-    def bracket(self, x, y):
-        """Graded Poisson bracket {x, y}."""
+    def bracket(self, x, y, *, max_cp=None):
+        """Graded Poisson bracket {x, y}; with max_cp, truncated at that
+        cp-degree without forming the products above it.  Every pairing
+        removes one factor from each side and the matter pairings have
+        cp-degree 0, so a term's cp-degree is the sum of those of its two
+        derivative factors and the limit applies to their product."""
         if (x.alg is not self or y.alg is not self) and not (
                 self.compatible(x.alg) and self.compatible(y.alg)):
             raise TheoryError(
                 "bracket arguments belong to an algebra over a different theory")
+        xt, yt = x.terms, y.terms
+        if max_cp is not None:
+            # the two derivatives drop at most one cp factor in all, so a
+            # term of x above max_cp + 1 - min_cp(y) feeds only terms
+            # above max_cp, and likewise for y
+            lo_x, lo_y = x.min_cp(), y.min_cp()
+            if lo_x is None or lo_y is None or lo_x + lo_y - 1 > max_cp:
+                return GradedPoly(self, {})
+            xt = x.truncate_cp(max_cp + 1 - lo_y).terms
+            yt = y.truncate_cp(max_cp + 1 - lo_x).terms
         out: dict = {}
         dx_cache: dict = {}
         dy_cache: dict = {}
         for va, vb, c0, mid in self._omega:
             dx = dx_cache.get(va)
             if dx is None:
-                dx = self._derive_terms(x.terms, va, False)
+                dx = self._derive_terms(xt, va, False)
                 dx_cache[va] = dx
             if not dx:
                 continue
             dy = dy_cache.get(vb)
             if dy is None:
-                dy = self._derive_terms(y.terms, vb, True)
+                dy = self._derive_terms(yt, vb, True)
                 dy_cache[vb] = dy
             if not dy:
                 continue
             if mid is not None:
-                dx = self._mul_into({}, dx, mid)  # dx * w first, then * dy
+                dx = self._mul_into({}, dx, mid, max_cp)  # dx * w first, then * dy
             if c0 != 1:
                 dx = {m: c * c0 for m, c in dx.items()}
-            self._mul_into(out, dx, dy)
+            self._mul_into(out, dx, dy, max_cp)
         return GradedPoly(self, out)

@@ -86,7 +86,8 @@ class ObservableLift:
     """A lifted observable Phi' = phi0 + K with its verification record.
 
     residual is the directly evaluated {Omega^a, Phi'}'; structured is
-    W K + [Omega, phi0] + A K + [Pi, K].  Both must vanish through the
+    W K + [Omega, phi0] + A K + [Pi, K], its last two terms summed from
+    the images the solve for K formed.  Both must vanish through the
     truncation degree and agree term by term for any K.
     """
 
@@ -136,23 +137,27 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     omega, pi = omega_result.omega, omega_result.pi
     k = omega_result.config.k
 
+    # the solve calls op once per degree part of K, so the images it
+    # returns add up to (A + [Pi, .]) K, a term of the structured residual
+    images = SymTensor.zero(alg, 1)
+
     def op(t: SymTensor) -> SymTensor:
-        return apply_A(t) + tensor_bracket(pi, t)
+        nonlocal images
+        image = apply_A(t) + tensor_bracket(pi, t, k)
+        images = images + image
+        return image
 
     # [Omega, phi0] seeds K and is a term of the structured residual
-    omega_phi0 = tensor_bracket(omega, SymTensor.from_scalar(phi0))
+    omega_phi0 = tensor_bracket(omega, SymTensor.from_scalar(phi0), k)
     seed = -apply_W_plus(omega_phi0)
     k_tensor = neumann_apply(op, seed, k, omega_result.config.max_terms)
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
 
     direct = SymTensor.from_full(
-        alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime)
+        alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime, max_cp=k)
     ).truncate_cp(k)
-    structured = (apply_W(k_tensor)
-                  + omega_phi0
-                  + apply_A(k_tensor)
-                  + tensor_bracket(pi, k_tensor)).truncate_cp(k)
+    structured = (apply_W(k_tensor) + omega_phi0 + images).truncate_cp(k)
     ngh_ok = all(alg.term_ngh(m) == 0 for m in phi_prime.terms)
     return ObservableLift(
         phi0=phi0, k_part=k_part, phi_prime=phi_prime, k=k,
@@ -191,10 +196,12 @@ def verify_realization(lift1: ObservableLift, lift2: ObservableLift) -> Realizat
     if lift1.k != lift2.k:
         raise ValueError("lifts were computed at different truncation orders")
     alg = lift1.phi_prime.alg
-    br = restrict(alg.bracket(lift1.phi_prime, lift2.phi_prime))
-    br_want = alg.bracket(lift1.phi0, lift2.phi0)
-    pr = restrict(alg.mul(lift1.phi_prime, lift2.phi_prime))
-    pr_want = alg.mul(lift1.phi0, lift2.phi0)
+    # restrict keeps exactly the cp-degree 0 terms, so nothing above it
+    # needs forming
+    br = restrict(alg.bracket(lift1.phi_prime, lift2.phi_prime, max_cp=0))
+    br_want = alg.bracket(lift1.phi0, lift2.phi0, max_cp=0)
+    pr = restrict(alg.mul(lift1.phi_prime, lift2.phi_prime, max_cp=0))
+    pr_want = alg.mul(lift1.phi0, lift2.phi0, max_cp=0)
     return RealizationReport(
         bracket_ok=br == br_want, product_ok=pr == pr_want,
         bracket_restricted=br, bracket_expected=br_want,

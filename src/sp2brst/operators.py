@@ -152,18 +152,20 @@ def apply_Q(t: SymTensor) -> SymTensor:
     rank 0:    Q = (1/6) (11 N^-1 - 6 M N^-2 + M^2 N^-3)
     rank n>=1: Q = (nN + M)^-1
              = (1/n) N^-1 - (1/(n(n+1)(n+2))) ((n+3) M N^-2 - M^2 N^-3)
+
+    M commutes with N, so with U = N^-3 X the three terms are N^2 U,
+    N (M U) and M (M U): M is applied twice.
     """
     n = t.rank
+    u = apply_N_inverse(t, 3)
+    mu = apply_M(u)
+    p1 = apply_N(apply_N(u))
+    p2 = apply_N(mu)
+    p3 = apply_M(mu)
     if n == 0:
-        p1 = apply_N_inverse(t, 1)
-        p2 = apply_M(apply_N_inverse(t, 2))
-        p3 = apply_M(apply_M(apply_N_inverse(t, 3)))
         return p1 * Fraction(11, 6) - p2 + p3 * Fraction(1, 6)
-    p1 = apply_N_inverse(t, 1) * Fraction(1, n)
     c = Fraction(1, n * (n + 1) * (n + 2))
-    p2 = apply_M(apply_N_inverse(t, 2)) * (c * (n + 3))
-    p3 = apply_M(apply_M(apply_N_inverse(t, 3))) * c
-    return p1 - p2 + p3
+    return p1 * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
 
 
 def apply_W_plus(t: SymTensor) -> SymTensor:

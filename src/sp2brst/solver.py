@@ -170,18 +170,20 @@ def apply_A(t: SymTensor) -> SymTensor:
     return t.placement_sum(a_component)
 
 
-def tensor_bracket(x: SymTensor, y: SymTensor) -> SymTensor:
+def tensor_bracket(x: SymTensor, y: SymTensor, k: int | None = None) -> SymTensor:
     """[x, y]^(a a1..an) = {x^(a, y^a1..an)}': rank 1 x rank n -> rank n+1,
-    summed over the placements of x's index (no normalisation factor)."""
+    summed over the placements of x's index (no normalisation factor).
+    With k, every bracket is truncated at cp-degree k as it is formed."""
     if x.rank != 1:
         raise ValueError("tensor_bracket expects a rank-1 first argument")
     bracket = x.alg.bracket
-    return y.placement_sum(lambda p, a: bracket(x.get((a,)), p))
+    return y.placement_sum(lambda p, a: bracket(x.get((a,)), p, max_cp=k))
 
 
-def quad_term(pi: SymTensor) -> SymTensor:
-    """quad(Pi)^ab = {Pi^a, Pi^b}' = 1/2 [Pi, Pi]^ab for odd rank-1 Pi."""
-    return tensor_bracket(pi, pi) * HALF
+def quad_term(pi: SymTensor, k: int | None = None) -> SymTensor:
+    """quad(Pi)^ab = {Pi^a, Pi^b}' = 1/2 [Pi, Pi]^ab for odd rank-1 Pi,
+    truncated at cp-degree k when k is given."""
+    return tensor_bracket(pi, pi, k) * HALF
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int,
     cp(<x,y>) >= cp(x) + cp(y) - 1.  For odd x and y, {f, g}' = {g, f}'
     makes [y, x] equal [x, y], so one bracket is taken and doubled.
     """
-    raw = tensor_bracket(x, y) * 2
+    raw = tensor_bracket(x, y, k) * 2
     return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k, max_terms)
 
 
@@ -271,8 +273,8 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
         pi0 = build_pi0(alg, config)
 
     def grow(part, lower):
-        pairs = [tensor_bracket(part, part)]
-        pairs += [tensor_bracket(part, low) * 2 for low in lower]
+        pairs = [tensor_bracket(part, part, config.k)]
+        pairs += [tensor_bracket(part, low, config.k) * 2 for low in lower]
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 
@@ -387,11 +389,12 @@ def verify_master(omega: SymTensor, k: int) -> MasterReport:
     alg = omega.alg
     direct = SymTensor.from_full(
         alg, 2,
-        lambda idx: alg.bracket(omega.get((idx[0],)), omega.get((idx[1],)))
+        lambda idx: alg.bracket(omega.get((idx[0],)), omega.get((idx[1],)),
+                                max_cp=k)
     ).truncate_cp(k)
     pi = omega - build_omega1(alg)
     structured = (apply_W(pi) + build_F(alg) + apply_A(pi)
-                  + quad_term(pi)).truncate_cp(k)
+                  + quad_term(pi, k)).truncate_cp(k)
     return MasterReport(k, direct, structured, degree_lines(direct, structured, k))
 
 

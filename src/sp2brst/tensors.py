@@ -1,10 +1,14 @@
 """Sp(2)-symmetric tensors with polynomial components.
 
 A rank-n tensor stores one component per sorted multi-index over {1, 2}
-(n+1 canonical components).  Constructions that produce a component for
-every full index tuple go through ``SymTensor.from_full``, which verifies
-that all members of a permutation orbit agree instead of symmetrising
-silently.
+(n+1 canonical components).  The rank-raising sums (W, A and the bracket
+with a rank-1 tensor) go through ``SymTensor.placement_sum``, which
+evaluates each distinct (component, index) pair once and is symmetric by
+construction.  ``SymTensor.from_full`` builds a tensor from a component
+for every full index tuple and verifies that all members of a
+permutation orbit agree instead of symmetrising silently; it is the check
+for components computed separately, such as the direct
+{Omega^a, Omega^b}' of the master-equation residual.
 """
 
 from __future__ import annotations
@@ -64,16 +68,33 @@ class SymTensor:
 
     def placement_sum(self, fn):
         """Rank n -> n+1: out^(a0..an) = sum_j fn(self^(rest_j), aj), with
-        rest_j the indices other than aj, checked symmetric by from_full."""
-        zero = self.alg.zero()
+        rest_j the indices other than aj, for fn linear in its first
+        argument.
 
-        def comp(idx):
-            out = zero
-            for j in range(len(idx)):
-                out = out + fn(self.get(idx[:j] + idx[j + 1:]), idx[j])
-            return out
-
-        return SymTensor.from_full(self.alg, self.rank + 1, comp)
+        Placements of equal indices give equal terms, so each output
+        component is sum over the distinct a in its key of
+        count(a) * fn(self^(key minus one a), a): at most two calls of fn
+        per component, each distinct (rest, a) pair evaluated once.  The
+        result is symmetric by construction; zero components are skipped.
+        """
+        out = SymTensor(self.alg, self.rank + 1)
+        for key in out.indices():
+            total = None
+            for a in (1, 2):
+                n = key.count(a)
+                if not n:
+                    continue
+                i = key.index(a)
+                rest = self.comps.get(key[:i] + key[i + 1:])
+                if rest is None:
+                    continue
+                p = fn(rest, a)
+                if n != 1:
+                    p = p * n
+                total = p if total is None else total + p
+            if total:
+                out.comps[key] = total
+        return out
 
     def get(self, idx):
         key = tuple(sorted(idx))

@@ -5,18 +5,48 @@ and of the inverse behind them: the multi-bracket recursion memoised on
 index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
-term.  The solver builds the same tensors more cheaply; only tests call
-these.
+term.  Below them sit the placement sum evaluated on every full index
+tuple and Q with M applied three times.  The solver builds the same
+tensors more cheaply; only tests call these.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.operators import apply_W_plus
+from sp2brst.operators import apply_M, apply_N_inverse, apply_W_plus
 from sp2brst.solver import (DEFAULT_MAX_TERMS, HALF, ConventionError, _guard,
                             build_pi0, pair_bracket)
 from sp2brst.tensors import SymTensor
+
+
+def placement_sum_by_tuples(t: SymTensor, fn) -> SymTensor:
+    """Rank n -> n+1: out^(a0..an) = sum_j fn(t^(rest_j), aj), evaluated
+    for every full index tuple and position and checked symmetric by
+    from_full."""
+    zero = t.alg.zero()
+
+    def comp(idx):
+        out = zero
+        for j in range(len(idx)):
+            out = out + fn(t.get(idx[:j] + idx[j + 1:]), idx[j])
+        return out
+
+    return SymTensor.from_full(t.alg, t.rank + 1, comp)
+
+
+def apply_Q_three_m(t: SymTensor) -> SymTensor:
+    """Q term by term as its closed form reads, M applied three times:
+    rank 0 (1/6) (11 N^-1 - 6 M N^-2 + M^2 N^-3), rank n >= 1
+    (1/n) N^-1 - (1/(n(n+1)(n+2))) ((n+3) M N^-2 - M^2 N^-3)."""
+    n = t.rank
+    p2 = apply_M(apply_N_inverse(t, 2))
+    p3 = apply_M(apply_M(apply_N_inverse(t, 3)))
+    if n == 0:
+        return apply_N_inverse(t, 1) * Fraction(11, 6) - p2 + p3 * Fraction(1, 6)
+    c = Fraction(1, n * (n + 1) * (n + 2))
+    return apply_N_inverse(t, 1) * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
 
 
 def multi_bracket(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
