@@ -38,6 +38,12 @@ RUNS = {
 RUNS["check-identities-mixed2"] = ["check-identities", "--samples", "10"]
 RUNS["check-identities-shift"] = [
     "check-identities", "--theory", "theories/shift.json", "--samples", "5"]
+# an so3 order-4 charge document as `solve --method fixed-point --out`
+# writes it, and a copy with the coefficient of xi[1]*C[1,1] doubled,
+# whose report prints the boundary read-offs that fail
+for _doc in ("omega-so3", "omega-so3-tampered"):
+    RUNS[f"verify-{_doc}"] = [
+        "verify", "theories/so3.json", f"tests/golden/{_doc}.json"]
 
 
 def _run(argv, capsys, monkeypatch) -> str:
