@@ -19,7 +19,11 @@ The graded Poisson bracket is realised as a single sum over a sparse
 with right derivatives acting on X and left derivatives on Y.  The ghost
 entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
-antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.
+antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  Each argument is walked
+once: one pass over X's terms gives its right derivatives with respect to
+every paired variable it contains, one pass over Y's gives the left
+derivatives with respect to the partners of those only, and the sum runs
+over the table entries whose two derivatives are both nonzero.
 """
 
 from __future__ import annotations
@@ -208,11 +212,6 @@ class GradedPoly:
             return self.__mul__(other)
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -289,6 +288,7 @@ class Algebra:
         self._omega: list = []
         self._build_ghost_omega()
         self._build_matter_omega()
+        self._paired = frozenset(va for va, _, _, _ in self._omega)
 
     def compatible(self, other):
         """Two algebras over equal theory specs have identical variable
@@ -480,43 +480,39 @@ class Algebra:
 
     # -- derivatives ---------------------------------------------------------
 
-    def _derive_terms(self, terms, vid, left):
-        """Left or right derivative of a raw term dict with respect to vid."""
+    def _derivatives(self, terms, wanted, left):
+        """{v: left (or right) derivative of a raw term dict w.r.t. v} for
+        every v in wanted that occurs in it, in one pass over its terms.
+
+        An odd v (exponent 1) moves past the odd factors before it for a
+        left derivative and past those after it, total - before - own, for
+        a right one.  Dropping one power of v maps distinct monomials
+        containing v to distinct monomials, so no two terms meet."""
         par = self.var_parity
-        pv = par[vid]
         out: dict = {}
         for mono, coeff in terms.items():
-            seq = mono if left else tuple(reversed(mono))
-            side = 0
-            for pos, (v, e) in enumerate(seq):
-                if v == vid:
+            before = 0
+            for i, (v, e) in enumerate(mono):
+                pv = par[v]
+                if v in wanted:
                     c = coeff * e
-                    if pv and (side & 1):
+                    if pv and (before if left else sum(
+                            par[u] for u, _ in mono) - before - 1) & 1:
                         c = -c
-                    if e == 1:
-                        new = mono[:pos] + mono[pos + 1:] if left else \
-                            mono[:len(mono) - 1 - pos] + mono[len(mono) - pos:]
-                    else:
-                        idx = pos if left else len(mono) - 1 - pos
-                        new = mono[:idx] + ((v, e - 1),) + mono[idx + 1:]
-                    acc = out.get(new)
-                    if acc is None:
-                        out[new] = c
-                    else:
-                        acc += c
-                        if acc:
-                            out[new] = acc
-                        else:
-                            del out[new]
-                    break
-                side += par[v] * e
+                    rest = mono[i + 1:]
+                    new = mono[:i] + (((v, e - 1),) + rest if e > 1 else rest)
+                    d = out.get(v)
+                    if d is None:
+                        d = out[v] = {}
+                    d[new] = c
+                before += pv
         return out
 
     def derive_left(self, p, vid):
-        return GradedPoly(self, self._derive_terms(p.terms, vid, True))
+        return GradedPoly(self, self._derivatives(p.terms, (vid,), True).get(vid, {}))
 
     def derive_right(self, p, vid):
-        return GradedPoly(self, self._derive_terms(p.terms, vid, False))
+        return GradedPoly(self, self._derivatives(p.terms, (vid,), False).get(vid, {}))
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
@@ -694,7 +690,10 @@ class Algebra:
 
     def bracket(self, x, y, *, max_cp=None):
         """Graded Poisson bracket {x, y}; with max_cp, truncated at that
-        cp-degree without forming the products above it.  Every pairing
+        cp-degree without forming the products above it.
+
+        x and y are each walked once (see _derivatives), y only for the
+        partners of the paired variables x contains.  Every pairing
         removes one factor from each side and the matter pairings have
         cp-degree 0, so a term's cp-degree is the sum of those of its two
         derivative factors and the limit applies to their product."""
@@ -712,25 +711,17 @@ class Algebra:
                 return GradedPoly(self, {})
             xt = x.truncate_cp(max_cp + 1 - lo_y).terms
             yt = y.truncate_cp(max_cp + 1 - lo_x).terms
+        dx = self._derivatives(xt, self._paired, False)
+        dy = self._derivatives(
+            yt, {vb for va, vb, _, _ in self._omega if va in dx}, True)
         out: dict = {}
-        dx_cache: dict = {}
-        dy_cache: dict = {}
         for va, vb, c0, mid in self._omega:
-            dx = dx_cache.get(va)
-            if dx is None:
-                dx = self._derive_terms(xt, va, False)
-                dx_cache[va] = dx
-            if not dx:
-                continue
-            dy = dy_cache.get(vb)
-            if dy is None:
-                dy = self._derive_terms(yt, vb, True)
-                dy_cache[vb] = dy
-            if not dy:
+            d1, d2 = dx.get(va), dy.get(vb)
+            if d1 is None or d2 is None:
                 continue
             if mid is not None:
-                dx = self._mul_into({}, dx, mid, max_cp)  # dx * w first, then * dy
+                d1 = self._mul_into({}, d1, mid, max_cp)  # dx * w first, then * dy
             if c0 != 1:
-                dx = {m: c * c0 for m, c in dx.items()}
-            self._mul_into(out, dx, dy, max_cp)
+                d1 = {m: c * c0 for m, c in d1.items()}
+            self._mul_into(out, d1, d2, max_cp)
         return GradedPoly(self, out)

@@ -10,8 +10,9 @@ Subcommands:
     verify FILE OMEGA     re-verify a previously emitted charge document
 
 Exit codes: 0 all checks pass; 1 a verification failed (nonzero
-residual, method disagreement, non-first-class observable, a failed
-internal check: ConventionError, SymmetryError or OutsideDomainError);
+residual, direct and structured residuals that disagree, method
+disagreement, non-first-class observable, a failed internal check:
+ConventionError, SymmetryError or OutsideDomainError);
 2 input error (bad document, bad expression, Jacobi-violating structure
 table, an option out of range, or the SP2_BRST_MAX_TERMS safety cap was
 exceeded).
@@ -119,8 +120,8 @@ def _omega_summary(res) -> list:
     for a in (1, 2):
         comp = res.omega.get((a,))
         counts = ", ".join(
-            f"degree {d}: {comp.cp_part(d).term_count()}"
-            for d in range(res.config.k + 1) if comp.cp_part(d).term_count())
+            f"degree {d}: {n}" for d in range(res.config.k + 1)
+            if (n := comp.cp_part(d).term_count()))
         rows.append(f"Omega^{a} terms by cp-degree: {counts or 'none'}")
     for a in (1, 2):
         rows.append(f"Omega^{a} = {expr.serialize(res.omega.get((a,)))}")
@@ -208,7 +209,7 @@ def cmd_verify(args) -> int:
             print(f"boundary condition violated: {p}")
     else:
         print("boundary conditions: satisfied")
-    passed = report.ok and not problems
+    passed = report.ok and report.agree and not problems
     print("verification: " + ("passed" if passed else "FAILED"))
     return OK if passed else FAIL
 

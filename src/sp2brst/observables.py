@@ -155,8 +155,7 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     phi_prime = phi0 + k_part
 
     direct = SymTensor.from_full(
-        alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime, max_cp=k)
-    ).truncate_cp(k)
+        alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime, max_cp=k))
     structured = (apply_W(k_tensor) + omega_phi0 + images).truncate_cp(k)
     ngh_ok = all(alg.term_ngh(m) == 0 for m in phi_prime.terms)
     return ObservableLift(

@@ -390,8 +390,7 @@ def verify_master(omega: SymTensor, k: int) -> MasterReport:
     direct = SymTensor.from_full(
         alg, 2,
         lambda idx: alg.bracket(omega.get((idx[0],)), omega.get((idx[1],)),
-                                max_cp=k)
-    ).truncate_cp(k)
+                                max_cp=k))
     pi = omega - build_omega1(alg)
     structured = (apply_W(pi) + build_F(alg) + apply_A(pi)
                   + quad_term(pi, k)).truncate_cp(k)

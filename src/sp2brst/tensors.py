@@ -47,12 +47,12 @@ class SymTensor:
 
     @staticmethod
     def from_full(alg, rank, full):
-        """Build from a mapping defined on all full index tuples, verifying
+        """Build from a function of every full index tuple, verifying
         that components agree across each permutation orbit."""
         t = SymTensor(alg, rank)
         seen = {}
         for idx in product((1, 2), repeat=rank):
-            p = full(idx) if callable(full) else full[idx]
+            p = full(idx)
             key = tuple(sorted(idx))
             if key in seen:
                 if seen[key][1] != p:

@@ -6,8 +6,10 @@ index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
 term.  Below them sit the placement sum evaluated on every full index
-tuple and Q with M applied three times.  The solver builds the same
-tensors more cheaply; only tests call these.
+tuple, Q with M applied three times, and the derivative of a term dict
+with respect to one variable, walking a reversed monomial for the right
+derivative.  The solver and the algebra compute the same results more
+cheaply; only tests call these.
 """
 
 from __future__ import annotations
@@ -190,3 +192,36 @@ def neumann_by_terms(op, x: SymTensor, k: int,
                     f"Neumann term failed to raise cp-degree ({floor} -> {ceil})")
         total = _guard(total + term, max_terms)
     return total
+
+
+def derive_terms(alg, terms, vid, left):
+    """Left or right derivative of a raw term dict with respect to vid."""
+    par = alg.var_parity
+    pv = par[vid]
+    out: dict = {}
+    for mono, coeff in terms.items():
+        seq = mono if left else tuple(reversed(mono))
+        side = 0
+        for pos, (v, e) in enumerate(seq):
+            if v == vid:
+                c = coeff * e
+                if pv and (side & 1):
+                    c = -c
+                if e == 1:
+                    new = mono[:pos] + mono[pos + 1:] if left else \
+                        mono[:len(mono) - 1 - pos] + mono[len(mono) - pos:]
+                else:
+                    idx = pos if left else len(mono) - 1 - pos
+                    new = mono[:idx] + ((v, e - 1),) + mono[idx + 1:]
+                acc = out.get(new)
+                if acc is None:
+                    out[new] = c
+                else:
+                    acc += c
+                    if acc:
+                        out[new] = acc
+                    else:
+                        del out[new]
+                break
+            side += par[v] * e
+    return out

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import sp2brst.cli as cli_mod
+import sp2brst.solver as solver_mod
 from sp2brst.cli import main
 from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
-from sp2brst.tensors import SymmetryError
+from sp2brst.tensors import SymmetryError, SymTensor
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -73,6 +74,27 @@ def test_verify_rejects_tampered_charge(capsys, tmp_path):
     assert "NONZERO" in out
     assert "boundary condition violated" in out
     assert "verification: FAILED" in out
+
+
+def test_verify_rejects_disagreeing_structured_form(capsys, tmp_path,
+                                                    monkeypatch):
+    omega_path = tmp_path / "omega.json"
+    run(capsys, "solve", str(THEORY_DIR / "so3.json"), "--order", "4",
+        "--method", "fixed-point", "--out", str(omega_path))
+    quad_term = solver_mod.quad_term
+
+    def broken(pi, k=None):
+        alg = pi.alg
+        extra = alg.ghost(1, 1) * alg.ghost(2, 1) * alg.ghost(3, 1)
+        return quad_term(pi, k) + SymTensor(alg, 2, {(1, 1): extra})
+
+    monkeypatch.setattr(solver_mod, "quad_term", broken)
+    code, out, _ = run(capsys, "verify", str(THEORY_DIR / "so3.json"),
+                       str(omega_path))
+    assert "degree 3: residual zero  [structured form DISAGREES]" in out
+    assert "master equations: satisfied" in out
+    assert "verification: FAILED" in out
+    assert code == 1
 
 
 def test_lift_with_realization(capsys):
