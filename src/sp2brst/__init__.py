@@ -9,12 +9,12 @@ is re-verified degree by degree against an independent evaluation of
 the defining brackets.
 """
 
-from .algebra import Algebra, GradedPoly, Sector, TheoryError
+from .algebra import Algebra, GradedPoly, Sector, TermBudgetError, TheoryError
 from .observables import (FirstClassCheck, NotFirstClassError, ObservableLift,
                           RealizationReport, check_first_class, lift, restrict,
                           verify_realization)
 from .solver import (ConventionError, MasterReport, Method, SolverConfig,
-                     SolverResult, TermBudgetError, solve, verify_master)
+                     SolverResult, solve, verify_master)
 from .tensors import SymTensor
 from .theory import (TheorySpec, abelian_spec, deformed_so3_spec,
                      jacobi_violations, mixed_parity_spec, so3_spec)

@@ -36,6 +36,8 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+DEFAULT_MAX_TERMS = 1_000_000
+
 
 class Sector(IntEnum):
     """Variable sectors, enum order == canonical monomial order."""
@@ -73,6 +75,10 @@ _CP_SECTORS = (Sector.GHOST, Sector.LAGRANGE_MOM)
 
 class TheoryError(ValueError):
     """Inconsistent structure tables or malformed theory data."""
+
+
+class TermBudgetError(RuntimeError):
+    """A polynomial being formed exceeded its algebra's term budget."""
 
 
 @dataclass(frozen=True)
@@ -179,6 +185,7 @@ class GradedPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
+        self.alg._check_budget(out)
         return GradedPoly(self.alg, out)
 
     __radd__ = __add__
@@ -242,9 +249,17 @@ class GradedPoly:
 
 
 class Algebra:
-    """Variable table, graded product and Poisson bracket for one theory."""
+    """Variable table, graded product and Poisson bracket for one theory.
 
-    def __init__(self, spec):
+    max_terms is the term budget: the polynomials formed over the algebra
+    (by _mul_into after each row, replace_left and addition) are checked
+    against it as they form, and one that passes it raises
+    TermBudgetError."""
+
+    def __init__(self, spec, *, max_terms=DEFAULT_MAX_TERMS):
+        if max_terms < 1:
+            raise ValueError("max_terms must be positive")
+        self.max_terms = max_terms
         self.spec = spec
         m = spec.m
         p = spec.n_physical
@@ -289,6 +304,13 @@ class Algebra:
         self._build_ghost_omega()
         self._build_matter_omega()
         self._paired = frozenset(va for va, _, _, _ in self._omega)
+
+    def _check_budget(self, terms):
+        """Raise TermBudgetError if a term dict outgrows the budget."""
+        if len(terms) > self.max_terms:
+            raise TermBudgetError(
+                f"a polynomial being formed has {len(terms)} terms "
+                f"(budget {self.max_terms})")
 
     def compatible(self, other):
         """Two algebras over equal theory specs have identical variable
@@ -415,13 +437,15 @@ class Algebra:
     def _mul_into(self, out, t1, t2, max_cp=None):
         """Add the product of two raw term dicts into out, dropping the
         monomials whose coefficients cancel; returns out.  The products of
-        mul and bracket all accumulate here.
+        mul and bracket all accumulate here, and out is checked against
+        the term budget after each term of t1.
 
         With max_cp, only the pairs whose cp-degrees sum to at most max_cp
         are formed: cp-degree adds under products, so this is exactly the
         product truncated at max_cp.  t2 is grouped by cp-degree, and each
         term of t1 meets only the terms of t2 that fit under the limit."""
         mul_terms = self._mul_terms
+        limit = self.max_terms
         if max_cp is None:
             rows = ((m1, c1, t2.items()) for m1, c1 in t1.items())
         else:
@@ -444,6 +468,8 @@ class Algebra:
                         out[m] = acc
                     else:
                         del out[m]
+            if len(out) > limit:
+                self._check_budget(out)
         return out
 
     def _truncated_rows(self, t1, t2, max_cp):
@@ -585,6 +611,7 @@ class Algebra:
                             out[m] = acc
                         else:
                             del out[m]
+        self._check_budget(out)
         return GradedPoly(self, out)
 
     # -- the graded Poisson bracket ------------------------------------------

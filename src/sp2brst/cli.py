@@ -14,8 +14,8 @@ residual, direct and structured residuals that disagree, method
 disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
 2 input error (bad document, bad expression, Jacobi-violating structure
-table, an option out of range, or the SP2_BRST_MAX_TERMS safety cap was
-exceeded).
+table, an option out of range, or a polynomial formed by solve, lift or
+verify outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms form).
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -29,13 +29,13 @@ import sys
 import time
 
 from . import expr
-from .algebra import Algebra, TheoryError
+from .algebra import DEFAULT_MAX_TERMS, Algebra, TermBudgetError, TheoryError
 from .identities import run_identity_suite
 from .observables import (NotFirstClassError, check_first_class, lift,
                           require_matter_only, verify_realization)
 from .operators import OutsideDomainError
-from .solver import (DEFAULT_MAX_TERMS, ConventionError, Method, SolverConfig,
-                     TermBudgetError, boundary_violations, solve, verify_master)
+from .solver import (ConventionError, Method, SolverConfig, boundary_violations,
+                     solve, verify_master)
 from .tensors import SymmetryError
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
                          dump_document, load_omega, observable_document,
@@ -60,26 +60,26 @@ def _max_terms() -> int:
     if raw is None:
         return DEFAULT_MAX_TERMS
     try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
+        if (value := int(raw)) > 0:
+            return value
     except ValueError:
-        raise TheoryFileError(
-            f"SP2_BRST_MAX_TERMS must be a positive integer, got {raw!r}")
-    return value
+        pass
+    raise TheoryFileError(
+        f"SP2_BRST_MAX_TERMS must be a positive integer, got {raw!r}")
 
 
-def _load(path: str) -> tuple:
+def _load(path: str, max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
     with open(path, "rb") as fh:
         doc = parse_theory(fh.read())
-    alg = build_algebra(doc)
+    alg = build_algebra(doc, max_terms)
     return doc, alg
 
 
 def _open_theory(path: str) -> tuple:
-    """Load a theory document and print its header and Jacobi report;
-    returns (document, algebra, whether the Jacobi identity holds)."""
-    doc, alg = _load(path)
+    """Load a theory document into an algebra under the SP2_BRST_MAX_TERMS
+    budget, read before anything else, and print its header and Jacobi
+    report; returns (document, algebra, whether the Jacobi identity holds)."""
+    doc, alg = _load(path, _max_terms())
     spec = doc.spec
     print(f"theory {spec.label}: {spec.m} constraints, "
           f"{spec.n_physical} physical coordinates")
@@ -94,7 +94,7 @@ def _config(args, doc: TheoryDocument) -> SolverConfig:
         k = _at_least(args.order, 2, "--order")
     else:
         k = doc.order or DEFAULT_ORDER
-    return SolverConfig(k=k, method=Method(args.method), max_terms=_max_terms())
+    return SolverConfig(k=k, method=Method(args.method))
 
 
 def _observables(doc: TheoryDocument, alg: Algebra) -> dict:

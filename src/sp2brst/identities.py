@@ -31,6 +31,7 @@ from .theory import TheorySpec, mixed_parity_spec
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+MAX_MONOMIALS = 4
 
 
 def _pools(alg: Algebra):
@@ -50,13 +51,13 @@ def _pools(alg: Algebra):
 
 
 def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
-                   max_n: int = 4, max_monomials: int = 4):
-    """A random polynomial with every term carrying at least one counted
-    factor (so N is invertible on it), cp-degree <= max_cp and N-degree
-    <= max_n.  Terms of different degrees and parities are mixed."""
+                   max_n: int = 4):
+    """A random polynomial of 1 to MAX_MONOMIALS terms, each carrying a
+    counted factor (so N is invertible on it), of cp-degree <= max_cp and
+    N-degree <= max_n, with degrees and parities mixed."""
     counted, uncounted = _pools(alg)
     out = alg.zero()
-    for _ in range(rng.randint(1, max_monomials)):
+    for _ in range(rng.randint(1, MAX_MONOMIALS)):
         for _attempt in range(30):
             coeff = Fraction(rng.choice([s for s in range(-9, 10) if s]),
                              rng.randint(1, 9))
@@ -72,17 +73,9 @@ def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
 
 
 def random_tensor(alg: Algebra, rng: random.Random, rank: int, **kw) -> SymTensor:
-    if rank == 0:
-        return SymTensor.from_scalar(random_element(alg, rng, **kw))
-    comps = {}
-
-    def comp(idx):
-        key = tuple(sorted(idx))
-        if key not in comps:
-            comps[key] = random_element(alg, rng, **kw)
-        return comps[key]
-
-    return SymTensor.from_full(alg, rank, comp)
+    """One random element per component, drawn in SymTensor.indices() order."""
+    keys = SymTensor.zero(alg, rank).indices()
+    return SymTensor(alg, rank, {key: random_element(alg, rng, **kw) for key in keys})
 
 
 def w_closed_part(x):

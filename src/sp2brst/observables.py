@@ -121,8 +121,8 @@ class ObservableLift:
 
 def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     """Extend a first-class phi0 to Phi' = phi0 + K with
-    {Omega^a, Phi'}' = 0 through the solver's truncation degree, under its
-    term budget.
+    {Omega^a, Phi'}' = 0 through the solver's truncation degree.  Every
+    polynomial formed stays under the term budget of the solve's algebra.
 
     A non-first-class phi0 is rejected with the witnessing constraint and
     remainder.
@@ -150,7 +150,7 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     # [Omega, phi0] seeds K and is a term of the structured residual
     omega_phi0 = tensor_bracket(omega, SymTensor.from_scalar(phi0), k)
     seed = -apply_W_plus(omega_phi0)
-    k_tensor = neumann_apply(op, seed, k, omega_result.config.max_terms)
+    k_tensor = neumann_apply(op, seed, k)
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
 

@@ -42,8 +42,6 @@ from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
 from .theory import TheorySpec
 
-DEFAULT_MAX_TERMS = 1_000_000
-
 HALF = Fraction(1, 2)
 
 # Normalisation of the pair bracket <.,.> relative to the symmetrized
@@ -57,10 +55,6 @@ PAIR_COEFF = Fraction(-1, 2)
 
 class ConventionError(RuntimeError):
     """An internal consistency property failed; signals a convention bug."""
-
-
-class TermBudgetError(RuntimeError):
-    """An intermediate result exceeded the configured term budget."""
 
 
 class Method(Enum):
@@ -81,21 +75,10 @@ class SolverConfig:
     k: int
     upsilon: SymTensor | None = None
     method: Method = Method.BOTH
-    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("truncation degree k must be at least 2")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-def _guard(t: SymTensor, max_terms: int) -> SymTensor:
-    if t.term_count() > max_terms:
-        raise TermBudgetError(
-            f"intermediate tensor has {t.term_count()} terms "
-            f"(budget {max_terms})")
-    return t
 
 
 def validate_upsilon(alg: Algebra, upsilon: SymTensor) -> None:
@@ -190,7 +173,7 @@ def quad_term(pi: SymTensor, k: int | None = None) -> SymTensor:
 # the graded solve, the inverse (I + W+ op)^-1 and the pair bracket
 
 
-def _graded_solve(seed: SymTensor, grow, k: int, max_terms: int) -> SymTensor:
+def _graded_solve(seed: SymTensor, grow, k: int) -> SymTensor:
     """The X through cp-degree k that equals seed plus everything
     grow(part, lower) returns for its parts, solved one degree at a time.
 
@@ -217,17 +200,15 @@ def _graded_solve(seed: SymTensor, grow, k: int, max_terms: int) -> SymTensor:
                     f"(reaches {floor})")
             grown = grown + term
         lower.append(part)
-        _guard(grown, max_terms)
-        x = _guard(x + part, max_terms)
+        x = x + part
     return x
 
 
-def neumann_apply(op, x: SymTensor, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+def neumann_apply(op, x: SymTensor, k: int) -> SymTensor:
     """(I + W+ op)^-1 x = sum_m (-W+ op)^m x, exact under truncation: the
     X = x - W+ op(X) solved one degree at a time, since W+ op must raise
     the cp-degree (A adds a ghost; a bracket with Pi adds at least one)."""
-    return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))],
-                         k, max_terms)
+    return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))], k)
 
 
 def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) -> SymTensor:
@@ -237,11 +218,10 @@ def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) ->
     seed = -apply_W_plus(f)
     if config.upsilon is not None:
         seed = config.upsilon + seed
-    return neumann_apply(apply_A, seed, config.k, config.max_terms)
+    return neumann_apply(apply_A, seed, config.k)
 
 
-def pair_bracket(x: SymTensor, y: SymTensor, k: int,
-                 max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
     """<x, y> = -1/2 (I + W+ A)^-1 W+ ([x, y] + [y, x]) for odd rank-1 x, y.
 
     Symmetric in its arguments and cp-degree raising:
@@ -249,7 +229,7 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int,
     makes [y, x] equal [x, y], so one bracket is taken and doubled.
     """
     raw = tensor_bracket(x, y, k) * 2
-    return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k, max_terms)
+    return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +258,14 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 
-    return _graded_solve(pi0 + apply_W_plus(apply_A(pi0)), grow,
-                         config.k, config.max_terms)
+    return _graded_solve(pi0 + apply_W_plus(apply_A(pi0)), grow, config.k)
 
 
 # ---------------------------------------------------------------------------
 # multi-brackets of equal arguments
 
 
-def power_brackets(x: SymTensor, n: int, k: int,
-                   max_terms: int = DEFAULT_MAX_TERMS) -> list:
+def power_brackets(x: SymTensor, n: int, k: int) -> list:
     """[<X>, <X,X>, ..., <X^n>], the m-fold brackets of m equal arguments.
 
     The multi-bracket <X_1..X_m> is 1/2 the sum over proper nonempty
@@ -303,8 +281,7 @@ def power_brackets(x: SymTensor, n: int, k: int,
         total = SymTensor.zero(x.alg, 1)
         for r in range(1, m // 2 + 1):
             weight = math.comb(m, r) * (1 if 2 * r == m else 2)
-            total = total + pair_bracket(powers[r - 1], powers[m - r - 1],
-                                         k, max_terms) * weight
+            total = total + pair_bracket(powers[r - 1], powers[m - r - 1], k) * weight
         powers.append(total * HALF)
     return powers
 
@@ -319,12 +296,11 @@ def solve_pi_descendants(alg: Algebra, config: SolverConfig,
         pi0 = build_pi0(alg, config)
     if pi0.is_zero():
         return pi0
-    k, budget = config.k, config.max_terms
+    k = config.k
     b = max(2, pi0.min_cp())
     total = SymTensor.zero(alg, 1)
-    for m, term in enumerate(power_brackets(pi0, (k - 1) // (b - 1), k, budget), 1):
-        total = _guard((total + term * Fraction(1, math.factorial(m))).truncate_cp(k),
-                       budget)
+    for m, term in enumerate(power_brackets(pi0, (k - 1) // (b - 1), k), 1):
+        total = (total + term * Fraction(1, math.factorial(m))).truncate_cp(k)
     return total
 
 

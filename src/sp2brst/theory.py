@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+MAX_REPORT = 10
+
 
 @dataclass(frozen=True)
 class TheorySpec:
@@ -70,11 +72,11 @@ def mixed_parity_spec(label="mixed2"):
     return TheorySpec((0, 1), u_table=u, label=label)
 
 
-def jacobi_violations(alg, max_report=10):
+def jacobi_violations(alg):
     """Check the graded Jacobi identity on all coordinate triples.
 
     Returns a list of (i, j, k, defect) with nonzero defect polynomials,
-    where the defect is the graded-cyclic sum
+    the first MAX_REPORT found, where the defect is the graded-cyclic sum
     (-1)^(e_i e_k) {xi_i, {xi_j, xi_k}} + cyclic.
     """
     n = alg.m + alg.n_physical
@@ -94,6 +96,6 @@ def jacobi_violations(alg, max_report=10):
                     defect = defect + term
                 if defect:
                     bad.append((i + 1, j + 1, k + 1, defect))
-                    if len(bad) >= max_report:
+                    if len(bad) >= MAX_REPORT:
                         return bad
     return bad

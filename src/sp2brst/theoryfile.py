@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 
 from . import expr
-from .algebra import Algebra, TheoryError
+from .algebra import DEFAULT_MAX_TERMS, Algebra, TheoryError
 from .tensors import SymTensor
 from .theory import TheorySpec, jacobi_violations
 
@@ -197,11 +197,11 @@ def parse_theory(data) -> TheoryDocument:
     return TheoryDocument(spec, c_names, p_names, tuple(observables), order)
 
 
-def build_algebra(doc: TheoryDocument) -> Algebra:
-    """Realize the document's bracket structure, surfacing table and
-    expression problems as document errors."""
+def build_algebra(doc: TheoryDocument, max_terms: int = DEFAULT_MAX_TERMS) -> Algebra:
+    """Realize the document's bracket structure under a term budget,
+    surfacing table and expression problems as document errors."""
     try:
-        return Algebra(doc.spec)
+        return Algebra(doc.spec, max_terms=max_terms)
     except (TheoryError, expr.ExprError) as e:
         raise TheoryFileError(f"invalid structure table: {e}") from None
 
@@ -223,8 +223,8 @@ class JacobiReport:
         return "\n".join(rows)
 
 
-def validate_jacobi(alg: Algebra, max_report: int = 10) -> JacobiReport:
-    return JacobiReport(tuple(jacobi_violations(alg, max_report)))
+def validate_jacobi(alg: Algebra) -> JacobiReport:
+    return JacobiReport(tuple(jacobi_violations(alg)))
 
 
 # -- result documents --------------------------------------------------------

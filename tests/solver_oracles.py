@@ -18,8 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from sp2brst.operators import apply_M, apply_N_inverse, apply_W_plus
-from sp2brst.solver import (DEFAULT_MAX_TERMS, HALF, ConventionError, _guard,
-                            build_pi0, pair_bracket)
+from sp2brst.solver import HALF, ConventionError, build_pi0, pair_bracket
 from sp2brst.tensors import SymTensor
 
 
@@ -51,7 +50,7 @@ def apply_Q_three_m(t: SymTensor) -> SymTensor:
     return apply_N_inverse(t, 1) * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
 
 
-def multi_bracket(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+def multi_bracket(xs, k: int) -> SymTensor:
     """<X_1, ..., X_m>: <X> = X, <X_1,X_2> = pair_bracket, and for m >= 3
 
         <X_1..X_m> = 1/2 sum over proper nonempty subsets S of
@@ -70,13 +69,13 @@ def multi_bracket(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
         if len(ids) == 1:
             val = xs[ids[0]]
         elif len(ids) == 2:
-            val = pair_bracket(xs[ids[0]], xs[ids[1]], k, max_terms)
+            val = pair_bracket(xs[ids[0]], xs[ids[1]], k)
         else:
             total = SymTensor.zero(xs[0].alg, 1)
             for r in range(1, len(ids)):
                 for sub in combinations(ids, r):
                     rest = tuple(i for i in ids if i not in sub)
-                    total = total + pair_bracket(rec(sub), rec(rest), k, max_terms)
+                    total = total + pair_bracket(rec(sub), rec(rest), k)
             val = total * HALF
         cache[ids] = val
         return val
@@ -133,7 +132,7 @@ def _split_tree(tree: str):
     raise ValueError(f"malformed tree {tree!r}")
 
 
-def descendant_expand(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+def descendant_expand(xs, k: int) -> SymTensor:
     """Cross-check path for multi_bracket: the sum of all distinct
     descendants (fully reduced pairing trees) of (X_1, ..., X_m)."""
     xs = list(xs)
@@ -148,7 +147,7 @@ def descendant_expand(xs, k: int, max_terms: int = DEFAULT_MAX_TERMS) -> SymTens
             v = xs[int(tree) - 1]
         else:
             left, right = _split_tree(tree)
-            v = pair_bracket(value(left), value(right), k, max_terms)
+            v = pair_bracket(value(left), value(right), k)
         vals[tree] = v
         return v
 
@@ -163,19 +162,18 @@ def fixed_point_by_rounds(alg, config, pi0: SymTensor | None = None) -> SymTenso
     iterate repeats; the degree-d part freezes after at most d-1 rounds."""
     if pi0 is None:
         pi0 = build_pi0(alg, config)
-    k, budget = config.k, config.max_terms
+    k = config.k
     pi = pi0
     for _ in range(k + 1):
-        nxt = (pi0 + pair_bracket(pi, pi, k, budget) * HALF).truncate_cp(k)
+        nxt = (pi0 + pair_bracket(pi, pi, k) * HALF).truncate_cp(k)
         if nxt == pi:
             return pi
-        pi = _guard(nxt, budget)
+        pi = nxt
     raise ConventionError(
         f"fixed-point iteration did not stabilise within {k} rounds")
 
 
-def neumann_by_terms(op, x: SymTensor, k: int,
-                     max_terms: int = DEFAULT_MAX_TERMS) -> SymTensor:
+def neumann_by_terms(op, x: SymTensor, k: int) -> SymTensor:
     """(I + W+ op)^-1 x = sum_m (-1)^m (W+ op)^m x, each term computed on
     the whole previous term; a term that fails to raise the minimum
     cp-degree raises ConventionError."""
@@ -184,13 +182,12 @@ def neumann_by_terms(op, x: SymTensor, k: int,
     while term:
         floor = term.min_cp()
         term = -apply_W_plus(op(term)).truncate_cp(k)
-        _guard(term, max_terms)
         if term:
             ceil = term.min_cp()
             if floor is None or ceil <= floor:
                 raise ConventionError(
                     f"Neumann term failed to raise cp-degree ({floor} -> {ceil})")
-        total = _guard(total + term, max_terms)
+        total = total + term
     return total
 
 

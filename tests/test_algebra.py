@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sp2brst.algebra import Algebra, Sector, TheoryError
+from sp2brst.algebra import Algebra, Sector, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec, so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
@@ -133,6 +133,25 @@ def test_twin_algebras_are_compatible():
     assert a1.xi(1) + a2.xi(2) == a2.xi(1) + a1.xi(2)
     assert a1.bracket(a1.xi(1), a2.xi(2)) == a1.xi(3)
     assert not (a1.xi(1) == a2.xi(2))
+
+
+def test_term_budget_checked_where_terms_form():
+    # elements of a twin algebra with the default budget, combined by one
+    # whose budget is 3 terms
+    wide = Algebra(so3_spec())
+    small = Algebra(so3_spec(), max_terms=3)
+    q = wide.xi(1) + wide.xi(2) + wide.xi(3) + wide.lagrange(1)
+    x = small.xi(1) + small.xi(2) + small.xi(3)  # at the budget
+    with pytest.raises(TermBudgetError, match="budget 3"):
+        x + small.lagrange(1)
+    with pytest.raises(TermBudgetError, match="budget 3"):
+        small.mul(x, x)
+    with pytest.raises(TermBudgetError, match="budget 3"):
+        small.bracket(wide.ghost(1, 1), wide.ghost_mom(1, 1) * q)
+    fields = [(v, v, 1) for v in {w for mono in q.terms for w, _ in mono}]
+    with pytest.raises(TermBudgetError, match="budget 3"):
+        small.replace_left(q, fields)
+    assert small.bracket(wide.ghost(1, 1), wide.ghost_mom(1, 1) * x) == x
 
 
 def test_spec_validation_errors():

@@ -13,6 +13,7 @@ from sp2brst.solver import ConventionError
 from sp2brst.tensors import SymmetryError, SymTensor
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -199,6 +200,30 @@ def test_term_budget_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", str(THEORY_DIR / "so3.json"))
     assert code == 2
     assert "SP2_BRST_MAX_TERMS" in err
+
+
+BUDGET_RUNS = {
+    "solve": ["solve", str(THEORY_DIR / "so3.json"), "--order", "4"],
+    "lift": ["lift", str(THEORY_DIR / "so3.json"), "--observable", "1",
+             "--order", "4"],
+    "verify": ["verify", str(THEORY_DIR / "so3.json"),
+               str(GOLDEN_DIR / "omega-so3.json")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_RUNS))
+def test_term_budget_applies_to_every_theory_command(command, capsys, monkeypatch):
+    monkeypatch.setenv("SP2_BRST_MAX_TERMS", "10")
+    code, _, err = run(capsys, *BUDGET_RUNS[command])
+    assert code == 2
+    assert "budget 10" in err
+
+    # an invalid value is reported before the theory is loaded
+    monkeypatch.setenv("SP2_BRST_MAX_TERMS", "zero")
+    code, out, err = run(capsys, *BUDGET_RUNS[command])
+    assert code == 2
+    assert "SP2_BRST_MAX_TERMS" in err
+    assert out == ""
 
 
 def test_mixed_theory_document(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sp2brst.algebra import Algebra
+from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.observables import (
     NotFirstClassError,
     check_first_class,
@@ -10,7 +10,7 @@ from sp2brst.observables import (
     restrict,
     verify_realization,
 )
-from sp2brst.solver import Method, SolverConfig, TermBudgetError, solve
+from sp2brst.solver import Method, SolverConfig, solve
 from sp2brst.theory import TheorySpec, deformed_so3_spec, so3_spec
 
 SHIFT = TheorySpec((0,), physical_parities=(0,),
@@ -135,9 +135,19 @@ def test_lift_guards(so3_result):
 
 def test_lift_keeps_the_solve_budget():
     # the solve fits in 100 terms, the Neumann series of J1^2's lift does not
-    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT,
-                                         max_terms=100))
+    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
+                algebra=Algebra(so3_spec(), max_terms=100))
     with pytest.raises(TermBudgetError):
+        lift(res.algebra.xi(1) ** 2, res)
+
+
+def test_lift_budget_bounds_each_polynomial():
+    # the solve forms no polynomial above 40 terms and the lift of J1^2
+    # none of its tensors above 160, but one of its polynomials has 254
+    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
+                algebra=Algebra(so3_spec(), max_terms=200))
+    assert res.ok
+    with pytest.raises(TermBudgetError, match="budget 200"):
         lift(res.algebra.xi(1) ** 2, res)
 
 

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 import sp2brst.solver as solver_mod
-from sp2brst.algebra import Algebra, TheoryError
+from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.operators import apply_W, apply_W_plus, w_component
 from sp2brst.solver import (
     ConventionError,
     Method,
     SolverConfig,
-    TermBudgetError,
     a_component,
     apply_A,
     build_F,
@@ -196,16 +195,17 @@ def test_upsilon_validation():
 
 
 def test_term_budget_enforced():
+    alg = Algebra(so3_spec(), max_terms=10)
     with pytest.raises(TermBudgetError):
-        solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT,
-                                       max_terms=10))
+        solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
+              algebra=alg)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=1)
     with pytest.raises(ValueError):
-        SolverConfig(k=4, max_terms=0)
+        Algebra(so3_spec(), max_terms=0)
 
 
 def test_twin_instance_compatibility():
