@@ -4,8 +4,8 @@ Grammar (whitespace-insensitive):
 
     expr    := term (('+'|'-') term)*
     term    := factor ('*' factor)*
-    factor  := atom ('^' INT)?
-    atom    := RATIONAL | VARIABLE | '(' expr ')' | '-' atom
+    factor  := '-' factor | atom ('^' INT)?
+    atom    := RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL:= INT ('/' INT)?
     VARIABLE:= ('xi'|'xip'|'lam'|'pi') '[' INT ']'  |  ('P'|'C') '[' INT ',' INT ']'
 
@@ -115,6 +115,10 @@ class _Parser:
                 return p
 
     def factor(self):
+        kind, val, _, _ = self.peek()
+        if kind == "SYM" and val == "-":
+            self.next()
+            return -self.factor()  # -x^2 is -(x^2), as serialize writes it
         p = self.atom()
         kind, val, _, _ = self.peek()
         if kind == "SYM" and val == "^":
@@ -137,9 +141,6 @@ class _Parser:
 
     def atom(self):
         kind, val, line, col = self.peek()
-        if kind == "SYM" and val == "-":
-            self.next()
-            return -self.atom()
         if kind == "SYM" and val == "(":
             self.next()
             p = self.expr()

@@ -33,6 +33,17 @@ def test_precedence_and_grouping():
     assert parse(a, " xi[1]\n + xi[1] ") == 2 * a.xi(1)
 
 
+def test_unary_minus_binds_looser_than_power():
+    # the leading term of a serialized polynomial can be "-xi[1]^2"
+    a = ALG
+    assert parse(a, "-xi[1]^2") == -(a.xi(1) ** 2)
+    assert parse(a, "(-xi[1])^2") == a.xi(1) ** 2
+    assert parse(a, "2*-xi[1]^2") == -2 * (a.xi(1) ** 2)
+    assert parse(a, "--xi[1]") == a.xi(1)
+    with pytest.raises(ExprError):
+        parse(a, "-xi[2]^2")  # odd generator squared
+
+
 def test_serialize_golden():
     alg = Algebra(abelian_spec(1))
     om1 = build_omega1(alg)
