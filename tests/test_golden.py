@@ -20,8 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the small theories at their document order; so3-deformed at order 3,
-# its lift with the fixed point alone; the identity suite on the default
-# mixed2 theory and on shift, which has physical coordinates
+# its lift with the fixed point alone, and both again with the fixed point
+# at its document order (5), where Pi has 222 terms and K 538; the
+# identity suite on the default mixed2 theory and on shift, which has
+# physical coordinates
 RUNS = {
     f"{command}-{theory}": [command, f"theories/{theory}.json", *extra]
     for theory, solve_extra, lift_extra in (
@@ -35,6 +37,10 @@ RUNS = {
     for command, extra in (("solve", solve_extra),
                            ("lift", ["--observable", "1", *lift_extra]))
 }
+for _command, _extra in (("solve", []), ("lift", ["--observable", "1"])):
+    RUNS[f"{_command}-so3-deformed-fixed-point"] = [
+        _command, "theories/so3-deformed.json", *_extra,
+        "--method", "fixed-point"]
 RUNS["check-identities-mixed2"] = ["check-identities", "--samples", "10"]
 RUNS["check-identities-shift"] = [
     "check-identities", "--theory", "theories/shift.json", "--samples", "5"]
