@@ -1,6 +1,9 @@
 """Command-line pipeline: exit codes, determinism, document round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -363,3 +366,16 @@ def test_identities_need_a_constraint(capsys, tmp_path):
     assert code == 2
     assert _one_error_line(err) == ("error: the identity suite needs at least "
                                     "one constraint")
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout runs as `python -m sp2brst` with only src/ on the path
+    root = THEORY_DIR.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sp2brst", "solve", "theories/so3.json"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    want = (GOLDEN_DIR / "solve-so3.txt").read_text(encoding="utf-8")
+    assert f"exit {proc.returncode}\n{proc.stdout}" == want, proc.stderr
