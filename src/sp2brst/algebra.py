@@ -12,7 +12,10 @@ Variables come in six sectors, listed in canonical monomial order:
 All coefficients are `fractions.Fraction`; odd (Grassmann) variables square to
 zero and reordering picks up Koszul signs.  A monomial is a tuple of
 (variable id, exponent) pairs sorted by id; a polynomial is a dict from
-monomial to coefficient with no zero entries.
+monomial to coefficient with no zero entries.  Keys stay these tuples
+between operations: each product and bracket packs its inputs' monomials
+into ints and their coefficients into int numerators for that one call
+(see Algebra._mul_sum), and hands back tuples and Fractions.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -32,6 +35,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import itemgetter
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -227,8 +233,9 @@ class GradedPoly:
         while n:
             if n & 1:
                 out = self.alg.mul(out, base)
-            base = self.alg.mul(base, base)
             n >>= 1
+            if n:  # square only for a bit still to come
+                base = self.alg.mul(base, base)
         return out
 
     def __eq__(self, other):
@@ -248,11 +255,61 @@ class GradedPoly:
         return expr.serialize(self)
 
 
+def _pack(terms, width, var_info):
+    """(L, packed) for a raw term dict: L the lcm of its denominators, and
+    for each term (key, odd mask, prefix parity, cp-degree, coefficient
+    times L), the key holding exponent e of variable v at bit width * v.
+    See Algebra._mul_sum."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = lcm(den, d)
+    packed = []
+    for mono, c in terms.items():
+        key = odd = par = cp = 0
+        for v, e in mono:
+            bit, above, w = var_info[v]
+            key += e << width * v
+            odd |= bit
+            par ^= above
+            cp += w * e
+        n = c.numerator
+        if den != 1:
+            n *= den // c.denominator
+        packed.append((key, odd, par, cp, n))
+    return den, packed
+
+
+def _unpack(acc, width, den, units):
+    """The raw term dict of packed keys and their numerators over den;
+    units[v] is the factor (v, 1), shared by every monomial holding it."""
+    mask = (1 << width) - 1
+    out = {}
+    made = {}  # numerator -> its Fraction
+    for k, n in acc.items():
+        mono = []
+        while k:
+            v = ((k & -k).bit_length() - 1) // width  # the lowest variable
+            shift = width * v
+            e = (k >> shift) & mask
+            mono.append(units[v] if e == 1 else (v, e))
+            k ^= e << shift
+        c = made.get(n)
+        if c is None:
+            c = made[n] = Fraction(n, den)
+        out[tuple(mono)] = c
+    return out
+
+
+_cp_of = itemgetter(3)
+
+
 class Algebra:
     """Variable table, graded product and Poisson bracket for one theory.
 
     max_terms is the term budget: the polynomials formed over the algebra
-    (by _mul_into after each row, replace_left and addition) are checked
+    (by _mul_sum after each row, replace_left and addition) are checked
     against it as they form, and one that passes it raises
     TermBudgetError."""
 
@@ -298,6 +355,13 @@ class Algebra:
         self._one = GradedPoly(self, {(): _ONE})
         # replace_left triples of the operators module, built on first use
         self.operator_fields: dict = {}
+        self._unit_factors = tuple((v, 1) for v in range(len(vars_)))
+        # per variable: its odd-mask bit, for an odd one the bits of the
+        # odd variables after it, and its cp-weight (see _mul_sum)
+        odd_bits = [v.parity << v.vid for v in vars_]
+        self._var_info = tuple(
+            (bit, sum(odd_bits[vid + 1:]) if bit else 0, w)
+            for vid, (bit, w) in enumerate(zip(odd_bits, self.var_cpwt)))
 
         # sparse pairing table: list of (vid_a, vid_b, scalar, mid_terms|None)
         self._omega: list = []
@@ -393,107 +457,85 @@ class Algebra:
 
     # -- products -----------------------------------------------------------
 
-    def _mul_terms(self, m1, m2):
-        """Merge two normal-ordered monomials.
+    def _mul_sum(self, pairs, max_cp=None):
+        """The raw term dict of sum t1 t2 over the (t1, t2) pairs of raw
+        term dicts.  Every product of mul and bracket is formed here, and
+        the growing result is checked against the term budget after each
+        term of each t1.
 
-        Returns (sign, monomial) or None when an odd variable collides.
-        Sign counts inversions between odd factors of m1 and of m2 (merging
-        two sorted sequences, only cross pairs can be out of order).
-        """
-        if not m1:
-            return 1, m2
-        if not m2:
-            return 1, m1
-        par = self.var_parity
-        odd1 = [v for v, _ in m1 if par[v]]
-        flips = 0
-        if odd1:
-            n1 = len(odd1)
-            for v, _ in m2:
-                if par[v]:
-                    flips += n1 - bisect_right(odd1, v)
-        out = []
-        i = j = 0
-        l1, l2 = len(m1), len(m2)
-        while i < l1 and j < l2:
-            v1, e1 = m1[i]
-            v2, e2 = m2[j]
-            if v1 < v2:
-                out.append((v1, e1))
-                i += 1
-            elif v1 > v2:
-                out.append((v2, e2))
-                j += 1
-            else:
-                if par[v1]:
-                    return None
-                out.append((v1, e1 + e2))
-                i += 1
-                j += 1
-        out.extend(m1[i:])
-        out.extend(m2[j:])
-        return (-1 if flips & 1 else 1), tuple(out)
+        With max_cp, only the pairs of terms whose cp-degrees sum to at
+        most max_cp are formed: cp-degree adds under products, so this is
+        exactly the sum truncated at max_cp.  Each t2 is ordered by
+        cp-degree, and each term of t1 meets only the prefix that fits.
 
-    def _mul_into(self, out, t1, t2, max_cp=None):
-        """Add the product of two raw term dicts into out, dropping the
-        monomials whose coefficients cancel; returns out.  The products of
-        mul and bracket all accumulate here, and out is checked against
-        the term budget after each term of t1.
-
-        With max_cp, only the pairs whose cp-degrees sum to at most max_cp
-        are formed: cp-degree adds under products, so this is exactly the
-        product truncated at max_cp.  t2 is grouped by cp-degree, and each
-        term of t1 meets only the terms of t2 that fit under the limit."""
-        mul_terms = self._mul_terms
+        The inputs are packed for this call only: a monomial becomes one
+        int with a field of W bits per variable, W one more than the bit
+        length of the largest input exponent, so the exponents of a
+        product add in one int add without a carry; an int mask of its odd
+        variables, whose overlap kills a product; and the prefix-parity
+        mask of those odd variables, so the Koszul sign is the parity of
+        the odd factors of t1's term lying above an odd number of t2's.
+        Coefficients become int numerators over one denominator for the
+        call, and each surviving key is turned back into a monomial and a
+        Fraction once, at the end.  Terms go in and out in the order they
+        did when every product was merged and added one at a time."""
+        pairs = [(t1, t2) for t1, t2 in pairs if t1 and t2]
+        packed = {}  # id(t) -> t, then _pack(t)
+        top = 1
+        for pair in pairs:
+            for t in pair:
+                if id(t) not in packed:
+                    packed[id(t)] = t
+                    for mono in t:
+                        for _, e in mono:
+                            if e > top:
+                                top = e
+        width = top.bit_length() + 1
+        var_info = self._var_info
+        for i, t in packed.items():
+            packed[i] = _pack(t, width, var_info)
+        work = []
+        den = 1
+        for t1, t2 in pairs:
+            l1, rows = packed[id(t1)]
+            l2, second = packed[id(t2)]
+            work.append((l1 * l2, rows, second))
+            if l1 != 1 or l2 != 1:
+                den = lcm(den, l1 * l2)
         limit = self.max_terms
-        if max_cp is None:
-            rows = ((m1, c1, t2.items()) for m1, c1 in t1.items())
-        else:
-            rows = self._truncated_rows(t1, t2, max_cp)
-        for m1, c1, second in rows:
-            for m2, c2 in second:
-                r = mul_terms(m1, m2)
-                if r is None:
-                    continue
-                s, m = r
-                c = c1 * c2
-                if s < 0:
-                    c = -c
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
+        acc: dict = {}
+        get = acc.get
+        for l12, rows, second in work:
+            scale = den // l12
+            if max_cp is not None:
+                second = sorted(second, key=_cp_of)
+                cps = [term[3] for term in second]
+            for k1, o1, _, cp1, n1 in rows:
+                if max_cp is not None:
+                    end = bisect_right(cps, max_cp - cp1)
+                    if not end:
+                        continue
+                    terms2 = islice(second, end)
                 else:
-                    acc += c
-                    if acc:
-                        out[m] = acc
+                    terms2 = second
+                if scale != 1:
+                    n1 *= scale
+                for k2, o2, p2, _, n2 in terms2:
+                    if o1 & o2:
+                        continue
+                    k = k1 + k2
+                    if (o1 & p2).bit_count() & 1:
+                        n = get(k, 0) - n1 * n2
                     else:
-                        del out[m]
-            if len(out) > limit:
-                self._check_budget(out)
-        return out
-
-    def _truncated_rows(self, t1, t2, max_cp):
-        """(m1, c1, the terms of t2 of cp-degree <= max_cp - cp(m1)) for
-        every term of t1 with room left under max_cp."""
-        cp = self.term_cpdeg
-        by_deg: dict = {}
-        for m2, c2 in t2.items():
-            d = cp(m2)
-            if d <= max_cp:
-                by_deg.setdefault(d, []).append((m2, c2))
-        if not by_deg:
-            return
-        lowest = min(by_deg)
-        upto: dict = {}  # room -> the terms of t2 of cp-degree <= room
-        for m1, c1 in t1.items():
-            room = max_cp - cp(m1)
-            if room < lowest:
-                continue
-            second = upto.get(room)
-            if second is None:
-                second = upto[room] = [
-                    term for d in sorted(by_deg) if d <= room for term in by_deg[d]]
-            yield m1, c1, second
+                        n = get(k, 0) + n1 * n2
+                    if n:
+                        acc[k] = n
+                    else:
+                        del acc[k]
+                if len(acc) > limit:
+                    self._check_budget(acc)
+        del packed, work  # the packed inputs go before the output forms
+        return _unpack(acc, width, den, self._unit_factors)
 
     def mul(self, p, q, *, max_cp=None):
         """The graded product p q; with max_cp, truncated at that cp-degree
@@ -502,7 +544,7 @@ class Algebra:
                 self.compatible(p.alg) and self.compatible(q.alg)):
             raise TheoryError(
                 "cannot multiply elements of algebras over different theories")
-        return GradedPoly(self, self._mul_into({}, p.terms, q.terms, max_cp))
+        return GradedPoly(self, self._mul_sum([(p.terms, q.terms)], max_cp))
 
     # -- derivatives ---------------------------------------------------------
 
@@ -512,26 +554,29 @@ class Algebra:
 
         An odd v (exponent 1) moves past the odd factors before it for a
         left derivative and past those after it, total - before - own, for
-        a right one.  Dropping one power of v maps distinct monomials
-        containing v to distinct monomials, so no two terms meet."""
+        a right one; the walk counts them once per monomial.  Dropping one
+        power of v maps distinct monomials containing v to distinct
+        monomials, so no two terms meet."""
         par = self.var_parity
         out: dict = {}
         for mono, coeff in terms.items():
-            before = 0
+            hits = []
+            odd = 0  # odd factors before the current one; in the end, all
             for i, (v, e) in enumerate(mono):
                 pv = par[v]
                 if v in wanted:
-                    c = coeff * e
-                    if pv and (before if left else sum(
-                            par[u] for u, _ in mono) - before - 1) & 1:
-                        c = -c
-                    rest = mono[i + 1:]
-                    new = mono[:i] + (((v, e - 1),) + rest if e > 1 else rest)
-                    d = out.get(v)
-                    if d is None:
-                        d = out[v] = {}
-                    d[new] = c
-                before += pv
+                    hits.append((i, v, e, pv, odd))
+                odd += pv
+            for i, v, e, pv, before in hits:
+                c = coeff * e if e > 1 else coeff
+                if pv and (before if left else odd - before - 1) & 1:
+                    c = -c
+                rest = mono[i + 1:]
+                new = mono[:i] + (((v, e - 1),) + rest if e > 1 else rest)
+                d = out.get(v)
+                if d is None:
+                    d = out[v] = {}
+                d[new] = c
         return out
 
     def derive_left(self, p, vid):
@@ -549,19 +594,40 @@ class Algebra:
         odd factors before it) and dst is inserted (sign from the odd
         factors it passes).  An odd dst already present kills the term; an
         even one gains a power.  Sources may repeat, dst may equal src, and
-        zero coefficients are skipped.  The first-order operators W^a and
+        zero coefficients are skipped.  Coefficients are summed as int
+        numerators over the lcm of the denominators, and each result term's
+        Fraction is made once (or reused from p when it is one of p's own
+        coefficients or its negative).  The first-order operators W^a and
         Gamma_a are one call each."""
         par = self.var_parity
+        units = self._unit_factors
         by_src: dict = {}
+        fden = 1  # the lcm of the coefficients' denominators
         for src, dst, coeff in fields:
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
                 if coeff.denominator == 1:
-                    coeff = coeff.numerator  # int factors: no Fraction product
+                    coeff = coeff.numerator
+                else:
+                    fden = lcm(fden, coeff.denominator)
             if coeff:
                 by_src.setdefault(src, []).append((dst, par[dst], coeff))
+        if fden != 1:  # int coefficients over fden
+            by_src = {src: [(dst, pd, int(coeff * fden)) for dst, pd, coeff in dsts]
+                      for src, dsts in by_src.items()}
+        den = 1  # numerators over the lcm of p's denominators
+        for c in p.terms.values():
+            d = c.denominator
+            if d != 1:
+                den = lcm(den, d)
         out: dict = {}
+        get = out.get
+        made = {}  # numerator over den * fden -> its Fraction, p's own first
         for mono, c in p.terms.items():
+            num = c.numerator
+            if den != 1:
+                num *= den // c.denominator
+            made[num * fden] = c
             vids = []
             odd_before = [0]  # odd_before[i]: odd factors among mono[:i]
             hits = []
@@ -599,19 +665,21 @@ class Algebra:
                         if present:
                             lst[j] = (dst, lst[j][1] + 1)
                         else:
-                            lst.insert(j, (dst, 1))
+                            lst.insert(j, units[dst])
                         m = tuple(lst)
-                    cc = c if f == 1 else -c if f == -1 else c * f
-                    acc = out.get(m)
-                    if acc is None:
-                        out[m] = cc
+                    acc = get(m, 0) + num * f
+                    if acc:
+                        out[m] = acc
                     else:
-                        acc += cc
-                        if acc:
-                            out[m] = acc
-                        else:
-                            del out[m]
+                        del out[m]
         self._check_budget(out)
+        den *= fden
+        for m, num in out.items():
+            c = made.get(num)
+            if c is None:
+                c = made.get(-num)
+                c = made[num] = Fraction(num, den) if c is None else -c
+            out[m] = c
         return GradedPoly(self, out)
 
     # -- the graded Poisson bracket ------------------------------------------
@@ -723,7 +791,8 @@ class Algebra:
         partners of the paired variables x contains.  Every pairing
         removes one factor from each side and the matter pairings have
         cp-degree 0, so a term's cp-degree is the sum of those of its two
-        derivative factors and the limit applies to their product."""
+        derivative factors and the limit applies to their product.  The
+        products of all pairings are summed in one _mul_sum call."""
         if (x.alg is not self or y.alg is not self) and not (
                 self.compatible(x.alg) and self.compatible(y.alg)):
             raise TheoryError(
@@ -741,14 +810,14 @@ class Algebra:
         dx = self._derivatives(xt, self._paired, False)
         dy = self._derivatives(
             yt, {vb for va, vb, _, _ in self._omega if va in dx}, True)
-        out: dict = {}
+        pairs = []
         for va, vb, c0, mid in self._omega:
             d1, d2 = dx.get(va), dy.get(vb)
             if d1 is None or d2 is None:
                 continue
             if mid is not None:
-                d1 = self._mul_into({}, d1, mid, max_cp)  # dx * w first, then * dy
+                d1 = self._mul_sum([(d1, mid)], max_cp)  # dx * w first, then * dy
             if c0 != 1:
                 d1 = {m: c * c0 for m, c in d1.items()}
-            self._mul_into(out, d1, d2, max_cp)
-        return GradedPoly(self, out)
+            pairs.append((d1, d2))
+        return GradedPoly(self, self._mul_sum(pairs, max_cp))

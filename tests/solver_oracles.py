@@ -8,12 +8,16 @@ every round, and the Neumann series applied to whole tensors term after
 term.  Below them sit the placement sum evaluated on every full index
 tuple, Q with M applied three times, and the derivative of a term dict
 with respect to one variable, walking a reversed monomial for the right
-derivative.  The solver and the algebra compute the same results more
-cheaply; only tests call these.
+derivative.  At the bottom sit the product of two monomials merged pair
+by pair with its Koszul sign counted by bisection, the sum of products
+accumulated one product at a time in Fraction arithmetic, and the bracket
+built from those.  The solver and the algebra compute the same results
+more cheaply; only tests call these.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -222,3 +226,89 @@ def derive_terms(alg, terms, vid, left):
                 break
             side += par[v] * e
     return out
+
+
+def mul_terms(alg, m1, m2):
+    """Merge two normal-ordered monomials.
+
+    Returns (sign, monomial) or None when an odd variable collides.  The
+    sign counts inversions between odd factors of m1 and of m2 (merging
+    two sorted sequences, only cross pairs can be out of order)."""
+    if not m1:
+        return 1, m2
+    if not m2:
+        return 1, m1
+    par = alg.var_parity
+    odd1 = [v for v, _ in m1 if par[v]]
+    flips = 0
+    if odd1:
+        n1 = len(odd1)
+        for v, _ in m2:
+            if par[v]:
+                flips += n1 - bisect_right(odd1, v)
+    out = []
+    i = j = 0
+    l1, l2 = len(m1), len(m2)
+    while i < l1 and j < l2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 < v2:
+            out.append((v1, e1))
+            i += 1
+        elif v1 > v2:
+            out.append((v2, e2))
+            j += 1
+        else:
+            if par[v1]:
+                return None
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return (-1 if flips & 1 else 1), tuple(out)
+
+
+def mul_sum(alg, pairs, max_cp=None):
+    """sum t1 t2 over (t1, t2) pairs of raw term dicts, one merged product
+    added at a time, dropping the monomials that cancel; with max_cp, only
+    the pairs of terms whose cp-degrees sum to at most max_cp, each term of
+    t1 meeting the terms of t2 in order of cp-degree.  The result is
+    checked against the algebra's term budget after each term of each t1."""
+    cp = alg.term_cpdeg
+    out: dict = {}
+    for t1, t2 in pairs:
+        second = list(t2.items())
+        if max_cp is not None:
+            second.sort(key=lambda term: cp(term[0]))
+        for m1, c1 in t1.items():
+            for m2, c2 in second:
+                if max_cp is not None and cp(m1) + cp(m2) > max_cp:
+                    continue
+                r = mul_terms(alg, m1, m2)
+                if r is None:
+                    continue
+                s, m = r
+                c = out.get(m, Fraction(0)) + (c1 * c2 if s > 0 else -c1 * c2)
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+            alg._check_budget(out)
+    return out
+
+
+def bracket_by_merges(alg, x, y, max_cp=None):
+    """{x, y}: for every entry (va, vb, c0, w) of the pairing table, the
+    right derivative of x by va (times w, then c0) times the left
+    derivative of y by vb, through mul_sum, all in one sum."""
+    pairs = []
+    for va, vb, c0, mid in alg._omega:
+        d1 = derive_terms(alg, x.terms, va, False)
+        d2 = derive_terms(alg, y.terms, vb, True)
+        if not d1 or not d2:
+            continue
+        if mid is not None:
+            d1 = mul_sum(alg, [(d1, mid)], max_cp)
+        pairs.append(({m: c * c0 for m, c in d1.items()}, d2))
+    return mul_sum(alg, pairs, max_cp)

@@ -154,6 +154,19 @@ def test_term_budget_checked_where_terms_form():
     assert small.bracket(wide.ghost(1, 1), wide.ghost_mom(1, 1) * x) == x
 
 
+def test_power_squares_only_for_bits_still_to_come():
+    # p ** 2 is p p: it forms no p ** 4, whose 44-term partial sum would
+    # break this algebra's 40-term budget
+    alg = Algebra(so3_spec(), max_terms=40)
+    p = (alg.xi(1) + alg.xi(2) + alg.xi(3)
+         + alg.ghost(1, 1) * alg.ghost_mom(1, 1) + alg.lagrange_mom(1))
+    square = p ** 2
+    assert square.term_count() == 14
+    assert square == alg.mul(p, p)
+    assert p ** 3 == alg.mul(square, p)
+    assert p ** 1 == p and p ** 0 == alg.one()
+
+
 def test_spec_validation_errors():
     with pytest.raises(TheoryError):
         Algebra(TheorySpec((0, 0), u_table={(1, 1, 2): "1"}))  # even self-bracket
