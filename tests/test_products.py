@@ -36,7 +36,8 @@ _EXPONENTS = st.sampled_from([1, 2, 3, 4, 7, 8, 2 ** 20])
 @st.composite
 def poly_pairs(draw):
     """(algebra, p, q): two polynomials over a few shared variables, so
-    that products meet and cancel, with integer or mixed coefficients."""
+    that products meet and cancel, with integer or mixed coefficients;
+    one time in four q is p, whose odd cross terms cancel in p p."""
     alg = draw(st.sampled_from(ALGEBRAS))
     pool = draw(st.lists(st.integers(0, len(alg.vars) - 1),
                          min_size=1, max_size=5, unique=True))
@@ -53,7 +54,8 @@ def poly_pairs(draw):
             terms[tuple(mono)] = Fraction(num, draw(st.sampled_from(dens)))
         return alg.poly(terms)
 
-    return alg, poly(), poly()
+    p = poly()
+    return alg, p, p if draw(st.integers(0, 3)) == 0 else poly()
 
 
 _MAX_CP = st.one_of(st.none(), st.integers(0, 4))
@@ -75,14 +77,6 @@ def test_bracket_matches_the_merge_oracle(case, max_cp):
     alg, x, y = case
     want = bracket_by_merges(alg, x, y, max_cp)
     assert list(alg.bracket(x, y, max_cp=max_cp).terms.items()) == list(want.items())
-
-
-def test_products_cancel_to_zero():
-    alg = ALGEBRAS[0]
-    a, b = alg.xi(1) ** 3, alg.lagrange(2) * Fraction(1, 6)
-    assert alg.mul(a + b, a - b) == alg.mul(a, a) - alg.mul(b, b)
-    c = alg.ghost(1, 1)  # odd, so c c = 0, and a is even: c a - a c = 0
-    assert alg.mul(c, c + a) - alg.mul(c + a, c) == alg.zero()
 
 
 def _wide_pair():
