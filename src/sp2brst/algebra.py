@@ -13,9 +13,12 @@ All coefficients are `fractions.Fraction`; odd (Grassmann) variables square to
 zero and reordering picks up Koszul signs.  A monomial is a tuple of
 (variable id, exponent) pairs sorted by id; a polynomial is a dict from
 monomial to coefficient with no zero entries.  Keys stay these tuples
-between operations: each product and bracket packs its inputs' monomials
-into ints and their coefficients into int numerators for that one call
-(see Algebra._mul_sum), and hands back tuples and Fractions.
+between operations.  Inside one product or bracket every monomial becomes
+a packed row (see _pack): an int key with one field of exponent bits per
+variable, an odd-variable mask, a prefix-parity mask for Koszul signs, its
+cp-degree and an int numerator over the call's common denominator.  One
+loop over packed rows (Algebra._product_sum) forms every product, and each
+surviving key becomes a tuple and a Fraction once, at the end.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -23,10 +26,12 @@ with right derivatives acting on X and left derivatives on Y.  The ghost
 entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
 antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  Each argument is walked
-once: one pass over X's terms gives its right derivatives with respect to
-every paired variable it contains, one pass over Y's gives the left
-derivatives with respect to the partners of those only, and the sum runs
-over the table entries whose two derivatives are both nonzero.
+once, and the walk that packs a term also emits its derivative rows: one
+power of the variable leaves the key and the masks, so no monomial is
+sliced or packed again.  X gives its right derivatives by every paired
+variable it contains, Y its left derivatives by the partners of those
+only, and the sum runs over the table entries whose two derivatives are
+both nonzero.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from itertools import islice
 from math import lcm
 from operator import itemgetter
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_MAX_TERMS = 1_000_000
@@ -185,12 +189,17 @@ class GradedPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
+            old = get(m)
+            if old is None:  # a key new to the sum is stored as it is
+                out[m] = c
+                continue
+            s = old + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
         self.alg._check_budget(out)
         return GradedPoly(self.alg, out)
 
@@ -255,17 +264,44 @@ class GradedPoly:
         return expr.serialize(self)
 
 
-def _pack(terms, width, var_info):
-    """(L, packed) for a raw term dict: L the lcm of its denominators, and
-    for each term (key, odd mask, prefix parity, cp-degree, coefficient
-    times L), the key holding exponent e of variable v at bit width * v.
-    See Algebra._mul_sum."""
+def _top(*dicts):
+    """The largest exponent in the given raw term dicts, 0 if none."""
+    top = 0
+    for terms in dicts:
+        for mono in terms:
+            for _, e in mono:
+                if e > top:
+                    top = e
+    return top
+
+
+def _pack(terms, width, var_info, wanted=(), left=False):
+    """One walk over a raw term dict: (L, rows, derivs).  L is the lcm of
+    its denominators; rows holds each term as (key, odd mask, prefix
+    parity, cp-degree, coefficient times L), the key holding exponent e of
+    variable v at bit width * v (see Algebra._product_sum).
+
+    derivs maps each variable of wanted that occurs to the rows of the
+    left (or right) derivative by it, in term order: one power of v leaves
+    the key, an odd v leaves the two masks, the cp-degree drops by v's
+    weight and the numerator gains the exponent as a factor.  An odd v
+    changes sign once per odd factor it moves past: those before it for a
+    left derivative, those after it for a right one.  Dropping one power
+    of v maps distinct monomials containing v to distinct monomials, so no
+    two rows share a key."""
     den = 1
     for c in terms.values():
         d = c.denominator
         if d != 1:
             den = lcm(den, d)
-    packed = []
+    # v -> (its derivative rows, its unit key, odd bit, parity mask,
+    # cp-weight, the odd factors it moves past) if wanted, else None
+    derive = [None] * len(var_info)
+    for v in wanted:
+        bit, above, w = var_info[v]
+        derive[v] = ([], 1 << width * v, bit, above, w,
+                     (bit - 1 if left else above) if bit else 0)
+    rows = []
     for mono, c in terms.items():
         key = odd = par = cp = 0
         for v, e in mono:
@@ -277,8 +313,30 @@ def _pack(terms, width, var_info):
         n = c.numerator
         if den != 1:
             n *= den // c.denominator
-        packed.append((key, odd, par, cp, n))
-    return den, packed
+        rows.append((key, odd, par, cp, n))
+        if not wanted:
+            continue
+        for v, e in mono:
+            dv = derive[v]
+            if dv is None:
+                continue
+            out, unit, bit, above, w, past = dv
+            d = n * e if e > 1 else n
+            if past and (odd & past).bit_count() & 1:
+                d = -d
+            out.append((key - unit, odd ^ bit, par ^ above, cp - w, d))
+    return den, rows, {v: derive[v][0] for v in wanted if derive[v][0]}
+
+
+def _drop_above(derivs, limit, var_info):
+    """derivs without the rows taken from terms of cp-degree above limit."""
+    out = {}
+    for v, rows in derivs.items():
+        top = limit - var_info[v][2]  # a row's cp-degree is its term's less v's weight
+        kept = [row for row in rows if row[3] <= top]
+        if kept:
+            out[v] = kept
+    return out
 
 
 def _unpack(acc, width, den, units):
@@ -368,6 +426,8 @@ class Algebra:
         self._build_ghost_omega()
         self._build_matter_omega()
         self._paired = frozenset(va for va, _, _, _ in self._omega)
+        # the largest exponent of a structure function (see bracket)
+        self._mid_top = _top(*(mid for _, _, _, mid in self._omega if mid is not None))
 
     def _check_budget(self, terms):
         """Raise TermBudgetError if a term dict outgrows the budget."""
@@ -426,15 +486,24 @@ class Algebra:
 
     def term_ngh(self, mono):
         ngh = self.var_ngh
-        return sum(ngh[v] * e for v, e in mono)
+        s = 0
+        for v, e in mono:
+            s += ngh[v] * e
+        return s
 
     def term_ndeg(self, mono):
         w = self.var_nwt
-        return sum(w[v] * e for v, e in mono)
+        s = 0
+        for v, e in mono:
+            s += w[v] * e
+        return s
 
     def term_cpdeg(self, mono):
         w = self.var_cpwt
-        return sum(w[v] * e for v, e in mono)
+        s = 0
+        for v, e in mono:
+            s += w[v] * e
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -457,60 +526,40 @@ class Algebra:
 
     # -- products -----------------------------------------------------------
 
-    def _mul_sum(self, pairs, max_cp=None):
-        """The raw term dict of sum t1 t2 over the (t1, t2) pairs of raw
-        term dicts.  Every product of mul and bracket is formed here, and
-        the growing result is checked against the term budget after each
-        term of each t1.
+    def _product_sum(self, work, max_cp=None, meta=None):
+        """(acc, den): the sum of num/d * t1 t2 over the (t1, t2, d, num)
+        items of work, t1 and t2 packed rows (see _pack), as a dict from
+        packed key to int numerator over den, the lcm of the d.  Every
+        product of mul and bracket is formed here, and the growing sum is
+        checked against the term budget after each row of each t1.
 
-        With max_cp, only the pairs of terms whose cp-degrees sum to at
+        With max_cp, only the pairs of rows whose cp-degrees sum to at
         most max_cp are formed: cp-degree adds under products, so this is
         exactly the sum truncated at max_cp.  Each t2 is ordered by
-        cp-degree, and each term of t1 meets only the prefix that fits.
+        cp-degree, and each row of t1 meets only the prefix that fits.
 
-        The inputs are packed for this call only: a monomial becomes one
-        int with a field of W bits per variable, W one more than the bit
-        length of the largest input exponent, so the exponents of a
-        product add in one int add without a carry; an int mask of its odd
-        variables, whose overlap kills a product; and the prefix-parity
-        mask of those odd variables, so the Koszul sign is the parity of
-        the odd factors of t1's term lying above an odd number of t2's.
-        Coefficients become int numerators over one denominator for the
-        call, and each surviving key is turned back into a monomial and a
-        Fraction once, at the end.  Terms go in and out in the order they
-        did when every product was merged and added one at a time."""
-        pairs = [(t1, t2) for t1, t2 in pairs if t1 and t2]
-        packed = {}  # id(t) -> t, then _pack(t)
-        top = 1
-        for pair in pairs:
-            for t in pair:
-                if id(t) not in packed:
-                    packed[id(t)] = t
-                    for mono in t:
-                        for _, e in mono:
-                            if e > top:
-                                top = e
-        width = top.bit_length() + 1
-        var_info = self._var_info
-        for i, t in packed.items():
-            packed[i] = _pack(t, width, var_info)
-        work = []
+        Two keys add in one int add when the field width leaves room for
+        the summed exponents.  Two rows whose odd masks overlap give zero,
+        and the Koszul sign is the parity of the odd factors of t1's row
+        lying above an odd number of t2's: (odd1 & parity2).bit_count().
+        A key new to the sum is stored as it is and a repeated one added
+        to, so keys enter and leave in the order they did when every
+        product was merged and added one at a time.  With a meta dict, the
+        odd mask, prefix parity and cp-degree of each new key go to it, so
+        the sum can be one factor of a further product."""
         den = 1
-        for t1, t2 in pairs:
-            l1, rows = packed[id(t1)]
-            l2, second = packed[id(t2)]
-            work.append((l1 * l2, rows, second))
-            if l1 != 1 or l2 != 1:
-                den = lcm(den, l1 * l2)
+        for _, _, d, _ in work:
+            if d != 1:
+                den = lcm(den, d)
         limit = self.max_terms
         acc: dict = {}
         get = acc.get
-        for l12, rows, second in work:
-            scale = den // l12
+        for rows, second, d, num in work:
+            scale = den // d * num
             if max_cp is not None:
                 second = sorted(second, key=_cp_of)
-                cps = [term[3] for term in second]
-            for k1, o1, _, cp1, n1 in rows:
+                cps = [row[3] for row in second]
+            for k1, o1, p1, cp1, n1 in rows:
                 if max_cp is not None:
                     end = bisect_right(cps, max_cp - cp1)
                     if not end:
@@ -520,70 +569,58 @@ class Algebra:
                     terms2 = second
                 if scale != 1:
                     n1 *= scale
-                for k2, o2, p2, _, n2 in terms2:
+                for k2, o2, p2, cp2, n2 in terms2:
                     if o1 & o2:
                         continue
                     k = k1 + k2
-                    if (o1 & p2).bit_count() & 1:
-                        n = get(k, 0) - n1 * n2
-                    else:
-                        n = get(k, 0) + n1 * n2
-                    if n:
+                    n = -n1 * n2 if (o1 & p2).bit_count() & 1 else n1 * n2
+                    old = get(k)
+                    if old is None:
                         acc[k] = n
+                        if meta is not None:
+                            meta[k] = (o1 | o2, p1 ^ p2, cp1 + cp2)
                     else:
-                        del acc[k]
+                        n += old
+                        if n:
+                            acc[k] = n
+                        else:
+                            del acc[k]
                 if len(acc) > limit:
                     self._check_budget(acc)
-        del packed, work  # the packed inputs go before the output forms
-        return _unpack(acc, width, den, self._unit_factors)
+        return acc, den
 
     def mul(self, p, q, *, max_cp=None):
         """The graded product p q; with max_cp, truncated at that cp-degree
-        without forming the pairs above it."""
+        without forming the pairs above it.  Both factors are packed with
+        a field one bit wider than their largest exponent, so that two
+        exponents add without a carry."""
         if (p.alg is not self or q.alg is not self) and not (
                 self.compatible(p.alg) and self.compatible(q.alg)):
             raise TheoryError(
                 "cannot multiply elements of algebras over different theories")
-        return GradedPoly(self, self._mul_sum([(p.terms, q.terms)], max_cp))
+        if not p.terms or not q.terms:
+            return GradedPoly(self, {})
+        width = (2 * _top(p.terms, q.terms)).bit_length()
+        lp, rows_p, _ = _pack(p.terms, width, self._var_info)
+        lq, rows_q = (lp, rows_p) if q.terms is p.terms else \
+            _pack(q.terms, width, self._var_info)[:2]
+        acc, den = self._product_sum([(rows_p, rows_q, lp * lq, 1)], max_cp)
+        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
 
     # -- derivatives ---------------------------------------------------------
 
-    def _derivatives(self, terms, wanted, left):
-        """{v: left (or right) derivative of a raw term dict w.r.t. v} for
-        every v in wanted that occurs in it, in one pass over its terms.
-
-        An odd v (exponent 1) moves past the odd factors before it for a
-        left derivative and past those after it, total - before - own, for
-        a right one; the walk counts them once per monomial.  Dropping one
-        power of v maps distinct monomials containing v to distinct
-        monomials, so no two terms meet."""
-        par = self.var_parity
-        out: dict = {}
-        for mono, coeff in terms.items():
-            hits = []
-            odd = 0  # odd factors before the current one; in the end, all
-            for i, (v, e) in enumerate(mono):
-                pv = par[v]
-                if v in wanted:
-                    hits.append((i, v, e, pv, odd))
-                odd += pv
-            for i, v, e, pv, before in hits:
-                c = coeff * e if e > 1 else coeff
-                if pv and (before if left else odd - before - 1) & 1:
-                    c = -c
-                rest = mono[i + 1:]
-                new = mono[:i] + (((v, e - 1),) + rest if e > 1 else rest)
-                d = out.get(v)
-                if d is None:
-                    d = out[v] = {}
-                d[new] = c
-        return out
+    def _derivative(self, p, vid, left):
+        """The left (or right) derivative of p by vid, by the bracket's walk."""
+        width = _top(p.terms).bit_length()
+        den, _, derivs = _pack(p.terms, width, self._var_info, (vid,), left)
+        acc = {row[0]: row[4] for row in derivs.get(vid, ())}
+        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
 
     def derive_left(self, p, vid):
-        return GradedPoly(self, self._derivatives(p.terms, (vid,), True).get(vid, {}))
+        return self._derivative(p, vid, True)
 
     def derive_right(self, p, vid):
-        return GradedPoly(self, self._derivatives(p.terms, (vid,), False).get(vid, {}))
+        return self._derivative(p, vid, False)
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
@@ -787,37 +824,54 @@ class Algebra:
         """Graded Poisson bracket {x, y}; with max_cp, truncated at that
         cp-degree without forming the products above it.
 
-        x and y are each walked once (see _derivatives), y only for the
-        partners of the paired variables x contains.  Every pairing
-        removes one factor from each side and the matter pairings have
-        cp-degree 0, so a term's cp-degree is the sum of those of its two
-        derivative factors and the limit applies to their product.  The
-        products of all pairings are summed in one _mul_sum call."""
+        x and y are each packed once by _pack, which takes the right
+        derivatives of x by every paired variable it contains and the left
+        derivatives of y by the partners of those only, on packed rows.
+        The field width holds the sum of three exponents, one each from x,
+        a structure function w and y, so the dx * w products and their
+        products with dy never carry.  Each dx * w is summed first, w packed
+        for this call only, then every pairing's product goes into one
+        _product_sum call, a constant pairing scalar scaling its rows.
+
+        Every pairing removes one factor from each side and the matter
+        pairings have cp-degree 0, so the two derivatives drop at most one
+        cp factor in all: a term of x above max_cp + 1 - (least cp-degree
+        of y) feeds only terms above max_cp, and likewise for y.  The rows
+        of such terms are dropped before any product."""
         if (x.alg is not self or y.alg is not self) and not (
                 self.compatible(x.alg) and self.compatible(y.alg)):
             raise TheoryError(
                 "bracket arguments belong to an algebra over a different theory")
         xt, yt = x.terms, y.terms
+        if not xt or not yt:
+            return GradedPoly(self, {})
+        info = self._var_info
+        width = (2 * _top(xt, yt) + self._mid_top).bit_length()
+        lx, rows_x, dx = _pack(xt, width, info, self._paired, False)
+        ly, rows_y, dy = _pack(
+            yt, width, info, {vb for va, vb, _, _ in self._omega if va in dx}, True)
         if max_cp is not None:
-            # the two derivatives drop at most one cp factor in all, so a
-            # term of x above max_cp + 1 - min_cp(y) feeds only terms
-            # above max_cp, and likewise for y
-            lo_x, lo_y = x.min_cp(), y.min_cp()
-            if lo_x is None or lo_y is None or lo_x + lo_y - 1 > max_cp:
+            lo_x = min(map(_cp_of, rows_x))
+            lo_y = min(map(_cp_of, rows_y))
+            if lo_x + lo_y - 1 > max_cp:
                 return GradedPoly(self, {})
-            xt = x.truncate_cp(max_cp + 1 - lo_y).terms
-            yt = y.truncate_cp(max_cp + 1 - lo_x).terms
-        dx = self._derivatives(xt, self._paired, False)
-        dy = self._derivatives(
-            yt, {vb for va, vb, _, _ in self._omega if va in dx}, True)
-        pairs = []
+            if max(map(_cp_of, rows_x)) > max_cp + 1 - lo_y:
+                dx = _drop_above(dx, max_cp + 1 - lo_y, info)
+            if max(map(_cp_of, rows_y)) > max_cp + 1 - lo_x:
+                dy = _drop_above(dy, max_cp + 1 - lo_x, info)
+        work = []
         for va, vb, c0, mid in self._omega:
             d1, d2 = dx.get(va), dy.get(vb)
             if d1 is None or d2 is None:
                 continue
-            if mid is not None:
-                d1 = self._mul_sum([(d1, mid)], max_cp)  # dx * w first, then * dy
-            if c0 != 1:
-                d1 = {m: c * c0 for m, c in d1.items()}
-            pairs.append((d1, d2))
-        return GradedPoly(self, self._mul_sum(pairs, max_cp))
+            l1 = lx
+            if mid is not None:  # dx * w first, then * dy
+                lw, rows_w, _ = _pack(mid, width, info)
+                meta = {}
+                acc, l1 = self._product_sum([(d1, rows_w, lx * lw, 1)], max_cp, meta)
+                if not acc:
+                    continue
+                d1 = [(k, *meta[k], n) for k, n in acc.items()]
+            work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
+        acc, den = self._product_sum(work, max_cp)
+        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
