@@ -296,11 +296,13 @@ def _pack(terms, width, var_info, wanted=(), left=False):
             den = lcm(den, d)
     # v -> (its derivative rows, its unit key, odd bit, parity mask,
     # cp-weight, the odd factors it moves past) if wanted, else None
-    derive = [None] * len(var_info)
-    for v in wanted:
-        bit, above, w = var_info[v]
-        derive[v] = ([], 1 << width * v, bit, above, w,
-                     (bit - 1 if left else above) if bit else 0)
+    derive = None
+    if wanted:
+        derive = [None] * len(var_info)
+        for v in wanted:
+            bit, above, w = var_info[v]
+            derive[v] = ([], 1 << width * v, bit, above, w,
+                         (bit - 1 if left else above) if bit else 0)
     rows = []
     for mono, c in terms.items():
         key = odd = par = cp = 0
@@ -314,7 +316,7 @@ def _pack(terms, width, var_info, wanted=(), left=False):
         if den != 1:
             n *= den // c.denominator
         rows.append((key, odd, par, cp, n))
-        if not wanted:
+        if derive is None:
             continue
         for v, e in mono:
             dv = derive[v]
@@ -325,6 +327,8 @@ def _pack(terms, width, var_info, wanted=(), left=False):
             if past and (odd & past).bit_count() & 1:
                 d = -d
             out.append((key - unit, odd ^ bit, par ^ above, cp - w, d))
+    if derive is None:
+        return den, rows, {}
     return den, rows, {v: derive[v][0] for v in wanted if derive[v][0]}
 
 
