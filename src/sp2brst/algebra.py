@@ -596,7 +596,7 @@ class Algebra:
     def mul(self, p, q, *, max_cp=None):
         """The graded product p q; with max_cp, truncated at that cp-degree
         without forming the pairs above it.  Both factors are packed with
-        a field one bit wider than their largest exponent, so that two
+        fields one bit longer than their largest exponent, so that two
         exponents add without a carry."""
         if (p.alg is not self or q.alg is not self) and not (
                 self.compatible(p.alg) and self.compatible(q.alg)):
@@ -878,4 +878,5 @@ class Algebra:
                 d1 = [(k, *meta[k], n) for k, n in acc.items()]
             work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
         acc, den = self._product_sum(work, max_cp)
+        del rows_x, rows_y, dx, dy, work  # the packed inputs go before the output forms
         return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
