@@ -18,7 +18,10 @@ a packed row (see _pack): an int key with one field of exponent bits per
 variable, an odd-variable mask, a prefix-parity mask for Koszul signs, its
 cp-degree and an int numerator over the call's common denominator.  One
 loop over packed rows (Algebra._product_sum) forms every product, and each
-surviving key becomes a tuple and a Fraction once, at the end.
+surviving key becomes a tuple and a Fraction once, at the end.  The
+first-order operators (replace_left, and the chains of the operators
+module) share one tuple walk, Algebra.replace_sum, that sums int
+numerators over one denominator and makes no Fraction.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -200,7 +203,7 @@ class GradedPoly:
                 out[m] = s
             else:
                 del out[m]
-        self.alg._check_budget(out)
+        self.alg.check_budget(out)
         return GradedPoly(self.alg, out)
 
     __radd__ = __add__
@@ -364,6 +367,40 @@ def _unpack(acc, width, den, units):
     return out
 
 
+def common_denominator(*term_dicts):
+    """The lcm of the denominators of the given Fraction term dicts."""
+    den = 1
+    for terms in term_dicts:
+        for c in terms.values():
+            d = c.denominator
+            if d != 1:
+                den = lcm(den, d)
+    return den
+
+
+def numerators(terms, den):
+    """The Fraction term dict terms as int numerators over den, a common
+    multiple of its denominators."""
+    if den == 1:
+        return {m: c.numerator for m, c in terms.items()}
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def as_fractions(nums, den, made=None):
+    """nums (monomial -> int numerator over den) with each numerator
+    replaced by its Fraction in place, one Fraction per distinct
+    numerator; made maps numerators to Fractions already at hand."""
+    if made is None:
+        made = {}
+    for m, num in nums.items():
+        c = made.get(num)
+        if c is None:
+            c = made.get(-num)
+            c = made[num] = Fraction(num, den) if c is None else -c
+        nums[m] = c
+    return nums
+
+
 _cp_of = itemgetter(3)
 
 
@@ -371,9 +408,9 @@ class Algebra:
     """Variable table, graded product and Poisson bracket for one theory.
 
     max_terms is the term budget: the polynomials formed over the algebra
-    (by _mul_sum after each row, replace_left and addition) are checked
-    against it as they form, and one that passes it raises
-    TermBudgetError."""
+    (by _product_sum after each row, by replace_sum after each pass and by
+    addition) are checked against it as they form, and one that passes it
+    raises TermBudgetError."""
 
     def __init__(self, spec, *, max_terms=DEFAULT_MAX_TERMS):
         if max_terms < 1:
@@ -415,11 +452,12 @@ class Algebra:
         self.by_name = {v.name: v.vid for v in vars_}
         self._index = {(v.sector, v.alpha, v.sp2): v.vid for v in vars_}
         self._one = GradedPoly(self, {(): _ONE})
-        # replace_left triples of the operators module, built on first use
+        # (triples, replace_sum table) of the operators module's W^a and
+        # Gamma_a, built on first use
         self.operator_fields: dict = {}
         self._unit_factors = tuple((v, 1) for v in range(len(vars_)))
         # per variable: its odd-mask bit, for an odd one the bits of the
-        # odd variables after it, and its cp-weight (see _mul_sum)
+        # odd variables after it, and its cp-weight (see _product_sum)
         odd_bits = [v.parity << v.vid for v in vars_]
         self._var_info = tuple(
             (bit, sum(odd_bits[vid + 1:]) if bit else 0, w)
@@ -433,7 +471,7 @@ class Algebra:
         # the largest exponent of a structure function (see bracket)
         self._mid_top = _top(*(mid for _, _, _, mid in self._omega if mid is not None))
 
-    def _check_budget(self, terms):
+    def check_budget(self, terms):
         """Raise TermBudgetError if a term dict outgrows the budget."""
         if len(terms) > self.max_terms:
             raise TermBudgetError(
@@ -590,7 +628,7 @@ class Algebra:
                         else:
                             del acc[k]
                 if len(acc) > limit:
-                    self._check_budget(acc)
+                    self.check_budget(acc)
         return acc, den
 
     def mul(self, p, q, *, max_cp=None):
@@ -628,22 +666,30 @@ class Algebra:
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
-        the (src, dst, coeff) triples of fields, in one pass over p's terms.
+        the (src, dst, coeff) triples of fields: p's coefficients become
+        int numerators over the lcm of their denominators, one pass of
+        replace_sum forms the result, and each result term's Fraction is
+        made once (or reused from p when it is one of p's own coefficients
+        or its negative).  The first-order operators W^a and Gamma_a are
+        one call each."""
+        by_src, fden = self.fields_by_src(fields)
+        den = common_denominator(p.terms)
+        nums = numerators(p.terms, den)
+        # numerator over den * fden -> its Fraction, p's own first
+        made = {num * fden: c for num, c in zip(nums.values(), p.terms.values())}
+        out: dict = {}
+        self.replace_sum(nums, by_src, out)
+        return GradedPoly(self, as_fractions(out, den * fden, made))
 
-        Each monomial is walked once, counting its odd factors; at every
-        factor that is a source, one power of it is dropped (sign from the
-        odd factors before it) and dst is inserted (sign from the odd
-        factors it passes).  An odd dst already present kills the term; an
-        even one gains a power.  Sources may repeat, dst may equal src, and
-        zero coefficients are skipped.  Coefficients are summed as int
-        numerators over the lcm of the denominators, and each result term's
-        Fraction is made once (or reused from p when it is one of p's own
-        coefficients or its negative).  The first-order operators W^a and
-        Gamma_a are one call each."""
+    def fields_by_src(self, fields):
+        """(by_src, fden): the (src, dst, coeff) triples of fields grouped
+        as src -> [(dst, dst's parity, int coeff)], the coefficients
+        scaled to ints over fden, the lcm of their denominators.  Sources
+        may repeat, dst may equal src, and zero coefficients are
+        skipped."""
         par = self.var_parity
-        units = self._unit_factors
         by_src: dict = {}
-        fden = 1  # the lcm of the coefficients' denominators
+        fden = 1
         for src, dst, coeff in fields:
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
@@ -656,19 +702,26 @@ class Algebra:
         if fden != 1:  # int coefficients over fden
             by_src = {src: [(dst, pd, int(coeff * fden)) for dst, pd, coeff in dsts]
                       for src, dsts in by_src.items()}
-        den = 1  # numerators over the lcm of p's denominators
-        for c in p.terms.values():
-            d = c.denominator
-            if d != 1:
-                den = lcm(den, d)
-        out: dict = {}
+        return by_src, fden
+
+    def replace_sum(self, nums, by_src, out):
+        """Add to out, a dict from monomial to int numerator, the sum of
+        coeff * dst * (left derivative w.r.t. src) of the terms of nums
+        (monomial -> int numerator) over the entries of by_src (see
+        fields_by_src), in one pass over nums.  The first-order core: it
+        makes no Fraction, so chains of passes stay over one denominator.
+
+        Each monomial is walked once, counting its odd factors; at every
+        factor that is a source, one power of it is dropped (sign from the
+        odd factors before it) and dst is inserted (sign from the odd
+        factors it passes).  An odd dst already present kills the term; an
+        even one gains a power.  A key new to out is stored as it is, a
+        repeated one added to and dropped when it cancels, and out is
+        checked against the term budget when the pass ends."""
+        par = self.var_parity
+        units = self._unit_factors
         get = out.get
-        made = {}  # numerator over den * fden -> its Fraction, p's own first
-        for mono, c in p.terms.items():
-            num = c.numerator
-            if den != 1:
-                num *= den // c.denominator
-            made[num * fden] = c
+        for mono, num in nums.items():
             vids = []
             odd_before = [0]  # odd_before[i]: odd factors among mono[:i]
             hits = []
@@ -713,15 +766,7 @@ class Algebra:
                         out[m] = acc
                     else:
                         del out[m]
-        self._check_budget(out)
-        den *= fden
-        for m, num in out.items():
-            c = made.get(num)
-            if c is None:
-                c = made.get(-num)
-                c = made[num] = Fraction(num, den) if c is None else -c
-            out[m] = c
-        return GradedPoly(self, out)
+        self.check_budget(out)
 
     # -- the graded Poisson bracket ------------------------------------------
 

@@ -6,7 +6,9 @@ index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
 term.  Below them sit the placement sum evaluated on every full index
-tuple, Q with M applied three times, and the derivative of a term dict
+tuple, Q with M applied three times, W+ = Q Gamma as whole-tensor passes
+of replace_left with N applied and inverted term by term, and the
+derivative of a term dict
 with respect to one variable, walking a reversed monomial for the right
 derivative.  At the bottom sit the product of two monomials merged pair
 by pair with its Koszul sign counted by bisection, the sum of products
@@ -21,7 +23,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.operators import apply_M, apply_N_inverse, apply_W_plus
+from sp2brst.operators import (apply_M, apply_N_inverse, apply_W_plus, gamma_component,
+                               n_apply, n_inverse, w_component)
 from sp2brst.solver import HALF, ConventionError, build_pi0, pair_bracket
 from sp2brst.tensors import SymTensor
 
@@ -52,6 +55,49 @@ def apply_Q_three_m(t: SymTensor) -> SymTensor:
         return apply_N_inverse(t, 1) * Fraction(11, 6) - p2 + p3 * Fraction(1, 6)
     c = Fraction(1, n * (n + 1) * (n + 2))
     return apply_N_inverse(t, 1) * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
+
+
+def m_by_passes(p):
+    """M = sum_a Gamma_a W^a, one replace_left pass per operator."""
+    out = p.alg.zero()
+    for a in (1, 2):
+        out = out + gamma_component(w_component(p, a), a)
+    return out
+
+
+def gamma_by_passes(t: SymTensor) -> SymTensor:
+    """The Gamma contraction, one replace_left pass per index value."""
+    out = SymTensor(t.alg, t.rank - 1)
+    for idx in out.indices():
+        p = t.alg.zero()
+        for a in (1, 2):
+            p = p + gamma_component(t.get(idx + (a,)), a)
+        if p:
+            out.comps[idx] = p
+    return out
+
+
+def apply_Q_by_passes(t: SymTensor) -> SymTensor:
+    """Q with M applied twice, one whole-tensor pass at a time: U = N^-3 X,
+    then N^2 U, N (M U) and M (M U), scaled by the rank coefficients and
+    added as tensors.  The term budget checks every pass and both sums."""
+    n = t.rank
+    u = t.map(lambda p: n_inverse(p, 3))
+    mu = u.map(m_by_passes)
+    p1 = u.map(lambda p: n_apply(n_apply(p)))
+    p2 = mu.map(n_apply)
+    p3 = mu.map(m_by_passes)
+    if n == 0:
+        return p1 * Fraction(11, 6) - p2 + p3 * Fraction(1, 6)
+    c = Fraction(1, n * (n + 1) * (n + 2))
+    return p1 * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
+
+
+def apply_W_plus_by_passes(t: SymTensor) -> SymTensor:
+    """W+ = Q Gamma as passes: gamma_by_passes, then apply_Q_by_passes."""
+    if t.rank == 0:
+        return SymTensor.zero(t.alg, 0)
+    return apply_Q_by_passes(gamma_by_passes(t))
 
 
 def multi_bracket(xs, k: int) -> SymTensor:
@@ -294,7 +340,7 @@ def mul_sum(alg, pairs, max_cp=None):
                     out[m] = c
                 else:
                     del out[m]
-            alg._check_budget(out)
+            alg.check_budget(out)
     return out
 
 
