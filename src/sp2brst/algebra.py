@@ -20,8 +20,13 @@ cp-degree and an int numerator over the call's common denominator.  One
 loop over packed rows (Algebra._product_sum) forms every product, and each
 surviving key becomes a tuple and a Fraction once, at the end.  The
 first-order operators (replace_left, and the chains of the operators
-module) share one tuple walk, Algebra.replace_sum, that sums int
-numerators over one denominator and makes no Fraction.
+module) share one pass over packed keys, Algebra.replace_sum: a chain
+packs its input once (pack_keys), its passes sum int numerators over
+one denominator and make no Fraction, and its result is decoded once.
+A pass moves one power from one variable to another, so the field width
+of the chain's input, which holds its largest total degree
+(degree_width), holds every key the chain forms and nothing is repacked
+between passes.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -39,7 +44,7 @@ both nonzero.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -347,8 +352,10 @@ def _drop_above(derivs, limit, var_info):
 
 
 def _unpack(acc, width, den, units):
-    """The raw term dict of packed keys and their numerators over den;
-    units[v] is the factor (v, 1), shared by every monomial holding it."""
+    """The raw term dict of packed keys and their numerators over den, one
+    Fraction per distinct numerator; with den None the values are taken as
+    the coefficients.  units[v] is the factor (v, 1), shared by every
+    monomial holding it."""
     mask = (1 << width) - 1
     out = {}
     made = {}  # numerator -> its Fraction
@@ -360,9 +367,12 @@ def _unpack(acc, width, den, units):
             e = (k >> shift) & mask
             mono.append(units[v] if e == 1 else (v, e))
             k ^= e << shift
-        c = made.get(n)
-        if c is None:
-            c = made[n] = Fraction(n, den)
+        if den is None:
+            c = n
+        else:
+            c = made.get(n)
+            if c is None:
+                c = made[n] = Fraction(n, den)
         out[tuple(mono)] = c
     return out
 
@@ -378,27 +388,38 @@ def common_denominator(*term_dicts):
     return den
 
 
-def numerators(terms, den):
-    """The Fraction term dict terms as int numerators over den, a common
-    multiple of its denominators."""
-    if den == 1:
-        return {m: c.numerator for m, c in terms.items()}
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+def degree_width(*term_dicts):
+    """The field width of the packed keys of a first-order chain over the
+    given raw term dicts: the bit length of their largest total degree
+    (at least 1).  A first-order pass moves one power from one variable to
+    another, so no exponent a chain forms outgrows it."""
+    top = 1
+    for terms in term_dicts:
+        for mono in terms:
+            d = 0
+            for _, e in mono:
+                d += e
+            if d > top:
+                top = d
+    return top.bit_length()
 
 
-def as_fractions(nums, den, made=None):
-    """nums (monomial -> int numerator over den) with each numerator
-    replaced by its Fraction in place, one Fraction per distinct
-    numerator; made maps numerators to Fractions already at hand."""
-    if made is None:
-        made = {}
-    for m, num in nums.items():
-        c = made.get(num)
-        if c is None:
-            c = made.get(-num)
-            c = made[num] = Fraction(num, den) if c is None else -c
-        nums[m] = c
-    return nums
+def pack_keys(terms, width, den=None):
+    """(nums, den): the raw term dict terms as packed key -> int numerator
+    over den, by default the lcm of its denominators.  The key holds
+    exponent e of variable v at bit width * v, as in _pack."""
+    if den is None:
+        den = common_denominator(terms)
+    nums = {}
+    for mono, c in terms.items():
+        key = 0
+        for v, e in mono:
+            key += e << width * v
+        n = c.numerator
+        if den != 1:
+            n *= den // c.denominator
+        nums[key] = n
+    return nums, den
 
 
 _cp_of = itemgetter(3)
@@ -452,9 +473,9 @@ class Algebra:
         self.by_name = {v.name: v.vid for v in vars_}
         self._index = {(v.sector, v.alpha, v.sp2): v.vid for v in vars_}
         self._one = GradedPoly(self, {(): _ONE})
-        # (triples, replace_sum table) of the operators module's W^a and
-        # Gamma_a, built on first use
-        self.operator_fields: dict = {}
+        # the operators module's packed tables, one set per field width,
+        # built on first use
+        self.operator_tables: dict = {}
         self._unit_factors = tuple((v, 1) for v in range(len(vars_)))
         # per variable: its odd-mask bit, for an odd one the bits of the
         # odd variables after it, and its cp-weight (see _product_sum)
@@ -666,27 +687,33 @@ class Algebra:
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
-        the (src, dst, coeff) triples of fields: p's coefficients become
-        int numerators over the lcm of their denominators, one pass of
-        replace_sum forms the result, and each result term's Fraction is
-        made once (or reused from p when it is one of p's own coefficients
-        or its negative).  The first-order operators W^a and Gamma_a are
-        one call each."""
-        by_src, fden = self.fields_by_src(fields)
-        den = common_denominator(p.terms)
-        nums = numerators(p.terms, den)
-        # numerator over den * fden -> its Fraction, p's own first
-        made = {num * fden: c for num, c in zip(nums.values(), p.terms.values())}
-        out: dict = {}
-        self.replace_sum(nums, by_src, out)
-        return GradedPoly(self, as_fractions(out, den * fden, made))
+        the (src, dst, coeff) triples of fields: p is packed once
+        (pack_keys), one pass of replace_sum forms the result, and each
+        distinct numerator becomes a Fraction once."""
+        width = degree_width(p.terms)
+        table, fden = self.replace_table(fields, width)
+        nums, den = pack_keys(p.terms, width)
+        return self.from_keys(self.replace_sum(nums, table, {}), width, den * fden)
 
-    def fields_by_src(self, fields):
-        """(by_src, fden): the (src, dst, coeff) triples of fields grouped
-        as src -> [(dst, dst's parity, int coeff)], the coefficients
-        scaled to ints over fden, the lcm of their denominators.  Sources
-        may repeat, dst may equal src, and zero coefficients are
-        skipped."""
+    def from_keys(self, nums, width, den):
+        """The polynomial of packed keys of the given width and their int
+        numerators over den (their coefficients, with den None)."""
+        return GradedPoly(self, _unpack(nums, width, den, self._unit_factors))
+
+    def replace_table(self, fields, width):
+        """(table, fden): the (src, dst, coeff) triples of fields as a
+        replace_sum table over packed keys of the given width, the
+        coefficients scaled to ints over fden, the lcm of their
+        denominators.  Sources may repeat, dst may equal src, and zero
+        coefficients are skipped.
+
+        table is (field mask, sources): each source, in variable order,
+        is (its shift, its unit key, the mask of the odd fields below it
+        if it is odd, else 0, its destinations), and each destination
+        (its unit key, the mask of the odd fields below it, its parity,
+        the int coefficient), in the order of fields.  An odd variable
+        has exponent 0 or 1, so the odd fields below v are the unit keys
+        of the odd variables before it."""
         par = self.var_parity
         by_src: dict = {}
         fden = 1
@@ -698,75 +725,69 @@ class Algebra:
                 else:
                     fden = lcm(fden, coeff.denominator)
             if coeff:
-                by_src.setdefault(src, []).append((dst, par[dst], coeff))
-        if fden != 1:  # int coefficients over fden
-            by_src = {src: [(dst, pd, int(coeff * fden)) for dst, pd, coeff in dsts]
-                      for src, dsts in by_src.items()}
-        return by_src, fden
+                by_src.setdefault(src, []).append((dst, coeff))
+        below = []  # below[v]: the unit keys of the odd variables before v
+        odd = 0
+        for v, pv in enumerate(par):
+            below.append(odd)
+            if pv:
+                odd |= 1 << width * v
+        sources = []
+        for src in sorted(by_src):
+            dsts = [(1 << width * dst, below[dst], par[dst], int(coeff * fden))
+                    for dst, coeff in by_src[src]]
+            sources.append((width * src, 1 << width * src,
+                            below[src] if par[src] else 0, dsts))
+        return ((1 << width) - 1, sources), fden
 
-    def replace_sum(self, nums, by_src, out):
-        """Add to out, a dict from monomial to int numerator, the sum of
+    def replace_sum(self, nums, table, out):
+        """Add to out, a dict from packed key to int numerator, the sum of
         coeff * dst * (left derivative w.r.t. src) of the terms of nums
-        (monomial -> int numerator) over the entries of by_src (see
-        fields_by_src), in one pass over nums.  The first-order core: it
-        makes no Fraction, so chains of passes stay over one denominator.
+        (packed key -> int numerator) over the entries of table (see
+        replace_table), in one pass over nums, and return out.  The
+        first-order core: it makes no Fraction, and since it keeps each
+        term's total degree, the field width of a chain's input holds
+        every pass of the chain.
 
-        Each monomial is walked once, counting its odd factors; at every
-        factor that is a source, one power of it is dropped (sign from the
-        odd factors before it) and dst is inserted (sign from the odd
-        factors it passes).  An odd dst already present kills the term; an
-        even one gains a power.  A key new to out is stored as it is, a
-        repeated one added to and dropped when it cancels, and out is
-        checked against the term budget when the pass ends."""
-        par = self.var_parity
-        units = self._unit_factors
+        For each source, the exponent is (key >> shift) & mask; one power
+        leaves the key, with the sign of the odd fields below an odd
+        source.  Each destination's unit key then enters, with the sign of
+        the odd fields below an odd destination: an odd destination
+        already present kills the term, an even one gains a power.  A
+        source equal to its destination leaves the key as it was, the two
+        signs cancelling.  A key new to out is stored as it is, a repeated
+        one added to and dropped when it cancels, and out is checked
+        against the term budget when the pass ends."""
+        mask, sources = table
         get = out.get
-        for mono, num in nums.items():
-            vids = []
-            odd_before = [0]  # odd_before[i]: odd factors among mono[:i]
-            hits = []
-            odd = 0
-            for i, (v, _) in enumerate(mono):
-                if v in by_src:
-                    hits.append(i)
-                vids.append(v)
-                odd += par[v]
-                odd_before.append(odd)
-            n = len(mono)
-            for i in hits:
-                v, e = mono[i]
-                pv = par[v]
-                for dst, pd, coeff in by_src[v]:
-                    f = e * coeff
-                    if dst == v:  # the drop and insert signs cancel
-                        m = mono
-                    else:
-                        j = bisect_left(vids, dst)
-                        present = j < n and vids[j] == dst
-                        if present and pd:
+        for key, num in nums.items():
+            for shift, unit, below, dsts in sources:
+                e = (key >> shift) & mask
+                if not e:
+                    continue
+                base = key - unit
+                n = num * e if e != 1 else num
+                if below and (key & below).bit_count() & 1:
+                    n = -n
+                for dunit, dbelow, pd, coeff in dsts:
+                    if pd:
+                        if base & dunit:
                             continue
-                        # dst passes the odd factors below it, src gone if odd
-                        flips = odd_before[j] - (pv if i < j else 0)
-                        if (pv & odd_before[i]) ^ (pd & flips):
-                            f = -f
-                        lst = list(mono)
-                        if e == 1:
-                            del lst[i]
-                            if i < j:
-                                j -= 1
-                        else:
-                            lst[i] = (v, e - 1)
-                        if present:
-                            lst[j] = (dst, lst[j][1] + 1)
-                        else:
-                            lst.insert(j, units[dst])
-                        m = tuple(lst)
-                    acc = get(m, 0) + num * f
-                    if acc:
-                        out[m] = acc
+                        f = -n * coeff if (base & dbelow).bit_count() & 1 else n * coeff
                     else:
-                        del out[m]
+                        f = n * coeff
+                    k = base + dunit
+                    old = get(k)
+                    if old is None:
+                        out[k] = f
+                    else:
+                        f += old
+                        if f:
+                            out[k] = f
+                        else:
+                            del out[k]
         self.check_budget(out)
+        return out
 
     # -- the graded Poisson bracket ------------------------------------------
 

@@ -8,10 +8,14 @@ Component (scalar) operators, all first-order with left derivatives:
     M      = Gamma_a W^a
 
 Each component of W and Gamma is one pass of Algebra.replace_sum, the
-int-numerator first-order core, with the operator's (src, dst, coeff)
-triples.  w_component and gamma_component are one pass each through
-Algebra.replace_left, which decodes its result; m_component chains four
-passes over one common denominator and makes its Fractions once.
+first-order core over packed int keys, with the operator's table at the
+chain's field width (_Tables, one set per width, kept on the algebra).
+Every operator here is one chain: its input is packed once, its passes
+sum int numerators over one denominator, and its result is decoded once,
+one Fraction per distinct numerator.  w_component and gamma_component
+are one pass each, m_component four, bar_w and bar_gamma four and one
+difference, and apply_W packs each input component once and sums each
+output component's placements in one int dict.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N/M/Q act per component.
@@ -19,11 +23,11 @@ On rank n >= 1, Q is the exact inverse of (nN + M); its closed form is
 polynomial in M and N^-1 thanks to the reduction
 M^n = (2^(n-1)-1) N^(n-2) M^2 - (2^(n-1)-2) N^(n-1) M.
 
-Q and W+ = Q Gamma run per component as one chain of int numerators
-over one denominator: for W+ the Gamma contraction X, then M X and
-M^2 X.  W and Gamma, and so M, preserve the N-degree, so on a term of
-N-degree d each power of N^-1 in Q is a power of the number d: the
-result's term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
+Q and W+ = Q Gamma run per output component as one chain: for W+ the
+Gamma contraction X, then M X and M^2 X.  W and Gamma, and so M,
+preserve the N-degree, so on a term of N-degree d, read off its packed
+key, each power of N^-1 in Q is a power of the number d: the result's
+term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
 coefficients, made as one Fraction, and no N pass runs.
 
 Sp(2) metric conventions:  eps^12 = +1 = -eps^21,  eps_12 = -1 = -eps_21,
@@ -33,9 +37,10 @@ so that eps^ab eps_bc = delta^a_c.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import GradedPoly, Sector, as_fractions, common_denominator, numerators
-from .tensors import SymTensor
+from .algebra import GradedPoly, Sector, common_denominator, degree_width, pack_keys
+from .tensors import SymTensor, placements
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
 EPS_DOWN = {(1, 2): -1, (2, 1): 1, (1, 1): 0, (2, 2): 0}
@@ -101,45 +106,97 @@ def _gamma_fields(alg, a):
     return tuple(fields)
 
 
-def _operator(alg, build, a: int):
-    """(triples, replace_sum table) of build(alg, a), built once per
-    algebra and kept on it."""
-    key = (build, a)
-    op = alg.operator_fields.get(key)
-    if op is None:
-        fields = build(alg, a)
-        op = alg.operator_fields[key] = (fields, alg.fields_by_src(fields)[0])
-    return op
+class _Tables:
+    """The packed replace_sum tables of W^a and Gamma_a, indexed by a, at
+    one field width, and the N-degree read-off: the N-degree of a key of
+    this width is ((key & nfields) * ones >> top) & mask.  The product
+    sums the N fields into the top field; no partial sum passes the
+    term's total degree, which the width holds, so none carries."""
+
+    __slots__ = ("width", "w", "gamma", "nfields", "ones", "top", "mask")
+
+    def __init__(self, alg, width):
+        self.width = width
+        # W^a and Gamma_a have int coefficients: fden is 1
+        self.w = {a: alg.replace_table(_w_fields(alg, a), width)[0] for a in (1, 2)}
+        self.gamma = {a: alg.replace_table(_gamma_fields(alg, a), width)[0] for a in (1, 2)}
+        self.mask = mask = (1 << width) - 1
+        self.nfields = sum(mask << width * v for v, w in enumerate(alg.var_nwt) if w)
+        self.ones = sum(1 << width * v for v in range(len(alg.vars)))
+        self.top = width * (len(alg.vars) - 1)
+
+
+def _tables(alg, width) -> _Tables:
+    """The _Tables of alg at width, built once per algebra and width and
+    kept on it."""
+    tab = alg.operator_tables.get(width)
+    if tab is None:
+        tab = alg.operator_tables[width] = _Tables(alg, width)
+    return tab
+
+
+def _packed(p: GradedPoly):
+    """(x, den, tables): p packed once for a chain, as int numerators x
+    over den at the field width of p's largest total degree."""
+    width = degree_width(p.terms)
+    x, den = pack_keys(p.terms, width)
+    return x, den, _tables(p.alg, width)
+
+
+def _tensor_tables(t: SymTensor) -> _Tables:
+    """The tables at one field width for every component of t."""
+    return _tables(t.alg, degree_width(*(p.terms for p in t.comps.values())))
+
+
+def _merge(alg, acc: dict, acc_den: int, x: dict, den: int, scale: int) -> int:
+    """Add scale * x / den to acc / acc_den in place, as GradedPoly
+    addition adds (keys new to acc at the end, cancelled ones dropped),
+    and check the sum against the term budget; returns acc's new
+    denominator, the lcm of the two."""
+    common = lcm(acc_den, den)
+    if common != acc_den:
+        f = common // acc_den
+        for k in acc:
+            acc[k] *= f
+    scale *= common // den
+    get = acc.get
+    for k, num in x.items():
+        num *= scale
+        old = get(k)
+        if old is None:
+            acc[k] = num
+            continue
+        num += old
+        if num:
+            acc[k] = num
+        else:
+            del acc[k]
+    alg.check_budget(acc)
+    return common
 
 
 def w_component(p: GradedPoly, a: int) -> GradedPoly:
-    return p.alg.replace_left(p, _operator(p.alg, _w_fields, a)[0])
+    x, den, tab = _packed(p)
+    return p.alg.from_keys(p.alg.replace_sum(x, tab.w[a], {}), tab.width, den)
 
 
 def gamma_component(p: GradedPoly, a: int) -> GradedPoly:
-    return p.alg.replace_left(p, _operator(p.alg, _gamma_fields, a)[0])
+    x, den, tab = _packed(p)
+    return p.alg.from_keys(p.alg.replace_sum(x, tab.gamma[a], {}), tab.width, den)
 
 
-def _numerators(p: GradedPoly):
-    """(p's coefficients as int numerators, their common denominator)."""
-    den = common_denominator(p.terms)
-    return numerators(p.terms, den), den
-
-
-def _m_sum(alg, nums: dict) -> dict:
-    """M = sum_a Gamma_a W^a on int numerators: each W^a pass forms its
-    own dict, and both Gamma_a passes add into the one result."""
+def _m_sum(alg, tab: _Tables, x: dict) -> dict:
+    """M = sum_a Gamma_a W^a on packed int numerators: each W^a pass
+    forms its own dict, and both Gamma_a passes add into the one result."""
     out: dict = {}
     for a in (1, 2):
-        w: dict = {}
-        alg.replace_sum(nums, _operator(alg, _w_fields, a)[1], w)
-        alg.replace_sum(w, _operator(alg, _gamma_fields, a)[1], out)
+        alg.replace_sum(alg.replace_sum(x, tab.w[a], {}), tab.gamma[a], out)
     return out
 
 
 def m_component(p: GradedPoly) -> GradedPoly:
-    x, den = _numerators(p)
-    return GradedPoly(p.alg, as_fractions(_m_sum(p.alg, x), den))
+    x, den, tab = _packed(p)
+    return p.alg.from_keys(_m_sum(p.alg, tab, x), tab.width, den)
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +207,69 @@ def apply_N(t: SymTensor) -> SymTensor:
     return t.map(n_apply)
 
 
-def apply_N_inverse(t: SymTensor, power=1) -> SymTensor:
-    return t.map(lambda p: n_inverse(p, power))
-
-
 def apply_M(t: SymTensor) -> SymTensor:
     return t.map(m_component)
 
 
 def apply_W(t: SymTensor) -> SymTensor:
-    """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest}."""
-    return t.placement_sum(w_component)
+    """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest}.
+
+    The placements follow tensors.placements, the rule of
+    SymTensor.placement_sum.  Each input component is packed once, at one
+    field width for the tensor, and each output component is one int
+    dict, decoded once: each placement's W^a pass forms its own dict,
+    checked against the term budget, and is added to the component's sum
+    times its count over the lcm of the denominators, as placement_sum's
+    addition does."""
+    alg = t.alg
+    tab = _tensor_tables(t)
+    packed = {idx: pack_keys(p.terms, tab.width) for idx, p in t.comps.items()}
+    out = SymTensor(alg, t.rank + 1)
+    for key, places in placements(t.rank):
+        total = None
+        for rest, a, n in places:
+            src = packed.get(rest)
+            if src is None:
+                continue
+            x, den = src
+            wx = alg.replace_sum(x, tab.w[a], {})
+            if total is None:
+                total, tden = wx, den
+                if n != 1:
+                    for k in wx:
+                        wx[k] *= n
+            else:
+                tden = _merge(alg, total, tden, wx, den, n)
+        if total:
+            out.comps[key] = alg.from_keys(total, tab.width, tden)
+    return out
 
 
-def _contract(t: SymTensor, idx: tuple):
-    """(x, den): the Gamma contraction sum_a Gamma_a t^(idx a) as int
-    numerators x over den, the lcm of the two inputs' denominators."""
+def _contract(t: SymTensor, idx: tuple, tab: _Tables):
+    """(x, den): the Gamma contraction sum_a Gamma_a t^(idx a) as packed
+    int numerators x over den, the lcm of the two inputs' denominators."""
     alg = t.alg
     parts = [t.get(idx + (a,)).terms for a in (1, 2)]
     den = common_denominator(*parts)
     x: dict = {}
     for a, terms in zip((1, 2), parts):
         if terms:
-            alg.replace_sum(numerators(terms, den), _operator(alg, _gamma_fields, a)[1], x)
+            alg.replace_sum(pack_keys(terms, tab.width, den)[0], tab.gamma[a], x)
     return x, den
 
 
 def apply_Gamma(t: SymTensor) -> SymTensor:
-    """Rank n -> n-1 (zero on rank 0): contraction on the last index."""
+    """Rank n -> n-1 (zero on rank 0): contraction on the last index, one
+    packed chain per output component."""
     alg = t.alg
     if t.rank == 0:
         return SymTensor.zero(alg, 0)
+    tab = _tensor_tables(t)
     out = SymTensor(alg, t.rank - 1)
     for idx in out.indices():
-        x, den = _contract(t, idx)
+        x, den = _contract(t, idx, tab)
         if x:
-            out.comps[idx] = GradedPoly(alg, as_fractions(x, den))
+            out.comps[idx] = alg.from_keys(x, tab.width, den)
     return out
 
 
@@ -201,64 +285,61 @@ def _q_coefficients(n: int):
     return (n + 1) * (n + 2), -(n + 3), 1, n * (n + 1) * (n + 2)
 
 
-def _q_step(alg, n: int, x: dict, den: int) -> GradedPoly:
-    """The one Q step: Q on a component of a rank-n tensor, given as int
-    numerators x over den.
+def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
+    """The one Q step: Q on a component of a rank-n tensor, given as
+    packed int numerators x over den.
 
     M X and M^2 X are formed by replace_sum over the same den.  M
-    preserves the N-degree, so on a term of N-degree d the powers of N^-1
-    in Q are numbers, and the term is (a1 d^2 X + a2 d MX + a3 M^2X) over
-    c den d^3, one Fraction.  The sum is folded in two steps, each checked
-    against the term budget: the N^-1 and M N^-2 parts first, then the
-    M^2 N^-3 part.  A term of N-degree 0 in x raises OutsideDomainError;
-    those of MX and M^2X have the degrees of the terms they come from."""
-    ndeg = alg.term_ndeg
-    degs = {}
-    for m, num in x.items():
-        d = degs[m] = ndeg(m)
-        if not d:
+    preserves the N-degree, so on a term of N-degree d, read off its key,
+    the powers of N^-1 in Q are numbers, and the term is
+    (a1 d^2 X + a2 d MX + a3 M^2X) over c den d^3, one Fraction.  The sum
+    is folded in two steps, each checked against the term budget: the
+    N^-1 and M N^-2 parts first, then the M^2 N^-3 part.  A term of
+    N-degree 0 in x raises OutsideDomainError; those of MX and M^2X have
+    the degrees of the terms they come from."""
+    nfields, ones, top, mask = tab.nfields, tab.ones, tab.top, tab.mask
+    for k, num in x.items():
+        if not k & nfields:
             raise OutsideDomainError(
                 "term outside the invertible domain of N: "
-                f"{GradedPoly(alg, {m: Fraction(num, den)})!r}")
-    mx = _m_sum(alg, x)
-    mmx = _m_sum(alg, mx)
+                f"{alg.from_keys({k: num}, tab.width, den)!r}")
+    mx = _m_sum(alg, tab, x)
+    mmx = _m_sum(alg, tab, mx)
     a1, a2, a3, c = _q_coefficients(n)
-    out = {m: a1 * num * degs[m] ** 2 for m, num in x.items()}
+    out = {}
+    for k, num in x.items():
+        d = ((k & nfields) * ones >> top) & mask
+        out[k] = a1 * num * d * d
     get = out.get
-    for m, num in mx.items():
-        d = degs.get(m)
-        if d is None:
-            d = degs[m] = ndeg(m)
-        s = get(m, 0) + a2 * d * num
+    for k, num in mx.items():
+        s = get(k, 0) + a2 * (((k & nfields) * ones >> top) & mask) * num
         if s:
-            out[m] = s
+            out[k] = s
         else:
-            del out[m]
+            del out[k]
     alg.check_budget(out)
-    for m, num in mmx.items():
-        s = get(m, 0) + a3 * num
+    for k, num in mmx.items():
+        s = get(k, 0) + a3 * num
         if s:
-            out[m] = s
+            out[k] = s
         else:
-            del out[m]
+            del out[k]
     alg.check_budget(out)
     den *= c
-    for m, num in out.items():
-        d = degs.get(m)
-        if d is None:
-            d = ndeg(m)
-        out[m] = Fraction(num, den * d ** 3)
-    return GradedPoly(alg, out)
+    for k, num in out.items():
+        d = ((k & nfields) * ones >> top) & mask
+        out[k] = Fraction(num, den * d ** 3)
+    return alg.from_keys(out, tab.width, None)
 
 
 def _q_map(alg, n: int, component) -> SymTensor:
     """The rank-n tensor of _q_step applied to component(idx), an
-    (int numerators, denominator) pair, for every index."""
+    (int numerators, denominator, tables) triple, for every index."""
     out = SymTensor(alg, n)
     for idx in out.indices():
-        x, den = component(idx)
+        x, den, tab = component(idx)
         if x:
-            q = _q_step(alg, n, x, den)
+            q = _q_step(alg, tab, n, x, den)
             if q:
                 out.comps[idx] = q
     return out
@@ -266,32 +347,47 @@ def _q_map(alg, n: int, component) -> SymTensor:
 
 def apply_Q(t: SymTensor) -> SymTensor:
     """Exact inverse used by the ghost-extension machinery, Q with the
-    rank coefficients of _q_coefficients, per component: its
-    coefficients become int numerators over one denominator and go
-    through _q_step, which applies M twice and no N at all."""
-    return _q_map(t.alg, t.rank, lambda idx: _numerators(t.get(idx)))
+    rank coefficients of _q_coefficients, per component: each component
+    is packed once and goes through _q_step, which applies M twice and no
+    N at all."""
+    return _q_map(t.alg, t.rank, lambda idx: _packed(t.get(idx)))
 
 
 def apply_W_plus(t: SymTensor) -> SymTensor:
     """W+ = Q Gamma: rank n -> n-1; vanishes identically on rank 0.
 
-    One int-numerator chain per output component: the Gamma contraction
-    (two replace_sum passes into one sum), then the Q step apply_Q uses,
-    so the component's Fractions are made once, at the end."""
+    One packed chain per output component: the Gamma contraction (two
+    replace_sum passes into one sum), then the Q step apply_Q uses, so
+    the component's Fractions are made once, at the end.  One field width
+    serves every component."""
     if t.rank == 0:
         return SymTensor.zero(t.alg, 0)
-    return _q_map(t.alg, t.rank - 1, lambda idx: _contract(t, idx))
+    tab = _tensor_tables(t)
+    return _q_map(t.alg, t.rank - 1, lambda idx: (*_contract(t, idx, tab), tab))
 
 
 # ---------------------------------------------------------------------------
 # contracted second-order operators (rank 0)
 
 
+def _antisymmetrized(p: GradedPoly, op: str, a: int, b: int) -> GradedPoly:
+    """op_b op_a p - op_a op_b p, op "w" (W^a) or "gamma" (Gamma_a), as one
+    chain: p packed once, four passes, each checked against the term
+    budget, and the difference summed as GradedPoly subtraction sums it."""
+    alg = p.alg
+    x, den, tab = _packed(p)
+    ops = tab.w if op == "w" else tab.gamma
+    rs = alg.replace_sum
+    out = rs(rs(x, ops[a], {}), ops[b], {})
+    _merge(alg, out, den, rs(rs(x, ops[b], {}), ops[a], {}), den, -1)
+    return alg.from_keys(out, tab.width, den)
+
+
 def bar_w(p: GradedPoly) -> GradedPoly:
     """barW = eps_ab W^a W^b = W^2 W^1 - W^1 W^2."""
-    return w_component(w_component(p, 1), 2) - w_component(w_component(p, 2), 1)
+    return _antisymmetrized(p, "w", 1, 2)
 
 
 def bar_gamma(p: GradedPoly) -> GradedPoly:
     """barGamma = eps^ab Gamma_a Gamma_b = Gamma_1 Gamma_2 - Gamma_2 Gamma_1."""
-    return gamma_component(gamma_component(p, 2), 1) - gamma_component(gamma_component(p, 1), 2)
+    return _antisymmetrized(p, "gamma", 2, 1)

@@ -6,15 +6,17 @@ index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
 term.  Below them sit the placement sum evaluated on every full index
-tuple, Q with M applied three times, W+ = Q Gamma as whole-tensor passes
-of replace_left with N applied and inverted term by term, and the
-derivative of a term dict
-with respect to one variable, walking a reversed monomial for the right
-derivative.  At the bottom sit the product of two monomials merged pair
-by pair with its Koszul sign counted by bisection, the sum of products
-accumulated one product at a time in Fraction arithmetic, and the bracket
-built from those.  The solver and the algebra compute the same results
-more cheaply; only tests call these.
+tuple, Q with M applied three times, and the first-order operators
+without the packed pass: each W^a and Gamma_a pass summed one derivative
+and one product at a time, and from those passes M, the Gamma
+contraction, W, the bar operators and W+ = Q Gamma as whole-tensor passes
+with N applied and inverted term by term.  Then comes the derivative of a
+term dict with respect to one variable, walking a reversed monomial for
+the right derivative.  At the bottom sit the product of two monomials
+merged pair by pair with its Koszul sign counted by bisection, the sum of
+products accumulated one product at a time in Fraction arithmetic, and
+the bracket built from those.  The solver and the algebra compute the
+same results more cheaply; only tests call these.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.operators import (apply_M, apply_N_inverse, apply_W_plus, gamma_component,
-                               n_apply, n_inverse, w_component)
+from sp2brst.algebra import GradedPoly
+from sp2brst.operators import (_gamma_fields, _w_fields, apply_M, apply_W_plus, n_apply,
+                               n_inverse)
 from sp2brst.solver import HALF, ConventionError, build_pi0, pair_bracket
 from sp2brst.tensors import SymTensor
 
@@ -44,6 +47,11 @@ def placement_sum_by_tuples(t: SymTensor, fn) -> SymTensor:
     return SymTensor.from_full(t.alg, t.rank + 1, comp)
 
 
+def apply_N_inverse(t: SymTensor, power=1) -> SymTensor:
+    """N^-power per component, term by term."""
+    return t.map(lambda p: n_inverse(p, power))
+
+
 def apply_Q_three_m(t: SymTensor) -> SymTensor:
     """Q term by term as its closed form reads, M applied three times:
     rank 0 (1/6) (11 N^-1 - 6 M N^-2 + M^2 N^-3), rank n >= 1
@@ -57,24 +65,72 @@ def apply_Q_three_m(t: SymTensor) -> SymTensor:
     return apply_N_inverse(t, 1) * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
 
 
+def replace_by_derivatives(p, fields):
+    """sum coeff * dst * (left derivative of p by src) over the (src, dst,
+    coeff) triples of fields, one derivative and one product at a time
+    (derive_left, mul), with no packed pass.  The sum is checked against
+    the term budget once, when it is complete, as a pass of replace_sum
+    is."""
+    alg = p.alg
+    out: dict = {}
+    for src, dst, coeff in fields:
+        term = alg.mul(alg.gen(dst), alg.derive_left(p, src)) * Fraction(coeff)
+        for m, c in term.terms.items():
+            c += out.pop(m, 0)
+            if c:
+                out[m] = c
+    alg.check_budget(out)
+    return GradedPoly(alg, out)
+
+
+def w_by_derivatives(p, a):
+    """W^a p by replace_by_derivatives."""
+    return replace_by_derivatives(p, _w_fields(p.alg, a))
+
+
+def gamma_by_derivatives(p, a):
+    """Gamma_a p by replace_by_derivatives."""
+    return replace_by_derivatives(p, _gamma_fields(p.alg, a))
+
+
 def m_by_passes(p):
-    """M = sum_a Gamma_a W^a, one replace_left pass per operator."""
+    """M = sum_a Gamma_a W^a, one derivative-by-derivative pass per
+    operator."""
     out = p.alg.zero()
     for a in (1, 2):
-        out = out + gamma_component(w_component(p, a), a)
+        out = out + gamma_by_derivatives(w_by_derivatives(p, a), a)
     return out
 
 
 def gamma_by_passes(t: SymTensor) -> SymTensor:
-    """The Gamma contraction, one replace_left pass per index value."""
+    """The Gamma contraction, one derivative-by-derivative pass per index
+    value."""
     out = SymTensor(t.alg, t.rank - 1)
     for idx in out.indices():
         p = t.alg.zero()
         for a in (1, 2):
-            p = p + gamma_component(t.get(idx + (a,)), a)
+            p = p + gamma_by_derivatives(t.get(idx + (a,)), a)
         if p:
             out.comps[idx] = p
     return out
+
+
+def apply_W_by_passes(t: SymTensor) -> SymTensor:
+    """W as SymTensor.placement_sum of derivative-by-derivative passes."""
+    return t.placement_sum(w_by_derivatives)
+
+
+def bar_w_by_passes(p):
+    """barW = W^2 W^1 - W^1 W^2, four derivative-by-derivative passes."""
+    w = w_by_derivatives
+    return w(w(p, 1), 2) - w(w(p, 2), 1)
+
+
+def bar_gamma_by_passes(p):
+    """barGamma = Gamma_1 Gamma_2 - Gamma_2 Gamma_1, four
+    derivative-by-derivative passes."""
+    g = gamma_by_derivatives
+    return g(g(p, 2), 1) - g(g(p, 1), 2)
 
 
 def apply_Q_by_passes(t: SymTensor) -> SymTensor:

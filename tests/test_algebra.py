@@ -258,7 +258,34 @@ def test_replace_left_edge_cases(mixed_alg):
         (alg.xi(1) * alg.lagrange(1),
          ((vid("lam[1]"), vid("pi[1]"), 0), (vid("xi[1]"), vid("lam[1]"), 0)),
          alg.zero()),
+        # an odd source equal to its destination, with odd factors before
+        # it: the drop and insert signs cancel
+        (alg.xi(2) * alg.ghost_mom(1, 1) * alg.ghost_mom(1, 2),
+         ((vid("P[1,2]"), vid("P[1,2]"), 2), (vid("P[1,1]"), vid("P[1,1]"), -1)),
+         alg.xi(2) * alg.ghost_mom(1, 1) * alg.ghost_mom(1, 2)),
+        # an odd destination already present, next to a full-width exponent
+        (alg.xi(1) ** 7 * alg.ghost_mom(1, 1) * alg.ghost_mom(1, 2),
+         ((vid("P[1,2]"), vid("P[1,1]"), 1),),
+         alg.zero()),
     ]
+    # packed field widths hold the total degree: exponents 7 and 15 fill
+    # a 3- and a 4-bit field, 8 and 16 need one bit more
+    for n in (7, 8, 15, 16):
+        # an even destination gaining a power up to n
+        cases.append((alg.xi(1) ** (n - 1) * alg.lagrange(1),
+                      ((vid("lam[1]"), vid("xi[1]"), 3),),
+                      3 * alg.xi(1) ** n))
+        # a source of exponent n, and an odd destination moving past odd
+        # factors
+        cases.append((alg.xi(1) ** n * alg.xi(2) * alg.ghost(1, 1),
+                      ((vid("xi[1]"), vid("lam[1]"), 1), (vid("xi[1]"), vid("P[1,1]"), 1)),
+                      n * alg.xi(1) ** (n - 1) * alg.xi(2) * alg.ghost(1, 1) * alg.lagrange(1)
+                      - n * alg.xi(1) ** (n - 1) * alg.xi(2) * alg.ghost_mom(1, 1)
+                      * alg.ghost(1, 1)))
+        # an odd source below an even exponent-n factor
+        cases.append((alg.xi(2) * alg.ghost_mom(1, 2) * alg.ghost_mom(2, 1) ** n,
+                      ((vid("P[1,2]"), vid("lam[1]"), 1),),
+                      -alg.xi(2) * alg.ghost_mom(2, 1) ** n * alg.lagrange(1)))
     for p, fields, want in cases:
         assert alg.replace_left(p, fields) == want
         assert _replace_left_oracle(alg, p, fields) == want

@@ -8,6 +8,7 @@ replace_left it replaced, also where the term budget stops them.
 """
 
 import random
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -120,3 +121,27 @@ def test_budget_checked_inside_the_chain():
             apply_W_plus(_twin(t, budget))
         assert str(got.value) == str(want.value)
     assert apply_W_plus(_twin(t, need)).comps == out.comps
+
+
+@pytest.mark.parametrize("n", (7, 8, 15, 16))
+def test_q_reads_n_degree_at_field_edges(n):
+    # mixed2's xi[1], P[2,i], lam[1] and C[2,i] are even, so a term can
+    # carry any N-degree: a pure-N term of degree n = 7 or 15 fills the
+    # 3- or 4-bit field of its chain, and 8 and 16 take one bit more
+    alg = _algebra("mixed2")
+    xi, lam = alg.xi(1), alg.lagrange(1)
+
+    def comp(i):
+        p_i = alg.ghost_mom(2, i)
+        return (xi ** (n - 4) * p_i ** 2 * lam ** 2 * Fraction(3, 5)
+                + xi ** (n - 3) * alg.ghost(2, 3 - i) * p_i * Fraction(-7, 2)
+                + xi * lam ** (n - 1))
+
+    for rank in range(3):
+        t = SymTensor(alg, rank, {idx: comp(1 + sum(idx) % 2)
+                                  for idx in SymTensor.zero(alg, rank).indices()})
+        assert max(alg.term_ndeg(m) for p in t.comps.values() for m in p.terms) == n
+        assert apply_Q(t) == apply_Q_three_m(t)
+        if rank:
+            assert apply_W_plus(t) == apply_Q_three_m(gamma_by_passes(t))
+            assert apply_W_plus(t) == apply_W_plus_by_passes(t)
