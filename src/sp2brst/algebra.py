@@ -9,24 +9,25 @@ Variables come in six sectors, listed in canonical monomial order:
     lam[1..m]     Lagrange multipliers            parity eps_a, ngh -2, N-weight 1
     pi[1..m]      multiplier momenta              parity eps_a, ngh +2, cp-weight 1
 
-All coefficients are `fractions.Fraction`; odd (Grassmann) variables square to
-zero and reordering picks up Koszul signs.  A monomial is a tuple of
-(variable id, exponent) pairs sorted by id; a polynomial is a dict from
-monomial to coefficient with no zero entries.  Keys stay these tuples
-between operations.  Inside one product or bracket every monomial becomes
-a packed row (see _pack): an int key with one field of exponent bits per
-variable, an odd-variable mask, a prefix-parity mask for Koszul signs, its
-cp-degree and an int numerator over the call's common denominator.  One
-loop over packed rows (Algebra._product_sum) forms every product, and each
-surviving key becomes a tuple and a Fraction once, at the end.  The
-first-order operators (replace_left, and the chains of the operators
-module) share one pass over packed keys, Algebra.replace_sum: a chain
-packs its input once (pack_keys), its passes sum int numerators over
-one denominator and make no Fraction, and its result is decoded once.
-A pass moves one power from one variable to another, so the field width
-of the chain's input, which holds its largest total degree
-(degree_width), holds every key the chain forms and nothing is repacked
-between passes.
+Coefficients are exact rationals; odd (Grassmann) variables square to
+zero and reordering picks up Koszul signs.  A GradedPoly stores one
+representation: packed int keys, one field of exponent bits per
+variable, each mapped to an int numerator over the polynomial's one
+canonical denominator, with the field width recorded on the polynomial
+(see GradedPoly).  Every kernel reads and returns stored keys: addition
+and scalar products sum int numerators; mul and bracket walk the keys
+into packed rows (see _pack: odd-variable mask, prefix-parity mask for
+Koszul signs and cp-degree, read off the key) and form every product in
+one loop, Algebra._product_sum; the first-order operators (replace_left
+and the chains of the operators module) share one pass,
+Algebra.replace_sum.  N-degrees, cp-degrees and parities are read off a
+key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
+an input only when its width differs from the one the call needs, and a
+chain, whose passes keep each term's total degree, never does.  Tuple
+monomials, (variable id, exponent) pairs sorted by id, remain only where
+people read them: the terms view, decoded on each read (expr.serialize,
+the theory checks, tests), and the GradedPoly(alg, terms) and
+Algebra.poly constructors, which pack.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -34,9 +35,8 @@ with right derivatives acting on X and left derivatives on Y.  The ghost
 entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
 antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  Each argument is walked
-once, and the walk that packs a term also emits its derivative rows: one
-power of the variable leaves the key and the masks, so no monomial is
-sliced or packed again.  X gives its right derivatives by every paired
+once, and the walk that makes a term's row also emits its derivative
+rows: one power of the variable leaves the key and the masks.  X gives its right derivatives by every paired
 variable it contains, Y its left derivatives by the partners of those
 only, and the sum runs over the table entries whose two derivatives are
 both nonzero.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 _ONE = Fraction(1)
@@ -113,31 +113,74 @@ class Variable:
         return self.name
 
 
-Monomial = tuple  # tuple[tuple[int, int], ...]
-
-
 class GradedPoly:
-    """Sparse polynomial over one Algebra.  Treat instances as immutable."""
+    """Sparse polynomial over one Algebra.  Treat instances as immutable.
 
-    __slots__ = ("alg", "terms")
+    Stored as packed keys: nums maps each term's key, exponent e of
+    variable v at bit width * v, to an int numerator over the one
+    denominator den.  den is canonical, gcd(den, *nums) == 1 and 1 for
+    zero, so two polynomials of one width are equal exactly when their
+    den and nums are.  width holds every term's total degree (2 ** width
+    exceeds it), so no field carries when keys or fields are summed (see
+    _Layout).  Widths are not canonical.  A kernel forms its result at the
+    widest width of its inputs, or wider if the total degrees it forms
+    need it: a product the sum of its factors' largest total degrees, the
+    bracket that of x, y and a structure function, less 2.  A chain of
+    first-order passes keeps each term's total degree and needs no check.
+    Only an input stored at another width than the call's is repacked, as
+    in +, == and a tensor's components.
+
+    GradedPoly(alg, terms) packs a raw term dict {monomial: coefficient},
+    a monomial a tuple of (variable id, exponent) pairs sorted by id, at
+    the width of its largest total degree; zero coefficients are dropped.
+    terms is the read-only tuple view, decoded on every read."""
+
+    __slots__ = ("alg", "nums", "den", "width")
 
     def __init__(self, alg: "Algebra", terms: dict):
+        den = 1
+        for c in terms.values():
+            d = c.denominator
+            if d != 1:
+                den = lcm(den, d)
+        top = 1
+        for mono in terms:
+            d = 0
+            for _, e in mono:
+                d += e
+            if d > top:
+                top = d
+        width = top.bit_length()
+        nums = {}
+        for mono, c in terms.items():
+            if c:
+                key = 0
+                for v, e in mono:
+                    key += e << width * v
+                nums[key] = c.numerator * (den // c.denominator)
         self.alg = alg
-        self.terms = terms
+        self.nums = nums
+        self.den = den if nums else 1
+        self.width = width
+
+    @property
+    def terms(self):
+        """{monomial: Fraction} in stored order, decoded from the keys."""
+        return _decode(self.nums, self.width, self.den)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def term_count(self):
-        return len(self.terms)
+        return len(self.nums)
 
-    def _homogeneous(self, term_fn, what):
-        vals = {term_fn(m) for m in self.terms}
+    def _homogeneous(self, vals, what):
+        vals = set(vals)
         if not vals:
             return 0
         if len(vals) > 1:
@@ -145,40 +188,48 @@ class GradedPoly:
         return vals.pop()
 
     def parity(self):
-        return self._homogeneous(self.alg.term_parity, "parity")
+        odd = self.alg.layout(self.width).odd
+        return self._homogeneous(((k & odd).bit_count() & 1 for k in self.nums), "parity")
 
     def ngh(self):
-        return self._homogeneous(self.alg.term_ngh, "ngh")
+        lay = self.alg.layout(self.width)
+        parts = lay.ngh_parts
+        return self._homogeneous(
+            (sum(w * lay.read(k, f) for f, w in parts) for k in self.nums), "ngh")
+
+    def _cps(self):
+        """The cp-degree of each stored key, in order."""
+        lay = self.alg.layout(self.width)
+        cp, ones, top, mask = lay.cp, lay.ones, lay.top, lay.mask
+        return [((k & cp) * ones >> top) & mask for k in self.nums]
 
     def min_cp(self):
         """Smallest cp-degree over terms, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return None
-        cp = self.alg.term_cpdeg
-        return min(cp(m) for m in self.terms)
+        return min(self._cps())
 
     def truncate_cp(self, k):
         """Drop every term of cp-degree greater than k."""
-        cp = self.alg.term_cpdeg
-        kept = {m: c for m, c in self.terms.items() if cp(m) <= k}
-        if len(kept) == len(self.terms):
+        kept = {key: n for (key, n), d in zip(self.nums.items(), self._cps()) if d <= k}
+        if len(kept) == len(self.nums):
             return self
-        return GradedPoly(self.alg, kept)
+        return self.alg.from_keys(kept, self.width, self.den)
 
     def cp_part(self, d):
         """The terms of cp-degree exactly d."""
-        cp = self.alg.term_cpdeg
-        return GradedPoly(self.alg, {m: c for m, c in self.terms.items() if cp(m) == d})
+        kept = {key: n for (key, n), e in zip(self.nums.items(), self._cps()) if e == d}
+        return self.alg.from_keys(kept, self.width, self.den)
 
     def substitute_zero(self, sectors):
         """Set every variable of the given sectors to zero (drop those terms)."""
-        sec = self.alg.var_sector
+        lay = self.alg.layout(self.width)
         wanted = set(sectors)
-        out = {}
-        for m, c in self.terms.items():
-            if not any(sec[v] in wanted for v, _ in m):
-                out[m] = c
-        return GradedPoly(self.alg, out)
+        fields = lay.fields(v for v, s in enumerate(self.alg.var_sector) if s in wanted)
+        kept = {k: n for k, n in self.nums.items() if not k & fields}
+        if len(kept) == len(self.nums):
+            return self
+        return self.alg.from_keys(kept, self.width, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -192,47 +243,74 @@ class GradedPoly:
             return self.alg.scalar(other)
         return None
 
+    def _sum(self, other, sign):
+        """self + sign * other over the lcm of the two denominators, at the
+        wider of the two widths: self's keys in order, then each key of
+        other new to the sum at the end, a repeated one added to and
+        dropped when it cancels; checked against the term budget once."""
+        width = self.width
+        a, b = self.nums, other.nums
+        if other.width != width:
+            if other.width > width:
+                a = _repack(a, width, other.width)
+                width = other.width
+            else:
+                b = _repack(b, other.width, width)
+        den = self.den
+        if other.den == den:
+            out = dict(a)
+            f = sign
+        else:
+            den = lcm(den, other.den)
+            f = den // self.den
+            out = {k: n * f for k, n in a.items()}
+            f = den // other.den * sign
+        get = out.get
+        for k, n in b.items():
+            if f != 1:
+                n *= f
+            old = get(k)
+            if old is None:  # a key new to the sum is stored as it is
+                out[k] = n
+                continue
+            n += old
+            if n:
+                out[k] = n
+            else:
+                del out[k]
+        self.alg.check_budget(out)
+        return self.alg.from_keys(out, width, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for m, c in other.terms.items():
-            old = get(m)
-            if old is None:  # a key new to the sum is stored as it is
-                out[m] = c
-                continue
-            s = old + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        self.alg.check_budget(out)
-        return GradedPoly(self.alg, out)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.alg, {m: -c for m, c in self.terms.items()})
+        return _poly(self.alg, {k: -n for k, n in self.nums.items()}, self.den, self.width)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._sum(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.alg.zero()
-            return GradedPoly(self.alg, {m: c * other for m, c in self.terms.items()})
+            num = other.numerator
+            out = {k: n * num for k, n in self.nums.items()} if num != 1 else self.nums
+            return self.alg.from_keys(out, self.width, self.den * other.denominator)
         if isinstance(other, GradedPoly):
             return self.alg.mul(self, other)
         return NotImplemented
@@ -262,7 +340,13 @@ class GradedPoly:
             return NotImplemented
         if self.alg is not other.alg and not self.alg.compatible(other.alg):
             return False
-        return self.terms == other.terms
+        if self.den != other.den or len(self.nums) != len(other.nums):
+            return False
+        if self.width == other.width:
+            return self.nums == other.nums
+        if self.width < other.width:
+            return _repack(self.nums, self.width, other.width) == other.nums
+        return self.nums == _repack(other.nums, other.width, self.width)
 
     __hash__ = None
 
@@ -272,22 +356,130 @@ class GradedPoly:
         return expr.serialize(self)
 
 
-def _top(*dicts):
-    """The largest exponent in the given raw term dicts, 0 if none."""
-    top = 0
-    for terms in dicts:
-        for mono in terms:
-            for _, e in mono:
-                if e > top:
-                    top = e
-    return top
+_new_poly = object.__new__
 
 
-def _pack(terms, width, var_info, wanted=(), left=False):
-    """One walk over a raw term dict: (L, rows, derivs).  L is the lcm of
-    its denominators; rows holds each term as (key, odd mask, prefix
-    parity, cp-degree, coefficient times L), the key holding exponent e of
-    variable v at bit width * v (see Algebra._product_sum).
+def _poly(alg, nums, den, width):
+    """The polynomial of packed keys nums of the given width over den,
+    taken as they are: den must already be canonical."""
+    p = _new_poly(GradedPoly)
+    p.alg = alg
+    p.nums = nums
+    p.den = den
+    p.width = width
+    return p
+
+
+def _decode(nums, width, den):
+    """The raw term dict of packed keys and their int numerators over den,
+    one Fraction per distinct numerator, in the order of nums."""
+    mask = (1 << width) - 1
+    out = {}
+    made = {}  # numerator -> its Fraction
+    for k, n in nums.items():
+        mono = []
+        while k:
+            v = ((k & -k).bit_length() - 1) // width  # the lowest variable
+            shift = width * v
+            e = (k >> shift) & mask
+            mono.append((v, e))
+            k ^= e << shift
+        c = made.get(n)
+        if c is None:
+            c = made[n] = Fraction(n, den)
+        out[tuple(mono)] = c
+    return out
+
+
+def _repack(nums, old, new):
+    """nums with its keys moved from field width old to width new, in
+    order; every exponent must fit the new width."""
+    mask = (1 << old) - 1
+    out = {}
+    for k, n in nums.items():
+        key = 0
+        while k:
+            v = ((k & -k).bit_length() - 1) // old
+            shift = old * v
+            e = (k >> shift) & mask
+            key += e << new * v
+            k ^= e << shift
+        out[key] = n
+    return out
+
+
+def _at(p, width):
+    """p's numerators keyed at width (p's own keys when it is stored at it)."""
+    return p.nums if p.width == width else _repack(p.nums, p.width, width)
+
+
+class _Layout:
+    """The masks and read-offs of packed keys of one field width.
+
+    unit[v] is the key 1 << width * v of variable v.  A read-off
+    ((key & fields) * ones >> top) & mask sums the fields of `fields`
+    into the top field; no partial sum passes the term's total degree,
+    which the width holds, so none carries.  odd is the unit keys of the
+    odd variables: an odd variable has exponent 0 or 1, so key & odd is a
+    term's odd mask, and its bit count a's parity.  info[v] is (v's unit
+    key if v is odd else 0, the odd unit keys after v if v is odd else 0,
+    v's cp-weight), and prefixes maps an odd mask to its prefix parity, the
+    odd unit keys that lie above an odd number of the mask's (see
+    Algebra._product_sum), filled by prefix as masks are met."""
+
+    __slots__ = ("width", "mask", "ones", "top", "unit", "odd", "cp", "n",
+                 "ngh_parts", "info", "_after", "prefixes")
+
+    def __init__(self, alg, width):
+        nv = len(alg.vars)
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.unit = unit = tuple(1 << width * v for v in range(nv))
+        self.ones = sum(unit)
+        self.top = width * max(nv - 1, 0)
+        odd_units = [u if par else 0 for u, par in zip(unit, alg.var_parity)]
+        self.odd = sum(odd_units)
+        self.cp = self.fields(v for v, w in enumerate(alg.var_cpwt) if w)
+        self.n = self.fields(v for v, w in enumerate(alg.var_nwt) if w)
+        self.ngh_parts = tuple(
+            (self.fields(v for v, s in enumerate(alg.var_sector) if s == sector), w)
+            for sector, w in _SECTOR_NGH.items() if w)
+        after = [sum(odd_units[v + 1:]) if bit else 0 for v, bit in enumerate(odd_units)]
+        self._after = {bit: a for bit, a in zip(odd_units, after) if bit}
+        self.info = tuple(zip(odd_units, after, alg.var_cpwt))
+        self.prefixes = {0: 0}
+
+    def fields(self, vids):
+        """The mask of the fields of the given variables."""
+        mask, width = self.mask, self.width
+        return sum(mask << width * v for v in vids)
+
+    def read(self, key, fields):
+        """The sum of key's exponents in fields."""
+        return ((key & fields) * self.ones >> self.top) & self.mask
+
+    def prefix(self, odd):
+        """The prefix parity of an odd mask, memoised in prefixes."""
+        par = 0
+        o = odd
+        while o:
+            low = o & -o
+            par ^= self._after[low]
+            o ^= low
+        self.prefixes[odd] = par
+        return par
+
+    def degree(self, nums):
+        """The largest total degree of the keys of nums, 0 if none."""
+        ones, top, mask = self.ones, self.top, self.mask
+        return max((k * ones >> top) & mask for k in nums) if nums else 0
+
+
+def _pack(nums, lay, wanted=(), left=False):
+    """One walk over the packed keys nums (key -> int numerator) of the
+    layout's width: (rows, derivs).  rows holds each term as (key, odd
+    mask, prefix parity, cp-degree, numerator) (see
+    Algebra._product_sum).
 
     derivs maps each variable of wanted that occurs to the rows of the
     left (or right) derivative by it, in term order: one power of v leaves
@@ -297,36 +489,33 @@ def _pack(terms, width, var_info, wanted=(), left=False):
     left derivative, those after it for a right one.  Dropping one power
     of v maps distinct monomials containing v to distinct monomials, so no
     two rows share a key."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            den = lcm(den, d)
+    odd_all, cpf, ones, top, mask = lay.odd, lay.cp, lay.ones, lay.top, lay.mask
+    width, prefixes, prefix = lay.width, lay.prefixes, lay.prefix
     # v -> (its derivative rows, its unit key, odd bit, parity mask,
     # cp-weight, the odd factors it moves past) if wanted, else None
     derive = None
     if wanted:
-        derive = [None] * len(var_info)
+        derive = [None] * len(lay.info)
         for v in wanted:
-            bit, above, w = var_info[v]
-            derive[v] = ([], 1 << width * v, bit, above, w,
+            bit, above, w = lay.info[v]
+            derive[v] = ([], lay.unit[v], bit, above, w,
                          (bit - 1 if left else above) if bit else 0)
     rows = []
-    for mono, c in terms.items():
-        key = odd = par = cp = 0
-        for v, e in mono:
-            bit, above, w = var_info[v]
-            key += e << width * v
-            odd |= bit
-            par ^= above
-            cp += w * e
-        n = c.numerator
-        if den != 1:
-            n *= den // c.denominator
+    for key, n in nums.items():
+        odd = key & odd_all
+        par = prefixes.get(odd)
+        if par is None:
+            par = prefix(odd)
+        cp = ((key & cpf) * ones >> top) & mask
         rows.append((key, odd, par, cp, n))
         if derive is None:
             continue
-        for v, e in mono:
+        k = key
+        while k:
+            v = ((k & -k).bit_length() - 1) // width  # the lowest variable
+            shift = width * v
+            e = (k >> shift) & mask
+            k ^= e << shift
             dv = derive[v]
             if dv is None:
                 continue
@@ -336,90 +525,19 @@ def _pack(terms, width, var_info, wanted=(), left=False):
                 d = -d
             out.append((key - unit, odd ^ bit, par ^ above, cp - w, d))
     if derive is None:
-        return den, rows, {}
-    return den, rows, {v: derive[v][0] for v in wanted if derive[v][0]}
+        return rows, {}
+    return rows, {v: derive[v][0] for v in wanted if derive[v][0]}
 
 
-def _drop_above(derivs, limit, var_info):
+def _drop_above(derivs, limit, info):
     """derivs without the rows taken from terms of cp-degree above limit."""
     out = {}
     for v, rows in derivs.items():
-        top = limit - var_info[v][2]  # a row's cp-degree is its term's less v's weight
+        top = limit - info[v][2]  # a row's cp-degree is its term's less v's weight
         kept = [row for row in rows if row[3] <= top]
         if kept:
             out[v] = kept
     return out
-
-
-def _unpack(acc, width, den, units):
-    """The raw term dict of packed keys and their numerators over den, one
-    Fraction per distinct numerator; with den None the values are taken as
-    the coefficients.  units[v] is the factor (v, 1), shared by every
-    monomial holding it."""
-    mask = (1 << width) - 1
-    out = {}
-    made = {}  # numerator -> its Fraction
-    for k, n in acc.items():
-        mono = []
-        while k:
-            v = ((k & -k).bit_length() - 1) // width  # the lowest variable
-            shift = width * v
-            e = (k >> shift) & mask
-            mono.append(units[v] if e == 1 else (v, e))
-            k ^= e << shift
-        if den is None:
-            c = n
-        else:
-            c = made.get(n)
-            if c is None:
-                c = made[n] = Fraction(n, den)
-        out[tuple(mono)] = c
-    return out
-
-
-def common_denominator(*term_dicts):
-    """The lcm of the denominators of the given Fraction term dicts."""
-    den = 1
-    for terms in term_dicts:
-        for c in terms.values():
-            d = c.denominator
-            if d != 1:
-                den = lcm(den, d)
-    return den
-
-
-def degree_width(*term_dicts):
-    """The field width of the packed keys of a first-order chain over the
-    given raw term dicts: the bit length of their largest total degree
-    (at least 1).  A first-order pass moves one power from one variable to
-    another, so no exponent a chain forms outgrows it."""
-    top = 1
-    for terms in term_dicts:
-        for mono in terms:
-            d = 0
-            for _, e in mono:
-                d += e
-            if d > top:
-                top = d
-    return top.bit_length()
-
-
-def pack_keys(terms, width, den=None):
-    """(nums, den): the raw term dict terms as packed key -> int numerator
-    over den, by default the lcm of its denominators.  The key holds
-    exponent e of variable v at bit width * v, as in _pack."""
-    if den is None:
-        den = common_denominator(terms)
-    nums = {}
-    for mono, c in terms.items():
-        key = 0
-        for v, e in mono:
-            key += e << width * v
-        n = c.numerator
-        if den != 1:
-            n *= den // c.denominator
-        nums[key] = n
-    return nums, den
 
 
 _cp_of = itemgetter(3)
@@ -472,25 +590,22 @@ class Algebra:
         self.var_cpwt = tuple(1 if v.sector in _CP_SECTORS else 0 for v in vars_)
         self.by_name = {v.name: v.vid for v in vars_}
         self._index = {(v.sector, v.alpha, v.sp2): v.vid for v in vars_}
-        self._one = GradedPoly(self, {(): _ONE})
-        # the operators module's packed tables, one set per field width,
-        # built on first use
+        # the _Layout of each field width met, and the operators module's
+        # packed tables, one set per width, built on first use
+        self._layouts: dict = {}
         self.operator_tables: dict = {}
-        self._unit_factors = tuple((v, 1) for v in range(len(vars_)))
-        # per variable: its odd-mask bit, for an odd one the bits of the
-        # odd variables after it, and its cp-weight (see _product_sum)
-        odd_bits = [v.parity << v.vid for v in vars_]
-        self._var_info = tuple(
-            (bit, sum(odd_bits[vid + 1:]) if bit else 0, w)
-            for vid, (bit, w) in enumerate(zip(odd_bits, self.var_cpwt)))
+        self._one = _poly(self, {0: 1}, 1, 1)
 
-        # sparse pairing table: list of (vid_a, vid_b, scalar, mid_terms|None)
+        # sparse pairing table: list of (vid_a, vid_b, scalar, structure
+        # function or None)
         self._omega: list = []
         self._build_ghost_omega()
         self._build_matter_omega()
         self._paired = frozenset(va for va, _, _, _ in self._omega)
-        # the largest exponent of a structure function (see bracket)
-        self._mid_top = _top(*(mid for _, _, _, mid in self._omega if mid is not None))
+        # the largest total degree of a structure function (see bracket)
+        self._mid_degree = max(
+            (mid.alg.layout(mid.width).degree(mid.nums)
+             for _, _, _, mid in self._omega if mid is not None), default=0)
 
     def check_budget(self, terms):
         """Raise TermBudgetError if a term dict outgrows the budget."""
@@ -503,6 +618,13 @@ class Algebra:
         """Two algebras over equal theory specs have identical variable
         tables and pairing structure, so their elements may be mixed."""
         return self is other or self.spec == other.spec
+
+    def layout(self, width) -> _Layout:
+        """The _Layout of packed keys of the given width, built once."""
+        lay = self._layouts.get(width)
+        if lay is None:
+            lay = self._layouts[width] = _Layout(self, width)
+        return lay
 
     # -- variable lookup ----------------------------------------------------
 
@@ -538,7 +660,7 @@ class Algebra:
     def lagrange_mom(self, a):
         return self.gen(self.vid(Sector.LAGRANGE_MOM, a))
 
-    # -- term-level grading -------------------------------------------------
+    # -- term-level grading of tuple monomials ------------------------------
 
     def term_parity(self, mono):
         par = self.var_parity
@@ -571,21 +693,37 @@ class Algebra:
     # -- constructors -------------------------------------------------------
 
     def zero(self):
-        return GradedPoly(self, {})
+        return _poly(self, {}, 1, 1)
 
     def one(self):
         return self._one
 
     def scalar(self, c):
         c = Fraction(c)
-        return GradedPoly(self, {(): c} if c else {})
+        if not c:
+            return self.zero()
+        return _poly(self, {0: c.numerator}, c.denominator, 1)
 
     def gen(self, vid):
-        return GradedPoly(self, {((vid, 1),): _ONE})
+        return _poly(self, {1 << vid: 1}, 1, 1)
 
     def poly(self, terms):
         """Build from {monomial: coefficient}, dropping zeros."""
         return GradedPoly(self, {m: Fraction(c) for m, c in terms.items() if c})
+
+    def from_keys(self, nums, width, den):
+        """The polynomial of packed keys nums (key -> int numerator over
+        den) of the given width, den made canonical: nums and den are
+        divided by their gcd, into a new dict when it is not 1."""
+        if den != 1:
+            if not nums:
+                den = 1
+            else:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    nums = {k: n // g for k, n in nums.items()}
+                    den //= g
+        return _poly(self, nums, den, width)
 
     # -- products -----------------------------------------------------------
 
@@ -601,15 +739,15 @@ class Algebra:
         exactly the sum truncated at max_cp.  Each t2 is ordered by
         cp-degree, and each row of t1 meets only the prefix that fits.
 
-        Two keys add in one int add when the field width leaves room for
-        the summed exponents.  Two rows whose odd masks overlap give zero,
-        and the Koszul sign is the parity of the odd factors of t1's row
-        lying above an odd number of t2's: (odd1 & parity2).bit_count().
-        A key new to the sum is stored as it is and a repeated one added
-        to, so keys enter and leave in the order they did when every
-        product was merged and added one at a time.  With a meta dict, the
-        odd mask, prefix parity and cp-degree of each new key go to it, so
-        the sum can be one factor of a further product."""
+        Two keys add in one int add, the width holding the summed
+        exponents.  Two rows whose odd masks overlap give zero, and the
+        Koszul sign is the parity of the odd factors of t1's row lying
+        above an odd number of t2's: (odd1 & parity2).bit_count().  A key
+        new to the sum is stored as it is and a repeated one added to, so
+        keys enter and leave in the order they did when every product was
+        merged and added one at a time.  With a meta dict, the odd mask,
+        prefix parity and cp-degree of each new key go to it, so the sum
+        can be one factor of a further product."""
         den = 1
         for _, _, d, _ in work:
             if d != 1:
@@ -652,32 +790,43 @@ class Algebra:
                     self.check_budget(acc)
         return acc, den
 
+    def _width(self, need, *polys):
+        """The field width for a kernel over polys that forms terms of
+        total degree up to need: the widest of theirs, or the bit length
+        of need if that is wider."""
+        width = need.bit_length()
+        for p in polys:
+            if p.width > width:
+                width = p.width
+        return width
+
     def mul(self, p, q, *, max_cp=None):
         """The graded product p q; with max_cp, truncated at that cp-degree
-        without forming the pairs above it.  Both factors are packed with
-        fields one bit longer than their largest exponent, so that two
-        exponents add without a carry."""
+        without forming the pairs above it.  The width holds the sum of the
+        two factors' largest total degrees, so two keys add without a
+        carry; a factor stored at another width is repacked."""
         if (p.alg is not self or q.alg is not self) and not (
                 self.compatible(p.alg) and self.compatible(q.alg)):
             raise TheoryError(
                 "cannot multiply elements of algebras over different theories")
-        if not p.terms or not q.terms:
-            return GradedPoly(self, {})
-        width = (2 * _top(p.terms, q.terms)).bit_length()
-        lp, rows_p, _ = _pack(p.terms, width, self._var_info)
-        lq, rows_q = (lp, rows_p) if q.terms is p.terms else \
-            _pack(q.terms, width, self._var_info)[:2]
-        acc, den = self._product_sum([(rows_p, rows_q, lp * lq, 1)], max_cp)
-        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
+        if not p.nums or not q.nums:
+            return self.zero()
+        dp = self.layout(p.width).degree(p.nums)
+        dq = dp if q is p else self.layout(q.width).degree(q.nums)
+        width = self._width(dp + dq, p, q)
+        lay = self.layout(width)
+        rows_p = _pack(_at(p, width), lay)[0]
+        rows_q = rows_p if q is p else _pack(_at(q, width), lay)[0]
+        acc, den = self._product_sum([(rows_p, rows_q, p.den * q.den, 1)], max_cp)
+        return self.from_keys(acc, width, den)
 
     # -- derivatives ---------------------------------------------------------
 
     def _derivative(self, p, vid, left):
         """The left (or right) derivative of p by vid, by the bracket's walk."""
-        width = _top(p.terms).bit_length()
-        den, _, derivs = _pack(p.terms, width, self._var_info, (vid,), left)
+        _, derivs = _pack(p.nums, self.layout(p.width), (vid,), left)
         acc = {row[0]: row[4] for row in derivs.get(vid, ())}
-        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
+        return self.from_keys(acc, p.width, p.den)
 
     def derive_left(self, p, vid):
         return self._derivative(p, vid, True)
@@ -687,18 +836,10 @@ class Algebra:
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
-        the (src, dst, coeff) triples of fields: p is packed once
-        (pack_keys), one pass of replace_sum forms the result, and each
-        distinct numerator becomes a Fraction once."""
-        width = degree_width(p.terms)
-        table, fden = self.replace_table(fields, width)
-        nums, den = pack_keys(p.terms, width)
-        return self.from_keys(self.replace_sum(nums, table, {}), width, den * fden)
-
-    def from_keys(self, nums, width, den):
-        """The polynomial of packed keys of the given width and their int
-        numerators over den (their coefficients, with den None)."""
-        return GradedPoly(self, _unpack(nums, width, den, self._unit_factors))
+        the (src, dst, coeff) triples of fields: one pass of replace_sum
+        over p's stored keys, at p's width."""
+        table, fden = self.replace_table(fields, p.width)
+        return self.from_keys(self.replace_sum(p.nums, table, {}), p.width, p.den * fden)
 
     def replace_table(self, fields, width):
         """(table, fden): the (src, dst, coeff) triples of fields as a
@@ -746,8 +887,7 @@ class Algebra:
         (packed key -> int numerator) over the entries of table (see
         replace_table), in one pass over nums, and return out.  The
         first-order core: it makes no Fraction, and since it keeps each
-        term's total degree, the field width of a chain's input holds
-        every pass of the chain.
+        term's total degree, the width of its input holds every pass.
 
         For each source, the exponent is (key >> shift) & mask; one power
         leaves the key, with the sign of the odd fields below an odd
@@ -859,11 +999,12 @@ class Algebra:
         for (i, j), w in given.items():
             ei, ej = (self.var_parity[self._xi_vid(n)] for n in (i, j))
             want = (ei + ej) & 1
-            for mono in w.terms:
-                if self.term_parity(mono) != want:
+            odd = self.layout(w.width).odd
+            for k in w.nums:
+                if (k & odd).bit_count() & 1 != want:
                     raise TheoryError(
                         f"bracket table entry ({i},{j}) must have parity {want}, "
-                        f"found a term of parity {self.term_parity(mono)}")
+                        f"found a term of parity {1 - want}")
             flip = -w if (ei & ej) == 0 else w  # -(-1)^(ei ej) w
             if i == j:
                 if not ei:
@@ -885,22 +1026,22 @@ class Algebra:
             if not w:
                 continue
             vi, vj = self._xi_vid(i), self._xi_vid(j)
-            if w.terms.keys() == {()}:
-                emit((vi, vj, w.terms[()], None))
+            if w.nums.keys() == {0}:
+                emit((vi, vj, Fraction(w.nums[0], w.den), None))
             else:
-                emit((vi, vj, _ONE, w.terms))
+                emit((vi, vj, _ONE, w))
 
     def bracket(self, x, y, *, max_cp=None):
         """Graded Poisson bracket {x, y}; with max_cp, truncated at that
         cp-degree without forming the products above it.
 
-        x and y are each packed once by _pack, which takes the right
+        x and y are each walked once by _pack, which takes the right
         derivatives of x by every paired variable it contains and the left
         derivatives of y by the partners of those only, on packed rows.
-        The field width holds the sum of three exponents, one each from x,
-        a structure function w and y, so the dx * w products and their
-        products with dy never carry.  Each dx * w is summed first, w packed
-        for this call only, then every pairing's product goes into one
+        Every product term has total degree at most deg x + deg w + deg y
+        less 2, w a structure function, and the width holds it, so the
+        dx * w products and their products with dy never carry.  Each
+        dx * w is summed first, then every pairing's product goes into one
         _product_sum call, a constant pairing scalar scaling its rows.
 
         Every pairing removes one factor from each side and the matter
@@ -912,19 +1053,22 @@ class Algebra:
                 self.compatible(x.alg) and self.compatible(y.alg)):
             raise TheoryError(
                 "bracket arguments belong to an algebra over a different theory")
-        xt, yt = x.terms, y.terms
-        if not xt or not yt:
-            return GradedPoly(self, {})
-        info = self._var_info
-        width = (2 * _top(xt, yt) + self._mid_top).bit_length()
-        lx, rows_x, dx = _pack(xt, width, info, self._paired, False)
-        ly, rows_y, dy = _pack(
-            yt, width, info, {vb for va, vb, _, _ in self._omega if va in dx}, True)
+        if not x.nums or not y.nums:
+            return self.zero()
+        need = (self.layout(x.width).degree(x.nums) + self.layout(y.width).degree(y.nums)
+                + self._mid_degree - 2)
+        width = self._width(need, x, y)
+        lay = self.layout(width)
+        info = lay.info
+        lx, ly = x.den, y.den
+        rows_x, dx = _pack(_at(x, width), lay, self._paired, False)
+        rows_y, dy = _pack(
+            _at(y, width), lay, {vb for va, vb, _, _ in self._omega if va in dx}, True)
         if max_cp is not None:
             lo_x = min(map(_cp_of, rows_x))
             lo_y = min(map(_cp_of, rows_y))
             if lo_x + lo_y - 1 > max_cp:
-                return GradedPoly(self, {})
+                return self.zero()
             if max(map(_cp_of, rows_x)) > max_cp + 1 - lo_y:
                 dx = _drop_above(dx, max_cp + 1 - lo_y, info)
             if max(map(_cp_of, rows_y)) > max_cp + 1 - lo_x:
@@ -936,13 +1080,13 @@ class Algebra:
                 continue
             l1 = lx
             if mid is not None:  # dx * w first, then * dy
-                lw, rows_w, _ = _pack(mid, width, info)
+                rows_w = _pack(_at(mid, width), lay)[0]
                 meta = {}
-                acc, l1 = self._product_sum([(d1, rows_w, lx * lw, 1)], max_cp, meta)
+                acc, l1 = self._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp, meta)
                 if not acc:
                     continue
                 d1 = [(k, *meta[k], n) for k, n in acc.items()]
             work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
         acc, den = self._product_sum(work, max_cp)
         del rows_x, rows_y, dx, dy, work  # the packed inputs go before the output forms
-        return GradedPoly(self, _unpack(acc, width, den, self._unit_factors))
+        return self.from_keys(acc, width, den)

@@ -133,7 +133,7 @@ class _Parser:
         return p
 
     def _is_odd_generator(self, p):
-        if len(p.terms) != 1:
+        if p.term_count() != 1:
             return False
         (mono, c), = p.terms.items()
         return len(mono) == 1 and mono[0][1] == 1 and \
@@ -205,14 +205,15 @@ def _term_sort_key(alg, mono):
 
 def serialize(p: GradedPoly) -> str:
     """Deterministic plain-text rendering; parse(serialize(p)) == p."""
-    if not p.terms:
+    if not p:
         return "0"
     alg = p.alg
+    terms = p.terms
     names = [v.name for v in alg.vars]
     chunks = []
     first = True
-    for mono in sorted(p.terms, key=lambda m: _term_sort_key(alg, m)):
-        c = p.terms[mono]
+    for mono in sorted(terms, key=lambda m: _term_sort_key(alg, m)):
+        c = terms[mono]
         neg = c < 0
         mag = -c if neg else c
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in mono]

@@ -54,12 +54,9 @@ class FirstClassCheck:
 
 
 def require_matter_only(phi0: GradedPoly) -> None:
-    sec = phi0.alg.var_sector
-    for mono in phi0.terms:
-        for v, _ in mono:
-            if sec[v] not in _MATTER:
-                raise ValueError(
-                    "phi0 must be a polynomial in the matter variables only")
+    others = [s for s in Sector if s not in _MATTER]
+    if phi0.substitute_zero(others).term_count() != phi0.term_count():
+        raise ValueError("phi0 must be a polynomial in the matter variables only")
 
 
 def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> FirstClassCheck:
@@ -157,7 +154,10 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     direct = SymTensor.from_full(
         alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime, max_cp=k))
     structured = (apply_W(k_tensor) + omega_phi0 + images).truncate_cp(k)
-    ngh_ok = all(alg.term_ngh(m) == 0 for m in phi_prime.terms)
+    try:
+        ngh_ok = phi_prime.ngh() == 0
+    except ValueError:  # terms of different ngh
+        ngh_ok = False
     return ObservableLift(
         phi0=phi0, k_part=k_part, phi_prime=phi_prime, k=k,
         residual=direct, structured=structured,

@@ -9,13 +9,16 @@ Component (scalar) operators, all first-order with left derivatives:
 
 Each component of W and Gamma is one pass of Algebra.replace_sum, the
 first-order core over packed int keys, with the operator's table at the
-chain's field width (_Tables, one set per width, kept on the algebra).
-Every operator here is one chain: its input is packed once, its passes
-sum int numerators over one denominator, and its result is decoded once,
-one Fraction per distinct numerator.  w_component and gamma_component
-are one pass each, m_component four, bar_w and bar_gamma four and one
-difference, and apply_W packs each input component once and sums each
-output component's placements in one int dict.
+input's field width (_Tables, one set per width, kept on the algebra).
+Every operator here is one chain over the stored keys of its input: its
+passes sum int numerators over the input's denominator, and its result
+is stored as it forms, over one canonical denominator; nothing is packed
+on entry or decoded on exit.  A pass keeps each term's total degree, so
+the input's width holds every key the chain forms; a tensor's components
+share the widest of their widths.  N and N^-1 read each term's N-degree
+off its key.  w_component and gamma_component are one pass each,
+m_component four, bar_w and bar_gamma four and one difference, and
+apply_W sums each output component's placements in one int dict.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N/M/Q act per component.
@@ -28,7 +31,8 @@ Gamma contraction X, then M X and M^2 X.  W and Gamma, and so M,
 preserve the N-degree, so on a term of N-degree d, read off its packed
 key, each power of N^-1 in Q is a power of the number d: the result's
 term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
-coefficients, made as one Fraction, and no N pass runs.
+coefficients, its int numerator brought over one lcm, and no N pass
+runs.
 
 Sp(2) metric conventions:  eps^12 = +1 = -eps^21,  eps_12 = -1 = -eps_21,
 so that eps^ab eps_bc = delta^a_c.
@@ -36,10 +40,9 @@ so that eps^ab eps_bc = delta^a_c.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
-from .algebra import GradedPoly, Sector, common_denominator, degree_width, pack_keys
+from .algebra import GradedPoly, Sector, _at
 from .tensors import SymTensor, placements
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
@@ -54,27 +57,31 @@ class OutsideDomainError(ValueError):
 # component operators
 
 
+def _n_degrees(p: GradedPoly) -> list:
+    """The N-degree of each of p's stored keys, in order, read off the key."""
+    lay = p.alg.layout(p.width)
+    nf, ones, top, mask = lay.n, lay.ones, lay.top, lay.mask
+    return [((k & nf) * ones >> top) & mask for k in p.nums]
+
+
 def n_apply(p: GradedPoly) -> GradedPoly:
-    ndeg = p.alg.term_ndeg
-    out = {}
-    for m, c in p.terms.items():
-        d = ndeg(m)
-        if d:
-            out[m] = c * d
-    return GradedPoly(p.alg, out)
+    out = {k: n * d for (k, n), d in zip(p.nums.items(), _n_degrees(p)) if d}
+    return p.alg.from_keys(out, p.width, p.den)
 
 
 def n_inverse(p: GradedPoly, power=1) -> GradedPoly:
+    """N^-power term by term, over den times the power of the lcm D of the
+    terms' N-degrees: a term of N-degree d gains (D / d)^power."""
     alg = p.alg
-    ndeg = alg.term_ndeg
-    out = {}
-    for m, c in p.terms.items():
-        d = ndeg(m)
+    degs = _n_degrees(p)
+    for (k, n), d in zip(p.nums.items(), degs):
         if d == 0:
             raise OutsideDomainError(
-                f"term outside the invertible domain of N: {GradedPoly(alg, {m: c})!r}")
-        out[m] = c / d ** power
-    return GradedPoly(alg, out)
+                "term outside the invertible domain of N: "
+                f"{alg.from_keys({k: n}, p.width, p.den)!r}")
+    big = lcm(*degs)
+    out = {k: n * (big // d) ** power for (k, n), d in zip(p.nums.items(), degs)}
+    return alg.from_keys(out, p.width, p.den * big ** power)
 
 
 def _w_fields(alg, a):
@@ -108,10 +115,9 @@ def _gamma_fields(alg, a):
 
 class _Tables:
     """The packed replace_sum tables of W^a and Gamma_a, indexed by a, at
-    one field width, and the N-degree read-off: the N-degree of a key of
-    this width is ((key & nfields) * ones >> top) & mask.  The product
-    sums the N fields into the top field; no partial sum passes the
-    term's total degree, which the width holds, so none carries."""
+    one field width, and the N-degree read-off of the algebra's _Layout:
+    the N-degree of a key of this width is
+    ((key & nfields) * ones >> top) & mask."""
 
     __slots__ = ("width", "w", "gamma", "nfields", "ones", "top", "mask")
 
@@ -120,10 +126,8 @@ class _Tables:
         # W^a and Gamma_a have int coefficients: fden is 1
         self.w = {a: alg.replace_table(_w_fields(alg, a), width)[0] for a in (1, 2)}
         self.gamma = {a: alg.replace_table(_gamma_fields(alg, a), width)[0] for a in (1, 2)}
-        self.mask = mask = (1 << width) - 1
-        self.nfields = sum(mask << width * v for v, w in enumerate(alg.var_nwt) if w)
-        self.ones = sum(1 << width * v for v in range(len(alg.vars)))
-        self.top = width * (len(alg.vars) - 1)
+        lay = alg.layout(width)
+        self.nfields, self.ones, self.top, self.mask = lay.n, lay.ones, lay.top, lay.mask
 
 
 def _tables(alg, width) -> _Tables:
@@ -136,16 +140,15 @@ def _tables(alg, width) -> _Tables:
 
 
 def _packed(p: GradedPoly):
-    """(x, den, tables): p packed once for a chain, as int numerators x
-    over den at the field width of p's largest total degree."""
-    width = degree_width(p.terms)
-    x, den = pack_keys(p.terms, width)
-    return x, den, _tables(p.alg, width)
+    """(x, den, tables): p's stored int numerators x over den, and the
+    tables at p's width, which holds every key a chain forms from it."""
+    return p.nums, p.den, _tables(p.alg, p.width)
 
 
 def _tensor_tables(t: SymTensor) -> _Tables:
-    """The tables at one field width for every component of t."""
-    return _tables(t.alg, degree_width(*(p.terms for p in t.comps.values())))
+    """The tables at one field width for every component of t, the widest
+    of theirs; the narrower components are repacked to it (_at)."""
+    return _tables(t.alg, max((p.width for p in t.comps.values()), default=1))
 
 
 def _merge(alg, acc: dict, acc_den: int, x: dict, den: int, scale: int) -> int:
@@ -215,15 +218,15 @@ def apply_W(t: SymTensor) -> SymTensor:
     """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest}.
 
     The placements follow tensors.placements, the rule of
-    SymTensor.placement_sum.  Each input component is packed once, at one
-    field width for the tensor, and each output component is one int
-    dict, decoded once: each placement's W^a pass forms its own dict,
+    SymTensor.placement_sum.  The input components are read at one field
+    width for the tensor, and each output component is one int dict:
+    each placement's W^a pass forms its own dict,
     checked against the term budget, and is added to the component's sum
     times its count over the lcm of the denominators, as placement_sum's
     addition does."""
     alg = t.alg
     tab = _tensor_tables(t)
-    packed = {idx: pack_keys(p.terms, tab.width) for idx, p in t.comps.items()}
+    packed = {idx: (_at(p, tab.width), p.den) for idx, p in t.comps.items()}
     out = SymTensor(alg, t.rank + 1)
     for key, places in placements(t.rank):
         total = None
@@ -249,12 +252,16 @@ def _contract(t: SymTensor, idx: tuple, tab: _Tables):
     """(x, den): the Gamma contraction sum_a Gamma_a t^(idx a) as packed
     int numerators x over den, the lcm of the two inputs' denominators."""
     alg = t.alg
-    parts = [t.get(idx + (a,)).terms for a in (1, 2)]
-    den = common_denominator(*parts)
+    parts = [t.get(idx + (a,)) for a in (1, 2)]
+    den = lcm(*(p.den for p in parts))
     x: dict = {}
-    for a, terms in zip((1, 2), parts):
-        if terms:
-            alg.replace_sum(pack_keys(terms, tab.width, den)[0], tab.gamma[a], x)
+    for a, p in zip((1, 2), parts):
+        if p:
+            nums = _at(p, tab.width)
+            if p.den != den:
+                f = den // p.den
+                nums = {k: n * f for k, n in nums.items()}
+            alg.replace_sum(nums, tab.gamma[a], x)
     return x, den
 
 
@@ -292,9 +299,10 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
     M X and M^2 X are formed by replace_sum over the same den.  M
     preserves the N-degree, so on a term of N-degree d, read off its key,
     the powers of N^-1 in Q are numbers, and the term is
-    (a1 d^2 X + a2 d MX + a3 M^2X) over c den d^3, one Fraction.  The sum
-    is folded in two steps, each checked against the term budget: the
-    N^-1 and M N^-2 parts first, then the M^2 N^-3 part.  A term of
+    (a1 d^2 X + a2 d MX + a3 M^2X) over c den d^3.  The sum is folded in
+    two steps, each checked against the term budget: the N^-1 and M N^-2
+    parts first, then the M^2 N^-3 part.  The result's numerators are then
+    brought over c den D^3, D the lcm of the terms' N-degrees.  A term of
     N-degree 0 in x raises OutsideDomainError; those of MX and M^2X have
     the degrees of the terms they come from."""
     nfields, ones, top, mask = tab.nfields, tab.ones, tab.top, tab.mask
@@ -325,11 +333,11 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
         else:
             del out[k]
     alg.check_budget(out)
-    den *= c
-    for k, num in out.items():
-        d = ((k & nfields) * ones >> top) & mask
-        out[k] = Fraction(num, den * d ** 3)
-    return alg.from_keys(out, tab.width, None)
+    degs = [((k & nfields) * ones >> top) & mask for k in out]
+    big = lcm(*degs)
+    for (k, num), d in zip(out.items(), degs):
+        out[k] = num * (big // d) ** 3
+    return alg.from_keys(out, tab.width, den * c * big ** 3)
 
 
 def _q_map(alg, n: int, component) -> SymTensor:
@@ -347,9 +355,9 @@ def _q_map(alg, n: int, component) -> SymTensor:
 
 def apply_Q(t: SymTensor) -> SymTensor:
     """Exact inverse used by the ghost-extension machinery, Q with the
-    rank coefficients of _q_coefficients, per component: each component
-    is packed once and goes through _q_step, which applies M twice and no
-    N at all."""
+    rank coefficients of _q_coefficients, per component: each component's
+    stored keys go through _q_step, which applies M twice and no N at
+    all."""
     return _q_map(t.alg, t.rank, lambda idx: _packed(t.get(idx)))
 
 
@@ -357,9 +365,8 @@ def apply_W_plus(t: SymTensor) -> SymTensor:
     """W+ = Q Gamma: rank n -> n-1; vanishes identically on rank 0.
 
     One packed chain per output component: the Gamma contraction (two
-    replace_sum passes into one sum), then the Q step apply_Q uses, so
-    the component's Fractions are made once, at the end.  One field width
-    serves every component."""
+    replace_sum passes into one sum), then the Q step apply_Q uses.  One
+    field width serves every component."""
     if t.rank == 0:
         return SymTensor.zero(t.alg, 0)
     tab = _tensor_tables(t)
@@ -372,8 +379,9 @@ def apply_W_plus(t: SymTensor) -> SymTensor:
 
 def _antisymmetrized(p: GradedPoly, op: str, a: int, b: int) -> GradedPoly:
     """op_b op_a p - op_a op_b p, op "w" (W^a) or "gamma" (Gamma_a), as one
-    chain: p packed once, four passes, each checked against the term
-    budget, and the difference summed as GradedPoly subtraction sums it."""
+    chain over p's stored keys: four passes, each checked against the
+    term budget, and the difference summed as GradedPoly subtraction sums
+    it."""
     alg = p.alg
     x, den, tab = _packed(p)
     ops = tab.w if op == "w" else tab.gamma

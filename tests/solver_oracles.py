@@ -10,9 +10,11 @@ tuple, Q with M applied three times, and the first-order operators
 without the packed pass: each W^a and Gamma_a pass summed one derivative
 and one product at a time, and from those passes M, the Gamma
 contraction, W, the bar operators and W+ = Q Gamma as whole-tensor passes
-with N applied and inverted term by term.  Then comes the derivative of a
-term dict with respect to one variable, walking a reversed monomial for
-the right derivative.  At the bottom sit the product of two monomials
+with N applied and inverted term by term.  Then come the sums, scalar
+multiples and degree and sector filters of raw term dicts, as the algebra
+computed them on tuple keys before it stored packed ones, and the
+derivative of a term dict with respect to one variable, walking a
+reversed monomial for the right derivative.  At the bottom sit the product of two monomials
 merged pair by pair with its Koszul sign counted by bisection, the sum of
 products accumulated one product at a time in Fraction arithmetic, and
 the bracket built from those.  The solver and the algebra compute the
@@ -297,6 +299,61 @@ def neumann_by_terms(op, x: SymTensor, k: int) -> SymTensor:
     return total
 
 
+def add_terms(alg, t1, t2, sign=1):
+    """t1 + sign * t2 on raw term dicts in Fraction arithmetic: t1's
+    monomials in order, then each monomial of t2 new to the sum at the
+    end, a repeated one added to and dropped when it cancels.  The sum is
+    checked against the term budget once, when it is complete."""
+    out = dict(t1)
+    for m, c in t2.items():
+        c *= sign
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+            continue
+        c += old
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    alg.check_budget(out)
+    return out
+
+
+def scale_terms(terms, c):
+    """c * terms, term by term."""
+    return {m: v * c for m, v in terms.items()} if c else {}
+
+
+def cp_select_terms(alg, terms, keep):
+    """The terms whose cp-degree, summed factor by factor, satisfies keep."""
+    cp = alg.term_cpdeg
+    return {m: c for m, c in terms.items() if keep(cp(m))}
+
+
+def substitute_zero_terms(alg, terms, sectors):
+    """The terms holding no variable of the given sectors."""
+    sec = alg.var_sector
+    wanted = set(sectors)
+    return {m: c for m, c in terms.items() if not any(sec[v] in wanted for v, _ in m)}
+
+
+def n_apply_terms(alg, terms):
+    """N term by term: each term times its N-degree, zero ones dropped."""
+    out = {}
+    for m, c in terms.items():
+        d = alg.term_ndeg(m)
+        if d:
+            out[m] = c * d
+    return out
+
+
+def n_inverse_terms(alg, terms, power=1):
+    """N^-power term by term; a term of N-degree 0 raises
+    ZeroDivisionError."""
+    return {m: c / alg.term_ndeg(m) ** power for m, c in terms.items()}
+
+
 def derive_terms(alg, terms, vid, left):
     """Left or right derivative of a raw term dict with respect to vid."""
     par = alg.var_parity
@@ -411,6 +468,6 @@ def bracket_by_merges(alg, x, y, max_cp=None):
         if not d1 or not d2:
             continue
         if mid is not None:
-            d1 = mul_sum(alg, [(d1, mid)], max_cp)
+            d1 = mul_sum(alg, [(d1, mid.terms)], max_cp)
         pairs.append(({m: c * c0 for m, c in d1.items()}, d2))
     return mul_sum(alg, pairs, max_cp)

@@ -229,6 +229,33 @@ def test_term_budget_applies_to_every_theory_command(command, capsys, monkeypatc
     assert out == ""
 
 
+DEFORMED = str(THEORY_DIR / "so3-deformed.json")
+BUDGET_POINT_RUNS = {
+    "solve": ["solve", DEFORMED],
+    "lift": ["lift", DEFORMED, "--observable", "J2sq", "--method", "fixed-point"],
+}
+
+
+@pytest.mark.parametrize("command, budget, terms", [
+    ("solve", 50, 64), ("lift", 50, 64),
+    ("solve", 300, 301), ("lift", 300, 301),
+    ("solve", 400, None), ("lift", 400, 401),
+    ("lift", 550, 822),
+    ("lift", 850, 880),
+])
+def test_term_budget_check_points(command, budget, terms, capsys, monkeypatch):
+    # the count a budget stops at depends on the order terms form in and on
+    # where they are checked; terms None: the run fits the budget
+    monkeypatch.setenv("SP2_BRST_MAX_TERMS", str(budget))
+    code, _, err = run(capsys, *BUDGET_POINT_RUNS[command])
+    if terms is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert (f"error: a polynomial being formed has {terms} terms (budget {budget})"
+                in err.splitlines())
+
+
 def test_mixed_theory_document(capsys):
     code, out, _ = run(capsys, "solve", str(THEORY_DIR / "mixed2.json"))
     assert code == 0

@@ -23,10 +23,11 @@ ALG = Algebra(SPEC)
 
 
 def _w(alg, a, b):
-    """The structure function of the matter pairing (xi[a], xi[b])."""
+    """The structure function of the matter pairing (xi[a], xi[b]), as a
+    raw term dict."""
     va, vb = alg.by_name[f"xi[{a}]"], alg.by_name[f"xi[{b}]"]
     (mid,) = [mid for x, y, _, mid in alg._omega if (x, y) == (va, vb)]
-    return mid
+    return mid.terms
 
 
 def _budget_pair(alg):
