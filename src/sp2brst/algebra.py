@@ -193,15 +193,19 @@ class GradedPoly:
 
     def ngh(self):
         lay = self.alg.layout(self.width)
-        parts = lay.ngh_parts
-        return self._homogeneous(
-            (sum(w * lay.read(k, f) for f, w in parts) for k in self.nums), "ngh")
+        nghs = [0] * len(self.nums)
+        for fields, w in lay.ngh_parts:
+            nghs = [s + w * d for s, d in zip(nghs, lay.reads(self.nums, fields))]
+        return self._homogeneous(nghs, "ngh")
+
+    def _degree(self):
+        """The largest total degree of a term, 0 for zero."""
+        return max(self.alg.layout(self.width).reads(self.nums, -1), default=0)
 
     def _cps(self):
         """The cp-degree of each stored key, in order."""
         lay = self.alg.layout(self.width)
-        cp, ones, top, mask = lay.cp, lay.ones, lay.top, lay.mask
-        return [((k & cp) * ones >> top) & mask for k in self.nums]
+        return lay.reads(self.nums, lay.cp)
 
     def min_cp(self):
         """Smallest cp-degree over terms, or None for the zero polynomial."""
@@ -244,10 +248,8 @@ class GradedPoly:
         return None
 
     def _sum(self, other, sign):
-        """self + sign * other over the lcm of the two denominators, at the
-        wider of the two widths: self's keys in order, then each key of
-        other new to the sum at the end, a repeated one added to and
-        dropped when it cancels; checked against the term budget once."""
+        """self + sign * other at the wider of the two widths (merge_into):
+        self's keys in order, then those of other new to the sum."""
         width = self.width
         a, b = self.nums, other.nums
         if other.width != width:
@@ -256,29 +258,8 @@ class GradedPoly:
                 width = other.width
             else:
                 b = _repack(b, other.width, width)
-        den = self.den
-        if other.den == den:
-            out = dict(a)
-            f = sign
-        else:
-            den = lcm(den, other.den)
-            f = den // self.den
-            out = {k: n * f for k, n in a.items()}
-            f = den // other.den * sign
-        get = out.get
-        for k, n in b.items():
-            if f != 1:
-                n *= f
-            old = get(k)
-            if old is None:  # a key new to the sum is stored as it is
-                out[k] = n
-                continue
-            n += old
-            if n:
-                out[k] = n
-            else:
-                del out[k]
-        self.alg.check_budget(out)
+        out = dict(a)
+        den = merge_into(self.alg, out, self.den, b, other.den, sign)
         return self.alg.from_keys(out, width, den)
 
     def __add__(self, other):
@@ -408,9 +389,37 @@ def _repack(nums, old, new):
     return out
 
 
-def _at(p, width):
+def keys_at(p, width):
     """p's numerators keyed at width (p's own keys when it is stored at it)."""
     return p.nums if p.width == width else _repack(p.nums, p.width, width)
+
+
+def merge_into(alg, acc: dict, acc_den: int, x: dict, den: int, scale: int) -> int:
+    """Add scale * x / den to acc / acc_den in place, packed keys of one
+    width to int numerators: keys new to acc at the end, a repeated one
+    added to and dropped when it cancels.  The sum is checked against the
+    term budget once; returns acc's new denominator, the lcm of the two."""
+    common = lcm(acc_den, den)
+    if common != acc_den:
+        f = common // acc_den
+        for k in acc:
+            acc[k] *= f
+    scale *= common // den
+    get = acc.get
+    for k, num in x.items():
+        if scale != 1:
+            num *= scale
+        old = get(k)
+        if old is None:
+            acc[k] = num
+            continue
+        num += old
+        if num:
+            acc[k] = num
+        else:
+            del acc[k]
+    alg.check_budget(acc)
+    return common
 
 
 class _Layout:
@@ -421,7 +430,7 @@ class _Layout:
     into the top field; no partial sum passes the term's total degree,
     which the width holds, so none carries.  odd is the unit keys of the
     odd variables: an odd variable has exponent 0 or 1, so key & odd is a
-    term's odd mask, and its bit count a's parity.  info[v] is (v's unit
+    term's odd mask, and its bit count the term's parity.  info[v] is (v's unit
     key if v is odd else 0, the odd unit keys after v if v is odd else 0,
     v's cp-weight), and prefixes maps an odd mask to its prefix parity, the
     odd unit keys that lie above an odd number of the mask's (see
@@ -454,9 +463,11 @@ class _Layout:
         mask, width = self.mask, self.width
         return sum(mask << width * v for v in vids)
 
-    def read(self, key, fields):
-        """The sum of key's exponents in fields."""
-        return ((key & fields) * self.ones >> self.top) & self.mask
+    def reads(self, keys, fields):
+        """The sum of each key's exponents in fields, in order; fields -1
+        gives each key's total degree."""
+        ones, top, mask = self.ones, self.top, self.mask
+        return [((k & fields) * ones >> top) & mask for k in keys]
 
     def prefix(self, odd):
         """The prefix parity of an odd mask, memoised in prefixes."""
@@ -468,11 +479,6 @@ class _Layout:
             o ^= low
         self.prefixes[odd] = par
         return par
-
-    def degree(self, nums):
-        """The largest total degree of the keys of nums, 0 if none."""
-        ones, top, mask = self.ones, self.top, self.mask
-        return max((k * ones >> top) & mask for k in nums) if nums else 0
 
 
 def _pack(nums, lay, wanted=(), left=False):
@@ -604,8 +610,7 @@ class Algebra:
         self._paired = frozenset(va for va, _, _, _ in self._omega)
         # the largest total degree of a structure function (see bracket)
         self._mid_degree = max(
-            (mid.alg.layout(mid.width).degree(mid.nums)
-             for _, _, _, mid in self._omega if mid is not None), default=0)
+            (mid._degree() for _, _, _, mid in self._omega if mid is not None), default=0)
 
     def check_budget(self, terms):
         """Raise TermBudgetError if a term dict outgrows the budget."""
@@ -811,12 +816,12 @@ class Algebra:
                 "cannot multiply elements of algebras over different theories")
         if not p.nums or not q.nums:
             return self.zero()
-        dp = self.layout(p.width).degree(p.nums)
-        dq = dp if q is p else self.layout(q.width).degree(q.nums)
+        dp = p._degree()
+        dq = dp if q is p else q._degree()
         width = self._width(dp + dq, p, q)
         lay = self.layout(width)
-        rows_p = _pack(_at(p, width), lay)[0]
-        rows_q = rows_p if q is p else _pack(_at(q, width), lay)[0]
+        rows_p = _pack(keys_at(p, width), lay)[0]
+        rows_q = rows_p if q is p else _pack(keys_at(q, width), lay)[0]
         acc, den = self._product_sum([(rows_p, rows_q, p.den * q.den, 1)], max_cp)
         return self.from_keys(acc, width, den)
 
@@ -1055,15 +1060,14 @@ class Algebra:
                 "bracket arguments belong to an algebra over a different theory")
         if not x.nums or not y.nums:
             return self.zero()
-        need = (self.layout(x.width).degree(x.nums) + self.layout(y.width).degree(y.nums)
-                + self._mid_degree - 2)
+        need = x._degree() + y._degree() + self._mid_degree - 2
         width = self._width(need, x, y)
         lay = self.layout(width)
         info = lay.info
         lx, ly = x.den, y.den
-        rows_x, dx = _pack(_at(x, width), lay, self._paired, False)
+        rows_x, dx = _pack(keys_at(x, width), lay, self._paired, False)
         rows_y, dy = _pack(
-            _at(y, width), lay, {vb for va, vb, _, _ in self._omega if va in dx}, True)
+            keys_at(y, width), lay, {vb for va, vb, _, _ in self._omega if va in dx}, True)
         if max_cp is not None:
             lo_x = min(map(_cp_of, rows_x))
             lo_y = min(map(_cp_of, rows_y))
@@ -1080,7 +1084,7 @@ class Algebra:
                 continue
             l1 = lx
             if mid is not None:  # dx * w first, then * dy
-                rows_w = _pack(_at(mid, width), lay)[0]
+                rows_w = _pack(keys_at(mid, width), lay)[0]
                 meta = {}
                 acc, l1 = self._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp, meta)
                 if not acc:

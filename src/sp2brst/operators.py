@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra import GradedPoly, Sector, _at
+from .algebra import GradedPoly, Sector, keys_at, merge_into
 from .tensors import SymTensor, placements
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
@@ -60,8 +60,7 @@ class OutsideDomainError(ValueError):
 def _n_degrees(p: GradedPoly) -> list:
     """The N-degree of each of p's stored keys, in order, read off the key."""
     lay = p.alg.layout(p.width)
-    nf, ones, top, mask = lay.n, lay.ones, lay.top, lay.mask
-    return [((k & nf) * ones >> top) & mask for k in p.nums]
+    return lay.reads(p.nums, lay.n)
 
 
 def n_apply(p: GradedPoly) -> GradedPoly:
@@ -115,19 +114,16 @@ def _gamma_fields(alg, a):
 
 class _Tables:
     """The packed replace_sum tables of W^a and Gamma_a, indexed by a, at
-    one field width, and the N-degree read-off of the algebra's _Layout:
-    the N-degree of a key of this width is
-    ((key & nfields) * ones >> top) & mask."""
+    one field width, and the algebra's _Layout of that width."""
 
-    __slots__ = ("width", "w", "gamma", "nfields", "ones", "top", "mask")
+    __slots__ = ("width", "w", "gamma", "lay")
 
     def __init__(self, alg, width):
         self.width = width
         # W^a and Gamma_a have int coefficients: fden is 1
         self.w = {a: alg.replace_table(_w_fields(alg, a), width)[0] for a in (1, 2)}
         self.gamma = {a: alg.replace_table(_gamma_fields(alg, a), width)[0] for a in (1, 2)}
-        lay = alg.layout(width)
-        self.nfields, self.ones, self.top, self.mask = lay.n, lay.ones, lay.top, lay.mask
+        self.lay = alg.layout(width)
 
 
 def _tables(alg, width) -> _Tables:
@@ -147,35 +143,8 @@ def _packed(p: GradedPoly):
 
 def _tensor_tables(t: SymTensor) -> _Tables:
     """The tables at one field width for every component of t, the widest
-    of theirs; the narrower components are repacked to it (_at)."""
+    of theirs; the narrower components are repacked to it (keys_at)."""
     return _tables(t.alg, max((p.width for p in t.comps.values()), default=1))
-
-
-def _merge(alg, acc: dict, acc_den: int, x: dict, den: int, scale: int) -> int:
-    """Add scale * x / den to acc / acc_den in place, as GradedPoly
-    addition adds (keys new to acc at the end, cancelled ones dropped),
-    and check the sum against the term budget; returns acc's new
-    denominator, the lcm of the two."""
-    common = lcm(acc_den, den)
-    if common != acc_den:
-        f = common // acc_den
-        for k in acc:
-            acc[k] *= f
-    scale *= common // den
-    get = acc.get
-    for k, num in x.items():
-        num *= scale
-        old = get(k)
-        if old is None:
-            acc[k] = num
-            continue
-        num += old
-        if num:
-            acc[k] = num
-        else:
-            del acc[k]
-    alg.check_budget(acc)
-    return common
 
 
 def w_component(p: GradedPoly, a: int) -> GradedPoly:
@@ -226,7 +195,7 @@ def apply_W(t: SymTensor) -> SymTensor:
     addition does."""
     alg = t.alg
     tab = _tensor_tables(t)
-    packed = {idx: (_at(p, tab.width), p.den) for idx, p in t.comps.items()}
+    packed = {idx: (keys_at(p, tab.width), p.den) for idx, p in t.comps.items()}
     out = SymTensor(alg, t.rank + 1)
     for key, places in placements(t.rank):
         total = None
@@ -242,7 +211,7 @@ def apply_W(t: SymTensor) -> SymTensor:
                     for k in wx:
                         wx[k] *= n
             else:
-                tden = _merge(alg, total, tden, wx, den, n)
+                tden = merge_into(alg, total, tden, wx, den, n)
         if total:
             out.comps[key] = alg.from_keys(total, tab.width, tden)
     return out
@@ -257,7 +226,7 @@ def _contract(t: SymTensor, idx: tuple, tab: _Tables):
     x: dict = {}
     for a, p in zip((1, 2), parts):
         if p:
-            nums = _at(p, tab.width)
+            nums = keys_at(p, tab.width)
             if p.den != den:
                 f = den // p.den
                 nums = {k: n * f for k, n in nums.items()}
@@ -305,22 +274,19 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
     brought over c den D^3, D the lcm of the terms' N-degrees.  A term of
     N-degree 0 in x raises OutsideDomainError; those of MX and M^2X have
     the degrees of the terms they come from."""
-    nfields, ones, top, mask = tab.nfields, tab.ones, tab.top, tab.mask
+    lay = tab.lay
     for k, num in x.items():
-        if not k & nfields:
+        if not k & lay.n:
             raise OutsideDomainError(
                 "term outside the invertible domain of N: "
                 f"{alg.from_keys({k: num}, tab.width, den)!r}")
     mx = _m_sum(alg, tab, x)
     mmx = _m_sum(alg, tab, mx)
     a1, a2, a3, c = _q_coefficients(n)
-    out = {}
-    for k, num in x.items():
-        d = ((k & nfields) * ones >> top) & mask
-        out[k] = a1 * num * d * d
+    out = {k: a1 * num * d * d for (k, num), d in zip(x.items(), lay.reads(x, lay.n))}
     get = out.get
-    for k, num in mx.items():
-        s = get(k, 0) + a2 * (((k & nfields) * ones >> top) & mask) * num
+    for (k, num), d in zip(mx.items(), lay.reads(mx, lay.n)):
+        s = get(k, 0) + a2 * d * num
         if s:
             out[k] = s
         else:
@@ -333,7 +299,7 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
         else:
             del out[k]
     alg.check_budget(out)
-    degs = [((k & nfields) * ones >> top) & mask for k in out]
+    degs = lay.reads(out, lay.n)
     big = lcm(*degs)
     for (k, num), d in zip(out.items(), degs):
         out[k] = num * (big // d) ** 3
@@ -387,7 +353,7 @@ def _antisymmetrized(p: GradedPoly, op: str, a: int, b: int) -> GradedPoly:
     ops = tab.w if op == "w" else tab.gamma
     rs = alg.replace_sum
     out = rs(rs(x, ops[a], {}), ops[b], {})
-    _merge(alg, out, den, rs(rs(x, ops[b], {}), ops[a], {}), den, -1)
+    merge_into(alg, out, den, rs(rs(x, ops[b], {}), ops[a], {}), den, -1)
     return alg.from_keys(out, tab.width, den)
 
 
