@@ -36,10 +36,10 @@ entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
 antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  Each argument is walked
 once, and the walk that makes a term's row also emits its derivative
-rows: one power of the variable leaves the key and the masks.  X gives its right derivatives by every paired
-variable it contains, Y its left derivatives by the partners of those
-only, and the sum runs over the table entries whose two derivatives are
-both nonzero.
+rows: one power of the variable leaves the key and the masks.  X gives
+its right derivatives by every paired variable it contains, Y its left
+derivatives by the partners of those only, and the sum runs over the
+table entries whose two derivatives are both nonzero.
 """
 
 from __future__ import annotations
