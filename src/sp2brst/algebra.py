@@ -351,42 +351,33 @@ def _poly(alg, nums, den, width):
     return p
 
 
+def _factors(key, width):
+    """The (variable id, exponent) pairs of a packed key, by variable."""
+    mask = (1 << width) - 1
+    while key:
+        v = ((key & -key).bit_length() - 1) // width  # the lowest variable
+        e = (key >> width * v) & mask
+        yield v, e
+        key ^= e << width * v
+
+
 def _decode(nums, width, den):
     """The raw term dict of packed keys and their int numerators over den,
     one Fraction per distinct numerator, in the order of nums."""
-    mask = (1 << width) - 1
     out = {}
     made = {}  # numerator -> its Fraction
     for k, n in nums.items():
-        mono = []
-        while k:
-            v = ((k & -k).bit_length() - 1) // width  # the lowest variable
-            shift = width * v
-            e = (k >> shift) & mask
-            mono.append((v, e))
-            k ^= e << shift
         c = made.get(n)
         if c is None:
             c = made[n] = Fraction(n, den)
-        out[tuple(mono)] = c
+        out[tuple(_factors(k, width))] = c
     return out
 
 
 def _repack(nums, old, new):
     """nums with its keys moved from field width old to width new, in
     order; every exponent must fit the new width."""
-    mask = (1 << old) - 1
-    out = {}
-    for k, n in nums.items():
-        key = 0
-        while k:
-            v = ((k & -k).bit_length() - 1) // old
-            shift = old * v
-            e = (k >> shift) & mask
-            key += e << new * v
-            k ^= e << shift
-        out[key] = n
-    return out
+    return {sum(e << new * v for v, e in _factors(k, old)): n for k, n in nums.items()}
 
 
 def keys_at(p, width):
