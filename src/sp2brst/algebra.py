@@ -56,6 +56,12 @@ _ONE = Fraction(1)
 
 DEFAULT_MAX_TERMS = 1_000_000
 
+# the narrowest field width a polynomial is stored at, holding total
+# degree 15: below it, products of the bundled theories' and the identity
+# sampler's polynomials would widen their fields, and sums repack them,
+# at almost every step
+MIN_WIDTH = 4
+
 
 class Sector(IntEnum):
     """Variable sectors, enum order == canonical monomial order."""
@@ -122,17 +128,19 @@ class GradedPoly:
     zero, so two polynomials of one width are equal exactly when their
     den and nums are.  width holds every term's total degree (2 ** width
     exceeds it), so no field carries when keys or fields are summed (see
-    _Layout).  Widths are not canonical.  A kernel forms its result at the
-    widest width of its inputs, or wider if the total degrees it forms
-    need it: a product the sum of its factors' largest total degrees, the
-    bracket that of x, y and a structure function, less 2.  A chain of
-    first-order passes keeps each term's total degree and needs no check.
-    Only an input stored at another width than the call's is repacked, as
-    in +, == and a tensor's components.
+    _Layout).  Widths are not canonical, and none is below MIN_WIDTH, so
+    that polynomials of the usual degrees share one width.  A kernel forms
+    its result at the widest width of its inputs, or wider if the total
+    degrees it forms need it: a product the sum of its factors' largest
+    total degrees, the bracket that of x, y and a structure function, less
+    2.  A chain of first-order passes keeps each term's total degree and
+    needs no check.  Only an input stored at another width than the
+    call's is repacked, as in +, == and a tensor's components.
 
     GradedPoly(alg, terms) packs a raw term dict {monomial: coefficient},
     a monomial a tuple of (variable id, exponent) pairs sorted by id, at
-    the width of its largest total degree; zero coefficients are dropped.
+    the width of its largest total degree or MIN_WIDTH if that is wider;
+    zero coefficients are dropped.
     terms is the read-only tuple view, decoded on every read."""
 
     __slots__ = ("alg", "nums", "den", "width")
@@ -143,14 +151,14 @@ class GradedPoly:
             d = c.denominator
             if d != 1:
                 den = lcm(den, d)
-        top = 1
+        top = 0
         for mono in terms:
             d = 0
             for _, e in mono:
                 d += e
             if d > top:
                 top = d
-        width = top.bit_length()
+        width = max(top.bit_length(), MIN_WIDTH)
         nums = {}
         for mono, c in terms.items():
             if c:
@@ -591,7 +599,7 @@ class Algebra:
         # packed tables, one set per width, built on first use
         self._layouts: dict = {}
         self.operator_tables: dict = {}
-        self._one = _poly(self, {0: 1}, 1, 1)
+        self._one = _poly(self, {0: 1}, 1, MIN_WIDTH)
 
         # sparse pairing table: list of (vid_a, vid_b, scalar, structure
         # function or None)
@@ -689,7 +697,7 @@ class Algebra:
     # -- constructors -------------------------------------------------------
 
     def zero(self):
-        return _poly(self, {}, 1, 1)
+        return _poly(self, {}, 1, MIN_WIDTH)
 
     def one(self):
         return self._one
@@ -698,10 +706,10 @@ class Algebra:
         c = Fraction(c)
         if not c:
             return self.zero()
-        return _poly(self, {0: c.numerator}, c.denominator, 1)
+        return _poly(self, {0: c.numerator}, c.denominator, MIN_WIDTH)
 
     def gen(self, vid):
-        return _poly(self, {1 << vid: 1}, 1, 1)
+        return _poly(self, {1 << MIN_WIDTH * vid: 1}, 1, MIN_WIDTH)
 
     def poly(self, terms):
         """Build from {monomial: coefficient}, dropping zeros."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra import GradedPoly, Sector, keys_at, merge_into
+from .algebra import MIN_WIDTH, GradedPoly, Sector, keys_at, merge_into
 from .tensors import SymTensor, placements
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
@@ -144,7 +144,7 @@ def _packed(p: GradedPoly):
 def _tensor_tables(t: SymTensor) -> _Tables:
     """The tables at one field width for every component of t, the widest
     of theirs; the narrower components are repacked to it (keys_at)."""
-    return _tables(t.alg, max((p.width for p in t.comps.values()), default=1))
+    return _tables(t.alg, max((p.width for p in t.comps.values()), default=MIN_WIDTH))
 
 
 def w_component(p: GradedPoly, a: int) -> GradedPoly:
