@@ -798,11 +798,7 @@ class Algebra:
         """The field width for a kernel over polys that forms terms of
         total degree up to need: the widest of theirs, or the bit length
         of need if that is wider."""
-        width = need.bit_length()
-        for p in polys:
-            if p.width > width:
-                width = p.width
-        return width
+        return max(need.bit_length(), *(p.width for p in polys))
 
     def mul(self, p, q, *, max_cp=None):
         """The graded product p q; with max_cp, truncated at that cp-degree
