@@ -19,15 +19,15 @@ and scalar products sum int numerators; mul and bracket walk the keys
 into packed rows (see _pack: odd-variable mask, prefix-parity mask for
 Koszul signs and cp-degree, read off the key) and form every product in
 one loop, Algebra._product_sum; the first-order operators (replace_left
-and the chains of the operators module) share one pass,
+and the passes of the operators module) share one pass,
 Algebra.replace_sum.  N-degrees, cp-degrees and parities are read off a
 key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
 an input only when its width differs from the one the call needs, and a
 chain, whose passes keep each term's total degree, never does.  Tuple
 monomials, (variable id, exponent) pairs sorted by id, remain only where
 people read them: the terms view, decoded on each read (expr.serialize,
-the theory checks, tests), and the GradedPoly(alg, terms) and
-Algebra.poly constructors, which pack.
+the theory checks, tests), and Algebra.poly, which checks and packs
+them.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -135,41 +135,14 @@ class GradedPoly:
     total degrees, the bracket that of x, y and a structure function, less
     2.  A chain of first-order passes keeps each term's total degree and
     needs no check.  Only an input stored at another width than the
-    call's is repacked, as in +, == and a tensor's components.
+    call's is repacked, as in +, == and the Gamma contraction.
 
-    GradedPoly(alg, terms) packs a raw term dict {monomial: coefficient},
-    a monomial a tuple of (variable id, exponent) pairs sorted by id, at
-    the width of its largest total degree or MIN_WIDTH if that is wider;
-    zero coefficients are dropped.
-    terms is the read-only tuple view, decoded on every read."""
+    Polynomials are made by the algebra: _poly takes packed keys as they
+    are, Algebra.from_keys makes their denominator canonical, and
+    Algebra.poly packs tuple monomials, the one tuple entry point.  terms
+    is the read-only tuple view, decoded on every read."""
 
     __slots__ = ("alg", "nums", "den", "width")
-
-    def __init__(self, alg: "Algebra", terms: dict):
-        den = 1
-        for c in terms.values():
-            d = c.denominator
-            if d != 1:
-                den = lcm(den, d)
-        top = 0
-        for mono in terms:
-            d = 0
-            for _, e in mono:
-                d += e
-            if d > top:
-                top = d
-        width = max(top.bit_length(), MIN_WIDTH)
-        nums = {}
-        for mono, c in terms.items():
-            if c:
-                key = 0
-                for v, e in mono:
-                    key += e << width * v
-                nums[key] = c.numerator * (den // c.denominator)
-        self.alg = alg
-        self.nums = nums
-        self.den = den if nums else 1
-        self.width = width
 
     @property
     def terms(self):
@@ -256,8 +229,11 @@ class GradedPoly:
         return None
 
     def _sum(self, other, sign):
-        """self + sign * other at the wider of the two widths (merge_into):
-        self's keys in order, then those of other new to the sum."""
+        """self + sign * other at the wider of the two widths, as int
+        numerators over the lcm of the two denominators: self's keys in
+        order, then those of other new to the sum, a repeated key added to
+        and dropped when it cancels.  The sum is checked against the term
+        budget once."""
         width = self.width
         a, b = self.nums, other.nums
         if other.width != width:
@@ -266,8 +242,24 @@ class GradedPoly:
                 width = other.width
             else:
                 b = _repack(b, other.width, width)
-        out = dict(a)
-        den = merge_into(self.alg, out, self.den, b, other.den, sign)
+        den = lcm(self.den, other.den)
+        f = den // self.den
+        out = {k: n * f for k, n in a.items()} if f != 1 else dict(a)
+        scale = sign * (den // other.den)
+        get = out.get
+        for k, num in b.items():
+            if scale != 1:
+                num *= scale
+            old = get(k)
+            if old is None:
+                out[k] = num
+                continue
+            num += old
+            if num:
+                out[k] = num
+            else:
+                del out[k]
+        self.alg.check_budget(out)
         return self.alg.from_keys(out, width, den)
 
     def __add__(self, other):
@@ -391,34 +383,6 @@ def _repack(nums, old, new):
 def keys_at(p, width):
     """p's numerators keyed at width (p's own keys when it is stored at it)."""
     return p.nums if p.width == width else _repack(p.nums, p.width, width)
-
-
-def merge_into(alg, acc: dict, acc_den: int, x: dict, den: int, scale: int) -> int:
-    """Add scale * x / den to acc / acc_den in place, packed keys of one
-    width to int numerators: keys new to acc at the end, a repeated one
-    added to and dropped when it cancels.  The sum is checked against the
-    term budget once; returns acc's new denominator, the lcm of the two."""
-    common = lcm(acc_den, den)
-    if common != acc_den:
-        f = common // acc_den
-        for k in acc:
-            acc[k] *= f
-    scale *= common // den
-    get = acc.get
-    for k, num in x.items():
-        if scale != 1:
-            num *= scale
-        old = get(k)
-        if old is None:
-            acc[k] = num
-            continue
-        num += old
-        if num:
-            acc[k] = num
-        else:
-            del acc[k]
-    alg.check_budget(acc)
-    return common
 
 
 class _Layout:
@@ -589,7 +553,6 @@ class Algebra:
 
         self.vars = tuple(vars_)
         self.var_parity = tuple(v.parity for v in vars_)
-        self.var_ngh = tuple(v.ngh for v in vars_)
         self.var_sector = tuple(v.sector for v in vars_)
         self.var_nwt = tuple(1 if v.sector in _N_SECTORS else 0 for v in vars_)
         self.var_cpwt = tuple(1 if v.sector in _CP_SECTORS else 0 for v in vars_)
@@ -664,36 +627,6 @@ class Algebra:
     def lagrange_mom(self, a):
         return self.gen(self.vid(Sector.LAGRANGE_MOM, a))
 
-    # -- term-level grading of tuple monomials ------------------------------
-
-    def term_parity(self, mono):
-        par = self.var_parity
-        s = 0
-        for v, e in mono:
-            s += par[v] * e
-        return s & 1
-
-    def term_ngh(self, mono):
-        ngh = self.var_ngh
-        s = 0
-        for v, e in mono:
-            s += ngh[v] * e
-        return s
-
-    def term_ndeg(self, mono):
-        w = self.var_nwt
-        s = 0
-        for v, e in mono:
-            s += w[v] * e
-        return s
-
-    def term_cpdeg(self, mono):
-        w = self.var_cpwt
-        s = 0
-        for v, e in mono:
-            s += w[v] * e
-        return s
-
     # -- constructors -------------------------------------------------------
 
     def zero(self):
@@ -712,8 +645,44 @@ class Algebra:
         return _poly(self, {1 << MIN_WIDTH * vid: 1}, 1, MIN_WIDTH)
 
     def poly(self, terms):
-        """Build from {monomial: coefficient}, dropping zeros."""
-        return GradedPoly(self, {m: Fraction(c) for m, c in terms.items() if c})
+        """Build from {monomial: coefficient}, a monomial a tuple of
+        (variable id, exponent) pairs, ids strictly increasing; zero
+        coefficients are dropped.  The keys are packed at the width of the
+        largest total degree, or MIN_WIDTH if that is wider.  An id out of
+        range or out of order, an exponent below 1 or an odd variable's
+        above 1 raises ValueError."""
+        nv, par = len(self.vars), self.var_parity
+        kept = {}
+        top = 0
+        for mono, c in terms.items():
+            last = -1
+            d = 0
+            for v, e in mono:
+                if not last < v < nv:
+                    raise ValueError(
+                        f"monomial {mono!r}: variable ids must be strictly "
+                        f"increasing and in 0..{nv - 1}")
+                if e < 1 or (e > 1 and par[v]):
+                    raise ValueError(
+                        f"monomial {mono!r}: exponent {e} of {self.vars[v].name} "
+                        f"must be {'1' if par[v] else 'at least 1'}")
+                last = v
+                d += e
+            c = Fraction(c)
+            if c:
+                kept[mono] = c
+                top = max(top, d)
+        if not kept:
+            return self.zero()
+        den = lcm(*(c.denominator for c in kept.values()))
+        width = max(top.bit_length(), MIN_WIDTH)
+        nums = {}
+        for mono, c in kept.items():
+            key = 0
+            for v, e in mono:
+                key += e << width * v
+            nums[key] = c.numerator * (den // c.denominator)
+        return _poly(self, nums, den, width)
 
     def from_keys(self, nums, width, den):
         """The polynomial of packed keys nums (key -> int numerator over

@@ -10,15 +10,17 @@ Component (scalar) operators, all first-order with left derivatives:
 Each component of W and Gamma is one pass of Algebra.replace_sum, the
 first-order core over packed int keys, with the operator's table at the
 input's field width (_Tables, one set per width, kept on the algebra).
-Every operator here is one chain over the stored keys of its input: its
-passes sum int numerators over the input's denominator, and its result
-is stored as it forms, over one canonical denominator; nothing is packed
-on entry or decoded on exit.  A pass keeps each term's total degree, so
-the input's width holds every key the chain forms; a tensor's components
-share the widest of their widths.  N and N^-1 read each term's N-degree
-off its key.  w_component and gamma_component are one pass each,
-m_component four, bar_w and bar_gamma four and one difference, and
-apply_W sums each output component's placements in one int dict.
+w_component and gamma_component are one pass each and m_component four,
+each a chain over the stored keys of its input: the passes sum int
+numerators over the input's denominator, and the result is stored as it
+forms, over one canonical denominator; nothing is packed on entry or
+decoded on exit.  A pass keeps each term's total degree, so the input's
+width holds every key the chain forms.  N and N^-1 read each term's
+N-degree off its key.  The compositions of those passes reuse the general
+code: apply_W is SymTensor.placement_sum of w_component, and bar_w and
+bar_gamma are GradedPoly differences of two passes of two passes.  The
+Gamma contraction, Q and W+ stay one packed chain per output component,
+over one field width for the tensor, the widest of its components'.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N/M/Q act per component.
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra import MIN_WIDTH, GradedPoly, Sector, keys_at, merge_into
-from .tensors import SymTensor, placements
+from .algebra import MIN_WIDTH, GradedPoly, Sector, keys_at
+from .tensors import SymTensor
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
 EPS_DOWN = {(1, 2): -1, (2, 1): 1, (1, 1): 0, (2, 2): 0}
@@ -135,12 +137,6 @@ def _tables(alg, width) -> _Tables:
     return tab
 
 
-def _packed(p: GradedPoly):
-    """(x, den, tables): p's stored int numerators x over den, and the
-    tables at p's width, which holds every key a chain forms from it."""
-    return p.nums, p.den, _tables(p.alg, p.width)
-
-
 def _tensor_tables(t: SymTensor) -> _Tables:
     """The tables at one field width for every component of t, the widest
     of theirs; the narrower components are repacked to it (keys_at)."""
@@ -148,13 +144,13 @@ def _tensor_tables(t: SymTensor) -> _Tables:
 
 
 def w_component(p: GradedPoly, a: int) -> GradedPoly:
-    x, den, tab = _packed(p)
-    return p.alg.from_keys(p.alg.replace_sum(x, tab.w[a], {}), tab.width, den)
+    tab = _tables(p.alg, p.width)
+    return p.alg.from_keys(p.alg.replace_sum(p.nums, tab.w[a], {}), p.width, p.den)
 
 
 def gamma_component(p: GradedPoly, a: int) -> GradedPoly:
-    x, den, tab = _packed(p)
-    return p.alg.from_keys(p.alg.replace_sum(x, tab.gamma[a], {}), tab.width, den)
+    tab = _tables(p.alg, p.width)
+    return p.alg.from_keys(p.alg.replace_sum(p.nums, tab.gamma[a], {}), p.width, p.den)
 
 
 def _m_sum(alg, tab: _Tables, x: dict) -> dict:
@@ -167,8 +163,8 @@ def _m_sum(alg, tab: _Tables, x: dict) -> dict:
 
 
 def m_component(p: GradedPoly) -> GradedPoly:
-    x, den, tab = _packed(p)
-    return p.alg.from_keys(_m_sum(p.alg, tab, x), tab.width, den)
+    tab = _tables(p.alg, p.width)
+    return p.alg.from_keys(_m_sum(p.alg, tab, p.nums), p.width, p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +180,10 @@ def apply_M(t: SymTensor) -> SymTensor:
 
 
 def apply_W(t: SymTensor) -> SymTensor:
-    """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest}.
-
-    The placements follow tensors.placements, the rule of
-    SymTensor.placement_sum.  The input components are read at one field
-    width for the tensor, and each output component is one int dict:
-    each placement's W^a pass forms its own dict,
-    checked against the term budget, and is added to the component's sum
-    times its count over the lcm of the denominators, as placement_sum's
-    addition does."""
-    alg = t.alg
-    tab = _tensor_tables(t)
-    packed = {idx: (keys_at(p, tab.width), p.den) for idx, p in t.comps.items()}
-    out = SymTensor(alg, t.rank + 1)
-    for key, places in placements(t.rank):
-        total = None
-        for rest, a, n in places:
-            src = packed.get(rest)
-            if src is None:
-                continue
-            x, den = src
-            wx = alg.replace_sum(x, tab.w[a], {})
-            if total is None:
-                total, tden = wx, den
-                if n != 1:
-                    for k in wx:
-                        wx[k] *= n
-            else:
-                tden = merge_into(alg, total, tden, wx, den, n)
-        if total:
-            out.comps[key] = alg.from_keys(total, tab.width, tden)
-    return out
+    """Rank n -> n+1: cyclic sum  (WX)^{a0..an} = sum_j W^{aj} X^{rest},
+    SymTensor.placement_sum of w_component.  Each output component is
+    stored at the widest width of the input components it sums."""
+    return t.placement_sum(w_component)
 
 
 def _contract(t: SymTensor, idx: tuple, tab: _Tables):
@@ -324,7 +293,11 @@ def apply_Q(t: SymTensor) -> SymTensor:
     rank coefficients of _q_coefficients, per component: each component's
     stored keys go through _q_step, which applies M twice and no N at
     all."""
-    return _q_map(t.alg, t.rank, lambda idx: _packed(t.get(idx)))
+    def component(idx):
+        p = t.get(idx)
+        return p.nums, p.den, _tables(t.alg, p.width)
+
+    return _q_map(t.alg, t.rank, component)
 
 
 def apply_W_plus(t: SymTensor) -> SymTensor:
@@ -343,25 +316,11 @@ def apply_W_plus(t: SymTensor) -> SymTensor:
 # contracted second-order operators (rank 0)
 
 
-def _antisymmetrized(p: GradedPoly, op: str, a: int, b: int) -> GradedPoly:
-    """op_b op_a p - op_a op_b p, op "w" (W^a) or "gamma" (Gamma_a), as one
-    chain over p's stored keys: four passes, each checked against the
-    term budget, and the difference summed as GradedPoly subtraction sums
-    it."""
-    alg = p.alg
-    x, den, tab = _packed(p)
-    ops = tab.w if op == "w" else tab.gamma
-    rs = alg.replace_sum
-    out = rs(rs(x, ops[a], {}), ops[b], {})
-    merge_into(alg, out, den, rs(rs(x, ops[b], {}), ops[a], {}), den, -1)
-    return alg.from_keys(out, tab.width, den)
-
-
 def bar_w(p: GradedPoly) -> GradedPoly:
     """barW = eps_ab W^a W^b = W^2 W^1 - W^1 W^2."""
-    return _antisymmetrized(p, "w", 1, 2)
+    return w_component(w_component(p, 1), 2) - w_component(w_component(p, 2), 1)
 
 
 def bar_gamma(p: GradedPoly) -> GradedPoly:
     """barGamma = eps^ab Gamma_a Gamma_b = Gamma_1 Gamma_2 - Gamma_2 Gamma_1."""
-    return _antisymmetrized(p, "gamma", 2, 1)
+    return gamma_component(gamma_component(p, 2), 1) - gamma_component(gamma_component(p, 1), 2)

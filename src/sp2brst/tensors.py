@@ -1,20 +1,18 @@
 """Sp(2)-symmetric tensors with polynomial components.
 
 A rank-n tensor stores one component per sorted multi-index over {1, 2}
-(n+1 canonical components).  The rank-raising sums follow one placement
-rule, ``placements``, which evaluates each distinct (component, index)
-pair once and is symmetric by construction: A and the bracket with a
-rank-1 tensor through ``SymTensor.placement_sum``, W through the packed
-chain of ``operators.apply_W``.  ``SymTensor.from_full`` builds a tensor
-from a component for every full index tuple and verifies that all
-members of a permutation orbit agree instead of symmetrising silently; it
-is the check for components computed separately, such as the direct
+(n+1 canonical components).  The rank-raising sums (W, A and the bracket
+with a rank-1 tensor) go through ``SymTensor.placement_sum``, which
+evaluates each distinct (component, index) pair once and is symmetric by
+construction.  ``SymTensor.from_full`` builds a tensor from a component
+for every full index tuple and verifies that all members of a
+permutation orbit agree instead of symmetrising silently; it is the check
+for components computed separately, such as the direct
 {Omega^a, Omega^b}' of the master-equation residual.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations_with_replacement, product
 
 from .algebra import GradedPoly
@@ -22,25 +20,6 @@ from .algebra import GradedPoly
 
 class SymmetryError(ValueError):
     """A tensor built from full components failed the symmetry check."""
-
-
-@cache
-def placements(rank):
-    """The rank n -> n+1 placement rule, as (key, places) for each output
-    component key: out^key = sum over the (rest, a, count) of places of
-    count * fn(in^rest, a).  Placements of equal indices give equal terms,
-    so each distinct a in key is placed once, with rest the key less one
-    a and count the number of a in key."""
-    out = []
-    for key in combinations_with_replacement((1, 2), rank + 1):
-        places = []
-        for a in (1, 2):
-            n = key.count(a)
-            if n:
-                i = key.index(a)
-                places.append((key[:i] + key[i + 1:], a, n))
-        out.append((key, tuple(places)))
-    return tuple(out)
 
 
 class SymTensor:
@@ -90,18 +69,26 @@ class SymTensor:
     def placement_sum(self, fn):
         """Rank n -> n+1: out^(a0..an) = sum_j fn(self^(rest_j), aj), with
         rest_j the indices other than aj, for fn linear in its first
-        argument, by the rule of placements: at most two calls of fn per
-        component, each distinct (rest, a) pair evaluated once.  The
+        argument.
+
+        Placements of equal indices give equal terms, so each output
+        component is sum over the distinct a in its key of
+        count(a) * fn(self^(key minus one a), a): at most two calls of fn
+        per component, each distinct (rest, a) pair evaluated once.  The
         result is symmetric by construction; zero components are skipped.
         """
         out = SymTensor(self.alg, self.rank + 1)
-        for key, places in placements(self.rank):
+        for key in out.indices():
             total = None
-            for rest, a, n in places:
-                comp = self.comps.get(rest)
-                if comp is None:
+            for a in (1, 2):
+                n = key.count(a)
+                if not n:
                     continue
-                p = fn(comp, a)
+                i = key.index(a)
+                rest = self.comps.get(key[:i] + key[i + 1:])
+                if rest is None:
+                    continue
+                p = fn(rest, a)
                 if n != 1:
                     p = p * n
                 total = p if total is None else total + p

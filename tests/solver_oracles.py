@@ -9,16 +9,18 @@ term.  Below them sit the placement sum evaluated on every full index
 tuple, Q with M applied three times, and the first-order operators
 without the packed pass: each W^a and Gamma_a pass summed one derivative
 and one product at a time, and from those passes M, the Gamma
-contraction, W, the bar operators and W+ = Q Gamma as whole-tensor passes
-with N applied and inverted term by term.  Then come the sums, scalar
-multiples and degree and sector filters of raw term dicts, as the algebra
-computed them on tuple keys before it stored packed ones, and the
-derivative of a term dict with respect to one variable, walking a
-reversed monomial for the right derivative.  At the bottom sit the product of two monomials
-merged pair by pair with its Koszul sign counted by bisection, the sum of
-products accumulated one product at a time in Fraction arithmetic, and
-the bracket built from those.  The solver and the algebra compute the
-same results more cheaply; only tests call these.
+contraction, W, the bar operators and W+ = Q Gamma as whole-tensor
+passes with N applied and inverted term by term.  Then come the parity,
+ghost number, N-degree and cp-degree of a tuple monomial, summed factor
+by factor, and the sums, scalar multiples and degree and sector filters
+of raw term dicts, as the algebra computed them on tuple keys before it
+stored packed ones, and the derivative of a term dict with respect to
+one variable, walking a reversed monomial for the right derivative.  At
+the bottom sit the product of two monomials merged pair by pair with its
+Koszul sign counted by bisection, the sum of products accumulated one
+product at a time in Fraction arithmetic, and the bracket built from
+those.  The solver and the algebra compute the same results more
+cheaply; only tests call these.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.algebra import GradedPoly
 from sp2brst.operators import (_gamma_fields, _w_fields, apply_M, apply_W_plus, n_apply,
                                n_inverse)
 from sp2brst.solver import HALF, ConventionError, build_pi0, pair_bracket
@@ -82,7 +83,7 @@ def replace_by_derivatives(p, fields):
             if c:
                 out[m] = c
     alg.check_budget(out)
-    return GradedPoly(alg, out)
+    return alg.poly(out)
 
 
 def w_by_derivatives(p, a):
@@ -299,6 +300,26 @@ def neumann_by_terms(op, x: SymTensor, k: int) -> SymTensor:
     return total
 
 
+def term_parity(alg, mono):
+    """The parity of a tuple monomial, summed factor by factor."""
+    return sum(alg.var_parity[v] * e for v, e in mono) & 1
+
+
+def term_ngh(alg, mono):
+    """The ghost number of a tuple monomial, summed factor by factor."""
+    return sum(alg.vars[v].ngh * e for v, e in mono)
+
+
+def term_ndeg(alg, mono):
+    """The N-degree of a tuple monomial, summed factor by factor."""
+    return sum(alg.var_nwt[v] * e for v, e in mono)
+
+
+def term_cpdeg(alg, mono):
+    """The cp-degree of a tuple monomial, summed factor by factor."""
+    return sum(alg.var_cpwt[v] * e for v, e in mono)
+
+
 def add_terms(alg, t1, t2, sign=1):
     """t1 + sign * t2 on raw term dicts in Fraction arithmetic: t1's
     monomials in order, then each monomial of t2 new to the sum at the
@@ -327,8 +348,7 @@ def scale_terms(terms, c):
 
 def cp_select_terms(alg, terms, keep):
     """The terms whose cp-degree, summed factor by factor, satisfies keep."""
-    cp = alg.term_cpdeg
-    return {m: c for m, c in terms.items() if keep(cp(m))}
+    return {m: c for m, c in terms.items() if keep(term_cpdeg(alg, m))}
 
 
 def substitute_zero_terms(alg, terms, sectors):
@@ -342,7 +362,7 @@ def n_apply_terms(alg, terms):
     """N term by term: each term times its N-degree, zero ones dropped."""
     out = {}
     for m, c in terms.items():
-        d = alg.term_ndeg(m)
+        d = term_ndeg(alg, m)
         if d:
             out[m] = c * d
     return out
@@ -351,7 +371,7 @@ def n_apply_terms(alg, terms):
 def n_inverse_terms(alg, terms, power=1):
     """N^-power term by term; a term of N-degree 0 raises
     ZeroDivisionError."""
-    return {m: c / alg.term_ndeg(m) ** power for m, c in terms.items()}
+    return {m: c / term_ndeg(alg, m) ** power for m, c in terms.items()}
 
 
 def derive_terms(alg, terms, vid, left):
@@ -434,7 +454,9 @@ def mul_sum(alg, pairs, max_cp=None):
     the pairs of terms whose cp-degrees sum to at most max_cp, each term of
     t1 meeting the terms of t2 in order of cp-degree.  The result is
     checked against the algebra's term budget after each term of each t1."""
-    cp = alg.term_cpdeg
+    def cp(m):
+        return term_cpdeg(alg, m)
+
     out: dict = {}
     for t1, t2 in pairs:
         second = list(t2.items())

@@ -12,7 +12,7 @@ from sp2brst.algebra import Algebra, Sector, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec, so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
-from solver_oracles import derive_terms
+from solver_oracles import derive_terms, term_cpdeg, term_ndeg
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -20,7 +20,7 @@ THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 def _degrees(gen):
     """(N-degree, cp-degree) of a single generator."""
     (mono,) = gen.terms
-    return gen.alg.term_ndeg(mono), gen.alg.term_cpdeg(mono)
+    return term_ndeg(gen.alg, mono), term_cpdeg(gen.alg, mono)
 
 
 def test_variable_gradings_mixed_theory(mixed_alg):
@@ -61,6 +61,36 @@ def test_odd_variables_square_to_zero(mixed_alg):
     assert (f + c) * (f + c) == alg.mul(f, c) + alg.mul(c, f)
 
 
+_MIXED = Algebra(mixed_parity_spec())
+_X, _P11 = _MIXED.by_name["xi[1]"], _MIXED.by_name["P[1,1]"]  # even, odd
+_NV = len(_MIXED.vars)
+
+
+@pytest.mark.parametrize("terms", [
+    {((_P11, 2),): 1},                                  # an odd variable squared
+    {((_P11, 3),): 0},                                  # ... even with coefficient 0
+    {((_X, 1), (_X, 1)): 1, ((_X, 2),): 1},             # a repeated id
+    {((_X, 1), (_P11, 1)): 1, ((_P11, 1), (_X, 1)): 1},  # ids out of order
+    {((_NV, 1),): 1},                                   # an id past the last variable
+    {((-1, 1),): 1},                                    # a negative id
+    {((_X, 0),): 1},                                    # exponent 0
+    {((_X, -2),): 1},                                   # a negative exponent
+])
+def test_poly_rejects_malformed_monomials(terms):
+    assert _MIXED.var_parity[_X] == 0 and _MIXED.var_parity[_P11] == 1
+    with pytest.raises(ValueError, match="monomial"):
+        _MIXED.poly(terms)
+
+
+def test_poly_packs_well_formed_monomials():
+    alg = _MIXED
+    x, p11 = alg.xi(1), alg.ghost_mom(1, 1)
+    assert alg.poly({((_X, 2),): 2}) == 2 * x * x
+    assert alg.poly({((_X, 1), (_P11, 1)): 1, ((_X, 3),): 0}) == x * p11
+    assert alg.poly({((_X, 16),): Fraction(1, 2)}).width == 5
+    assert alg.poly({}) == alg.zero() and alg.poly({(): 3}) == 3
+
+
 def test_graded_commutativity(mixed_alg):
     alg = mixed_alg
     b, f = alg.xi(1), alg.xi(2)
@@ -99,8 +129,8 @@ def test_truncate_and_parts(mixed_alg):
     assert p.cp_part(0) == alg.xi(1)
     assert p.truncate_cp(5) is p
     assert p.min_cp() == 0
-    assert all(alg.term_ndeg(m) >= 1 for m in p.terms)
-    assert not all(alg.term_ndeg(m) >= 1 for m in (p + alg.ghost(1, 1)).terms)
+    assert all(term_ndeg(alg, m) >= 1 for m in p.terms)
+    assert not all(term_ndeg(alg, m) >= 1 for m in (p + alg.ghost(1, 1)).terms)
 
 
 def test_substitute_zero_restriction():

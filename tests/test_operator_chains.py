@@ -1,8 +1,9 @@
-"""W and the bar operators as packed chains, against their passes.
+"""W and the bar operators, composed of packed passes, against the same
+compositions of derivative-by-derivative passes.
 
-apply_W packs each input component once and sums each output component's
-placements as int numerators; bar_w and bar_gamma run their four passes
-on one packed input.  Each must equal the same composition of
+apply_W is SymTensor.placement_sum of w_component, and bar_w and
+bar_gamma are GradedPoly differences of w_component or gamma_component
+applied twice.  Each must equal the same composition of
 derivative-by-derivative passes (solver_oracles), and raise where those
 passes do, with the same message, when the term budget stops them.
 """
@@ -50,11 +51,11 @@ def _twin(alg, max_terms):
 def _twin_tensor(t: SymTensor, max_terms: int) -> SymTensor:
     small = _twin(t.alg, max_terms)
     return SymTensor(small, t.rank,
-                     {idx: GradedPoly(small, p.terms) for idx, p in t.comps.items()})
+                     {idx: small.poly(p.terms) for idx, p in t.comps.items()})
 
 
 def _twin_poly(p: GradedPoly, max_terms: int) -> GradedPoly:
-    return GradedPoly(_twin(p.alg, max_terms), p.terms)
+    return _twin(p.alg, max_terms).poly(p.terms)
 
 
 def _same_budget_errors(chain, oracle, twin, floor):

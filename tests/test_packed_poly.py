@@ -23,7 +23,8 @@ from sp2brst.tensors import SymTensor
 from sp2brst.theoryfile import build_algebra, parse_theory
 from solver_oracles import (add_terms, apply_W_by_passes, bracket_by_merges,
                             cp_select_terms, mul_sum, n_apply_terms,
-                            n_inverse_terms, scale_terms, substitute_zero_terms)
+                            n_inverse_terms, scale_terms, substitute_zero_terms,
+                            term_cpdeg, term_ndeg)
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -131,8 +132,8 @@ def test_filters_and_n_match_the_oracle(case, k, sectors):
             (n_apply(p), n_apply_terms(alg, pt))):
         assert items(got) == list(want.items())
         assert_canonical(got)
-    assert p.min_cp() == min(map(alg.term_cpdeg, pt))
-    if all(map(alg.term_ndeg, pt)):
+    assert p.min_cp() == min(term_cpdeg(alg, m) for m in pt)
+    if all(term_ndeg(alg, m) for m in pt):
         for power in (1, 2):
             got = n_inverse(p, power)
             assert items(got) == list(n_inverse_terms(alg, pt, power).items())
@@ -147,11 +148,14 @@ def test_filters_and_n_match_the_oracle(case, k, sectors):
 @SETTINGS
 def test_w_chain_repacks_narrower_components(case):
     alg, p, q = case
-    t = SymTensor(alg, 1, {(1,): p, (2,): widen(q, 1)})
+    wide = widen(q, 1)
+    t = SymTensor(alg, 1, {(1,): p, (2,): wide})
     got = apply_W(t)
     assert got == apply_W_by_passes(t)
-    for comp in got.comps.values():
-        assert comp.width == max(p.width, q.width + 1)
+    # each W component is stored at the widest width of the components it sums
+    summed = {(1, 1): (p,), (1, 2): (p, wide), (2, 2): (wide,)}
+    for key, comp in got.comps.items():
+        assert comp.width == max(c.width for c in summed[key])
         assert_canonical(comp)
 
 
