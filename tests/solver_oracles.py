@@ -454,17 +454,14 @@ def mul_sum(alg, pairs, max_cp=None):
     the pairs of terms whose cp-degrees sum to at most max_cp, each term of
     t1 meeting the terms of t2 in order of cp-degree.  The result is
     checked against the algebra's term budget after each term of each t1."""
-    def cp(m):
-        return term_cpdeg(alg, m)
-
     out: dict = {}
     for t1, t2 in pairs:
         second = list(t2.items())
         if max_cp is not None:
-            second.sort(key=lambda term: cp(term[0]))
+            second.sort(key=lambda term: term_cpdeg(alg, term[0]))
         for m1, c1 in t1.items():
             for m2, c2 in second:
-                if max_cp is not None and cp(m1) + cp(m2) > max_cp:
+                if max_cp is not None and term_cpdeg(alg, m1) + term_cpdeg(alg, m2) > max_cp:
                     continue
                 r = mul_terms(alg, m1, m2)
                 if r is None:
