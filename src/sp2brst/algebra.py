@@ -700,7 +700,7 @@ class Algebra:
 
     # -- products -----------------------------------------------------------
 
-    def _product_sum(self, work, max_cp=None, meta=None):
+    def _product_sum(self, work, max_cp=None):
         """(acc, den): the sum of num/d * t1 t2 over the (t1, t2, d, num)
         items of work, t1 and t2 packed rows (see _pack), as a dict from
         packed key to int numerator over den, the lcm of the d.  Every
@@ -718,9 +718,7 @@ class Algebra:
         above an odd number of t2's: (odd1 & parity2).bit_count().  A key
         new to the sum is stored as it is and a repeated one added to, so
         keys enter and leave in the order they did when every product was
-        merged and added one at a time.  With a meta dict, the odd mask,
-        prefix parity and cp-degree of each new key go to it, so the sum
-        can be one factor of a further product."""
+        merged and added one at a time."""
         den = 1
         for _, _, d, _ in work:
             if d != 1:
@@ -733,7 +731,7 @@ class Algebra:
             if max_cp is not None:
                 second = sorted(second, key=_cp_of)
                 cps = [row[3] for row in second]
-            for k1, o1, p1, cp1, n1 in rows:
+            for k1, o1, _, cp1, n1 in rows:
                 if max_cp is not None:
                     end = bisect_right(cps, max_cp - cp1)
                     if not end:
@@ -743,7 +741,7 @@ class Algebra:
                     terms2 = second
                 if scale != 1:
                     n1 *= scale
-                for k2, o2, p2, cp2, n2 in terms2:
+                for k2, o2, p2, _, n2 in terms2:
                     if o1 & o2:
                         continue
                     k = k1 + k2
@@ -751,8 +749,6 @@ class Algebra:
                     old = get(k)
                     if old is None:
                         acc[k] = n
-                        if meta is not None:
-                            meta[k] = (o1 | o2, p1 ^ p2, cp1 + cp2)
                     else:
                         n += old
                         if n:
@@ -1049,11 +1045,10 @@ class Algebra:
             l1 = lx
             if mid is not None:  # dx * w first, then * dy
                 rows_w = _pack(keys_at(mid, width), lay)[0]
-                meta = {}
-                acc, l1 = self._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp, meta)
+                acc, l1 = self._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp)
                 if not acc:
                     continue
-                d1 = [(k, *meta[k], n) for k, n in acc.items()]
+                d1 = _pack(acc, lay)[0]
             work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
         acc, den = self._product_sum(work, max_cp)
         del rows_x, rows_y, dx, dy, work  # the packed inputs go before the output forms

@@ -31,8 +31,8 @@ import time
 from . import expr
 from .algebra import DEFAULT_MAX_TERMS, Algebra, TermBudgetError, TheoryError
 from .identities import run_identity_suite
-from .observables import (NotFirstClassError, check_first_class, lift,
-                          require_matter_only, verify_realization)
+from .observables import (NotFirstClassError, lift, require_matter_only,
+                          verify_realization)
 from .operators import OutsideDomainError
 from .solver import (ConventionError, Method, SolverConfig, boundary_violations,
                      solve, verify_master)
@@ -164,10 +164,11 @@ def cmd_lift(args) -> int:
     print(f"Phi' = {expr.serialize(lifted.phi_prime)}")
     status = lifted.ok
     for other_name, other in observables.items():
-        if not check_first_class(other, alg).ok:
+        try:
+            other_lift = lift(other, res)
+        except NotFirstClassError:
             print(f"realization with {other_name}: skipped (not first class)")
             continue
-        other_lift = lift(other, res)
         realization = verify_realization(lifted, other_lift)
         print(f"realization with {other_name}: " + realization.render())
         status = status and other_lift.ok and realization.ok

@@ -15,15 +15,16 @@ which holds term by term against the directly evaluated bracket for *any*
 Pi, not just solutions (verify_master checks both sides).  Projecting with
 the generalized inverse W+ turns G = 0 into the fixed-point problem
 
-    Pi = Pi_0 + 1/2 <Pi, Pi>,      Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F),
+    Pi = Upsilon - W+(F + A Pi + quad(Pi)),
 
 which is solved exactly at any finite truncation degree, one C,pi-degree at
-a time: W+ A and every bracket with Pi strictly raise the degree, so the
-degree-d part depends only on the parts below d.  One graded solve gives
-the fixed point and every inverse (I + W+ op)^-1.  The multi-bracket
-expansion Pi = <e^(Pi_0)> reproduces the solution, its m-fold brackets
-built by size from the smaller ones; the solver can run both and insists
-they agree.
+a time from the seed Upsilon - W+ F: W+ A and every bracket with Pi
+strictly raise the degree, so the degree-d part depends only on the parts
+below d.  One graded solve gives the fixed point and every inverse
+(I + W+ op)^-1.  The multi-bracket expansion Pi = <e^(Pi_0)>, with
+Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), reproduces the solution, its m-fold
+brackets built by size from the smaller ones; Pi_0 is built only for it.
+The solver can run both and insists they agree.
 
 All arithmetic is exact (Fraction coefficients); truncation at cp-degree k
 is a projection, not an approximation, so a zero residual through k is a
@@ -211,14 +212,19 @@ def neumann_apply(op, x: SymTensor, k: int) -> SymTensor:
     return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))], k)
 
 
-def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) -> SymTensor:
-    """Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F)."""
-    if f is None:
-        f = build_F(alg)
-    seed = -apply_W_plus(f)
+def _projected_seed(alg: Algebra, config: SolverConfig, f: SymTensor | None) -> SymTensor:
+    """Upsilon - W+ F, the seed of Pi_0 and of the fixed point; F is built
+    when not given."""
+    seed = -apply_W_plus(build_F(alg) if f is None else f)
     if config.upsilon is not None:
         seed = config.upsilon + seed
-    return neumann_apply(apply_A, seed, config.k)
+    return seed
+
+
+def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) -> SymTensor:
+    """Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), the argument of the descendant
+    expansion <e^(Pi_0)>; the fixed point does not use it."""
+    return neumann_apply(apply_A, _projected_seed(alg, config, f), config.k)
 
 
 def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
@@ -236,21 +242,19 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
 # fixed point
 
 
-def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
-                         pi0: SymTensor | None = None) -> SymTensor:
-    """Solve Pi = Pi_0 + 1/2 <Pi, Pi> one cp-degree at a time.
+def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *,
+                         f: SymTensor | None = None) -> SymTensor:
+    """Solve Pi = Upsilon - W+(F + A Pi + quad(Pi)) one cp-degree at a time,
+    from the seed Upsilon - W+ F (F is built when not given).  With
+    quad(Pi) = 1/2 [Pi, Pi] and PAIR_COEFF = -1/2 it reads
 
-    (I + W+ A) applied to both sides removes the inverse inside <.,.>:
-
-        Pi = (I + W+ A) Pi_0 - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
+        Pi = (Upsilon - W+ F) - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
 
     Every part of Pi lies at cp-degree >= 2, so W+ A and the bracket both
     raise the degree, and the degree-d part of Pi follows from the parts
     below d.  Each pair of parts is bracketed once ([low, part] equals
     [part, low] for odd parts, so it is doubled), and each W+ image is
     checked to raise the degree on its own."""
-    if pi0 is None:
-        pi0 = build_pi0(alg, config)
 
     def grow(part, lower):
         pairs = [tensor_bracket(part, part, config.k)]
@@ -258,7 +262,7 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig,
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 
-    return _graded_solve(pi0 + apply_W_plus(apply_A(pi0)), grow, config.k)
+    return _graded_solve(_projected_seed(alg, config, f), grow, config.k)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,6 @@ def solve_pi_descendants(alg: Algebra, config: SolverConfig,
 class DegreeLine:
     degree: int
     direct_zero: bool
-    structured_zero: bool
     agree: bool
 
 
@@ -322,7 +325,7 @@ def degree_lines(direct: SymTensor, structured: SymTensor, k: int) -> tuple:
     lines = []
     for d in range(k + 1):
         dp, sp = direct.cp_part(d), structured.cp_part(d)
-        lines.append(DegreeLine(d, dp.is_zero(), sp.is_zero(), dp == sp))
+        lines.append(DegreeLine(d, dp.is_zero(), dp == sp))
     return tuple(lines)
 
 
@@ -417,7 +420,6 @@ class SolverResult:
     omega: SymTensor
     omega1: SymTensor
     f: SymTensor
-    pi0: SymTensor
     pi: SymTensor
     report: MasterReport
     boundary_problems: tuple
@@ -459,11 +461,12 @@ def solve(spec: TheorySpec, config: SolverConfig,
         validate_upsilon(alg, config.upsilon)
     omega1 = build_omega1(alg)
     f = build_F(alg)
-    pi0 = build_pi0(alg, config, f=f)
+    # Pi_0 serves only the descendant sum; with both, it is built first
+    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(alg, config, f)
     pis = {}
-    if config.method in (Method.FIXED_POINT, Method.BOTH):
-        pis[Method.FIXED_POINT] = solve_pi_fixed_point(alg, config, pi0)
-    if config.method in (Method.DESCENDANTS, Method.BOTH):
+    if config.method is not Method.DESCENDANTS:
+        pis[Method.FIXED_POINT] = solve_pi_fixed_point(alg, config, f=f)
+    if pi0 is not None:
         pis[Method.DESCENDANTS] = solve_pi_descendants(alg, config, pi0)
     if len(pis) == 2 and pis[Method.FIXED_POINT] != pis[Method.DESCENDANTS]:
         raise ConventionError(
@@ -473,5 +476,5 @@ def solve(spec: TheorySpec, config: SolverConfig,
     report = verify_master(omega, config.k)
     problems = tuple(boundary_violations(omega))
     return SolverResult(spec=spec, config=config, algebra=alg, omega=omega,
-                        omega1=omega1, f=f, pi0=pi0, pi=pi, report=report,
+                        omega1=omega1, f=f, pi=pi, report=report,
                         boundary_problems=problems)

@@ -93,8 +93,9 @@ def test_criterion_3_so3_end_to_end():
     if res.boundary_problems:
         failures.append("boundary read-offs violated: "
                         + "; ".join(res.boundary_problems))
-    pi_fp = solve_pi_fixed_point(res.algebra, res.config, res.pi0)
-    pi_ds = solve_pi_descendants(res.algebra, res.config, res.pi0)
+    pi_fp = solve_pi_fixed_point(res.algebra, res.config, f=res.f)
+    pi_ds = solve_pi_descendants(res.algebra, res.config,
+                                 build_pi0(res.algebra, res.config, f=res.f))
     if pi_fp != pi_ds:
         failures.append("fixed-point and descendant corrections differ")
     if pi_fp != res.pi:

@@ -8,7 +8,7 @@ from solver_oracles import (
     double_factorial,
     multi_bracket,
 )
-from sp2brst.solver import pair_bracket
+from sp2brst.solver import build_pi0, pair_bracket
 
 # -- an independent enumeration: grow trees by attaching the next leaf to
 #    every edge of every smaller tree ---------------------------------------
@@ -67,7 +67,7 @@ def test_m3_trees_explicit():
 
 
 def test_multi_bracket_matches_tree_sum(so3_result):
-    pi0 = so3_result.pi0
+    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
     k = so3_result.config.k
     for m in (1, 2, 3, 4):
         xs = [pi0] * m
@@ -75,7 +75,7 @@ def test_multi_bracket_matches_tree_sum(so3_result):
 
 
 def test_multi_bracket_symmetry(so3_result):
-    pi0 = so3_result.pi0
+    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
     k = 4
     x, y, z = pi0, pi0 * Fraction(1, 2), pi0 * 3
     ref = multi_bracket([x, y, z], k)
@@ -87,7 +87,7 @@ def test_multi_bracket_symmetry(so3_result):
 
 
 def test_multi_bracket_linearity(so3_result):
-    pi0 = so3_result.pi0
+    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
     k = 4
     lhs = multi_bracket([pi0 * 2, pi0, pi0], k)
     rhs = multi_bracket([pi0, pi0, pi0], k) * 2

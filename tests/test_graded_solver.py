@@ -61,7 +61,7 @@ def _subset_powers(name):
 @pytest.mark.parametrize("name", THEORIES)
 def test_fixed_point_matches_round_oracle(name):
     alg, config, pi0 = _bundled(name)
-    assert solve_pi_fixed_point(alg, config, pi0) == \
+    assert solve_pi_fixed_point(alg, config) == \
         fixed_point_by_rounds(alg, config, pi0)
 
 
@@ -89,8 +89,8 @@ def test_power_brackets_match_subset_recursion(name):
 @pytest.mark.parametrize("name", THEORIES)
 def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
     # {f, g}' = {g, f}' for odd f, g: the solver brackets each pair once
-    alg, config, pi0 = _bundled(name)
-    pi = solve_pi_fixed_point(alg, config, pi0)
+    alg, config, _ = _bundled(name)
+    pi = solve_pi_fixed_point(alg, config)
     parts = [part for part in map(pi.cp_part, range(config.k + 1)) if part]
     for i, x in enumerate(parts):
         for y in parts[i + 1:]:
@@ -117,11 +117,10 @@ def test_descendants_bracket_count(monkeypatch):
 def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
     alg = Algebra(so3_spec())
     config = SolverConfig(k=4)
-    pi0 = build_pi0(alg, config)
     # W in place of A: W+ W keeps the cp-degree of the part it acts on
     monkeypatch.setattr(solver_mod, "apply_A", apply_W)
     with pytest.raises(ConventionError, match="failed to raise"):
-        solve_pi_fixed_point(alg, config, pi0)
+        solve_pi_fixed_point(alg, config)
 
 
 def test_neumann_rejects_non_raising_operator():
@@ -137,7 +136,7 @@ def _inverse_cases(name):
     alg, config, pi0 = _bundled(name)
     doc = _document(name)
     phi0 = expr.parse(alg, doc.observable(LIFTED[name])[1])
-    pi = solve_pi_fixed_point(alg, config, pi0)
+    pi = solve_pi_fixed_point(alg, config)
     omega = build_omega1(alg) + pi
 
     def lift_op(t):

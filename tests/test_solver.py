@@ -106,7 +106,7 @@ def test_methods_agree_independently(so3_result):
     alg = so3_result.algebra
     config = SolverConfig(k=4, method=Method.BOTH)
     pi0 = build_pi0(alg, config)
-    fixed = solve_pi_fixed_point(alg, config, pi0)
+    fixed = solve_pi_fixed_point(alg, config)
     desc = solve_pi_descendants(alg, config, pi0)
     assert fixed == desc
     assert fixed == so3_result.pi.truncate_cp(4)
