@@ -45,12 +45,12 @@ table entries whose two derivatives are both nonzero.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 _ONE = Fraction(1)
 
@@ -105,8 +105,7 @@ class TermBudgetError(RuntimeError):
     """A polynomial being formed exceeded its algebra's term budget."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     vid: int
     sector: Sector
     alpha: int          # 1-based constraint / physical index

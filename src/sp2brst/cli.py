@@ -71,8 +71,7 @@ def _max_terms() -> int:
 def _load(path: str, max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
     with open(path, "rb") as fh:
         doc = parse_theory(fh.read())
-    alg = build_algebra(doc, max_terms)
-    return doc, alg
+    return doc, build_algebra(doc, max_terms)
 
 
 def _open_theory(path: str) -> tuple:

@@ -19,8 +19,8 @@ fail -- lam[1] is a counterexample -- so the suite labels their domain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Algebra, TheoryError
 from .operators import (apply_Gamma, apply_M, apply_N, apply_W,
@@ -92,8 +92,7 @@ def random_w_closed(alg: Algebra, rng: random.Random, **kw):
     return alg.zero()
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     domain: str
     samples: int
@@ -105,8 +104,7 @@ class IdentityResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     label: str
     degree: int
     samples: int

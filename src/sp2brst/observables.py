@@ -22,7 +22,8 @@ their lifts realize the same algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 
 from .algebra import Algebra, GradedPoly, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
@@ -46,8 +47,7 @@ class NotFirstClassError(ValueError):
             f"{remainder!r} outside the constraint ideal")
 
 
-@dataclass(frozen=True)
-class FirstClassCheck:
+class FirstClassCheck(NamedTuple):
     ok: bool
     alpha: int | None = None
     remainder: GradedPoly | None = None
@@ -78,8 +78,7 @@ def restrict(phi_prime: GradedPoly) -> GradedPoly:
     return phi_prime.substitute_zero(_RESTRICTED)
 
 
-@dataclass(frozen=True)
-class ObservableLift:
+class ObservableLift(NamedTuple):
     """A lifted observable Phi' = phi0 + K with its verification record.
 
     residual is the directly evaluated {Omega^a, Phi'}'; structured is
@@ -167,8 +166,7 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
         ngh_ok=ngh_ok)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(NamedTuple):
     """Bracket and product compatibility of two lifts under restriction."""
 
     bracket_ok: bool

@@ -34,9 +34,9 @@ proof through k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Algebra, GradedPoly, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
@@ -64,7 +64,6 @@ class Method(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """Truncation degree, optional boundary datum Upsilon, and method.
 
@@ -73,13 +72,27 @@ class SolverConfig:
     through that degree.
     """
 
-    k: int
-    upsilon: SymTensor | None = None
-    method: Method = Method.BOTH
+    __slots__ = ("k", "upsilon", "method")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, upsilon: SymTensor | None = None,
+                 method: Method = Method.BOTH):
+        if k < 2:
             raise ValueError("truncation degree k must be at least 2")
+        for name, value in zip(self.__slots__, (k, upsilon, method)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.upsilon, self.method) == (other.k, other.upsilon, other.method)
+
+    def __hash__(self):
+        return hash((self.k, self.upsilon, self.method))
 
 
 def validate_upsilon(alg: Algebra, upsilon: SymTensor) -> None:
@@ -212,19 +225,22 @@ def neumann_apply(op, x: SymTensor, k: int) -> SymTensor:
     return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))], k)
 
 
-def _projected_seed(alg: Algebra, config: SolverConfig, f: SymTensor | None) -> SymTensor:
-    """Upsilon - W+ F, the seed of Pi_0 and of the fixed point; F is built
-    when not given."""
-    seed = -apply_W_plus(build_F(alg) if f is None else f)
-    if config.upsilon is not None:
-        seed = config.upsilon + seed
+def _projected_seed(alg: Algebra, config: SolverConfig, f: SymTensor | None,
+                    seed: SymTensor | None = None) -> SymTensor:
+    """Upsilon - W+ F, the seed of Pi_0 and of the fixed point: seed when
+    given, else formed from F, which is built when not given."""
+    if seed is None:
+        seed = -apply_W_plus(build_F(alg) if f is None else f)
+        if config.upsilon is not None:
+            seed = config.upsilon + seed
     return seed
 
 
-def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None) -> SymTensor:
+def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None, *,
+              seed: SymTensor | None = None) -> SymTensor:
     """Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), the argument of the descendant
-    expansion <e^(Pi_0)>; the fixed point does not use it."""
-    return neumann_apply(apply_A, _projected_seed(alg, config, f), config.k)
+    expansion <e^(Pi_0)>; seed, when given, is Upsilon - W+ F already formed."""
+    return neumann_apply(apply_A, _projected_seed(alg, config, f, seed), config.k)
 
 
 def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
@@ -242,10 +258,10 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
 # fixed point
 
 
-def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *,
-                         f: SymTensor | None = None) -> SymTensor:
+def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *, f: SymTensor | None = None,
+                         seed: SymTensor | None = None) -> SymTensor:
     """Solve Pi = Upsilon - W+(F + A Pi + quad(Pi)) one cp-degree at a time,
-    from the seed Upsilon - W+ F (F is built when not given).  With
+    from the seed Upsilon - W+ F (given, or formed from F).  With
     quad(Pi) = 1/2 [Pi, Pi] and PAIR_COEFF = -1/2 it reads
 
         Pi = (Upsilon - W+ F) - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
@@ -262,7 +278,7 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *,
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 
-    return _graded_solve(_projected_seed(alg, config, f), grow, config.k)
+    return _graded_solve(_projected_seed(alg, config, f, seed), grow, config.k)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +306,11 @@ def power_brackets(x: SymTensor, n: int, k: int) -> list:
     return powers
 
 
-def solve_pi_descendants(alg: Algebra, config: SolverConfig,
-                         pi0: SymTensor | None = None) -> SymTensor:
+def solve_pi_descendants(alg: Algebra, config: SolverConfig, pi0: SymTensor) -> SymTensor:
     """Pi = <e^(Pi_0)> = sum_(m>=1) <Pi_0^m> / m!, a finite sum: the m-fold
     bracket has cp-degree at least m(b-1)+1 with b = min cp-degree of Pi_0.
     The <Pi_0^m> come from power_brackets, which builds each from the
     smaller ones."""
-    if pi0 is None:
-        pi0 = build_pi0(alg, config)
     if pi0.is_zero():
         return pi0
     k = config.k
@@ -312,8 +325,7 @@ def solve_pi_descendants(alg: Algebra, config: SolverConfig,
 # verification
 
 
-@dataclass(frozen=True)
-class DegreeLine:
+class DegreeLine(NamedTuple):
     degree: int
     direct_zero: bool
     agree: bool
@@ -337,8 +349,7 @@ def render_lines(lines: tuple, noun: str) -> list:
             for line in lines]
 
 
-@dataclass(frozen=True)
-class MasterReport:
+class MasterReport(NamedTuple):
     """Residual of the master equations through cp-degree k, evaluated both
     ways: directly as {Omega^a, Omega^b}' and structurally as
     G = W Pi + F + A Pi + quad(Pi).  The two must agree term by term."""
@@ -410,8 +421,7 @@ def boundary_violations(omega: SymTensor):
 # the pipeline
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(NamedTuple):
     """Everything the construction produced, plus the verification report."""
 
     spec: TheorySpec
@@ -461,16 +471,16 @@ def solve(spec: TheorySpec, config: SolverConfig,
         validate_upsilon(alg, config.upsilon)
     omega1 = build_omega1(alg)
     f = build_F(alg)
+    seed = _projected_seed(alg, config, f)  # Upsilon - W+ F, formed once
     # Pi_0 serves only the descendant sum; with both, it is built first
-    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(alg, config, f)
+    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(alg, config, seed=seed)
     pis = {}
     if config.method is not Method.DESCENDANTS:
-        pis[Method.FIXED_POINT] = solve_pi_fixed_point(alg, config, f=f)
+        pis[Method.FIXED_POINT] = solve_pi_fixed_point(alg, config, seed=seed)
     if pi0 is not None:
         pis[Method.DESCENDANTS] = solve_pi_descendants(alg, config, pi0)
     if len(pis) == 2 and pis[Method.FIXED_POINT] != pis[Method.DESCENDANTS]:
-        raise ConventionError(
-            "fixed-point and descendant expansions disagree")
+        raise ConventionError("fixed-point and descendant expansions disagree")
     pi = pis[Method.FIXED_POINT if Method.FIXED_POINT in pis else Method.DESCENDANTS]
     omega = omega1 + pi
     report = verify_master(omega, config.k)

@@ -13,6 +13,7 @@ for components computed separately, such as the direct
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .algebra import GradedPoly
@@ -153,8 +154,6 @@ class SymTensor:
         return self + (-other)
 
     def __mul__(self, c):
-        from fractions import Fraction
-
         if isinstance(c, (int, Fraction)):
             return self.map(lambda p: p * c)
         return NotImplemented

@@ -1,7 +1,8 @@
 """Theory specifications: constraint content and structure tables.
 
-A TheorySpec is pure data.  The Poisson structure it induces is realised by
-``algebra.Algebra(spec)``:
+A TheorySpec is immutable data, equal to another when every field is, with
+its parities normalised to 0 or 1.  The Poisson structure it induces is
+realised by ``algebra.Algebra(spec)``:
 
 * ``u_table[(a, b, g)]`` holds the coefficient polynomial of the closed
   constraint bracket  {xi_a, xi_b} = sum_g U_abg * xi_g  (so first-classness
@@ -13,25 +14,33 @@ A TheorySpec is pure data.  The Poisson structure it induces is realised by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
 MAX_REPORT = 10
 
 
-@dataclass(frozen=True)
 class TheorySpec:
-    constraint_parities: tuple
-    physical_parities: tuple = ()
-    u_table: Mapping = field(default_factory=dict)
-    mixed_table: Mapping = field(default_factory=dict)
-    label: str = ""
+    __slots__ = ("constraint_parities", "physical_parities", "u_table",
+                 "mixed_table", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraint_parities",
-                           tuple(p & 1 for p in self.constraint_parities))
-        object.__setattr__(self, "physical_parities",
-                           tuple(p & 1 for p in self.physical_parities))
+    def __init__(self, constraint_parities, physical_parities=(),
+                 u_table=None, mixed_table=None, label=""):
+        put = object.__setattr__
+        put(self, "constraint_parities", tuple(p & 1 for p in constraint_parities))
+        put(self, "physical_parities", tuple(p & 1 for p in physical_parities))
+        put(self, "u_table", {} if u_table is None else u_table)
+        put(self, "mixed_table", {} if mixed_table is None else mixed_table)
+        put(self, "label", label)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
 
     @property
     def m(self):

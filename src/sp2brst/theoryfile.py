@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import expr
 from .algebra import DEFAULT_MAX_TERMS, Algebra, TheoryError
@@ -48,8 +48,7 @@ class TheoryFileError(ValueError):
     structure table the algebra rejects."""
 
 
-@dataclass(frozen=True)
-class TheoryDocument:
+class TheoryDocument(NamedTuple):
     spec: TheorySpec
     constraint_names: tuple
     physical_names: tuple
@@ -141,30 +140,20 @@ def parse_theory(data) -> TheoryDocument:
     if set(c_names) & set(p_names):
         _fail("constraint and physical names overlap")
 
-    alias = {}
-    for i, n in enumerate(c_names, 1):
-        alias[n] = f"xi[{i}]"
-    for i, n in enumerate(p_names, 1):
-        alias[n] = f"xip[{i}]"
+    alias = {n: f"xi[{i}]" for i, n in enumerate(c_names, 1)}
+    alias.update((n, f"xip[{i}]") for i, n in enumerate(p_names, 1))
     rewrite = _alias_rewriter(alias)
 
-    u_raw = data.get("U", {})
-    if not isinstance(u_raw, dict):
-        _fail("U must be an object")
-    u_table = {}
-    for key, text in u_raw.items():
-        if not isinstance(text, str):
-            _fail(f"U[{key}] must be an expression string")
-        u_table[_index_key(key, 3, "U")] = rewrite(text)
-
-    mixed_raw = data.get("mixed", {})
-    if not isinstance(mixed_raw, dict):
-        _fail("mixed must be an object")
-    mixed_table = {}
-    for key, text in mixed_raw.items():
-        if not isinstance(text, str):
-            _fail(f"mixed[{key}] must be an expression string")
-        mixed_table[_index_key(key, 2, "mixed")] = rewrite(text)
+    tables = {}  # U and mixed, each keyed by its index tuples
+    for field, arity in (("U", 3), ("mixed", 2)):
+        raw = data.get(field, {})
+        if not isinstance(raw, dict):
+            _fail(f"{field} must be an object")
+        tables[field] = table = {}
+        for key, text in raw.items():
+            if not isinstance(text, str):
+                _fail(f"{field}[{key}] must be an expression string")
+            table[_index_key(key, arity, field)] = rewrite(text)
 
     obs_raw = data.get("observables", [])
     if not isinstance(obs_raw, list):
@@ -192,7 +181,7 @@ def parse_theory(data) -> TheoryDocument:
     if not isinstance(label, str):
         _fail("label must be a string")
 
-    spec = TheorySpec(c_par, p_par, u_table, mixed_table,
+    spec = TheorySpec(c_par, p_par, tables["U"], tables["mixed"],
                       label=label or "theory")
     return TheoryDocument(spec, c_names, p_names, tuple(observables), order)
 
@@ -206,8 +195,7 @@ def build_algebra(doc: TheoryDocument, max_terms: int = DEFAULT_MAX_TERMS) -> Al
         raise TheoryFileError(f"invalid structure table: {e}") from None
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     violations: tuple
 
     @property
