@@ -786,17 +786,11 @@ class Algebra:
 
     # -- derivatives ---------------------------------------------------------
 
-    def _derivative(self, p, vid, left):
-        """The left (or right) derivative of p by vid, by the bracket's walk."""
-        _, derivs = _pack(p.nums, self.layout(p.width), (vid,), left)
+    def derive_left(self, p, vid):
+        """The left derivative of p by vid, by the bracket's walk."""
+        _, derivs = _pack(p.nums, self.layout(p.width), (vid,), True)
         acc = {row[0]: row[4] for row in derivs.get(vid, ())}
         return self.from_keys(acc, p.width, p.den)
-
-    def derive_left(self, p, vid):
-        return self._derivative(p, vid, True)
-
-    def derive_right(self, p, vid):
-        return self._derivative(p, vid, False)
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
@@ -928,21 +922,24 @@ class Algebra:
         m, p = self.m, self.n_physical
         given: dict = {}
 
-        def _xi_only(poly, where):
+        def entry(text, where):
+            if not isinstance(text, str):
+                raise TheoryError(f"{where}: structure entries must be expression "
+                                  f"strings, found {type(text).__name__}")
+            poly = expr.parse(self, text)
             for mono in poly.terms:
                 for v, _ in mono:
                     if self.var_sector[v] not in (Sector.XI, Sector.XI_PHYS):
                         raise TheoryError(
                             f"{where}: structure entries may involve only coordinates, "
                             f"found {self.vars[v].name}")
+            return poly
 
         for (a, b, g), text in sorted(spec.u_table.items()):
             for idx, hi in ((a, m), (b, m), (g, m)):
                 if not 1 <= idx <= hi:
                     raise TheoryError(f"U[{a},{b},{g}]: constraint index {idx} out of range 1..{m}")
-            u = expr.parse(self, text) if isinstance(text, str) else text
-            _xi_only(u, f"U[{a},{b},{g}]")
-            w = self.mul(u, self.xi(g))
+            w = self.mul(entry(text, f"U[{a},{b},{g}]"), self.xi(g))
             key = (a, b)
             given[key] = given.get(key, self.zero()) + w
 
@@ -952,8 +949,7 @@ class Algebra:
             if i <= m and j <= m:
                 raise TheoryError(
                     f"mixed[{i},{j}]: constraint-constraint brackets must be given through U")
-            w = expr.parse(self, text) if isinstance(text, str) else text
-            _xi_only(w, f"mixed[{i},{j}]")
+            w = entry(text, f"mixed[{i},{j}]")
             if (i, j) in given:
                 raise TheoryError(f"mixed[{i},{j}]: duplicate entry")
             given[(i, j)] = w

@@ -30,35 +30,24 @@ class ExprError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+# a newline, an int, a name or one other non-space character; finditer
+# steps over the other whitespace, and a token's column is its offset
+# from the start of its line, plus one
+_TOKEN = re.compile(r"(\n)|(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_KINDS = (None, None, "INT", "NAME", "SYM")
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
+    line, start = 1, 0
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m.group(1):
-            tokens.append(("INT", m.group(1), line, col))
-        elif m.group(2):
-            tokens.append(("NAME", m.group(2), line, col))
+            start = m.end()
         else:
-            tokens.append(("SYM", m.group(3), line, col))
-        col += m.end() - pos
-        pos = m.end()
-    tokens.append(("END", "", line, col))
+            tokens.append((_KINDS[group], m.group(group), line, m.start() - start + 1))
+    tokens.append(("END", "", line, len(text) - start + 1))
     return tokens
 
 

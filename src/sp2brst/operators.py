@@ -19,20 +19,21 @@ width holds every key the chain forms.  N and N^-1 read each term's
 N-degree off its key.  The compositions of those passes reuse the general
 code: apply_W is SymTensor.placement_sum of w_component, and bar_w and
 bar_gamma are GradedPoly differences of two passes of two passes.  The
-Gamma contraction, Q and W+ stay one packed chain per output component,
+Gamma contraction and W+ stay one packed chain per output component,
 over one field width for the tensor, the widest of its components'.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
-output indices, Gamma contracts the last index, N/M/Q act per component.
-On rank n >= 1, Q is the exact inverse of (nN + M); its closed form is
-polynomial in M and N^-1 thanks to the reduction
+output indices, Gamma contracts the last index, N and M act per
+component, and W+ = Q Gamma lowers the rank by one.  On rank n >= 1, Q
+is the exact inverse of (nN + M); its closed form is polynomial in M and
+N^-1 thanks to the reduction
 M^n = (2^(n-1)-1) N^(n-2) M^2 - (2^(n-1)-2) N^(n-1) M.
 
-Q and W+ = Q Gamma run per output component as one chain: for W+ the
-Gamma contraction X, then M X and M^2 X.  W and Gamma, and so M,
-preserve the N-degree, so on a term of N-degree d, read off its packed
-key, each power of N^-1 in Q is a power of the number d: the result's
-term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
+W+ runs per output component as one chain: the Gamma contraction X,
+then M X and M^2 X (_q_step, the package's only Q).  W and Gamma, and
+so M, preserve the N-degree, so on a term of N-degree d, read off its
+packed key, each power of N^-1 in Q is a power of the number d: the
+result's term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
 coefficients, its int numerator brought over one lcm, and no N pass
 runs.
 
@@ -275,41 +276,24 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
     return alg.from_keys(out, tab.width, den * c * big ** 3)
 
 
-def _q_map(alg, n: int, component) -> SymTensor:
-    """The rank-n tensor of _q_step applied to component(idx), an
-    (int numerators, denominator, tables) triple, for every index."""
-    out = SymTensor(alg, n)
-    for idx in out.indices():
-        x, den, tab = component(idx)
-        if x:
-            q = _q_step(alg, tab, n, x, den)
-            if q:
-                out.comps[idx] = q
-    return out
-
-
-def apply_Q(t: SymTensor) -> SymTensor:
-    """Exact inverse used by the ghost-extension machinery, Q with the
-    rank coefficients of _q_coefficients, per component: each component's
-    stored keys go through _q_step, which applies M twice and no N at
-    all."""
-    def component(idx):
-        p = t.get(idx)
-        return p.nums, p.den, _tables(t.alg, p.width)
-
-    return _q_map(t.alg, t.rank, component)
-
-
 def apply_W_plus(t: SymTensor) -> SymTensor:
     """W+ = Q Gamma: rank n -> n-1; vanishes identically on rank 0.
 
     One packed chain per output component: the Gamma contraction (two
-    replace_sum passes into one sum), then the Q step apply_Q uses.  One
-    field width serves every component."""
+    replace_sum passes into one sum), then the Q step.  One field width
+    serves every component."""
+    alg = t.alg
     if t.rank == 0:
-        return SymTensor.zero(t.alg, 0)
+        return SymTensor.zero(alg, 0)
     tab = _tensor_tables(t)
-    return _q_map(t.alg, t.rank - 1, lambda idx: (*_contract(t, idx, tab), tab))
+    out = SymTensor(alg, t.rank - 1)
+    for idx in out.indices():
+        x, den = _contract(t, idx, tab)
+        if x:
+            q = _q_step(alg, tab, out.rank, x, den)
+            if q:
+                out.comps[idx] = q
+    return out
 
 
 # ---------------------------------------------------------------------------

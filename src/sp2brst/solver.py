@@ -24,7 +24,10 @@ below d.  One graded solve gives the fixed point and every inverse
 (I + W+ op)^-1.  The multi-bracket expansion Pi = <e^(Pi_0)>, with
 Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), reproduces the solution, its m-fold
 brackets built by size from the smaller ones; Pi_0 is built only for it.
-The solver can run both and insists they agree.
+The solver can run both and insists they agree.  Each stage takes the
+tensors it consumes and the order k: solve forms the seed once,
+projected_seed(Upsilon, F), and hands it to build_pi0(seed, k) and
+solve_pi_fixed_point(seed, k), and Pi_0 to solve_pi_descendants(pi0, k).
 
 All arithmetic is exact (Fraction coefficients); truncation at cp-degree k
 is a projection, not an approximation, so a zero residual through k is a
@@ -91,8 +94,7 @@ class SolverConfig:
             return NotImplemented
         return (self.k, self.upsilon, self.method) == (other.k, other.upsilon, other.method)
 
-    def __hash__(self):
-        return hash((self.k, self.upsilon, self.method))
+    __hash__ = None
 
 
 def validate_upsilon(alg: Algebra, upsilon: SymTensor) -> None:
@@ -225,22 +227,15 @@ def neumann_apply(op, x: SymTensor, k: int) -> SymTensor:
     return _graded_solve(x, lambda part, lower: [-apply_W_plus(op(part))], k)
 
 
-def _projected_seed(alg: Algebra, config: SolverConfig, f: SymTensor | None,
-                    seed: SymTensor | None = None) -> SymTensor:
-    """Upsilon - W+ F, the seed of Pi_0 and of the fixed point: seed when
-    given, else formed from F, which is built when not given."""
-    if seed is None:
-        seed = -apply_W_plus(build_F(alg) if f is None else f)
-        if config.upsilon is not None:
-            seed = config.upsilon + seed
-    return seed
+def projected_seed(upsilon: SymTensor, f: SymTensor) -> SymTensor:
+    """Upsilon - W+ F, the seed of Pi_0 and of the fixed point."""
+    return upsilon - apply_W_plus(f)
 
 
-def build_pi0(alg: Algebra, config: SolverConfig, f: SymTensor | None = None, *,
-              seed: SymTensor | None = None) -> SymTensor:
+def build_pi0(seed: SymTensor, k: int) -> SymTensor:
     """Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), the argument of the descendant
-    expansion <e^(Pi_0)>; seed, when given, is Upsilon - W+ F already formed."""
-    return neumann_apply(apply_A, _projected_seed(alg, config, f, seed), config.k)
+    expansion <e^(Pi_0)>, from the seed Upsilon - W+ F."""
+    return neumann_apply(apply_A, seed, k)
 
 
 def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
@@ -258,10 +253,9 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
 # fixed point
 
 
-def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *, f: SymTensor | None = None,
-                         seed: SymTensor | None = None) -> SymTensor:
-    """Solve Pi = Upsilon - W+(F + A Pi + quad(Pi)) one cp-degree at a time,
-    from the seed Upsilon - W+ F (given, or formed from F).  With
+def solve_pi_fixed_point(seed: SymTensor, k: int) -> SymTensor:
+    """Solve Pi = Upsilon - W+(F + A Pi + quad(Pi)) through cp-degree k, one
+    cp-degree at a time, from the seed Upsilon - W+ F.  With
     quad(Pi) = 1/2 [Pi, Pi] and PAIR_COEFF = -1/2 it reads
 
         Pi = (Upsilon - W+ F) - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
@@ -273,12 +267,12 @@ def solve_pi_fixed_point(alg: Algebra, config: SolverConfig, *, f: SymTensor | N
     checked to raise the degree on its own."""
 
     def grow(part, lower):
-        pairs = [tensor_bracket(part, part, config.k)]
-        pairs += [tensor_bracket(part, low, config.k) * 2 for low in lower]
+        pairs = [tensor_bracket(part, part, k)]
+        pairs += [tensor_bracket(part, low, k) * 2 for low in lower]
         return ([-apply_W_plus(apply_A(part))]
                 + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
 
-    return _graded_solve(_projected_seed(alg, config, f, seed), grow, config.k)
+    return _graded_solve(seed, grow, k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +300,15 @@ def power_brackets(x: SymTensor, n: int, k: int) -> list:
     return powers
 
 
-def solve_pi_descendants(alg: Algebra, config: SolverConfig, pi0: SymTensor) -> SymTensor:
-    """Pi = <e^(Pi_0)> = sum_(m>=1) <Pi_0^m> / m!, a finite sum: the m-fold
-    bracket has cp-degree at least m(b-1)+1 with b = min cp-degree of Pi_0.
-    The <Pi_0^m> come from power_brackets, which builds each from the
-    smaller ones."""
+def solve_pi_descendants(pi0: SymTensor, k: int) -> SymTensor:
+    """Pi = <e^(Pi_0)> = sum_(m>=1) <Pi_0^m> / m! through cp-degree k, a
+    finite sum: the m-fold bracket has cp-degree at least m(b-1)+1 with
+    b = min cp-degree of Pi_0.  The <Pi_0^m> come from power_brackets,
+    which builds each from the smaller ones."""
     if pi0.is_zero():
         return pi0
-    k = config.k
     b = max(2, pi0.min_cp())
-    total = SymTensor.zero(alg, 1)
+    total = SymTensor.zero(pi0.alg, 1)
     for m, term in enumerate(power_brackets(pi0, (k - 1) // (b - 1), k), 1):
         total = (total + term * Fraction(1, math.factorial(m))).truncate_cp(k)
     return total
@@ -467,23 +460,27 @@ def solve(spec: TheorySpec, config: SolverConfig,
         alg = Algebra(spec)
     if alg.spec != spec:
         raise TheoryError("algebra and upsilon must be built over the given theory")
-    if config.upsilon is not None:
-        validate_upsilon(alg, config.upsilon)
+    if config.upsilon is None:
+        upsilon = SymTensor.zero(alg, 1)
+    else:
+        upsilon = config.upsilon
+        validate_upsilon(alg, upsilon)
+    k = config.k
     omega1 = build_omega1(alg)
     f = build_F(alg)
-    seed = _projected_seed(alg, config, f)  # Upsilon - W+ F, formed once
+    seed = projected_seed(upsilon, f)
     # Pi_0 serves only the descendant sum; with both, it is built first
-    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(alg, config, seed=seed)
+    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(seed, k)
     pis = {}
     if config.method is not Method.DESCENDANTS:
-        pis[Method.FIXED_POINT] = solve_pi_fixed_point(alg, config, seed=seed)
+        pis[Method.FIXED_POINT] = solve_pi_fixed_point(seed, k)
     if pi0 is not None:
-        pis[Method.DESCENDANTS] = solve_pi_descendants(alg, config, pi0)
+        pis[Method.DESCENDANTS] = solve_pi_descendants(pi0, k)
     if len(pis) == 2 and pis[Method.FIXED_POINT] != pis[Method.DESCENDANTS]:
         raise ConventionError("fixed-point and descendant expansions disagree")
     pi = pis[Method.FIXED_POINT if Method.FIXED_POINT in pis else Method.DESCENDANTS]
     omega = omega1 + pi
-    report = verify_master(omega, config.k)
+    report = verify_master(omega, k)
     problems = tuple(boundary_violations(omega))
     return SolverResult(spec=spec, config=config, algebra=alg, omega=omega,
                         omega1=omega1, f=f, pi=pi, report=report,

@@ -1,8 +1,9 @@
 """Theory specifications: constraint content and structure tables.
 
 A TheorySpec is immutable data, equal to another when every field is, with
-its parities normalised to 0 or 1.  The Poisson structure it induces is
-realised by ``algebra.Algebra(spec)``:
+its parities normalised to 0 or 1 and its tables copied into read-only
+mappings.  The Poisson structure it induces is realised by
+``algebra.Algebra(spec)``:
 
 * ``u_table[(a, b, g)]`` holds the coefficient polynomial of the closed
   constraint bracket  {xi_a, xi_b} = sum_g U_abg * xi_g  (so first-classness
@@ -13,6 +14,8 @@ realised by ``algebra.Algebra(spec)``:
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 MAX_REPORT = 10
 
@@ -26,8 +29,8 @@ class TheorySpec:
         put = object.__setattr__
         put(self, "constraint_parities", tuple(p & 1 for p in constraint_parities))
         put(self, "physical_parities", tuple(p & 1 for p in physical_parities))
-        put(self, "u_table", {} if u_table is None else u_table)
-        put(self, "mixed_table", {} if mixed_table is None else mixed_table)
+        put(self, "u_table", MappingProxyType(dict(u_table or {})))
+        put(self, "mixed_table", MappingProxyType(dict(mixed_table or {})))
         put(self, "label", label)
 
     def __setattr__(self, name, value=None):

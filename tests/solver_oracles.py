@@ -5,8 +5,10 @@ and of the inverse behind them: the multi-bracket recursion memoised on
 index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
-term.  Below them sit the placement sum evaluated on every full index
-tuple, Q with M applied three times, and the first-order operators
+term, with the seed Upsilon - W+ F of a solve with no boundary datum.
+Below them sit the placement sum evaluated on every full index tuple, Q
+with M applied three times, Q as the package's own Q step run on every
+component of a tensor, and the first-order operators
 without the packed pass: each W^a and Gamma_a pass summed one derivative
 and one product at a time, and from those passes M, the Gamma
 contraction, W, the bar operators and W+ = Q Gamma as whole-tensor
@@ -15,7 +17,8 @@ ghost number, N-degree and cp-degree of a tuple monomial, summed factor
 by factor, and the sums, scalar multiples and degree and sector filters
 of raw term dicts, as the algebra computed them on tuple keys before it
 stored packed ones, and the derivative of a term dict with respect to
-one variable, walking a reversed monomial for the right derivative.  At
+one variable, walking a reversed monomial for the right derivative (the
+package forms right derivatives only inside the bracket).  At
 the bottom sit the product of two monomials merged pair by pair with its
 Koszul sign counted by bisection, the sum of products accumulated one
 product at a time in Fraction arithmetic, and the bracket built from
@@ -29,10 +32,16 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.operators import (_gamma_fields, _w_fields, apply_M, apply_W_plus, n_apply,
-                               n_inverse)
-from sp2brst.solver import HALF, ConventionError, build_pi0, pair_bracket
+from sp2brst.operators import (_gamma_fields, _q_step, _tables, _w_fields, apply_M,
+                               apply_W_plus, n_apply, n_inverse)
+from sp2brst.solver import HALF, ConventionError, build_F, pair_bracket, projected_seed
 from sp2brst.tensors import SymTensor
+
+
+def boundary_seed(alg) -> SymTensor:
+    """Upsilon - W+ F with Upsilon = 0: the seed of Pi_0 and of the fixed
+    point when the solve has no boundary datum."""
+    return projected_seed(SymTensor.zero(alg, 1), build_F(alg))
 
 
 def placement_sum_by_tuples(t: SymTensor, fn) -> SymTensor:
@@ -66,6 +75,17 @@ def apply_Q_three_m(t: SymTensor) -> SymTensor:
         return apply_N_inverse(t, 1) * Fraction(11, 6) - p2 + p3 * Fraction(1, 6)
     c = Fraction(1, n * (n + 1) * (n + 2))
     return apply_N_inverse(t, 1) * Fraction(1, n) - p2 * (c * (n + 3)) + p3 * c
+
+
+def apply_Q(t: SymTensor) -> SymTensor:
+    """Q per component, each component's stored keys through the Q step
+    of apply_W_plus at the component's own width."""
+    out = SymTensor(t.alg, t.rank)
+    for idx, p in t.comps.items():
+        q = _q_step(t.alg, _tables(t.alg, p.width), t.rank, p.nums, p.den)
+        if q:
+            out.comps[idx] = q
+    return out
 
 
 def replace_by_derivatives(p, fields):
@@ -266,12 +286,10 @@ def descendant_expand(xs, k: int) -> SymTensor:
     return total
 
 
-def fixed_point_by_rounds(alg, config, pi0: SymTensor | None = None) -> SymTensor:
-    """Iterate Pi <- Pi_0 + 1/2 <Pi, Pi> from Pi_0 until the truncated
-    iterate repeats; the degree-d part freezes after at most d-1 rounds."""
-    if pi0 is None:
-        pi0 = build_pi0(alg, config)
-    k = config.k
+def fixed_point_by_rounds(pi0: SymTensor, k: int) -> SymTensor:
+    """Iterate Pi <- Pi_0 + 1/2 <Pi, Pi> from Pi_0 until the iterate,
+    truncated at cp-degree k, repeats; the degree-d part freezes after at
+    most d-1 rounds."""
     pi = pi0
     for _ in range(k + 1):
         nxt = (pi0 + pair_bracket(pi, pi, k) * HALF).truncate_cp(k)
@@ -372,6 +390,11 @@ def n_inverse_terms(alg, terms, power=1):
     """N^-power term by term; a term of N-degree 0 raises
     ZeroDivisionError."""
     return {m: c / term_ndeg(alg, m) ** power for m, c in terms.items()}
+
+
+def derive_right(p, vid):
+    """The right derivative of p by vid, by derive_terms."""
+    return p.alg.poly(derive_terms(p.alg, p.terms, vid, False))
 
 
 def derive_terms(alg, terms, vid, left):

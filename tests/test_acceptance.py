@@ -20,12 +20,11 @@ from sp2brst.cli import main
 from sp2brst.identities import run_identity_suite
 from sp2brst.observables import (NotFirstClassError, check_first_class,
                                  lift, restrict, verify_realization)
-from solver_oracles import (descendant_expand, descendant_trees,
+from solver_oracles import (boundary_seed, descendant_expand, descendant_trees,
                             double_factorial, multi_bracket)
-from sp2brst.solver import (Method, SolverConfig, SymTensor, build_F,
-                            build_omega1, build_pi0, solve,
-                            solve_pi_descendants, solve_pi_fixed_point,
-                            verify_master)
+from sp2brst.solver import (Method, SolverConfig, SymTensor, build_omega1,
+                            build_pi0, solve, solve_pi_descendants,
+                            solve_pi_fixed_point, verify_master)
 from sp2brst.theory import (TheorySpec, abelian_spec, jacobi_violations,
                             mixed_parity_spec, so3_spec)
 
@@ -93,9 +92,9 @@ def test_criterion_3_so3_end_to_end():
     if res.boundary_problems:
         failures.append("boundary read-offs violated: "
                         + "; ".join(res.boundary_problems))
-    pi_fp = solve_pi_fixed_point(res.algebra, res.config, f=res.f)
-    pi_ds = solve_pi_descendants(res.algebra, res.config,
-                                 build_pi0(res.algebra, res.config, f=res.f))
+    seed = boundary_seed(res.algebra)
+    pi_fp = solve_pi_fixed_point(seed, res.config.k)
+    pi_ds = solve_pi_descendants(build_pi0(seed, res.config.k), res.config.k)
     if pi_fp != pi_ds:
         failures.append("fixed-point and descendant corrections differ")
     if pi_fp != res.pi:
@@ -149,7 +148,7 @@ def test_criterion_5_descendant_combinatorics():
             failures.append(f"tree set for m={m} differs from enumeration oracle")
     alg = Algebra(so3_spec())
     cfg = SolverConfig(k=6, method=Method.BOTH)
-    pi0 = build_pi0(alg, cfg, f=build_F(alg))
+    pi0 = build_pi0(boundary_seed(alg), cfg.k)
     for m in (3, 4):
         xs = [pi0] * m
         if multi_bracket(xs, cfg.k) != descendant_expand(xs, cfg.k):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from solver_oracles import (
+    boundary_seed,
     descendant_expand,
     descendant_trees,
     double_factorial,
@@ -67,7 +68,7 @@ def test_m3_trees_explicit():
 
 
 def test_multi_bracket_matches_tree_sum(so3_result):
-    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
     k = so3_result.config.k
     for m in (1, 2, 3, 4):
         xs = [pi0] * m
@@ -75,7 +76,7 @@ def test_multi_bracket_matches_tree_sum(so3_result):
 
 
 def test_multi_bracket_symmetry(so3_result):
-    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
     k = 4
     x, y, z = pi0, pi0 * Fraction(1, 2), pi0 * 3
     ref = multi_bracket([x, y, z], k)
@@ -87,7 +88,7 @@ def test_multi_bracket_symmetry(so3_result):
 
 
 def test_multi_bracket_linearity(so3_result):
-    pi0 = build_pi0(so3_result.algebra, so3_result.config, f=so3_result.f)
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
     k = 4
     lhs = multi_bracket([pi0 * 2, pi0, pi0], k)
     rhs = multi_bracket([pi0, pi0, pi0], k) * 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp2brst.algebra import Algebra
-from sp2brst.expr import ExprError, parse, serialize
+from sp2brst.expr import ExprError, _tokenize, parse, serialize
 from sp2brst.solver import build_omega1
 from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec
 
@@ -118,3 +118,17 @@ def test_serialization_is_deterministic():
     p = ALG.xi(1) * ALG.xi(2) + ALG.ghost(1, 1) * ALG.ghost_mom(2, 2) - ALG.one()
     q = -ALG.one() + ALG.ghost(1, 1) * ALG.ghost_mom(2, 2) + ALG.xi(1) * ALG.xi(2)
     assert serialize(p) == serialize(q)
+
+
+def test_token_positions_across_tabs_crlf_and_blank_lines():
+    # a tab and a CR each take one column; only LF starts a new line
+    tokens = _tokenize("xi[1]\t+ 2\r\n\n\t*xi[2]")
+    assert [(val, line, col) for _, val, line, col in tokens] == [
+        ("xi", 1, 1), ("[", 1, 3), ("1", 1, 4), ("]", 1, 5), ("+", 1, 7),
+        ("2", 1, 9), ("*", 3, 2), ("xi", 3, 3), ("[", 3, 5), ("2", 3, 6),
+        ("]", 3, 7), ("", 3, 8)]
+    assert [kind for kind, *_ in tokens[:3]] == ["NAME", "SYM", "INT"]
+    assert tokens[-1][0] == "END"
+    with pytest.raises(ExprError) as err:
+        parse(ALG, "xi[1] +\r\n\n\t\t)")
+    assert (err.value.line, err.value.col) == (3, 3)

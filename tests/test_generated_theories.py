@@ -1,23 +1,29 @@
 """The pipeline on generated theories that satisfy the Jacobi identity.
 
-Two families, each relabelled by a drawn permutation of the constraints:
-direct sums of so(3), Heisenberg ({xi_1, xi_2} = xi_3, xi_3 central) and
-abelian blocks, and so(3) whose entry with output xi_j is scaled by a
-polynomial of degree <= 2 in xi_j alone (deformed_so3_spec is one of
-them), alone or beside one abelian constraint.  On each, solve with both
-methods must verify, the fixed point's seed Upsilon - W+ F must be what
-(I + W+ A) gives back from Pi_0, and the charges at order k must be those
-at order k + 1 truncated.
+Three families, each relabelled by a drawn permutation of the
+constraints: direct sums of so(3), Heisenberg ({xi_1, xi_2} = xi_3, xi_3
+central) and abelian blocks; so(3) whose entry with output xi_j is
+scaled by a polynomial of degree <= 2 in xi_j alone (deformed_so3_spec
+is one of them), alone or beside one abelian constraint; and the mixed2
+family of one even constraint B and one odd F with {F, F} = f(B) B, f of
+degree <= 2 (mixed_parity_spec is one of them).  On each, solve with
+both methods must verify, the fixed point's seed Upsilon - W+ F must be
+what (I + W+ A) gives back from Pi_0, and the charges at order k must be
+those at order k + 1 truncated.  The charge document must round-trip:
+read back with load_omega, it passes the checks of the verify command,
+and a copy with Omega^1 doubled fails them.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import sp2brst.solver as solver_mod
+from sp2brst import expr
 from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W_plus
-from sp2brst.solver import (Method, SolverConfig, apply_A, build_pi0, solve,
-                            solve_pi_fixed_point)
+from sp2brst.solver import (Method, SolverConfig, apply_A, boundary_violations,
+                            build_pi0, solve, solve_pi_fixed_point, verify_master)
 from sp2brst.theory import TheorySpec, deformed_so3_spec, jacobi_violations
+from sp2brst.theoryfile import dump_document, load_omega, omega_document
 
 # each block: its size and its structure table {(a, b, g): U_abg} over
 # local indices; an abelian block has one constraint of either parity
@@ -68,17 +74,38 @@ def deformed_so3(draw):
     return _relabel([(table, 3)] + [({}, 1)] * n_abelian, (0,) * (3 + n_abelian), perm)
 
 
+@st.composite
+def mixed2(draw):
+    c0, c1, c2 = (draw(COEFFS) for _ in range(3))
+    table = {(2, 2, 1): f"({c0}) + ({c1})*xi[1] + ({c2})*xi[1]^2"}
+    return _relabel([(table, 2)], (0, 1), draw(st.permutations((1, 2))))
+
+
+def _verifies(omega, k: int) -> bool:
+    """The verify command's verdict on a charge document's Omega."""
+    if boundary_violations(omega):
+        return False
+    report = verify_master(omega, k)
+    return report.ok and report.agree
+
+
 def _check_pipeline(spec: TheorySpec, k: int) -> None:
     alg = Algebra(spec)
     assert jacobi_violations(alg) == []
     res = solve(spec, SolverConfig(k=k, method=Method.BOTH), algebra=alg)
     assert res.ok
     # the fixed point's seed, through k, is (I + W+ A) Pi_0
-    pi0 = build_pi0(alg, res.config, f=res.f)
-    assert (pi0 + apply_W_plus(apply_A(pi0))).truncate_cp(k) == \
-        (-apply_W_plus(res.f)).truncate_cp(k)
-    higher = solve_pi_fixed_point(alg, SolverConfig(k=k + 1), f=res.f)
+    seed = -apply_W_plus(res.f)
+    pi0 = build_pi0(seed, k)
+    assert (pi0 + apply_W_plus(apply_A(pi0))).truncate_cp(k) == seed.truncate_cp(k)
+    higher = solve_pi_fixed_point(seed, k + 1)
     assert res.pi == higher.truncate_cp(k)
+    doc = omega_document(spec.label, k, res.omega)
+    omega, order = load_omega(dump_document(doc), alg)
+    assert (omega, order) == (res.omega, k)
+    assert _verifies(omega, k)
+    doc["components"]["1"] = expr.serialize(res.omega.get((1,)) * 2)
+    assert not _verifies(load_omega(dump_document(doc), alg)[0], k)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -90,6 +117,12 @@ def test_direct_sums(spec, k):
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(spec=deformed_so3(), k=ORDERS)
 def test_deformed_so3(spec, k):
+    _check_pipeline(spec, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(spec=mixed2(), k=ORDERS)
+def test_mixed2(spec, k):
     _check_pipeline(spec, k)
 
 

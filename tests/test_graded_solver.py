@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import sp2brst.solver as solver_mod
-from solver_oracles import fixed_point_by_rounds, multi_bracket, neumann_by_terms
+from solver_oracles import (boundary_seed, fixed_point_by_rounds, multi_bracket,
+                            neumann_by_terms)
 from sp2brst import expr
 from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W, apply_W_plus
@@ -45,7 +46,7 @@ def _bundled(name):
     doc = _document(name)
     alg = build_algebra(doc)
     config = SolverConfig(k=doc.order)
-    return alg, config, build_pi0(alg, config)
+    return alg, config, build_pi0(boundary_seed(alg), config.k)
 
 
 @cache
@@ -61,8 +62,8 @@ def _subset_powers(name):
 @pytest.mark.parametrize("name", THEORIES)
 def test_fixed_point_matches_round_oracle(name):
     alg, config, pi0 = _bundled(name)
-    assert solve_pi_fixed_point(alg, config) == \
-        fixed_point_by_rounds(alg, config, pi0)
+    assert solve_pi_fixed_point(boundary_seed(alg), config.k) == \
+        fixed_point_by_rounds(pi0, config.k)
 
 
 @pytest.mark.parametrize("name", THEORIES)
@@ -71,7 +72,7 @@ def test_descendants_match_subset_oracle(name):
     want = SymTensor.zero(alg, 1)
     for m, term in enumerate(_subset_powers(name), 1):
         want = (want + term * Fraction(1, math.factorial(m))).truncate_cp(config.k)
-    assert solve_pi_descendants(alg, config, pi0) == want
+    assert solve_pi_descendants(pi0, config.k) == want
 
 
 @pytest.mark.parametrize("name", ("so3", "so3-deformed"))
@@ -90,7 +91,7 @@ def test_power_brackets_match_subset_recursion(name):
 def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
     # {f, g}' = {g, f}' for odd f, g: the solver brackets each pair once
     alg, config, _ = _bundled(name)
-    pi = solve_pi_fixed_point(alg, config)
+    pi = solve_pi_fixed_point(boundary_seed(alg), config.k)
     parts = [part for part in map(pi.cp_part, range(config.k + 1)) if part]
     for i, x in enumerate(parts):
         for y in parts[i + 1:]:
@@ -99,9 +100,7 @@ def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
 
 def test_descendants_bracket_count(monkeypatch):
     # <Pi_0^m> for m <= 7 at order 8: one pair bracket per r <= m/2
-    alg = Algebra(so3_spec())
-    config = SolverConfig(k=8)
-    pi0 = build_pi0(alg, config)
+    pi0 = build_pi0(boundary_seed(Algebra(so3_spec())), 8)
     calls = []
     original = solver_mod.pair_bracket
 
@@ -110,22 +109,20 @@ def test_descendants_bracket_count(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver_mod, "pair_bracket", counted)
-    solve_pi_descendants(alg, config, pi0)
+    solve_pi_descendants(pi0, 8)
     assert len(calls) == sum(m // 2 for m in range(2, 8)) == 12
 
 
 def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
-    alg = Algebra(so3_spec())
-    config = SolverConfig(k=4)
+    seed = boundary_seed(Algebra(so3_spec()))
     # W in place of A: W+ W keeps the cp-degree of the part it acts on
     monkeypatch.setattr(solver_mod, "apply_A", apply_W)
     with pytest.raises(ConventionError, match="failed to raise"):
-        solve_pi_fixed_point(alg, config)
+        solve_pi_fixed_point(seed, 4)
 
 
 def test_neumann_rejects_non_raising_operator():
-    alg = Algebra(so3_spec())
-    pi0 = build_pi0(alg, SolverConfig(k=4))
+    pi0 = build_pi0(boundary_seed(Algebra(so3_spec())), 4)
     with pytest.raises(ConventionError, match="failed to raise"):
         neumann_apply(apply_W, pi0, 4)
 
@@ -136,7 +133,7 @@ def _inverse_cases(name):
     alg, config, pi0 = _bundled(name)
     doc = _document(name)
     phi0 = expr.parse(alg, doc.observable(LIFTED[name])[1])
-    pi = solve_pi_fixed_point(alg, config)
+    pi = solve_pi_fixed_point(boundary_seed(alg), config.k)
     omega = build_omega1(alg) + pi
 
     def lift_op(t):

@@ -2,8 +2,9 @@
 
 Each oracle below is a direct transcription of the defining displays --
 prefactor variable times a left derivative, with the Sp(2) metrics written
-out as literal tables -- built on nothing but the algebra's derivative
-primitives.  Agreement with the production implementations (which run on a
+out as literal tables -- built on nothing but the algebra's left
+derivative and the right derivative that solver_oracles takes term by
+term.  Agreement with the production implementations (which run on a
 replace-in-place primitive and a sparse pairing table) is checked on
 enumerated generators and seeded random elements over three theories.
 """
@@ -11,6 +12,7 @@ enumerated generators and seeded random elements over three theories.
 import random
 from itertools import permutations
 
+from solver_oracles import derive_right
 from sp2brst.algebra import Algebra, Sector
 from sp2brst.identities import random_element
 from sp2brst.operators import gamma_component, m_component, n_apply, w_component
@@ -86,10 +88,10 @@ def _ghost_half(x, y):
     for r in range(1, alg.m + 1):
         for a in (1, 2):
             out = out + alg.mul(
-                alg.derive_right(x, alg.vid(Sector.GHOST, r, a)),
+                derive_right(x, alg.vid(Sector.GHOST, r, a)),
                 alg.derive_left(y, alg.vid(Sector.GHOST_MOM, r, a)))
         out = out + alg.mul(
-            alg.derive_right(x, alg.vid(Sector.LAGRANGE_MOM, r)),
+            derive_right(x, alg.vid(Sector.LAGRANGE_MOM, r)),
             alg.derive_left(y, alg.vid(Sector.LAGRANGE, r)))
     return out
 
@@ -115,7 +117,7 @@ def oracle_so3_bracket(x, y):
         k = 6 - i - j
         e = _levi_civita(i, j, k)
         out = out + alg.mul(
-            alg.mul(alg.derive_right(x, alg.vid(Sector.XI, i)), alg.xi(k)),
+            alg.mul(derive_right(x, alg.vid(Sector.XI, i)), alg.xi(k)),
             alg.derive_left(y, alg.vid(Sector.XI, j))) * e
     return out
 

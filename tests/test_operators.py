@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from solver_oracles import apply_N_inverse
+from solver_oracles import apply_N_inverse, apply_Q
 from sp2brst.algebra import Algebra
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import (
@@ -13,7 +13,6 @@ from sp2brst.operators import (
     apply_Gamma,
     apply_M,
     apply_N,
-    apply_Q,
     apply_W,
     apply_W_plus,
     bar_gamma,

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from sp2brst import SolverConfig, TheorySpec
+from sp2brst.algebra import Algebra, TheoryError
 from sp2brst.solver import DegreeLine
+from sp2brst.tensors import SymTensor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +73,38 @@ def test_solver_config_validates_and_compares_by_value():
         SolverConfig(k=1)
     assert SolverConfig(k=4) == SolverConfig(4)
     assert SolverConfig(k=4) != SolverConfig(k=5)
+
+
+def test_theory_spec_keeps_a_frozen_copy_of_its_tables():
+    # editing the caller's dict after construction must not reach the spec:
+    # an algebra built after the edit has the brackets of one built before
+    u = {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1"}
+    spec = TheorySpec((0, 0, 0), u_table=u, label="so3")
+    first = Algebra(spec)
+    u[(3, 1, 2)] = "1 + xi[2]"
+    second = Algebra(spec)
+    assert spec.u_table[(3, 1, 2)] == "1"
+    assert second.bracket(second.xi(3), second.xi(1)) == second.xi(2)
+    assert first.compatible(second)
+    with pytest.raises(TypeError):
+        spec.u_table[(3, 1, 2)] = "2"
+    with pytest.raises(TypeError):
+        spec.mixed_table[(1, 4)] = "1"
+
+
+@pytest.mark.parametrize("tables", [
+    {"u_table": {(1, 2, 3): 1}},
+    {"mixed_table": {(1, 4): 1}},
+])
+def test_structure_entries_must_be_strings(tables):
+    spec = TheorySpec((0, 0, 0), physical_parities=(0,), **tables)
+    with pytest.raises(TheoryError, match="expression strings, found int"):
+        Algebra(spec)
+
+
+def test_solver_config_is_unhashable():
+    # equal configs may hold an unhashable Upsilon, so none is hashable
+    alg = Algebra(TheorySpec((0,)))
+    for config in (SolverConfig(k=4), SolverConfig(k=4, upsilon=SymTensor.zero(alg, 1))):
+        with pytest.raises(TypeError):
+            hash(config)

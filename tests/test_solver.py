@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import sp2brst.solver as solver_mod
-from solver_oracles import term_cpdeg, term_parity
+from solver_oracles import boundary_seed, term_cpdeg, term_parity
 from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.operators import apply_W, apply_W_plus, w_component
@@ -103,11 +103,10 @@ def test_so3_truncation_stability(so3_result):
 
 
 def test_methods_agree_independently(so3_result):
-    alg = so3_result.algebra
-    config = SolverConfig(k=4, method=Method.BOTH)
-    pi0 = build_pi0(alg, config)
-    fixed = solve_pi_fixed_point(alg, config)
-    desc = solve_pi_descendants(alg, config, pi0)
+    seed = boundary_seed(so3_result.algebra)
+    pi0 = build_pi0(seed, 4)
+    fixed = solve_pi_fixed_point(seed, 4)
+    desc = solve_pi_descendants(pi0, 4)
     assert fixed == desc
     assert fixed == so3_result.pi.truncate_cp(4)
 

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from solver_oracles import apply_Q_three_m, placement_sum_by_tuples
+from solver_oracles import apply_Q, apply_Q_three_m, placement_sum_by_tuples
 from sp2brst.identities import random_element, random_tensor
-from sp2brst.operators import apply_Q, apply_W, w_component
+from sp2brst.operators import apply_W, w_component
 from sp2brst.solver import a_component, apply_A, tensor_bracket
 from sp2brst.theoryfile import build_algebra, parse_theory
 

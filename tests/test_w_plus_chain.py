@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from solver_oracles import (apply_Q_three_m, apply_W_plus_by_passes, gamma_by_passes,
-                            m_by_passes, term_ndeg)
+from solver_oracles import (apply_Q, apply_Q_three_m, apply_W_plus_by_passes,
+                            gamma_by_passes, m_by_passes, term_ndeg)
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.identities import random_element, random_tensor
-from sp2brst.operators import apply_Gamma, apply_Q, apply_W_plus, m_component
+from sp2brst.operators import apply_Gamma, apply_W_plus, m_component
 from sp2brst.tensors import SymTensor
 from sp2brst.theoryfile import build_algebra, parse_theory
 
