@@ -569,6 +569,8 @@ class Algebra:
         self._build_ghost_omega()
         self._build_matter_omega()
         self._paired = frozenset(va for va, _, _, _ in self._omega)
+        self._matter = frozenset(va for va in self._paired
+                                 if self.var_sector[va] in (Sector.XI, Sector.XI_PHYS))
         # the largest total degree of a structure function (see bracket)
         self._mid_degree = max(
             (mid._degree() for _, _, _, mid in self._omega if mid is not None), default=0)
@@ -993,11 +995,22 @@ class Algebra:
 
     def bracket(self, x, y, *, max_cp=None):
         """Graded Poisson bracket {x, y}; with max_cp, truncated at that
-        cp-degree without forming the products above it.
+        cp-degree without forming the products above it (see _bracket)."""
+        return self._bracket(x, y, self._paired, max_cp)
+
+    def matter_bracket(self, x, y):
+        """{x, y} through x's derivatives by the coordinates only, its
+        matter pairings: for x = xi_alpha C^(alpha a) it is
+        C^(alpha a) {xi_alpha, y}, the solver's A^a y."""
+        return self._bracket(x, y, self._matter, None)
+
+    def _bracket(self, x, y, paired, max_cp):
+        """The sum of (d_r x/d v_A) w_AB (d_l y/d v_B) over the pairings
+        whose v_A lies in paired, truncated at max_cp unless it is None.
 
         x and y are each walked once by _pack, which takes the right
-        derivatives of x by every paired variable it contains and the left
-        derivatives of y by the partners of those only, on packed rows.
+        derivatives of x by every variable of paired it contains and the
+        left derivatives of y by the partners of those only, on packed rows.
         Every product term has total degree at most deg x + deg w + deg y
         less 2, w a structure function, and the width holds it, so the
         dx * w products and their products with dy never carry.  Each
@@ -1020,7 +1033,7 @@ class Algebra:
         lay = self.layout(width)
         info = lay.info
         lx, ly = x.den, y.den
-        rows_x, dx = _pack(keys_at(x, width), lay, self._paired, False)
+        rows_x, dx = _pack(keys_at(x, width), lay, paired, False)
         rows_y, dy = _pack(
             keys_at(y, width), lay, {vb for va, vb, _, _ in self._omega if va in dx}, True)
         if max_cp is not None:

@@ -65,10 +65,6 @@ class _Parser:
         self.i += 1
         return t
 
-    def error(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ExprError(msg, tok[2], tok[3])
-
     def expect_sym(self, ch):
         kind, val, line, col = self.next()
         if kind != "SYM" or val != ch:

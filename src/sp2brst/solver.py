@@ -3,7 +3,7 @@
 The charges are assembled as Omega^a = Omega_1^a + Pi^a where the boundary
 part is fixed,
 
-    Omega_1^a = sum_alpha  xi_alpha C^(alpha a) + eps^ab P_(alpha b) pi^alpha,
+    Omega_1^a = Xi^a + eps^ab P_(alpha b) pi^alpha,   Xi^a = xi_alpha C^(alpha a),
 
 and Pi collects the higher ghost-degree corrections.  The master equations
 {Omega^a, Omega^b}' = 0 are equivalent to the rank-2 statement
@@ -12,7 +12,10 @@ and Pi collects the higher ghost-degree corrections.  The master equations
     quad(Pi)^ab = {Pi^a, Pi^b}',
 
 which holds term by term against the directly evaluated bracket for *any*
-Pi, not just solutions (verify_master checks both sides).  Projecting with
+Pi, not just solutions (verify_master checks both sides).  Here
+A^a = {Xi^a, .}' taken through the matter pairings only, which is
+C^(alpha a) {xi_alpha, .}', and F^ab = A^a Xi^b: one bracket with Xi per
+(component, index) pair.  Projecting with
 the generalized inverse W+ turns G = 0 into the fixed-point problem
 
     Pi = Upsilon - W+(F + A Pi + quad(Pi)),
@@ -41,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Algebra, GradedPoly, Sector, TheoryError
+from .algebra import Algebra, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
 from .theory import TheorySpec
@@ -119,54 +122,44 @@ def validate_upsilon(alg: Algebra, upsilon: SymTensor) -> None:
 # building blocks
 
 
+def constraint_half(alg: Algebra) -> SymTensor:
+    """Xi^a = xi_alpha C^(alpha a), the constraint half of Omega_1^a."""
+    vid = alg.vid
+    return SymTensor(alg, 1, {(a,): alg.poly(
+        {((vid(Sector.XI, r), 1), (vid(Sector.GHOST, r, a), 1)): 1
+         for r in range(1, alg.m + 1)}) for a in (1, 2)})
+
+
 def build_omega1(alg: Algebra) -> SymTensor:
-    """The boundary part  Omega_1^a = xi_alpha C^(alpha a)
-    + eps^ab P_(alpha b) pi^alpha  (both boundary conditions read off it)."""
+    """The boundary part  Omega_1^a = Xi^a + eps^ab P_(alpha b) pi^alpha
+    (both boundary conditions read off it)."""
+    vid = alg.vid
 
-    def comp(idx):
-        (a,) = idx
+    def ghost_half(a):
         b = 3 - a
-        eab = EPS_UP[(a, b)]
-        out = alg.zero()
-        for r in range(1, alg.m + 1):
-            out = out + alg.mul(alg.xi(r), alg.ghost(r, a))
-            out = out + alg.mul(alg.ghost_mom(r, b), alg.lagrange_mom(r)) * eab
-        return out
+        return alg.poly(
+            {((vid(Sector.GHOST_MOM, r, b), 1), (vid(Sector.LAGRANGE_MOM, r), 1)):
+             EPS_UP[(a, b)] for r in range(1, alg.m + 1)})
 
-    return SymTensor.from_full(alg, 1, comp)
+    return constraint_half(alg) + SymTensor(alg, 1, {(a,): ghost_half(a) for a in (1, 2)})
 
 
 def build_F(alg: Algebra) -> SymTensor:
-    """F^ab = C^(alpha a) {xi_alpha, xi_beta}' C^(beta b); equals the direct
-    bracket {Omega_1^a, Omega_1^b}' (the ghost-sector pairings cancel)."""
-
-    def comp(idx):
-        a, b = idx
-        out = alg.zero()
-        for al in range(1, alg.m + 1):
-            for be in range(1, alg.m + 1):
-                w = alg.bracket(alg.xi(al), alg.xi(be))
-                if w:
-                    out = out + alg.mul(alg.mul(alg.ghost(al, a), w), alg.ghost(be, b))
-        return out
-
-    return SymTensor.from_full(alg, 2, comp)
-
-
-def a_component(p: GradedPoly, a: int) -> GradedPoly:
-    """A^a = C^(alpha a) {xi_alpha, . }'."""
-    alg = p.alg
-    out = alg.zero()
-    for r in range(1, alg.m + 1):
-        w = alg.bracket(alg.xi(r), p)
-        if w:
-            out = out + alg.mul(alg.ghost(r, a), w)
-    return out
+    """F^ab = A^a Xi^b = C^(alpha a) {xi_alpha, xi_beta}' C^(beta b), one
+    bracket per index pair; equals the direct bracket
+    {Omega_1^a, Omega_1^b}' (the ghost-sector pairings cancel)."""
+    xi = constraint_half(alg)
+    return SymTensor.from_full(
+        alg, 2, lambda idx: alg.matter_bracket(xi.get((idx[0],)), xi.get((idx[1],))))
 
 
 def apply_A(t: SymTensor) -> SymTensor:
-    """Rank n -> n+1: (A X)^(a0..an) = sum_j A^(aj) X^(rest)."""
-    return t.placement_sum(a_component)
+    """Rank n -> n+1: (A X)^(a0..an) = sum_j A^(aj) X^(rest), with
+    A^a = {Xi^a, .}' through the matter pairings, which is
+    C^(alpha a) {xi_alpha, .}': one bracket per (component, index) pair."""
+    xi = constraint_half(t.alg)
+    bracket = t.alg.matter_bracket
+    return t.placement_sum(lambda p, a: bracket(xi.get((a,)), p))
 
 
 def tensor_bracket(x: SymTensor, y: SymTensor, k: int | None = None) -> SymTensor:

@@ -6,6 +6,8 @@ index subsets, the sum over distinct descendant pairing trees, the
 fixed-point iteration that brackets the whole truncated Pi with itself
 every round, and the Neumann series applied to whole tensors term after
 term, with the seed Upsilon - W+ F of a solve with no boundary datum.
+A^a is taken as C^(alpha a) times m brackets with the generators
+xi_alpha, and F from the m^2 generator brackets {xi_alpha, xi_beta}.
 Below them sit the placement sum evaluated on every full index tuple, Q
 with M applied three times, Q as the package's own Q step run on every
 component of a tensor, and the first-order operators
@@ -42,6 +44,36 @@ def boundary_seed(alg) -> SymTensor:
     """Upsilon - W+ F with Upsilon = 0: the seed of Pi_0 and of the fixed
     point when the solve has no boundary datum."""
     return projected_seed(SymTensor.zero(alg, 1), build_F(alg))
+
+
+def a_component_by_brackets(p, a: int):
+    """A^a p = C^(alpha a) {xi_alpha, p}': one full bracket and one
+    product per constraint."""
+    alg = p.alg
+    out = alg.zero()
+    for r in range(1, alg.m + 1):
+        w = alg.bracket(alg.xi(r), p)
+        if w:
+            out = out + alg.mul(alg.ghost(r, a), w)
+    return out
+
+
+def build_F_by_brackets(alg) -> SymTensor:
+    """F^ab = C^(alpha a) {xi_alpha, xi_beta}' C^(beta b): one generator
+    bracket and two products per (alpha, beta), checked symmetric by
+    from_full."""
+
+    def comp(idx):
+        a, b = idx
+        out = alg.zero()
+        for al in range(1, alg.m + 1):
+            for be in range(1, alg.m + 1):
+                w = alg.bracket(alg.xi(al), alg.xi(be))
+                if w:
+                    out = out + alg.mul(alg.mul(alg.ghost(al, a), w), alg.ghost(be, b))
+        return out
+
+    return SymTensor.from_full(alg, 2, comp)
 
 
 def placement_sum_by_tuples(t: SymTensor, fn) -> SymTensor:

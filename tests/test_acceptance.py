@@ -9,7 +9,6 @@ All arithmetic is exact rational arithmetic; every "zero" below means
 identically zero through the stated cp-degree, not zero to tolerance.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -22,9 +21,9 @@ from sp2brst.observables import (NotFirstClassError, check_first_class,
                                  lift, restrict, verify_realization)
 from solver_oracles import (boundary_seed, descendant_expand, descendant_trees,
                             double_factorial, multi_bracket)
-from sp2brst.solver import (Method, SolverConfig, SymTensor, build_omega1,
-                            build_pi0, solve, solve_pi_descendants,
-                            solve_pi_fixed_point, verify_master)
+from sp2brst.solver import (Method, SolverConfig, SymTensor, build_pi0, solve,
+                            solve_pi_descendants, solve_pi_fixed_point,
+                            verify_master)
 from sp2brst.theory import (TheorySpec, abelian_spec, jacobi_violations,
                             mixed_parity_spec, so3_spec)
 

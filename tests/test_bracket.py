@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from solver_oracles import term_ngh, term_parity
-from sp2brst.algebra import Algebra, GradedPoly
+from sp2brst.algebra import Algebra
 from sp2brst.theory import TheorySpec, mixed_parity_spec, so3_spec
 
 ALG = Algebra(mixed_parity_spec())  # constraints: one even, one odd

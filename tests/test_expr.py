@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sp2brst.algebra import Algebra
 from sp2brst.expr import ExprError, _tokenize, parse, serialize
 from sp2brst.solver import build_omega1
-from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec
+from sp2brst.theory import abelian_spec, mixed_parity_spec
 
 ALG = Algebra(mixed_parity_spec())
 

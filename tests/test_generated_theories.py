@@ -7,7 +7,8 @@ scaled by a polynomial of degree <= 2 in xi_j alone (deformed_so3_spec
 is one of them), alone or beside one abelian constraint; and the mixed2
 family of one even constraint B and one odd F with {F, F} = f(B) B, f of
 degree <= 2 (mixed_parity_spec is one of them).  On each, solve with
-both methods must verify, the fixed point's seed Upsilon - W+ F must be
+both methods must verify, F and A must equal their generator-bracket
+oracles (A on Pi_0), the fixed point's seed Upsilon - W+ F must be
 what (I + W+ A) gives back from Pi_0, and the charges at order k must be
 those at order k + 1 truncated.  The charge document must round-trip:
 read back with load_omega, it passes the checks of the verify command,
@@ -15,6 +16,9 @@ and a copy with Omega^1 doubled fails them.
 """
 
 from hypothesis import given, settings, strategies as st
+
+from solver_oracles import (a_component_by_brackets, build_F_by_brackets,
+                            placement_sum_by_tuples)
 
 import sp2brst.solver as solver_mod
 from sp2brst import expr
@@ -94,9 +98,12 @@ def _check_pipeline(spec: TheorySpec, k: int) -> None:
     assert jacobi_violations(alg) == []
     res = solve(spec, SolverConfig(k=k, method=Method.BOTH), algebra=alg)
     assert res.ok
+    # F and A as one bracket with Xi per index are the generator-bracket loops
+    assert res.f == build_F_by_brackets(alg)
     # the fixed point's seed, through k, is (I + W+ A) Pi_0
     seed = -apply_W_plus(res.f)
     pi0 = build_pi0(seed, k)
+    assert apply_A(pi0) == placement_sum_by_tuples(pi0, a_component_by_brackets)
     assert (pi0 + apply_W_plus(apply_A(pi0))).truncate_cp(k) == seed.truncate_cp(k)
     higher = solve_pi_fixed_point(seed, k + 1)
     assert res.pi == higher.truncate_cp(k)

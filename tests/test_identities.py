@@ -4,12 +4,13 @@ The suite itself is a verification tool, so these tests check the tool:
 that its samples really live in the domain it claims (every term carries
 a counted factor, degrees capped), that the kernel projector lands in
 ker W, that a run over a small parameter set reports all identities
-clean, and that reports are deterministic and render failures honestly.
+clean, and that reports are deterministic and render failures honestly,
+a failing sample counted once per identity.
 """
 
 import random
-from fractions import Fraction
 
+import sp2brst.identities as identities
 from solver_oracles import term_cpdeg, term_ndeg
 from sp2brst.algebra import Algebra
 from sp2brst.identities import (IdentityReport, IdentityResult,
@@ -110,3 +111,18 @@ def test_report_renders_failures():
     assert "toy check [V]: FAILED (2/5)" in text
     assert "first defect: sample 0" in text
     assert text.splitlines()[-1] == "identity suite: FAILURES FOUND"
+
+
+def test_suite_counts_a_failing_sample_once(monkeypatch):
+    # a broken W^a fails the symmetrized nilpotency at every index pair of
+    # a sample; the sample is still one failure of that identity
+    w_component = identities.w_component
+    monkeypatch.setattr(identities, "w_component", lambda p, a: w_component(p, a) + p)
+    rep = run_identity_suite(samples=5, seed=0)
+    assert not rep.ok
+    for r in rep.results:
+        assert r.failures <= r.samples == 5
+    (nil,) = [r for r in rep.results if r.name == "W symmetrized nilpotency"]
+    assert nil.failures == 5
+    assert nil.first_defect.startswith("sample 0: ")
+    assert "W symmetrized nilpotency [V]: FAILED (5/5)" in rep.render()

@@ -7,7 +7,7 @@ import pytest
 
 from solver_oracles import apply_N_inverse, apply_Q
 from sp2brst.algebra import Algebra
-from sp2brst.identities import random_element, random_tensor
+from sp2brst.identities import random_tensor
 from sp2brst.operators import (
     OutsideDomainError,
     apply_Gamma,

@@ -3,8 +3,10 @@
 bracket and mul with max_cp must equal the full product truncated at
 that cp-degree; apply_W, apply_A and tensor_bracket, which evaluate each
 distinct (component, index) pair once, must equal the placement sum taken
-over every full index tuple; Q with M applied twice must equal Q as its
-closed form reads.
+over every full index tuple, A taken there as m brackets per component
+with the generators; F, one bracket of Xi^a with Xi^b per index pair,
+must equal its m^2 generator brackets; Q with M applied twice must equal
+Q as its closed form reads.
 """
 
 import random
@@ -13,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from solver_oracles import apply_Q, apply_Q_three_m, placement_sum_by_tuples
+from solver_oracles import (a_component_by_brackets, apply_Q, apply_Q_three_m,
+                            build_F_by_brackets, placement_sum_by_tuples)
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import apply_W, w_component
-from sp2brst.solver import a_component, apply_A, tensor_bracket
+from sp2brst.solver import apply_A, build_F, tensor_bracket
 from sp2brst.theoryfile import build_algebra, parse_theory
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -88,10 +91,16 @@ def test_placement_sums_match_full_tuple_oracle(name, rank):
         return alg.bracket(x.get((a,)), p)
 
     assert apply_W(t) == placement_sum_by_tuples(t, w_component)
-    assert apply_A(t) == placement_sum_by_tuples(t, a_component)
+    assert apply_A(t) == placement_sum_by_tuples(t, a_component_by_brackets)
     full = placement_sum_by_tuples(t, bracket_x)
     assert tensor_bracket(x, t) == full
     assert tensor_bracket(x, t, 3) == full.truncate_cp(3)
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_f_matches_generator_bracket_oracle(name):
+    alg = _algebra(name)
+    assert build_F(alg) == build_F_by_brackets(alg)
 
 
 @pytest.mark.parametrize("name", ("mixed2", "so3", "shift"))
