@@ -19,6 +19,7 @@ fail -- lam[1] is a counterexample -- so the suite labels their domain.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,42 +35,27 @@ QUARTER = Fraction(1, 4)
 MAX_MONOMIALS = 4
 
 
-def _pools(alg: Algebra):
-    """Generators split by N-weight: counted factors (xi, P, lam) versus
-    factors of N-weight 0 (C, pi and the physical xip)."""
-    counted, uncounted = [], []
-    for a in range(1, alg.m + 1):
-        counted.append(alg.xi(a))
-        counted.append(alg.lagrange(a))
-        for i in (1, 2):
-            counted.append(alg.ghost_mom(a, i))
-            uncounted.append(alg.ghost(a, i))
-        uncounted.append(alg.lagrange_mom(a))
-    for a in range(1, alg.n_physical + 1):
-        uncounted.append(alg.xip(a))
-    return counted, uncounted
-
-
 def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
                    max_n: int = 4):
-    """A random polynomial of 1 to MAX_MONOMIALS terms, each carrying a
+    """A random polynomial of 1 to MAX_MONOMIALS monomials, each with a
     counted factor (so N is invertible on it), of cp-degree <= max_cp and
-    N-degree <= max_n, with degrees and parities mixed."""
-    counted, uncounted = _pools(alg)
-    out = alg.zero()
+    N-degree <= max_n, with degrees and parities mixed.  A monomial is a
+    coefficient times 1 to max_n factors of N-weight 1 (xi, P, lam) and 0
+    to max_cp of N-weight 0 (C, pi, xip), pools read off alg.var_nwt; it
+    is drawn again (up to 30 times) if an odd factor repeats."""
+    counted = [v for v, w in enumerate(alg.var_nwt) if w]
+    uncounted = [v for v, w in enumerate(alg.var_nwt) if not w]
+    terms = Counter()
     for _ in range(rng.randint(1, MAX_MONOMIALS)):
         for _attempt in range(30):
             coeff = Fraction(rng.choice([s for s in range(-9, 10) if s]),
                              rng.randint(1, 9))
-            term = alg.scalar(coeff)
-            for _ in range(rng.randint(1, max_n)):
-                term = alg.mul(term, rng.choice(counted))
-            for _ in range(rng.randint(0, max_cp)):
-                term = alg.mul(term, rng.choice(uncounted))
-            if term:
-                out = out + term
+            factors = Counter(rng.choice(counted) for _ in range(rng.randint(1, max_n)))
+            factors.update(rng.choice(uncounted) for _ in range(rng.randint(0, max_cp)))
+            if all(e == 1 or not alg.var_parity[v] for v, e in factors.items()):
+                terms[tuple(sorted(factors.items()))] += coeff
                 break
-    return out
+    return alg.poly(terms)
 
 
 def random_tensor(alg: Algebra, rng: random.Random, rank: int, **kw) -> SymTensor:

@@ -188,16 +188,15 @@ def _graded_solve(seed: SymTensor, grow, k: int) -> SymTensor:
 
     grow is called once per nonzero degree-d part of X, with the parts
     below d (lowest first), and returns tensors that must lie strictly
-    above d; so the degree-d part of X is seed_d plus the degree-d part of
-    what grow has returned so far.  A returned tensor that fails to raise
-    the degree signals a convention bug and raises ConventionError."""
-    seed = seed.truncate_cp(k)
-    if not seed:
-        return seed
-    x = grown = SymTensor.zero(seed.alg, seed.rank)
+    above d and are added to X; so X's degree-d part is complete once the
+    parts below d have grown.  A returned tensor that fails to raise the
+    degree signals a convention bug and raises ConventionError."""
+    x = seed.truncate_cp(k)
+    if not x:
+        return x
     lower = []
-    for d in range(seed.min_cp(), k + 1):
-        part = seed.cp_part(d) + grown.cp_part(d)
+    for d in range(x.min_cp(), k + 1):
+        part = x.cp_part(d)
         if not part:
             continue
         for term in grow(part, lower):
@@ -207,9 +206,8 @@ def _graded_solve(seed: SymTensor, grow, k: int) -> SymTensor:
                 raise ConventionError(
                     f"the cp-degree {d} part failed to raise the degree "
                     f"(reaches {floor})")
-            grown = grown + term
+            x = x + term
         lower.append(part)
-        x = x + part
     return x
 
 

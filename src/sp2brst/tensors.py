@@ -133,25 +133,27 @@ class SymTensor:
     def cp_part(self, d):
         return self.map(lambda p: p.cp_part(d))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op (GradedPoly's + or -) on each component of either tensor."""
         if not isinstance(other, SymTensor):
             return NotImplemented
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
         out = SymTensor(self.alg, self.rank)
         for key in set(self.comps) | set(other.comps):
-            p = self.get(key) + other.get(key)
+            p = op(self.get(key), other.get(key))
             if p:
                 out.comps[key] = p
         return out
+
+    def __add__(self, other):
+        return self._combine(other, GradedPoly.__add__)
 
     def __neg__(self):
         return self.map(lambda p: -p)
 
     def __sub__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, GradedPoly.__sub__)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):

@@ -153,7 +153,11 @@ def parse_theory(data) -> TheoryDocument:
         for key, text in raw.items():
             if not isinstance(text, str):
                 _fail(f"{field}[{key}] must be an expression string")
-            table[_index_key(key, arity, field)] = rewrite(text)
+            idx = _index_key(key, arity, field)
+            if idx in table:
+                first = next(k for k in raw if _index_key(k, arity, field) == idx)
+                _fail(f"{field} keys {first!r} and {key!r} name the same entry")
+            table[idx] = rewrite(text)
 
     obs_raw = data.get("observables", [])
     if not isinstance(obs_raw, list):

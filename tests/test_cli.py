@@ -237,7 +237,7 @@ BUDGET_POINT_RUNS = {
 
 
 @pytest.mark.parametrize("command, budget, terms", [
-    ("solve", 50, 64), ("lift", 50, 54),
+    ("solve", 50, 52), ("lift", 50, 54),
     ("solve", 300, 301), ("lift", 300, 301),
     ("solve", 400, None), ("lift", 400, 401),
     ("lift", 550, 822),

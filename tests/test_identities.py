@@ -9,6 +9,7 @@ a failing sample counted once per identity.
 """
 
 import random
+from pathlib import Path
 
 import sp2brst.identities as identities
 from solver_oracles import term_cpdeg, term_ndeg
@@ -19,19 +20,43 @@ from sp2brst.identities import (IdentityReport, IdentityResult,
                                 w_closed_part)
 from sp2brst.operators import apply_W
 from sp2brst.tensors import SymTensor
+from sp2brst.theoryfile import parse_theory
 from sp2brst.theory import mixed_parity_spec, so3_spec
 
 
+SHIFT = parse_theory((Path(__file__).resolve().parent.parent
+                     / "theories" / "shift.json").read_text()).spec
+
+
 def test_random_element_stays_in_domain():
-    alg = Algebra(mixed_parity_spec())
-    rng = random.Random(5)
-    for _ in range(30):
-        x = random_element(alg, rng, max_cp=3, max_n=2)
-        assert not x.is_zero()
-        for mono in x.terms:
-            # every term must be N-invertible and within the caps
-            assert 1 <= term_ndeg(alg, mono) <= 2
-            assert term_cpdeg(alg, mono) <= 3
+    for spec in (mixed_parity_spec(), SHIFT):
+        alg = Algebra(spec)
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(30):
+            x = random_element(alg, rng, max_cp=3, max_n=2)
+            assert not x.is_zero()
+            for mono in x.terms:
+                # every term must be N-invertible and within the caps
+                assert 1 <= term_ndeg(alg, mono) <= 2
+                assert term_cpdeg(alg, mono) <= 3
+                seen.update(v for v, _ in mono)
+        # both pools are drawn from in full, the physical xip included
+        assert seen == set(range(len(alg.vars))), spec.label
+
+
+def test_random_element_builds_no_products(monkeypatch):
+    # each sample is a sum of monomials packed by one Algebra.poly call
+    algebras = [Algebra(mixed_parity_spec()), Algebra(SHIFT)]
+
+    def no_mul(*args, **kwargs):
+        raise AssertionError("random_element called Algebra.mul")
+
+    monkeypatch.setattr(Algebra, "mul", no_mul)
+    for alg in algebras:
+        rng = random.Random(9)
+        for _ in range(50):
+            assert not random_element(alg, rng).is_zero()
 
 
 def test_random_tensor_is_symmetric_of_requested_rank():

@@ -98,6 +98,11 @@ def test_document_shape_errors():
         (_doc(U={"1,2,x": "1"}), "3 comma-separated"),
         (_doc(U={"1,2,3": 5}), "expression string"),
         (_doc(mixed={"1": "1"}), "2 comma-separated"),
+        # int() reads " 3", "+3", "03" and "٣" as 3: one entry named twice
+        (_doc(U={"1,2,3": "1", "2,3,1": "1", "3,1,2": "1", "1,2, 3": "5"}),
+         "U keys '1,2,3' and '1,2, 3' name the same entry"),
+        (_doc(mixed={"1,+2": "1", "1,02": "1"}),
+         "mixed keys '1,+2' and '1,02' name the same entry"),
         (_doc(order=1), "order"),
         (_doc(order="six"), "order"),
         (_doc(observables=[5]), "observables[1]"),
@@ -109,6 +114,11 @@ def test_document_shape_errors():
         with pytest.raises(TheoryFileError) as err:
             parse_theory(raw)
         assert needle in str(err.value), raw
+
+
+def test_index_key_spelled_once_keeps_working():
+    doc = parse_theory(_doc(U={"1,2, 3": "1", "2,3,+1": "1", "3,1,02": "1"}))
+    assert doc.spec.u_table == {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1"}
 
 
 def test_json_syntax_error_position():
