@@ -14,11 +14,21 @@ The bar identities hold on the kernel of W (where the uniqueness
 argument uses them); samples for those are projected with I - W+ W,
 which maps into ker W because W W+ W = W.  On general elements they can
 fail -- lam[1] is a counterexample -- so the suite labels their domain.
+
+Sample i is drawn from its own stream, seeded with the text "seed:i", so
+it depends only on (seed, i).  The samples are checked on one process per
+CPU: the parent forks a worker per share, checks its own share through
+the same chunk function, and merges every per-sample row in sample
+order, so the report and its first defects are those of a one-process
+run.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -193,11 +203,95 @@ def _kernel_checks(alg, xc):
     return out
 
 
+def _sample_rows(alg, degree: int, seed: int, i: int) -> list:
+    """Draw sample i from its own stream and check every identity on it:
+    one (name, domain, first defect or None) row per identity, in report
+    order.  A defect names the sample, so a failing sample counts once per
+    identity however many of its index pairs fail."""
+    rng = random.Random(f"{seed}:{i}")
+    kw = dict(max_cp=degree, max_n=degree)
+    x = random_element(alg, rng, **kw)
+    tensors = [SymTensor.from_scalar(x),
+               random_tensor(alg, rng, 1, **kw),
+               random_tensor(alg, rng, 2, **kw)]
+    xc = random_w_closed(alg, rng, **kw)
+    found: dict = {}
+    for name, domain, defect in (_poly_checks(alg, x) + _tensor_checks(alg, tensors)
+                                 + _kernel_checks(alg, xc)):
+        if found.get((name, domain)) is None:
+            found[name, domain] = f"sample {i}: {defect!r}"[:200] if defect else None
+    return [(name, domain, first) for (name, domain), first in found.items()]
+
+
+def _check_chunk(alg, degree: int, seed: int, indices: range) -> list:
+    """The rows of the samples at `indices`, in order, up to the first
+    sample that raises; the caller checks that one again to raise."""
+    rows = []
+    for i in indices:
+        try:
+            rows.append(_sample_rows(alg, degree, seed, i))
+        except Exception:
+            break
+    return rows
+
+
+def _workers(samples: int) -> int:
+    """One process per CPU this process may run on, at most one per
+    sample; one where os.fork is missing or another thread is running,
+    since a lock that thread holds would stay locked in a forked child."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, samples))
+
+
+def _fork(task, *args) -> tuple:
+    """Fork a worker that writes marshal.dumps(task(*args)) to a pipe and
+    exits 0; returns its pid and the read end of the pipe.  It leaves
+    through os._exit, so it never flushes the parent's buffered output or
+    runs its exit hooks."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(marshal.dumps(task(*args)))
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read_all(fd: int) -> bytes:
+    return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+
+
 def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
                        spec: TheorySpec | None = None) -> IdentityReport:
     """Check every identity on `samples` seeded random elements of
     cp-degree and N-degree at most `degree`; a failing sample counts once
     per identity, which keeps its first defect.
+
+    Sample i depends only on (seed, i).  With n processes (one per CPU),
+    forked worker j checks samples j, j + n, ... and the parent samples
+    0, n, ...; a worker that dies without its rows, or cannot be forked,
+    leaves its samples to the parent.  The parent then checks, in sample
+    order, every sample without a row, so the lowest sample that raises
+    raises here as it would in one process.  Every worker is reaped
+    before this returns.
 
     Results are deterministic functions of (degree, samples, seed, spec).
     """
@@ -206,28 +300,44 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
     if spec.m == 0:
         raise TheoryError("the identity suite needs at least one constraint")
     alg = Algebra(spec)
-    rng = random.Random(seed)
-    kw = dict(max_cp=degree, max_n=degree)
+    n = _workers(samples)
+    rows: list = [None] * samples
+
+    def place(j, chunk):
+        for i, row in zip(range(j, samples, n), chunk):
+            rows[i] = row
+
+    workers = []  # (first sample, pid, read end of its pipe)
+    payloads, codes = {}, {}
+    try:
+        for j in range(1, n):
+            try:
+                workers.append((j, *_fork(_check_chunk, alg, degree, seed,
+                                          range(j, samples, n))))
+            except OSError:
+                break
+        place(0, _check_chunk(alg, degree, seed, range(0, samples, n)))
+        for j, _, fd in workers:
+            payloads[j] = _read_all(fd)
+    finally:
+        for j, pid, fd in workers:
+            os.close(fd)
+            codes[j] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for j, data in payloads.items():
+        if codes[j] == 0:
+            place(j, marshal.loads(data))
+    for i, row in enumerate(rows):
+        if row is None:
+            rows[i] = _sample_rows(alg, degree, seed, i)
 
     tally: dict = {}
-    for i in range(samples):
-        x = random_element(alg, rng, **kw)
-        tensors = [SymTensor.from_scalar(x),
-                   random_tensor(alg, rng, 1, **kw),
-                   random_tensor(alg, rng, 2, **kw)]
-        xc = random_w_closed(alg, rng, **kw)
-        failed = set()
-        for name, domain, defect in (_poly_checks(alg, x) + _tensor_checks(alg, tensors)
-                                     + _kernel_checks(alg, xc)):
-            key = (name, domain)
-            fails, first = tally.get(key, (0, None))
-            if defect and key not in failed:
-                failed.add(key)
+    for row in rows:
+        for name, domain, defect in row:
+            fails, first = tally.get((name, domain), (0, None))
+            if defect:
                 fails += 1
-                if first is None:
-                    first = f"sample {i}: {defect!r}"[:200]
-            tally[key] = (fails, first)
-
+                first = first or defect
+            tally[name, domain] = (fails, first)
     results = tuple(IdentityResult(name, domain, samples, fails, first)
                     for (name, domain), (fails, first) in tally.items())
     return IdentityReport(spec.label or "anonymous", degree, samples, seed,

@@ -111,12 +111,23 @@ def _alias_rewriter(names):
     return lambda text: pattern.sub(lambda m: names[m.group(1)], text)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object that names each key once; json.loads alone would keep
+    the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            _fail(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _decode(data, what: str) -> dict:
     """Decode bytes or text (a dict passes through) into a JSON object of
-    the supported format."""
+    the supported format, rejecting a key repeated in any object."""
     if isinstance(data, (bytes, str)):
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise TheoryFileError(
                 f"line {e.lineno}, col {e.colno}: {e.msg}") from None

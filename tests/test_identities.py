@@ -5,11 +5,18 @@ that its samples really live in the domain it claims (every term carries
 a counted factor, degrees capped), that the kernel projector lands in
 ker W, that a run over a small parameter set reports all identities
 clean, and that reports are deterministic and render failures honestly,
-a failing sample counted once per identity.
+a failing sample counted once per identity.  The suite forks one worker
+per CPU, so reports, failures and raised errors are checked to be those
+of a one-process run at several worker counts, with no child left.
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sp2brst.identities as identities
 from solver_oracles import term_cpdeg, term_ndeg
@@ -18,14 +25,16 @@ from sp2brst.identities import (IdentityReport, IdentityResult,
                                 random_element, random_tensor,
                                 random_w_closed, run_identity_suite,
                                 w_closed_part)
-from sp2brst.operators import apply_W
+from sp2brst.cli import main
+from sp2brst.operators import OutsideDomainError, apply_W
 from sp2brst.tensors import SymTensor
 from sp2brst.theoryfile import parse_theory
 from sp2brst.theory import mixed_parity_spec, so3_spec
 
 
-SHIFT = parse_theory((Path(__file__).resolve().parent.parent
-                     / "theories" / "shift.json").read_text()).spec
+ROOT = Path(__file__).resolve().parent.parent
+SHIFT = parse_theory((ROOT / "theories" / "shift.json").read_text()).spec
+WORKER_COUNTS = (1, 2, 3, 7)
 
 
 def test_random_element_stays_in_domain():
@@ -151,3 +160,138 @@ def test_suite_counts_a_failing_sample_once(monkeypatch):
     assert nil.failures == 5
     assert nil.first_defect.startswith("sample 0: ")
     assert "W symmetrized nilpotency [V]: FAILED (5/5)" in rep.render()
+
+
+def _break_w(monkeypatch, every_sample=True):
+    """Add p to W^a p: on every element, or only on those whose term count
+    is a multiple of 3, so that some samples fail and others pass."""
+    w_component = identities.w_component
+    monkeypatch.setattr(identities, "w_component", lambda p, a: w_component(p, a) + (
+        p if every_sample or p.term_count() % 3 == 0 else p * 0))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _reports(monkeypatch, **kw) -> list:
+    """The suite's report at each worker count, checking after each run
+    that every worker was reaped."""
+    reports = []
+    for n in WORKER_COUNTS:
+        monkeypatch.setattr(identities, "_workers", lambda samples, n=n: n)
+        reports.append(run_identity_suite(**kw))
+        _assert_no_child_left()
+    return reports
+
+
+@pytest.mark.parametrize("broken", [None, "every", "some"],
+                         ids=["passing", "W-broken", "W-broken-on-some-samples"])
+@pytest.mark.parametrize("spec", [mixed_parity_spec(), SHIFT], ids=["mixed2", "shift"])
+def test_report_is_the_same_on_every_worker_count(monkeypatch, spec, broken):
+    if broken:
+        _break_w(monkeypatch, every_sample=broken == "every")
+    reports = _reports(monkeypatch, degree=2, samples=8, seed=0, spec=spec)
+    assert len({rep.render() for rep in reports}) == 1
+    rep = reports[0]
+    assert rep.ok is not bool(broken)
+    if broken == "every":
+        (nil,) = [r for r in rep.results if r.name == "W symmetrized nilpotency"]
+        assert nil.failures == 8
+        assert nil.first_defect.startswith("sample 0: ")
+    if broken == "some":
+        # each identity's count and first defect, from the samples one by one
+        alg = Algebra(spec)
+        defects = {}
+        for i in range(8):
+            for name, domain, defect in identities._sample_rows(alg, 2, 0, i):
+                if defect:
+                    defects.setdefault((name, domain), []).append(defect)
+        for r in rep.results:
+            found = defects.get((r.name, r.domain), [])
+            assert (r.failures, r.first_defect) == (len(found), found[0] if found else None)
+        assert any(0 < r.failures < 8 and not r.first_defect.startswith("sample 0: ")
+                   for r in rep.results)
+
+
+def test_lowest_raising_sample_raises_on_every_worker_count(monkeypatch, capsys):
+    # samples 5 and 7 raise; a one-process run raises at sample 5 whichever
+    # process's share holds 5 or 7
+    sample_rows = identities._sample_rows
+
+    def raising(alg, degree, seed, i):
+        if i in (5, 7):
+            raise OutsideDomainError(f"term outside the invertible domain of N: sample {i}")
+        return sample_rows(alg, degree, seed, i)
+
+    monkeypatch.setattr(identities, "_sample_rows", raising)
+    for n in WORKER_COUNTS:
+        monkeypatch.setattr(identities, "_workers", lambda samples, n=n: n)
+        with pytest.raises(OutsideDomainError, match="sample 5$"):
+            run_identity_suite(degree=2, samples=10, seed=1)
+        _assert_no_child_left()
+        assert main(["check-identities", "--degree", "2", "--samples", "10"]) == 1
+        _assert_no_child_left()
+        out = capsys.readouterr().out
+        assert out == ("verification failed: term outside the invertible "
+                       "domain of N: sample 5\n")
+
+
+def test_worker_that_dies_leaves_its_samples_to_the_parent(monkeypatch):
+    _break_w(monkeypatch)
+    monkeypatch.setattr(identities, "_workers", lambda samples: 1)
+    want = run_identity_suite(degree=2, samples=9, seed=2).render()
+    parent, check_chunk = os.getpid(), identities._check_chunk
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return check_chunk(*args)
+
+    monkeypatch.setattr(identities, "_check_chunk", dying)
+    monkeypatch.setattr(identities, "_workers", lambda samples: 3)
+    assert run_identity_suite(degree=2, samples=9, seed=2).render() == want
+    _assert_no_child_left()
+
+
+def test_workers_leave_buffered_output_alone():
+    # the Jacobi line sits in the parent's stdout buffer when the workers
+    # fork; a worker that flushed it on exit would print it again
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sp2brst", "check-identities",
+         "--theory", "theories/so3.json", "--samples", "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count("Jacobi identity: holds on all coordinate triples") == 1
+    assert lines[-1] == "identity suite: all identities hold"
+
+
+def test_sample_depends_only_on_seed_and_index(monkeypatch):
+    # with W broken, a sample's rows carry the repr of its defects
+    _break_w(monkeypatch)
+    monkeypatch.setattr(identities, "_workers", lambda samples: 1)
+    sample_rows, runs = identities._sample_rows, []
+
+    def recording(alg, degree, seed, i):
+        runs[-1][i] = rows = sample_rows(alg, degree, seed, i)
+        return rows
+
+    monkeypatch.setattr(identities, "_sample_rows", recording)
+    for samples in (4, 10):
+        runs.append({})
+        run_identity_suite(degree=2, samples=samples, seed=3)
+    assert runs[0][3] == runs[1][3]
+
+
+def test_seeds_of_opposite_sign_draw_different_samples(monkeypatch):
+    _break_w(monkeypatch)
+    first = {seed: [r.first_defect for r in run_identity_suite(degree=2, samples=1,
+                                                               seed=seed).results]
+             for seed in (3, -3)}
+    assert first[3] != first[-3]

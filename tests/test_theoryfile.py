@@ -121,6 +121,19 @@ def test_index_key_spelled_once_keeps_working():
     assert doc.spec.u_table == {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1"}
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # json.loads alone would solve so(3) with U_123 = 5
+    ('"1,2,3": "1",', '"1,2,3": "1", "1,2,3": "5",', "1,2,3"),
+    ('"order": 6', '"order": 6, "order": 3', "order"),
+], ids=["U", "top-level"])
+def test_repeated_json_key_is_rejected(old, new, key):
+    text = (THEORY_DIR / "so3.json").read_text()
+    assert old in text
+    with pytest.raises(TheoryFileError) as err:
+        parse_theory(text.replace(old, new))
+    assert str(err.value) == f"repeated key {key!r}"
+
+
 def test_json_syntax_error_position():
     with pytest.raises(TheoryFileError) as err:
         parse_theory('{"format": 1,\n  "label": }')
@@ -200,6 +213,12 @@ def test_omega_document_rejections(mixed2_result):
     assert "omega component 1" in str(err.value)
     with pytest.raises(TheoryFileError):
         load_omega("{not json", alg)
+    # a zero component ahead of the real one, which json.loads would drop
+    text = dump_document(good).replace('"1": ', '"1": "0",\n    "1": ', 1)
+    assert json.loads(text)["components"] == good["components"]
+    with pytest.raises(TheoryFileError) as err:
+        load_omega(text, alg)
+    assert str(err.value) == "repeated key '1'"
 
 
 def test_observable_document_shape(so3_result):
