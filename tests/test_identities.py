@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,21 @@ def _reports(monkeypatch, **kw) -> list:
         reports.append(run_identity_suite(**kw))
         _assert_no_child_left()
     return reports
+
+
+def test_one_worker_per_cpu_and_one_beside_another_thread():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert identities._workers(1000) == cpus
+    assert identities._workers(1) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert identities._workers(1000) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("broken", [None, "every", "some"],
