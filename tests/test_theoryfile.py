@@ -213,11 +213,16 @@ def test_omega_document_rejections(mixed2_result):
     assert "omega component 1" in str(err.value)
     with pytest.raises(TheoryFileError):
         load_omega("{not json", alg)
+
+
+def test_repeated_components_key_is_rejected(mixed2_result):
     # a zero component ahead of the real one, which json.loads would drop
+    res = mixed2_result
+    good = omega_document("mixed2", res.config.k, res.omega)
     text = dump_document(good).replace('"1": ', '"1": "0",\n    "1": ', 1)
     assert json.loads(text)["components"] == good["components"]
     with pytest.raises(TheoryFileError) as err:
-        load_omega(text, alg)
+        load_omega(text, res.algebra)
     assert str(err.value) == "repeated key '1'"
 
 
