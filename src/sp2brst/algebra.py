@@ -15,11 +15,11 @@ representation: packed int keys, one field of exponent bits per
 variable, each mapped to an int numerator over the polynomial's one
 canonical denominator, with the field width recorded on the polynomial
 (see GradedPoly).  Every kernel reads and returns stored keys: addition
-and scalar products sum int numerators; mul and bracket walk the keys
-into packed rows (see _pack: odd-variable mask, prefix-parity mask for
-Koszul signs and cp-degree, read off the key) and form every product in
-one loop, Algebra._product_sum; the first-order operators (replace_left
-and the passes of the operators module) share one pass,
+and scalar products sum int numerators; mul and the brackets walk the
+keys into packed rows (see _pack: odd-variable mask, prefix-parity mask
+for Koszul signs and cp-degree, read off the key) and form every product
+in one loop, Algebra._product_sum; the first-order operators
+(replace_left and the passes of the operators module) share one pass,
 Algebra.replace_sum.  N-degrees, cp-degrees and parities are read off a
 key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
 an input only when its width differs from the one the call needs, and a
@@ -34,12 +34,16 @@ The graded Poisson bracket is realised as a single sum over a sparse
 with right derivatives acting on X and left derivatives on Y.  The ghost
 entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
-antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  Each argument is walked
-once, and the walk that makes a term's row also emits its derivative
-rows: one power of the variable leaves the key and the masks.  X gives
-its right derivatives by every paired variable it contains, Y its left
-derivatives by the partners of those only, and the sum runs over the
-table entries whose two derivatives are both nonzero.
+antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  The batched entry,
+Algebra.brackets(xs, ys), forms {x, y} for every pair and walks each
+operand once for the whole call, at one field width; bracket and
+matter_bracket are its one-pair case.  The walk that makes a term's row
+also emits its derivative rows: one power of the variable leaves the key
+and the masks.  Each X gives its right derivatives by every paired
+variable it contains, each Y its left derivatives by the partners of
+those, and a pair's sum runs over the table entries whose two
+derivatives are both nonzero.  derive_left takes any number of
+variables from the same walk.
 """
 
 from __future__ import annotations
@@ -511,6 +515,17 @@ def _drop_above(derivs, limit, info):
 _cp_of = itemgetter(3)
 
 
+def _operand(p, lay, wanted, left, max_cp):
+    """(derivs, least cp-degree, largest cp-degree) of a bracket operand
+    from one _pack walk at the layout's width; the degrees are None
+    without max_cp, and the rows go when the walk returns."""
+    rows, derivs = _pack(keys_at(p, lay.width), lay, wanted, left)
+    if max_cp is None:
+        return derivs, None, None
+    cps = list(map(_cp_of, rows))
+    return derivs, min(cps), max(cps)
+
+
 class Algebra:
     """Variable table, graded product and Poisson bracket for one theory.
 
@@ -788,11 +803,12 @@ class Algebra:
 
     # -- derivatives ---------------------------------------------------------
 
-    def derive_left(self, p, vid):
-        """The left derivative of p by vid, by the bracket's walk."""
-        _, derivs = _pack(p.nums, self.layout(p.width), (vid,), True)
-        acc = {row[0]: row[4] for row in derivs.get(vid, ())}
-        return self.from_keys(acc, p.width, p.den)
+    def derive_left(self, p, vids):
+        """The left derivatives of p by each variable of vids, in order,
+        from one walk of the bracket's."""
+        _, derivs = _pack(p.nums, self.layout(p.width), vids, True)
+        return [self.from_keys({row[0]: row[4] for row in derivs.get(v, ())},
+                               p.width, p.den) for v in vids]
 
     def replace_left(self, p, fields):
         """The sum of coeff * dst * (left derivative of p w.r.t. src) over
@@ -993,71 +1009,113 @@ class Algebra:
             else:
                 emit((vi, vj, _ONE, w))
 
+    def brackets(self, xs, ys, *, max_cp=None):
+        """[[{x, y} for y in ys] for x in xs], the graded Poisson bracket of
+        every pair; with max_cp, each truncated at that cp-degree without
+        forming the products above it.  Each operand is walked once for the
+        whole call (see _brackets)."""
+        return self._brackets(xs, ys, self._paired, max_cp)
+
     def bracket(self, x, y, *, max_cp=None):
-        """Graded Poisson bracket {x, y}; with max_cp, truncated at that
-        cp-degree without forming the products above it (see _bracket)."""
-        return self._bracket(x, y, self._paired, max_cp)
+        """Graded Poisson bracket {x, y}: brackets of one pair."""
+        return self._brackets((x,), (y,), self._paired, max_cp)[0][0]
 
     def matter_bracket(self, x, y):
         """{x, y} through x's derivatives by the coordinates only, its
         matter pairings: for x = xi_alpha C^(alpha a) it is
         C^(alpha a) {xi_alpha, y}, the solver's A^a y."""
-        return self._bracket(x, y, self._matter, None)
+        return self._brackets((x,), (y,), self._matter, None)[0][0]
 
-    def _bracket(self, x, y, paired, max_cp):
-        """The sum of (d_r x/d v_A) w_AB (d_l y/d v_B) over the pairings
-        whose v_A lies in paired, truncated at max_cp unless it is None.
+    def _brackets(self, xs, ys, paired, max_cp):
+        """The table of sums of (d_r x/d v_A) w_AB (d_l y/d v_B) over the
+        pairings whose v_A lies in paired, one row per x and one column
+        per y, each truncated at max_cp unless it is None.
 
-        x and y are each walked once by _pack, which takes the right
-        derivatives of x by every variable of paired it contains and the
-        left derivatives of y by the partners of those only, on packed rows.
-        Every product term has total degree at most deg x + deg w + deg y
-        less 2, w a structure function, and the width holds it, so the
-        dx * w products and their products with dy never carry.  Each
-        dx * w is summed first, then every pairing's product goes into one
+        Every operand is walked once by _pack, at one width for the whole
+        call: each x gives its right derivatives by every variable of
+        paired it contains, each y its left derivatives by the partners of
+        the variables any x gave.  Every product term has total degree at
+        most deg x + deg w + deg y less 2, w a structure function, and the
+        width holds it for the largest x and y, so the dx * w products and
+        their products with dy never carry.  Each dx * w is formed once
+        per x, and every pairing's product of a pair goes into one
         _product_sum call, a constant pairing scalar scaling its rows.
+        The packs live only as long as the call.
 
         Every pairing removes one factor from each side and the matter
         pairings have cp-degree 0, so the two derivatives drop at most one
         cp factor in all: a term of x above max_cp + 1 - (least cp-degree
-        of y) feeds only terms above max_cp, and likewise for y.  The rows
-        of such terms are dropped before any product."""
-        if (x.alg is not self or y.alg is not self) and not (
-                self.compatible(x.alg) and self.compatible(y.alg)):
-            raise TheoryError(
-                "bracket arguments belong to an algebra over a different theory")
-        if not x.nums or not y.nums:
-            return self.zero()
-        need = x._degree() + y._degree() + self._mid_degree - 2
-        width = self._width(need, x, y)
+        of y) feeds only terms above max_cp, and likewise for y.  A pair
+        whose least cp-degrees already pass max_cp is zero, and the rows
+        of such terms are dropped before any product, except from the
+        dx * w shared by every y: a row of it has the cp-degree of its dx
+        row, the structure functions holding coordinates only, so its
+        products with a y that could not use that row all lie above
+        max_cp, and _product_sum forms none of them."""
+        for p in (*xs, *ys):
+            if p.alg is not self and not self.compatible(p.alg):
+                raise TheoryError(
+                    "bracket arguments belong to an algebra over a different theory")
+        zero = self.zero()
+        live_x = [x for x in xs if x.nums]
+        live_y = [y for y in ys if y.nums]
+        if not live_x or not live_y:
+            return [[zero] * len(ys) for _ in xs]
+        need = (max(x._degree() for x in live_x) + max(y._degree() for y in live_y)
+                + self._mid_degree - 2)
+        width = self._width(need, *live_x, *live_y)
         lay = self.layout(width)
         info = lay.info
-        lx, ly = x.den, y.den
-        rows_x, dx = _pack(keys_at(x, width), lay, paired, False)
-        rows_y, dy = _pack(
-            keys_at(y, width), lay, {vb for va, vb, _, _ in self._omega if va in dx}, True)
-        if max_cp is not None:
-            lo_x = min(map(_cp_of, rows_x))
-            lo_y = min(map(_cp_of, rows_y))
-            if lo_x + lo_y - 1 > max_cp:
-                return self.zero()
-            if max(map(_cp_of, rows_x)) > max_cp + 1 - lo_y:
-                dx = _drop_above(dx, max_cp + 1 - lo_y, info)
-            if max(map(_cp_of, rows_y)) > max_cp + 1 - lo_x:
-                dy = _drop_above(dy, max_cp + 1 - lo_x, info)
-        work = []
-        for va, vb, c0, mid in self._omega:
-            d1, d2 = dx.get(va), dy.get(vb)
-            if d1 is None or d2 is None:
+        packs_x = [_operand(x, lay, paired, False, max_cp) if x.nums else None
+                   for x in xs]
+        have = set().union(*(px[0] for px in packs_x if px))
+        partners = {vb for va, vb, _, _ in self._omega if va in have}
+        packs_y = [_operand(y, lay, partners, True, max_cp) if y.nums else None
+                   for y in ys]
+        rows_w = {}  # pairing index -> the packed rows of its structure function
+        table = []
+        for x, px in zip(xs, packs_x):
+            if px is None:
+                table.append([zero] * len(ys))
                 continue
-            l1 = lx
-            if mid is not None:  # dx * w first, then * dy
-                rows_w = _pack(keys_at(mid, width), lay)[0]
-                acc, l1 = self._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp)
-                if not acc:
+            dx_all, lo_x, hi_x = px
+            lx = x.den
+            dxw = {}  # pairing index -> (the rows of dx * w, their den) for this x
+            row = []
+            for y, py in zip(ys, packs_y):
+                if py is None:
+                    row.append(zero)
                     continue
-                d1 = _pack(acc, lay)[0]
-            work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
-        acc, den = self._product_sum(work, max_cp)
-        del rows_x, rows_y, dx, dy, work  # the packed inputs go before the output forms
-        return self.from_keys(acc, width, den)
+                dy, lo_y, hi_y = py
+                dx = dx_all
+                if max_cp is not None:
+                    if lo_x + lo_y - 1 > max_cp:
+                        row.append(zero)
+                        continue
+                    if hi_x > max_cp + 1 - lo_y:
+                        dx = _drop_above(dx, max_cp + 1 - lo_y, info)
+                    if hi_y > max_cp + 1 - lo_x:
+                        dy = _drop_above(dy, max_cp + 1 - lo_x, info)
+                ly = y.den
+                work = []
+                for i, (va, vb, c0, mid) in enumerate(self._omega):
+                    d1, d2 = dx.get(va), dy.get(vb)
+                    if d1 is None or d2 is None:
+                        continue
+                    l1 = lx
+                    if mid is not None:  # dx * w first, then * dy
+                        got = dxw.get(i)
+                        if got is None:
+                            if i not in rows_w:
+                                rows_w[i] = _pack(keys_at(mid, width), lay)[0]
+                            acc, den = self._product_sum(
+                                [(dx_all[va], rows_w[i], lx * mid.den, 1)], max_cp)
+                            got = dxw[i] = (_pack(acc, lay)[0], den)
+                        d1, l1 = got
+                        if not d1:
+                            continue
+                    work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
+                acc, den = self._product_sum(work, max_cp)
+                row.append(self.from_keys(acc, width, den))
+            table.append(row)
+        return table

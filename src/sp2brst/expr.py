@@ -13,6 +13,11 @@ Serialisation is deterministic: terms in canonical monomial order (total
 degree, then factor ids), factors ascending, coefficients as 'p/q'.
 Raising a Grassmann-odd variable to a power >= 2 is rejected as an error
 rather than silently producing zero.
+
+A term with no parentheses is read as one (monomial, coefficient) pair,
+and a sum's pairs are packed by one Algebra.poly call; a parenthesized
+term, and any term with an error in it, is parsed as a product of
+polynomials, which also reports the error.
 """
 
 from __future__ import annotations
@@ -79,15 +84,107 @@ class _Parser:
         return p
 
     def expr(self):
-        p = self.term()
+        """A sum of terms, collected as {monomial: coefficient} in the order
+        the running sum would hold them, checked against the term budget
+        after each term, and packed by one Algebra.poly call."""
+        terms = {}
+        sign = 1
         while True:
+            start = self.i
+            term = self.monomial_term()
+            if term is None:  # a parenthesized term, or an error to report
+                self.i = start
+                items = self.term().terms.items()
+            else:
+                items = (term,)
+            for mono, c in items:
+                if not c:
+                    continue
+                if sign < 0:
+                    c = -c
+                old = terms.get(mono)
+                if old is not None:
+                    c += old
+                    if not c:
+                        del terms[mono]
+                        continue
+                terms[mono] = c
+            self.alg.check_budget(terms)
             kind, val, _, _ = self.peek()
             if kind == "SYM" and val in "+-":
                 self.next()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+                sign = 1 if val == "+" else -1
             else:
-                return p
+                return self.alg.poly(terms)
+
+    def monomial_term(self):
+        """A term of numbers, variables and integer powers joined by '*'
+        as (monomial, coefficient): odd factors are moved into variable
+        order with their Koszul sign, and a repeated odd factor makes the
+        coefficient 0.  None at a '(' or at any token the general path
+        would reject, which term then parses or reports."""
+        tokens, i = self.tokens, self.i  # only a SYM token spells punctuation
+        par, by_name = self.alg.var_parity, self.alg.by_name
+        coeff = 1
+        exps = {}  # variable id -> exponent
+        odd = []   # the odd factors, as written
+        while True:
+            kind, val = tokens[i][:2]
+            while kind == "SYM" and val == "-":
+                coeff = -coeff
+                i += 1
+                kind, val = tokens[i][:2]
+            if kind == "INT":
+                value = int(val)
+                if tokens[i + 1][1] == "/":
+                    if tokens[i + 2][0] != "INT" or not int(tokens[i + 2][1]):
+                        return None
+                    value = Fraction(value, int(tokens[i + 2][1]))
+                    i += 2
+                vid = None
+            elif kind == "NAME":
+                if tokens[i + 1][1] != "[" or tokens[i + 2][0] != "INT":
+                    return None
+                if tokens[i + 3][1] == "," and tokens[i + 4][0] == "INT":
+                    full = f"{val}[{int(tokens[i + 2][1])},{int(tokens[i + 4][1])}]"
+                    i += 2
+                else:
+                    full = f"{val}[{int(tokens[i + 2][1])}]"
+                if tokens[i + 3][1] != "]":
+                    return None
+                vid = by_name.get(full)
+                if vid is None:
+                    return None
+                i += 3
+            else:
+                return None
+            i += 1
+            e = 1
+            if tokens[i][1] == "^":
+                if tokens[i + 1][0] != "INT":
+                    return None
+                e = int(tokens[i + 1][1])
+                i += 2
+            if vid is None:
+                coeff *= value ** e
+            elif e:
+                if par[vid]:
+                    if e > 1:
+                        return None
+                    if vid in exps:
+                        coeff = 0
+                    odd.append(vid)
+                exps[vid] = exps.get(vid, 0) + e
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        self.i = i
+        if coeff:
+            for j, v in enumerate(odd):  # one sign per pair out of order
+                for w in odd[j + 1:]:
+                    if w < v:
+                        coeff = -coeff
+        return tuple(sorted(exps.items())), coeff
 
     def term(self):
         p = self.factor()

@@ -223,11 +223,17 @@ def _sample_rows(alg, degree: int, seed: int, i: int) -> list:
     return [(name, domain, first) for (name, domain), first in found.items()]
 
 
-def _check_chunk(alg, degree: int, seed: int, indices: range) -> list:
+def _check_chunk(alg, degree: int, seed: int, indices: range,
+                 parent: int | None = None) -> list:
     """The rows of the samples at `indices`, in order, up to the first
-    sample that raises; the caller checks that one again to raise."""
+    sample that raises; the caller checks that one again to raise.  A
+    worker passes its parent's pid and leaves through os._exit, between
+    two samples, once its parent has changed: the parent was killed, and
+    nothing will read its rows."""
     rows = []
     for i in indices:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         try:
             rows.append(_sample_rows(alg, degree, seed, i))
         except Exception:
@@ -291,7 +297,8 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
     leaves its samples to the parent.  The parent then checks, in sample
     order, every sample without a row, so the lowest sample that raises
     raises here as it would in one process.  Every worker is reaped
-    before this returns.
+    before this returns, and one whose parent is killed stops before its
+    next sample.
 
     Results are deterministic functions of (degree, samples, seed, spec).
     """
@@ -309,11 +316,12 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
 
     workers = []  # (first sample, pid, read end of its pipe)
     payloads, codes = {}, {}
+    parent = os.getpid()
     try:
         for j in range(1, n):
             try:
                 workers.append((j, *_fork(_check_chunk, alg, degree, seed,
-                                          range(j, samples, n))))
+                                          range(j, samples, n), parent)))
             except OSError:
                 break
         place(0, _check_chunk(alg, degree, seed, range(0, samples, n)))

@@ -150,8 +150,8 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
 
-    direct = SymTensor.from_full(
-        alg, 1, lambda idx: alg.bracket(omega.get(idx), phi_prime, max_cp=k))
+    table = alg.brackets([omega.get((1,)), omega.get((2,))], [phi_prime], max_cp=k)
+    direct = SymTensor.from_full(alg, 1, lambda idx: table[idx[0] - 1][0])
     structured = (apply_W(k_tensor) + omega_phi0 + images).truncate_cp(k)
     try:
         ngh_ok = phi_prime.ngh() == 0

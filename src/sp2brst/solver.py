@@ -166,10 +166,19 @@ def tensor_bracket(x: SymTensor, y: SymTensor, k: int | None = None) -> SymTenso
     """[x, y]^(a a1..an) = {x^(a, y^a1..an)}': rank 1 x rank n -> rank n+1,
     summed over the placements of x's index (no normalisation factor).
     With k, every bracket is truncated at cp-degree k as it is formed."""
+    return tensor_brackets(x, [y], k)[0]
+
+
+def tensor_brackets(x: SymTensor, ys: list, k: int | None = None) -> list:
+    """[tensor_bracket(x, y, k) for y in ys], every bracket from one
+    Algebra.brackets call: each component of x and of the ys is walked
+    once, and each (component, index) pair bracketed once."""
     if x.rank != 1:
         raise ValueError("tensor_bracket expects a rank-1 first argument")
-    bracket = x.alg.bracket
-    return y.placement_sum(lambda p, a: bracket(x.get((a,)), p, max_cp=k))
+    comps = {id(p): p for y in ys for p in y.comps.values()}
+    column = {key: j for j, key in enumerate(comps)}
+    table = x.alg.brackets([x.get((1,)), x.get((2,))], list(comps.values()), max_cp=k)
+    return [y.placement_sum(lambda p, a: table[a - 1][column[id(p)]]) for y in ys]
 
 
 def quad_term(pi: SymTensor, k: int | None = None) -> SymTensor:
@@ -254,14 +263,14 @@ def solve_pi_fixed_point(seed: SymTensor, k: int) -> SymTensor:
     Every part of Pi lies at cp-degree >= 2, so W+ A and the bracket both
     raise the degree, and the degree-d part of Pi follows from the parts
     below d.  Each pair of parts is bracketed once ([low, part] equals
-    [part, low] for odd parts, so it is doubled), and each W+ image is
-    checked to raise the degree on its own."""
+    [part, low] for odd parts, so it is doubled), all of them in one
+    tensor_brackets call, and each W+ image is checked to raise the
+    degree on its own."""
 
     def grow(part, lower):
-        pairs = [tensor_bracket(part, part, k)]
-        pairs += [tensor_bracket(part, low, k) * 2 for low in lower]
-        return ([-apply_W_plus(apply_A(part))]
-                + [apply_W_plus(raw) * PAIR_COEFF for raw in pairs])
+        raws = tensor_brackets(part, [part, *lower], k)
+        return ([-apply_W_plus(apply_A(part)), apply_W_plus(raws[0]) * PAIR_COEFF]
+                + [apply_W_plus(raw * 2) * PAIR_COEFF for raw in raws[1:]])
 
     return _graded_solve(seed, grow, k)
 
@@ -359,12 +368,13 @@ class MasterReport(NamedTuple):
 
 def verify_master(omega: SymTensor, k: int) -> MasterReport:
     """Evaluate {Omega^a, Omega^b}' directly and compare with the structured
-    residual; the two agree identically for any Pi = Omega - Omega_1."""
+    residual; the two agree identically for any Pi = Omega - Omega_1.  All
+    four (a, b) entries come from one Algebra.brackets call, so from_full
+    checks their symmetry."""
     alg = omega.alg
-    direct = SymTensor.from_full(
-        alg, 2,
-        lambda idx: alg.bracket(omega.get((idx[0],)), omega.get((idx[1],)),
-                                max_cp=k))
+    comps = [omega.get((1,)), omega.get((2,))]
+    table = alg.brackets(comps, comps, max_cp=k)
+    direct = SymTensor.from_full(alg, 2, lambda idx: table[idx[0] - 1][idx[1] - 1])
     pi = omega - build_omega1(alg)
     structured = (apply_W(pi) + build_F(alg) + apply_A(pi)
                   + quad_term(pi, k)).truncate_cp(k)
@@ -374,24 +384,28 @@ def verify_master(omega: SymTensor, k: int) -> MasterReport:
 def boundary_violations(omega: SymTensor):
     """Derivative read-offs: d_l Omega^a / dC^(alpha b) at C=pi=P=lambda=0
     must equal xi_alpha delta^a_b, and d_l Omega^a / dpi^alpha at
-    C=pi=lambda=0 must equal eps^ab P_(alpha b)."""
+    C=pi=lambda=0 must equal eps^ab P_(alpha b).  Each component is walked
+    once for all its 3m read-offs."""
     alg = omega.alg
     ghost_zero = (Sector.GHOST, Sector.LAGRANGE_MOM, Sector.GHOST_MOM,
                   Sector.LAGRANGE)
     pi_zero = (Sector.GHOST, Sector.LAGRANGE_MOM, Sector.LAGRANGE)
+    vids = [v for r in range(1, alg.m + 1)
+            for v in (alg.vid(Sector.GHOST, r, 1), alg.vid(Sector.GHOST, r, 2),
+                      alg.vid(Sector.LAGRANGE_MOM, r))]
     problems = []
     for a in (1, 2):
-        w = omega.get((a,))
+        derivs = dict(zip(vids, alg.derive_left(omega.get((a,)), vids)))
         for r in range(1, alg.m + 1):
             for b in (1, 2):
-                d = alg.derive_left(w, alg.vid(Sector.GHOST, r, b))
+                d = derivs[alg.vid(Sector.GHOST, r, b)]
                 d = d.substitute_zero(ghost_zero)
                 want = alg.xi(r) if a == b else alg.zero()
                 if d != want:
                     problems.append(
                         f"dOmega^{a}/dC[{r},{b}] at zero ghosts is {d!r}, "
                         f"expected {want!r}")
-            d = alg.derive_left(w, alg.vid(Sector.LAGRANGE_MOM, r))
+            d = derivs[alg.vid(Sector.LAGRANGE_MOM, r)]
             d = d.substitute_zero(pi_zero)
             want = alg.ghost_mom(r, 3 - a) * EPS_UP[(a, 3 - a)]
             if d != want:

@@ -34,6 +34,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
+from sp2brst.algebra import _cp_of, _drop_above, _pack, keys_at
 from sp2brst.operators import (_gamma_fields, _q_step, _tables, _w_fields, apply_M,
                                apply_W_plus, n_apply, n_inverse)
 from sp2brst.solver import HALF, ConventionError, build_F, pair_bracket, projected_seed
@@ -129,7 +130,7 @@ def replace_by_derivatives(p, fields):
     alg = p.alg
     out: dict = {}
     for src, dst, coeff in fields:
-        term = alg.mul(alg.gen(dst), alg.derive_left(p, src)) * Fraction(coeff)
+        term = alg.mul(alg.gen(dst), alg.derive_left(p, (src,))[0]) * Fraction(coeff)
         for m, c in term.terms.items():
             c += out.pop(m, 0)
             if c:
@@ -545,3 +546,49 @@ def bracket_by_merges(alg, x, y, max_cp=None):
             d1 = mul_sum(alg, [(d1, mid.terms)], max_cp)
         pairs.append(({m: c * c0 for m, c in d1.items()}, d2))
     return mul_sum(alg, pairs, max_cp)
+
+
+def bracket_per_pair(alg, x, y, paired=None, max_cp=None):
+    """{x, y} through the pairings whose v_A lies in paired (all of them
+    by default), truncated at max_cp unless it is None, packed for this
+    pair alone: x and y are each walked by _pack at the width this pair
+    needs, x by every variable of paired and y by the partners of those
+    x contains, the rows above what max_cp can use are dropped, each
+    pairing's dx is multiplied by its structure function, and every
+    pairing's product goes into one _product_sum call."""
+    if paired is None:
+        paired = alg._paired
+    if not x.nums or not y.nums:
+        return alg.zero()
+    need = x._degree() + y._degree() + alg._mid_degree - 2
+    width = alg._width(need, x, y)
+    lay = alg.layout(width)
+    info = lay.info
+    lx, ly = x.den, y.den
+    rows_x, dx = _pack(keys_at(x, width), lay, paired, False)
+    rows_y, dy = _pack(
+        keys_at(y, width), lay, {vb for va, vb, _, _ in alg._omega if va in dx}, True)
+    if max_cp is not None:
+        lo_x = min(map(_cp_of, rows_x))
+        lo_y = min(map(_cp_of, rows_y))
+        if lo_x + lo_y - 1 > max_cp:
+            return alg.zero()
+        if max(map(_cp_of, rows_x)) > max_cp + 1 - lo_y:
+            dx = _drop_above(dx, max_cp + 1 - lo_y, info)
+        if max(map(_cp_of, rows_y)) > max_cp + 1 - lo_x:
+            dy = _drop_above(dy, max_cp + 1 - lo_x, info)
+    work = []
+    for va, vb, c0, mid in alg._omega:
+        d1, d2 = dx.get(va), dy.get(vb)
+        if d1 is None or d2 is None:
+            continue
+        l1 = lx
+        if mid is not None:  # dx * w first, then * dy
+            rows_w = _pack(keys_at(mid, width), lay)[0]
+            acc, l1 = alg._product_sum([(d1, rows_w, lx * mid.den, 1)], max_cp)
+            if not acc:
+                continue
+            d1 = _pack(acc, lay)[0]
+        work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
+    acc, den = alg._product_sum(work, max_cp)
+    return alg.from_keys(acc, width, den)

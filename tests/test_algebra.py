@@ -229,12 +229,16 @@ def test_derivatives_match_oracle(name):
     for _ in range(40):
         p = random_element(alg, rng) + random_element(alg, rng)
         for vid, var in enumerate(alg.vars):
-            left = alg.derive_left(p, vid)
+            left = alg.derive_left(p, (vid,))[0]
             right = derive_right(p, vid)
             assert left.terms == derive_terms(alg, p.terms, vid, True)
             signs += var.parity and left != right
             powers += any(v == vid and e > 1 for m in p.terms for v, e in m)
             physical += bool(left) and var.sector == Sector.XI_PHYS
+        # every variable in one walk, in the order asked for
+        vids = list(reversed(range(len(alg.vars))))
+        assert [q.terms for q in alg.derive_left(p, vids)] == [
+            derive_terms(alg, p.terms, vid, True) for vid in vids]
     # the samples reach the cases the walk treats apart: odd variables whose
     # two derivatives differ in sign, exponents of 2 or more, and shift's
     # physical coordinate
@@ -246,7 +250,7 @@ def _replace_left_oracle(alg, p, fields):
     """sum coeff * dst * d_l p / d src, one triple at a time."""
     out = alg.zero()
     for src, dst, coeff in fields:
-        out = out + alg.mul(alg.gen(dst), alg.derive_left(p, src)) * Fraction(coeff)
+        out = out + alg.mul(alg.gen(dst), alg.derive_left(p, (src,))[0]) * Fraction(coeff)
     return out
 
 

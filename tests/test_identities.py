@@ -12,9 +12,11 @@ of a one-process run at several worker counts, with no child left.
 
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -271,13 +273,18 @@ def test_worker_that_dies_leaves_its_samples_to_the_parent(monkeypatch):
     _assert_no_child_left()
 
 
+def _command_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_workers_leave_buffered_output_alone():
     # the Jacobi line sits in the parent's stdout buffer when the workers
     # fork; a worker that flushed it on exit would print it again
-    env = dict(os.environ)
+    env = _command_env()
     env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "sp2brst", "check-identities",
          "--theory", "theories/so3.json", "--samples", "4"],
@@ -286,6 +293,53 @@ def test_workers_leave_buffered_output_alone():
     lines = proc.stdout.splitlines()
     assert lines.count("Jacobi identity: holds on all coordinate triples") == 1
     assert lines[-1] == "identity suite: all identities hold"
+
+
+def _state(pid):
+    """The /proc state letter of pid, with its parent's pid, or None when
+    there is no such process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def _running(pid):
+    state = _state(pid)
+    return state is not None and state[0] not in "ZX"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists() or identities._workers(2) < 2,
+                    reason="needs /proc and a second CPU for a worker")
+def test_workers_stop_when_the_command_is_killed():
+    # SIGTERM kills the parent without running its cleanup; each worker
+    # sees its parent change before its next sample and leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sp2brst", "check-identities", "--samples", "2000"],
+        cwd=ROOT, env=_command_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.02)
+            workers = [int(e) for e in os.listdir("/proc") if e.isdigit()
+                       and (_state(e) or ("", 0))[1] == proc.pid]
+        assert workers, "the command forked no worker"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        # a worker has over a second of samples left; one sample takes ms
+        deadline = time.monotonic() + 3
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_sample_depends_only_on_seed_and_index(monkeypatch):

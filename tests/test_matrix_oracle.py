@@ -27,13 +27,13 @@ def oracle_N(x):
     alg = x.alg
     out = alg.zero()
     for r in range(1, alg.m + 1):
-        out = out + alg.mul(alg.xi(r), alg.derive_left(x, alg.vid(Sector.XI, r)))
+        out = out + alg.mul(alg.xi(r), alg.derive_left(x, (alg.vid(Sector.XI, r),))[0])
         for a in (1, 2):
             out = out + alg.mul(
                 alg.ghost_mom(r, a),
-                alg.derive_left(x, alg.vid(Sector.GHOST_MOM, r, a)))
+                alg.derive_left(x, (alg.vid(Sector.GHOST_MOM, r, a),))[0])
         out = out + alg.mul(
-            alg.lagrange(r), alg.derive_left(x, alg.vid(Sector.LAGRANGE, r)))
+            alg.lagrange(r), alg.derive_left(x, (alg.vid(Sector.LAGRANGE, r),))[0])
     return out
 
 
@@ -45,17 +45,17 @@ def oracle_W(x, a):
     for r in range(1, alg.m + 1):
         eps_r = alg.spec.constraint_parities[r - 1] & 1
         out = out + alg.mul(
-            alg.xi(r), alg.derive_left(x, alg.vid(Sector.GHOST_MOM, r, a)))
+            alg.xi(r), alg.derive_left(x, (alg.vid(Sector.GHOST_MOM, r, a),))[0])
         for b in (1, 2):
             e = EPS_UP[(a, b)]
             if not e:
                 continue
             out = out + alg.mul(
                 alg.ghost_mom(r, b),
-                alg.derive_left(x, alg.vid(Sector.LAGRANGE, r))) * e
+                alg.derive_left(x, (alg.vid(Sector.LAGRANGE, r),))[0]) * e
             out = out + alg.mul(
                 alg.lagrange_mom(r),
-                alg.derive_left(x, alg.vid(Sector.GHOST, r, b))) \
+                alg.derive_left(x, (alg.vid(Sector.GHOST, r, b),))[0]) \
                 * (-e if eps_r else e)
     return out
 
@@ -66,14 +66,14 @@ def oracle_Gamma(x, a):
     out = alg.zero()
     for r in range(1, alg.m + 1):
         out = out + alg.mul(
-            alg.ghost_mom(r, a), alg.derive_left(x, alg.vid(Sector.XI, r)))
+            alg.ghost_mom(r, a), alg.derive_left(x, (alg.vid(Sector.XI, r),))[0])
         for b in (1, 2):
             e = EPS_DOWN[(a, b)]
             if not e:
                 continue
             out = out - alg.mul(
                 alg.lagrange(r),
-                alg.derive_left(x, alg.vid(Sector.GHOST_MOM, r, b))) * e
+                alg.derive_left(x, (alg.vid(Sector.GHOST_MOM, r, b),))[0]) * e
     return out
 
 
@@ -89,10 +89,10 @@ def _ghost_half(x, y):
         for a in (1, 2):
             out = out + alg.mul(
                 derive_right(x, alg.vid(Sector.GHOST, r, a)),
-                alg.derive_left(y, alg.vid(Sector.GHOST_MOM, r, a)))
+                alg.derive_left(y, (alg.vid(Sector.GHOST_MOM, r, a),))[0])
         out = out + alg.mul(
             derive_right(x, alg.vid(Sector.LAGRANGE_MOM, r)),
-            alg.derive_left(y, alg.vid(Sector.LAGRANGE, r)))
+            alg.derive_left(y, (alg.vid(Sector.LAGRANGE, r),))[0])
     return out
 
 
@@ -118,7 +118,7 @@ def oracle_so3_bracket(x, y):
         e = _levi_civita(i, j, k)
         out = out + alg.mul(
             alg.mul(derive_right(x, alg.vid(Sector.XI, i)), alg.xi(k)),
-            alg.derive_left(y, alg.vid(Sector.XI, j))) * e
+            alg.derive_left(y, (alg.vid(Sector.XI, j),))[0]) * e
     return out
 
 
