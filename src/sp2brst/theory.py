@@ -89,20 +89,22 @@ def jacobi_violations(alg):
 
     Returns a list of (i, j, k, defect) with nonzero defect polynomials,
     the first MAX_REPORT found, where the defect is the graded-cyclic sum
-    (-1)^(e_i e_k) {xi_i, {xi_j, xi_k}} + cyclic.
+    (-1)^(e_i e_k) {xi_i, {xi_j, xi_k}} + cyclic.  Every {xi_b, xi_c}
+    comes from one Algebra.brackets call, and every
+    {xi_a, {xi_b, xi_c}} from a second.
     """
     n = alg.m + alg.n_physical
     coords = [alg._xi_vid(i + 1) for i in range(n)]
     gens = [alg.gen(v) for v in coords]
     eps = [alg.var_parity[v] for v in coords]
+    outer = alg.brackets(gens, [p for row in alg.brackets(gens, gens) for p in row])
     bad = []
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 defect = alg.zero()
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = alg.bracket(gens[b], gens[c])
-                    term = alg.bracket(gens[a], inner)
+                    term = outer[a][b * n + c]
                     if (eps[a] & eps[c]):
                         term = -term
                     defect = defect + term

@@ -6,7 +6,8 @@ pair alone, term for term and in the same term order: with and without
 max_cp, with operands stored at field widths 4 and 5 and of different
 least cp-degrees, with zero operands among them, through the matter pairings only, and in the fixed
 point's call, tensor_brackets of a part of Pi with itself and every
-lower part.
+lower part.  The Jacobi check, two batched calls, must report the
+defects that two brackets per cyclic term give.
 """
 
 from random import Random
@@ -19,7 +20,7 @@ from test_generated_theories import deformed_so3, direct_sums, mixed2
 from sp2brst.algebra import Algebra, keys_at
 from sp2brst.identities import random_element
 from sp2brst.solver import solve_pi_fixed_point, tensor_brackets
-from sp2brst.theory import so3_spec
+from sp2brst.theory import MAX_REPORT, TheorySpec, jacobi_violations, so3_spec
 
 THEORIES = st.one_of(direct_sums(), deformed_so3(), mixed2())
 # the field width an operand is stored at; 0 draws the zero polynomial
@@ -110,3 +111,43 @@ def test_fixed_point_call_matches_per_pair(spec, k):
             for y in [part, *lower]]
         assert got == want
         lower.append(part)
+
+
+def _jacobi_per_triple(alg):
+    """jacobi_violations as two brackets per cyclic term, each packed for
+    its pair alone."""
+    n = alg.m + alg.n_physical
+    gens = [alg.gen(alg._xi_vid(i + 1)) for i in range(n)]
+    eps = [alg.var_parity[alg._xi_vid(i + 1)] for i in range(n)]
+    bad = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                defect = alg.zero()
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = bracket_per_pair(alg, gens[b], gens[c])
+                    term = bracket_per_pair(alg, gens[a], inner)
+                    defect = defect + (-term if eps[a] & eps[c] else term)
+                if defect:
+                    bad.append((i + 1, j + 1, k + 1, defect))
+    return bad[:MAX_REPORT]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(spec=THEORIES)
+def test_jacobi_check_matches_per_triple(spec):
+    alg = Algebra(spec)
+    assert jacobi_violations(alg) == _jacobi_per_triple(alg) == []
+
+
+def test_jacobi_defects_match_per_triple():
+    # U_123 deformed by xi_1 and U_231 by xi_2, and an odd fourth
+    # constraint with {xi_4, xi_4} = xi_3 and {xi_1, xi_4} = xi_4: five
+    # triples fail, four of them with the odd constraint
+    spec = TheorySpec((0, 0, 0, 1), u_table={
+        (1, 2, 3): "1 + xi[1]", (2, 3, 1): "xi[2]", (3, 1, 2): "1",
+        (4, 4, 3): "1", (1, 4, 4): "1"})
+    alg = Algebra(spec)
+    got = jacobi_violations(alg)
+    assert [t[:3] for t in got] == [(1, 2, 3), (1, 2, 4), (1, 4, 4), (2, 3, 4), (2, 4, 4)]
+    assert got == _jacobi_per_triple(alg)
