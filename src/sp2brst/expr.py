@@ -123,7 +123,8 @@ class _Parser:
         order with their Koszul sign, and a repeated odd factor makes the
         coefficient 0.  None at a '(' or at any token the general path
         would reject, which term then parses or reports."""
-        tokens, i = self.tokens, self.i  # only a SYM token spells punctuation
+        # only a SYM token spells punctuation, so a value alone tells it
+        tokens, i = self.tokens, self.i
         par, by_name = self.alg.var_parity, self.alg.by_name
         coeff = 1
         exps = {}  # variable id -> exponent
