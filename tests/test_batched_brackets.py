@@ -4,10 +4,10 @@ On the generated theories of test_generated_theories, every entry of a
 brackets table must equal bracket_per_pair, the bracket packed for its
 pair alone, term for term and in the same term order: with and without
 max_cp, with operands stored at field widths 4 and 5 and of different
-least cp-degrees, with zero operands among them, through the matter pairings only, and in the fixed
-point's call, tensor_brackets of a part of Pi with itself and every
-lower part.  The Jacobi check, two batched calls, must report the
-defects that two brackets per cyclic term give.
+least cp-degrees, with zero operands among them, through the matter
+pairings only, and in the fixed point's call, tensor_brackets of a part
+of Pi with itself and every lower part.  The Jacobi check, two batched
+calls, must report the defects that two brackets per cyclic term give.
 """
 
 from random import Random
