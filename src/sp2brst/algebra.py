@@ -1047,11 +1047,16 @@ class Algebra:
         cp factor in all: a term of x above max_cp + 1 - (least cp-degree
         of y) feeds only terms above max_cp, and likewise for y.  A pair
         whose least cp-degrees already pass max_cp is zero, and the rows
-        of such terms are dropped before any product, except from the
-        dx * w shared by every y: a row of it has the cp-degree of its dx
-        row, the structure functions holding coordinates only, so its
-        products with a y that could not use that row all lie above
-        max_cp, and _product_sum forms none of them."""
+        of such terms are dropped before any product.  A dx * w shared by
+        several ys is formed from the rows the y of least cp-degree among
+        them keeps, which are those a bracket of that pair alone multiplies
+        by w; a row of dx * w has the cp-degree of its dx row, the
+        structure functions holding coordinates only, so its products with
+        a y that could not use that row all lie above max_cp, and
+        _product_sum forms none of them.  So each product sum holds at
+        every budget check what it holds in the bracket of one pair, apart
+        from terms of cp-degrees that pair drops, and the call passes the
+        term budget only where one of its pairs alone does."""
         for p in (*xs, *ys):
             if p.alg is not self and not self.compatible(p.alg):
                 raise TheoryError(
@@ -1080,23 +1085,41 @@ class Algebra:
                 continue
             dx_all, lo_x, hi_x = px
             lx = x.den
-            dxw = {}  # pairing index -> (the rows of dx * w, their den) for this x
-            row = []
+            cols = []  # per y: (dx, dy, den of y) of the pair, or None if zero
             for y, py in zip(ys, packs_y):
                 if py is None:
-                    row.append(zero)
+                    cols.append(None)
                     continue
                 dy, lo_y, hi_y = py
                 dx = dx_all
                 if max_cp is not None:
                     if lo_x + lo_y - 1 > max_cp:
-                        row.append(zero)
+                        cols.append(None)
                         continue
                     if hi_x > max_cp + 1 - lo_y:
                         dx = _drop_above(dx, max_cp + 1 - lo_y, info)
                     if hi_y > max_cp + 1 - lo_x:
                         dy = _drop_above(dy, max_cp + 1 - lo_x, info)
-                ly = y.den
+                cols.append((dx, dy, y.den))
+            # pairing index -> the rows of dx by its v_A that dx * w is formed
+            # from: the most that any y meeting w keeps (the kept rows of
+            # two ys are nested)
+            src = {}
+            for col in cols:
+                if col is not None:
+                    dx, dy, _ = col
+                    for i, (va, vb, _, mid) in enumerate(self._omega):
+                        d1 = dx.get(va)
+                        if (mid is not None and d1 is not None and vb in dy
+                                and len(d1) > len(src.get(i, ()))):
+                            src[i] = d1
+            dxw = {}  # pairing index -> (the rows of dx * w, their den) for this x
+            row = []
+            for col in cols:
+                if col is None:
+                    row.append(zero)
+                    continue
+                dx, dy, ly = col
                 work = []
                 for i, (va, vb, c0, mid) in enumerate(self._omega):
                     d1, d2 = dx.get(va), dy.get(vb)
@@ -1109,7 +1132,7 @@ class Algebra:
                             if i not in rows_w:
                                 rows_w[i] = _pack(keys_at(mid, width), lay)[0]
                             acc, den = self._product_sum(
-                                [(dx_all[va], rows_w[i], lx * mid.den, 1)], max_cp)
+                                [(src[i], rows_w[i], lx * mid.den, 1)], max_cp)
                             got = dxw[i] = (_pack(acc, lay)[0], den)
                         d1, l1 = got
                         if not d1:

@@ -12,15 +12,17 @@ calls, must report the defects that two brackets per cyclic term give.
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from solver_oracles import bracket_per_pair, boundary_seed, placement_sum_by_tuples
 from test_generated_theories import deformed_so3, direct_sums, mixed2
 
-from sp2brst.algebra import Algebra, keys_at
+from sp2brst.algebra import Algebra, TermBudgetError, keys_at
 from sp2brst.identities import random_element
 from sp2brst.solver import solve_pi_fixed_point, tensor_brackets
-from sp2brst.theory import MAX_REPORT, TheorySpec, jacobi_violations, so3_spec
+from sp2brst.theory import (
+    MAX_REPORT, TheorySpec, deformed_so3_spec, jacobi_violations, so3_spec)
 
 THEORIES = st.one_of(direct_sums(), deformed_so3(), mixed2())
 # the field width an operand is stored at; 0 draws the zero polynomial
@@ -72,6 +74,54 @@ def test_matter_brackets_match_per_pair(spec, seed, wx, wy, max_cp):
     assert [[items(p) for p in row] for row in got] == _table(alg, xs, ys, alg._matter, max_cp)
     assert items(alg.matter_bracket(xs[0], ys[0])) == items(
         bracket_per_pair(alg, xs[0], ys[0], alg._matter))
+
+
+def _per_pair_or_error(alg, x, y, max_cp):
+    try:
+        return items(bracket_per_pair(alg, x, y, None, max_cp))
+    except TermBudgetError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(spec=THEORIES, seed=st.integers(0, 2 ** 32), wx=WIDTHS, wy=WIDTHS,
+       max_cp=MAX_CP, budget=st.integers(1, 60))
+def test_brackets_pass_the_term_budget_where_a_pair_does(spec, seed, wx, wy, max_cp, budget):
+    # under a tight budget the call raises exactly when some pair, packed
+    # alone, raises; otherwise every entry is that pair's bracket
+    rng = Random(seed)
+    xs, ys = _operands(Algebra(spec), rng, wx), _operands(Algebra(spec), rng, wy)
+    alg = Algebra(spec, max_terms=budget)
+    want = [[_per_pair_or_error(alg, x, y, max_cp) for y in ys] for x in xs]
+    try:
+        got = alg.brackets(xs, ys, max_cp=max_cp)
+    except TermBudgetError:
+        assert any(None in row for row in want)
+    else:
+        assert [[items(p) for p in row] for row in got] == want
+
+
+def test_structure_products_keep_the_term_budget():
+    # x = xi_1 (1 + G), G holding 60 terms of cp-degree 2, against
+    # y = xi_2 C C at max_cp 2: y leaves only the xi_1 row of dx, so
+    # dx * w has 2 terms, not the 120 of every row (truncated at max_cp
+    # alone); a ghost, which meets no structure function, must not widen
+    # it
+    spec = deformed_so3_spec()
+    alg = Algebra(spec)
+    c = alg.ghost
+    ghosts = [c(a, i) for a in (1, 2, 3) for i in (1, 2)]
+    g = sum((ghosts[i] * ghosts[j] for i in range(6) for j in range(i + 1, 6)), alg.zero())
+    x = alg.xi(1) * (1 + g * (1 + alg.xi(2) + alg.xi(2) ** 2 + alg.xi(2) ** 3))
+    y = alg.xi(2) * c(1, 1) * c(1, 2)
+    tight = Algebra(spec, max_terms=40)
+    want = bracket_per_pair(tight, x, y, None, 2)
+    assert want and tight.bracket(x, y, max_cp=2) == want
+    assert tight.brackets([x], [y, c(2, 1)], max_cp=2) == [[want, tight.zero()]]
+    with pytest.raises(TermBudgetError):
+        tight.brackets([x], [y, alg.xi(2)], max_cp=2)
+    with pytest.raises(TermBudgetError):
+        bracket_per_pair(tight, x, alg.xi(2), None, 2)
 
 
 def test_zero_operands_and_empty_lists():
