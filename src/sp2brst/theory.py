@@ -91,7 +91,9 @@ def jacobi_violations(alg):
     the first MAX_REPORT found, where the defect is the graded-cyclic sum
     (-1)^(e_i e_k) {xi_i, {xi_j, xi_k}} + cyclic.  Every {xi_b, xi_c}
     comes from one Algebra.brackets call, and every
-    {xi_a, {xi_b, xi_c}} from a second.
+    {xi_a, {xi_b, xi_c}} from a second: all n^3, of which the sums read
+    about half, since one call for them all ran faster than one call per
+    a for only those read (timed for n = 9 to 30).
     """
     n = alg.m + alg.n_physical
     coords = [alg._xi_vid(i + 1) for i in range(n)]
