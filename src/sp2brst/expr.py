@@ -14,10 +14,10 @@ degree, then factor ids), factors ascending, coefficients as 'p/q'.
 Raising a Grassmann-odd variable to a power >= 2 is rejected as an error
 rather than silently producing zero.
 
-A term with no parentheses is read as one (monomial, coefficient) pair,
-and a sum's pairs are packed by one Algebra.poly call; a parenthesized
-term, and any term with an error in it, is parsed as a product of
-polynomials, which also reports the error.
+Numbers and variables are read as (monomial, coefficient) pairs and a
+term of them as one such pair, odd factors moved into variable order with
+their Koszul sign; only a parenthesized factor makes a term a product of
+polynomials.  A sum's terms are packed by one Algebra.poly call.
 """
 
 from __future__ import annotations
@@ -90,14 +90,8 @@ class _Parser:
         terms = {}
         sign = 1
         while True:
-            start = self.i
-            term = self.monomial_term()
-            if term is None:  # a parenthesized term, or an error to report
-                self.i = start
-                items = self.term().terms.items()
-            else:
-                items = (term,)
-            for mono, c in items:
+            term = self.term()
+            for mono, c in (term,) if isinstance(term, tuple) else term.terms.items():
                 if not c:
                     continue
                 if sign < 0:
@@ -117,91 +111,52 @@ class _Parser:
             else:
                 return self.alg.poly(terms)
 
-    def monomial_term(self):
-        """A term of numbers, variables and integer powers joined by '*'
-        as (monomial, coefficient): odd factors are moved into variable
-        order with their Koszul sign, and a repeated odd factor makes the
-        coefficient 0.  None at a '(' or at any token the general path
-        would reject, which term then parses or reports."""
-        # only a SYM token spells punctuation, so a value alone tells it
-        tokens, i = self.tokens, self.i
-        par, by_name = self.alg.var_parity, self.alg.by_name
-        coeff = 1
-        exps = {}  # variable id -> exponent
-        odd = []   # the odd factors, as written
-        while True:
-            kind, val = tokens[i][:2]
-            while kind == "SYM" and val == "-":
-                coeff = -coeff
-                i += 1
-                kind, val = tokens[i][:2]
-            if kind == "INT":
-                value = int(val)
-                if tokens[i + 1][1] == "/":
-                    if tokens[i + 2][0] != "INT" or not int(tokens[i + 2][1]):
-                        return None
-                    value = Fraction(value, int(tokens[i + 2][1]))
-                    i += 2
-                vid = None
-            elif kind == "NAME":
-                if tokens[i + 1][1] != "[" or tokens[i + 2][0] != "INT":
-                    return None
-                if tokens[i + 3][1] == "," and tokens[i + 4][0] == "INT":
-                    full = f"{val}[{int(tokens[i + 2][1])},{int(tokens[i + 4][1])}]"
-                    i += 2
-                else:
-                    full = f"{val}[{int(tokens[i + 2][1])}]"
-                if tokens[i + 3][1] != "]":
-                    return None
-                vid = by_name.get(full)
-                if vid is None:
-                    return None
-                i += 3
-            else:
-                return None
-            i += 1
-            e = 1
-            if tokens[i][1] == "^":
-                if tokens[i + 1][0] != "INT":
-                    return None
-                e = int(tokens[i + 1][1])
-                i += 2
-            if vid is None:
-                coeff *= value ** e
-            elif e:
-                if par[vid]:
-                    if e > 1:
-                        return None
-                    if vid in exps:
-                        coeff = 0
-                    odd.append(vid)
-                exps[vid] = exps.get(vid, 0) + e
-            if tokens[i][1] != "*":
-                break
-            i += 1
-        self.i = i
-        if coeff:
-            for j, v in enumerate(odd):  # one sign per pair out of order
-                for w in odd[j + 1:]:
-                    if w < v:
-                        coeff = -coeff
-        return tuple(sorted(exps.items())), coeff
-
     def term(self):
+        """A product of factors.  Numbers and variables are multiplied as
+        (monomial, coefficient) pairs; from a parenthesized factor on, the
+        product is a polynomial, each later factor multiplied in turn."""
         p = self.factor()
         while True:
             kind, val, _, _ = self.peek()
-            if kind == "SYM" and val == "*":
-                self.next()
-                p = p * self.factor()
-            else:
+            if kind != "SYM" or val != "*":
                 return p
+            self.next()
+            q = self.factor()
+            if isinstance(p, tuple) and isinstance(q, tuple):
+                p = self._times(p, q)
+            else:
+                p = self._poly(p) * self._poly(q)
+
+    def _times(self, p, q):
+        """The product of two (monomial, coefficient) pairs: exponents add,
+        an odd variable in both gives coefficient 0, and the sign flips once
+        for each odd factor of q moved left past a larger one of p."""
+        (m1, c), (m2, c2) = p, q
+        if c2 != 1:
+            c *= c2
+        if not m2 or not c:
+            return m1, c
+        par = self.alg.var_parity
+        exps = dict(m1)
+        for v, e in m2:
+            if v in exps and par[v]:
+                return m1, 0
+            exps[v] = exps.get(v, 0) + e
+            if par[v] and sum(par[u] for u, _ in m1 if u > v) & 1:
+                c = -c
+        return tuple(sorted(exps.items())), c
+
+    def _poly(self, p):
+        return self.alg.poly(dict((p,))) if isinstance(p, tuple) else p
 
     def factor(self):
+        """A (monomial, coefficient) pair for a number or a variable, with
+        any power and unary minus, and a polynomial otherwise."""
         kind, val, _, _ = self.peek()
         if kind == "SYM" and val == "-":
             self.next()
-            return -self.factor()  # -x^2 is -(x^2), as serialize writes it
+            p = self.factor()  # -x^2 is -(x^2), as serialize writes it
+            return (p[0], -p[1]) if isinstance(p, tuple) else -p
         p = self.atom()
         kind, val, _, _ = self.peek()
         if kind == "SYM" and val == "^":
@@ -212,13 +167,18 @@ class _Parser:
             e = int(tok[1])
             if e >= 2 and self._is_odd_generator(p):
                 raise ExprError("odd variable raised to a power >= 2", tok[2], tok[3])
-            p = p ** e
+            if isinstance(p, tuple):  # a number or one variable
+                p = (tuple((v, e) for v, _ in p[0]) if e else (), p[1] ** e)
+            else:
+                p = p ** e
         return p
 
     def _is_odd_generator(self, p):
-        if p.term_count() != 1:
-            return False
-        (mono, c), = p.terms.items()
+        if not isinstance(p, tuple):
+            if p.term_count() != 1:
+                return False
+            (p,) = p.terms.items()
+        mono, c = p
         return len(mono) == 1 and mono[0][1] == 1 and \
             self.alg.var_parity[mono[0][0]] == 1 and c == 1
 
@@ -241,10 +201,10 @@ class _Parser:
                 den = int(tok[1])
                 if den == 0:
                     raise ExprError("zero denominator", tok[2], tok[3])
-                return self.alg.scalar(Fraction(num, den))
-            return self.alg.scalar(num)
+                return (), Fraction(num, den)
+            return (), num
         if kind == "NAME":
-            return self.variable()
+            return ((self.variable(), 1),), 1
         raise ExprError(f"unexpected {val!r}" if val else "unexpected end of input", line, col)
 
     def variable(self):
@@ -274,7 +234,7 @@ class _Parser:
         vid = self.alg.by_name.get(full)
         if vid is None:
             raise ExprError(f"variable {full} does not exist in this theory", line, col)
-        return self.alg.gen(vid)
+        return vid
 
 
 def parse(alg, text) -> GradedPoly:
