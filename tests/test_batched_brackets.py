@@ -6,8 +6,10 @@ pair alone, term for term and in the same term order: with and without
 max_cp, with operands stored at field widths 4 and 5 and of different
 least cp-degrees, with zero operands among them, through the matter
 pairings only, and in the fixed point's call, tensor_brackets of a part
-of Pi with itself and every lower part.  The Jacobi check, two batched
-calls, must report the defects that two brackets per cyclic term give.
+of Pi with itself and every lower part.  Under a tight term budget a
+call must raise exactly where one of its pairs alone raises.  The Jacobi
+check, two batched calls, must report the defects that two brackets per
+cyclic term give.
 """
 
 from random import Random
@@ -103,10 +105,9 @@ def test_brackets_pass_the_term_budget_where_a_pair_does(spec, seed, wx, wy, max
 
 def test_structure_products_keep_the_term_budget():
     # x = xi_1 (1 + G), G holding 60 terms of cp-degree 2, against
-    # y = xi_2 C C at max_cp 2: y leaves only the xi_1 row of dx, so
-    # dx * w has 2 terms, not the 120 of every row (truncated at max_cp
-    # alone); a ghost, which meets no structure function, must not widen
-    # it
+    # y = xi_2 C C at max_cp 2: y keeps only the row of dx from xi_1, so
+    # dx * w has 2 terms, not the 77 that every row of dx gives; a ghost,
+    # which meets no structure function, must not widen the rows
     spec = deformed_so3_spec()
     alg = Algebra(spec)
     c = alg.ghost
