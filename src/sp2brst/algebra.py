@@ -20,8 +20,10 @@ keys into packed rows (see _pack: odd-variable mask, prefix-parity mask
 for Koszul signs and cp-degree, read off the key) and form every product
 in one loop, Algebra._product_sum; the first-order operators
 (replace_left and the passes of the operators module) share one pass,
-Algebra.replace_sum.  N-degrees, cp-degrees and parities are read off a
-key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
+Algebra.replace_sum, which forms each key's terms from the plan of its
+pattern, the key's bits that the pass reads, built once per table and
+pattern (_ReplaceTable).  N-degrees, cp-degrees and parities are read off
+a key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
 an input only when its width differs from the one the call needs, and a
 chain, whose passes keep each term's total degree, never does.  Tuple
 monomials, (variable id, exponent) pairs sorted by id, remain only where
@@ -136,9 +138,12 @@ class GradedPoly:
     its result at the widest width of its inputs, or wider if the total
     degrees it forms need it: a product the sum of its factors' largest
     total degrees, the bracket that of x, y and a structure function, less
-    2.  A chain of first-order passes keeps each term's total degree and
-    needs no check.  Only an input stored at another width than the
-    call's is repacked, as in +, == and the Gamma contraction.
+    2.  The brackets then store a result at the widest width of their
+    operands when its largest total degree fits it, so that sums of
+    brackets and operands repack nothing.  A chain of first-order passes
+    keeps each term's total degree and needs no check.  Only an input
+    stored at another width than the call's is repacked, as in +, == and
+    the Gamma contraction.
 
     Polynomials are made by the algebra: _poly takes packed keys as they
     are, Algebra.from_keys makes their denominator canonical, and
@@ -526,6 +531,60 @@ def _operand(p, lay, wanted, left, max_cp):
     return derivs, min(cps), max(cps)
 
 
+class _ReplaceTable:
+    """A replace_sum table (see Algebra.replace_table) and the plans of
+    the patterns its passes have met.
+
+    sel is the selector: a key's pattern, key & sel, holds its source
+    exponents and every odd bit a sign or an odd destination reads, so
+    the pass forms the same terms, less the key's bits outside sel, for
+    every key of one pattern.  plans maps a pattern to its plan, built
+    once: a tuple of (key delta, int factor) pairs, one per term formed,
+    in source-then-destination order.  Equal pairs and equal plans are
+    stored once (shared)."""
+
+    __slots__ = ("sel", "mask", "sources", "plans", "shared")
+
+    def __init__(self, sel, mask, sources):
+        self.sel = sel
+        self.mask = mask
+        self.sources = sources
+        self.plans = {}
+        self.shared = {}
+
+    def plan(self, pattern):
+        """The plan of a pattern, built and stored in plans.
+
+        For each source, the exponent e is (pattern >> shift) & mask; one
+        power leaves the key, with the sign of the odd fields below an odd
+        source.  Each destination's unit key then enters, with the sign of
+        the odd fields below an odd destination: an odd destination
+        already present kills the term, an even one gains a power.  The
+        pair is (dst unit - src unit, +-e * coeff); a source equal to its
+        destination leaves the key as it was, the two signs cancelling."""
+        mask, shared = self.mask, self.shared
+        pairs = []
+        for shift, unit, below, dsts in self.sources:
+            e = (pattern >> shift) & mask
+            if not e:
+                continue
+            base = pattern - unit
+            if below and (pattern & below).bit_count() & 1:
+                e = -e
+            for dunit, dbelow, pd, coeff in dsts:
+                f = e * coeff
+                if pd:
+                    if base & dunit:
+                        continue
+                    if (base & dbelow).bit_count() & 1:
+                        f = -f
+                pair = (dunit - unit, f)
+                pairs.append(shared.setdefault(pair, pair))
+        plan = tuple(pairs)
+        plan = self.plans[pattern] = shared.setdefault(plan, plan)
+        return plan
+
+
 class Algebra:
     """Variable table, graded product and Poisson bracket for one theory.
 
@@ -819,18 +878,20 @@ class Algebra:
 
     def replace_table(self, fields, width):
         """(table, fden): the (src, dst, coeff) triples of fields as a
-        replace_sum table over packed keys of the given width, the
-        coefficients scaled to ints over fden, the lcm of their
-        denominators.  Sources may repeat, dst may equal src, and zero
-        coefficients are skipped.
+        replace_sum table over packed keys of the given width (a
+        _ReplaceTable), the coefficients scaled to ints over fden, the lcm
+        of their denominators.  Sources may repeat, dst may equal src, and
+        zero coefficients are skipped.
 
-        table is (field mask, sources): each source, in variable order,
-        is (its shift, its unit key, the mask of the odd fields below it
-        if it is odd, else 0, its destinations), and each destination
-        (its unit key, the mask of the odd fields below it, its parity,
-        the int coefficient), in the order of fields.  An odd variable
-        has exponent 0 or 1, so the odd fields below v are the unit keys
-        of the odd variables before it."""
+        Each source, in variable order, is (its shift, its unit key, the
+        mask of the odd fields below it if it is odd, else 0, its
+        destinations), and each destination (its unit key, the mask of the
+        odd fields below it, its parity, the int coefficient), in the
+        order of fields.  An odd variable has exponent 0 or 1, so the odd
+        fields below v are the unit keys of the odd variables before it.
+        The table's selector holds every bit a term of the pass depends
+        on: the source fields, the odd fields below an odd source, and
+        each odd destination's unit key and the odd fields below it."""
         par = self.var_parity
         by_src: dict = {}
         fden = 1
@@ -849,59 +910,56 @@ class Algebra:
             below.append(odd)
             if pv:
                 odd |= 1 << width * v
+        mask = (1 << width) - 1
         sources = []
+        sel = 0
         for src in sorted(by_src):
             dsts = [(1 << width * dst, below[dst], par[dst], int(coeff * fden))
                     for dst, coeff in by_src[src]]
             sources.append((width * src, 1 << width * src,
                             below[src] if par[src] else 0, dsts))
-        return ((1 << width) - 1, sources), fden
+            sel |= mask << width * src | (below[src] if par[src] else 0)
+            for dunit, dbelow, pd, _ in dsts:
+                if pd:
+                    sel |= dunit | dbelow
+        return _ReplaceTable(sel, mask, sources), fden
 
-    def replace_sum(self, nums, table, out):
+    def replace_sum(self, nums, table, out, scale=1):
         """Add to out, a dict from packed key to int numerator, the sum of
-        coeff * dst * (left derivative w.r.t. src) of the terms of nums
-        (packed key -> int numerator) over the entries of table (see
+        scale * coeff * dst * (left derivative w.r.t. src) of the terms of
+        nums (packed key -> int numerator) over the entries of table (see
         replace_table), in one pass over nums, and return out.  The
         first-order core: it makes no Fraction, and since it keeps each
         term's total degree, the width of its input holds every pass.
 
-        For each source, the exponent is (key >> shift) & mask; one power
-        leaves the key, with the sign of the odd fields below an odd
-        source.  Each destination's unit key then enters, with the sign of
-        the odd fields below an odd destination: an odd destination
-        already present kills the term, an even one gains a power.  A
-        source equal to its destination leaves the key as it was, the two
-        signs cancelling.  A key new to out is stored as it is, a repeated
-        one added to and dropped when it cancels, and out is checked
-        against the term budget when the pass ends."""
-        mask, sources = table
+        A term's pass depends only on its key's bits in the table's
+        selector, its pattern: each key looks its pattern's plan up in the
+        table (_ReplaceTable.plan builds it on a miss) and forms one term
+        per (key delta, factor) pair of it, key + delta with numerator
+        num * scale * factor, in source-then-destination order.  A key
+        new to out is stored as it is, a repeated one added to and dropped
+        when it cancels, and out is checked against the term budget when
+        the pass ends."""
+        sel, plans, plan_of = table.sel, table.plans, table.plan
         get = out.get
         for key, num in nums.items():
-            for shift, unit, below, dsts in sources:
-                e = (key >> shift) & mask
-                if not e:
-                    continue
-                base = key - unit
-                n = num * e if e != 1 else num
-                if below and (key & below).bit_count() & 1:
-                    n = -n
-                for dunit, dbelow, pd, coeff in dsts:
-                    if pd:
-                        if base & dunit:
-                            continue
-                        f = -n * coeff if (base & dbelow).bit_count() & 1 else n * coeff
-                    else:
-                        f = n * coeff
-                    k = base + dunit
-                    old = get(k)
-                    if old is None:
+            plan = plans.get(key & sel)
+            if plan is None:
+                plan = plan_of(key & sel)
+            if scale != 1:
+                num *= scale
+            for delta, c in plan:
+                k = key + delta
+                f = num * c
+                old = get(k)
+                if old is None:
+                    out[k] = f
+                else:
+                    f += old
+                    if f:
                         out[k] = f
                     else:
-                        f += old
-                        if f:
-                            out[k] = f
-                        else:
-                            del out[k]
+                        del out[k]
         self.check_budget(out)
         return out
 
@@ -1040,7 +1098,8 @@ class Algebra:
         their products with dy never carry.  Each dx * w is formed once
         per x, and every pairing's product of a pair goes into one
         _product_sum call, a constant pairing scalar scaling its rows.
-        The packs live only as long as the call.
+        The packs live only as long as the call.  A result whose largest
+        total degree fits the widest operand width is repacked to it.
 
         Every pairing removes one factor from each side and the matter
         pairings have cp-degree 0, so the two derivatives drop at most one
@@ -1068,7 +1127,8 @@ class Algebra:
             return [[zero] * len(ys) for _ in xs]
         need = (max(x._degree() for x in live_x) + max(y._degree() for y in live_y)
                 + self._mid_degree - 2)
-        width = self._width(need, *live_x, *live_y)
+        narrow = max(p.width for p in (*live_x, *live_y))
+        width = max(need.bit_length(), narrow)
         lay = self.layout(width)
         info = lay.info
         packs_x = [_operand(x, lay, paired, False, max_cp) if x.nums else None
@@ -1139,6 +1199,9 @@ class Algebra:
                             continue
                     work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
                 acc, den = self._product_sum(work, max_cp)
-                row.append(self.from_keys(acc, width, den))
+                w = width
+                if w > narrow and acc and max(lay.reads(acc, -1)).bit_length() <= narrow:
+                    acc, w = _repack(acc, width, narrow), narrow
+                row.append(self.from_keys(acc, w, den))
             table.append(row)
         return table

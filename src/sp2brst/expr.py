@@ -35,32 +35,37 @@ class ExprError(ValueError):
         self.col = col
 
 
-# a newline, an int, a name or one other non-space character; finditer
-# steps over the other whitespace, and a token's column is its offset
-# from the start of its line, plus one
-_TOKEN = re.compile(r"(\n)|(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
-_KINDS = (None, None, "INT", "NAME", "SYM")
+# an int, a name or one other non-space character; finditer steps over
+# whitespace, newlines included
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_KINDS = (None, "INT", "NAME", "SYM")
 
 
 def _tokenize(text):
-    tokens = []
-    line, start = 1, 0
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            line += 1
-            start = m.end()
-        else:
-            tokens.append((_KINDS[group], m.group(group), line, m.start() - start + 1))
-    tokens.append(("END", "", line, len(text) - start + 1))
+    """The tokens of text as (kind, value, offset), offset the index of
+    the token's first character; the END token's offset is len(text)."""
+    tokens = [(_KINDS[m.lastindex], m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens.append(("END", "", len(text)))
     return tokens
+
+
+def _position(text, offset):
+    """(line, column) of an offset into text, both from 1: only LF starts
+    a new line, and every other character takes one column."""
+    start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, start) + 1, offset - start + 1
 
 
 class _Parser:
     def __init__(self, alg, text):
         self.alg = alg
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+
+    def error(self, message, offset):
+        """The ExprError of message at an offset of the text."""
+        return ExprError(message, *_position(self.text, offset))
 
     def peek(self):
         return self.tokens[self.i]
@@ -71,16 +76,15 @@ class _Parser:
         return t
 
     def expect_sym(self, ch):
-        kind, val, line, col = self.next()
+        kind, val, at = self.next()
         if kind != "SYM" or val != ch:
-            raise ExprError(f"expected '{ch}', found {val!r}" if val else f"expected '{ch}'",
-                            line, col)
+            raise self.error(f"expected '{ch}', found {val!r}" if val else f"expected '{ch}'", at)
 
     def parse(self):
         p = self.expr()
-        kind, val, line, col = self.peek()
+        kind, val, at = self.peek()
         if kind != "END":
-            raise ExprError(f"unexpected {val!r}", line, col)
+            raise self.error(f"unexpected {val!r}", at)
         return p
 
     def expr(self):
@@ -104,7 +108,7 @@ class _Parser:
                         continue
                 terms[mono] = c
             self.alg.check_budget(terms)
-            kind, val, _, _ = self.peek()
+            kind, val, _ = self.peek()
             if kind == "SYM" and val in "+-":
                 self.next()
                 sign = 1 if val == "+" else -1
@@ -117,7 +121,7 @@ class _Parser:
         product is a polynomial, each later factor multiplied in turn."""
         p = self.factor()
         while True:
-            kind, val, _, _ = self.peek()
+            kind, val, _ = self.peek()
             if kind != "SYM" or val != "*":
                 return p
             self.next()
@@ -152,21 +156,21 @@ class _Parser:
     def factor(self):
         """A (monomial, coefficient) pair for a number or a variable, with
         any power and unary minus, and a polynomial otherwise."""
-        kind, val, _, _ = self.peek()
+        kind, val, _ = self.peek()
         if kind == "SYM" and val == "-":
             self.next()
             p = self.factor()  # -x^2 is -(x^2), as serialize writes it
             return (p[0], -p[1]) if isinstance(p, tuple) else -p
         p = self.atom()
-        kind, val, _, _ = self.peek()
+        kind, val, _ = self.peek()
         if kind == "SYM" and val == "^":
             self.next()
             tok = self.next()
             if tok[0] != "INT":
-                raise ExprError("expected integer exponent", tok[2], tok[3])
+                raise self.error("expected integer exponent", tok[2])
             e = int(tok[1])
             if e >= 2 and self._is_odd_generator(p):
-                raise ExprError("odd variable raised to a power >= 2", tok[2], tok[3])
+                raise self.error("odd variable raised to a power >= 2", tok[2])
             if isinstance(p, tuple):  # a number or one variable
                 p = (tuple((v, e) for v, _ in p[0]) if e else (), p[1] ** e)
             else:
@@ -183,7 +187,7 @@ class _Parser:
             self.alg.var_parity[mono[0][0]] == 1 and c == 1
 
     def atom(self):
-        kind, val, line, col = self.peek()
+        kind, val, at = self.peek()
         if kind == "SYM" and val == "(":
             self.next()
             p = self.expr()
@@ -192,48 +196,47 @@ class _Parser:
         if kind == "INT":
             self.next()
             num = int(val)
-            k2, v2, _, _ = self.peek()
+            k2, v2, _ = self.peek()
             if k2 == "SYM" and v2 == "/":
                 self.next()
                 tok = self.next()
                 if tok[0] != "INT":
-                    raise ExprError("expected integer denominator", tok[2], tok[3])
+                    raise self.error("expected integer denominator", tok[2])
                 den = int(tok[1])
                 if den == 0:
-                    raise ExprError("zero denominator", tok[2], tok[3])
+                    raise self.error("zero denominator", tok[2])
                 return (), Fraction(num, den)
             return (), num
         if kind == "NAME":
             return ((self.variable(), 1),), 1
-        raise ExprError(f"unexpected {val!r}" if val else "unexpected end of input", line, col)
+        raise self.error(f"unexpected {val!r}" if val else "unexpected end of input", at)
 
     def variable(self):
-        kind, name, line, col = self.next()
+        kind, name, at = self.next()
         if name not in ("xi", "xip", "P", "C", "lam", "pi"):
-            raise ExprError(f"unknown variable family {name!r}", line, col)
+            raise self.error(f"unknown variable family {name!r}", at)
         self.expect_sym("[")
         tok = self.next()
         if tok[0] != "INT":
-            raise ExprError("expected index", tok[2], tok[3])
+            raise self.error("expected index", tok[2])
         idx = [int(tok[1])]
-        kind2, val2, l2, c2 = self.peek()
+        kind2, val2, _ = self.peek()
         if kind2 == "SYM" and val2 == ",":
             self.next()
             tok = self.next()
             if tok[0] != "INT":
-                raise ExprError("expected index", tok[2], tok[3])
+                raise self.error("expected index", tok[2])
             idx.append(int(tok[1]))
         self.expect_sym("]")
         want_two = name in ("P", "C")
         if want_two != (len(idx) == 2):
-            raise ExprError(f"{name} takes {'two indices' if want_two else 'one index'}",
-                            line, col)
+            raise self.error(f"{name} takes {'two indices' if want_two else 'one index'}", at)
         if want_two and idx[1] not in (1, 2):
-            raise ExprError("Sp(2) index must be 1 or 2", line, col)
+            raise self.error("Sp(2) index must be 1 or 2", at)
         full = f"{name}[{idx[0]},{idx[1]}]" if want_two else f"{name}[{idx[0]}]"
         vid = self.alg.by_name.get(full)
         if vid is None:
-            raise ExprError(f"variable {full} does not exist in this theory", line, col)
+            raise self.error(f"variable {full} does not exist in this theory", at)
         return vid
 
 

@@ -10,6 +10,9 @@ Component (scalar) operators, all first-order with left derivatives:
 Each component of W and Gamma is one pass of Algebra.replace_sum, the
 first-order core over packed int keys, with the operator's table at the
 input's field width (_Tables, one set per width, kept on the algebra).
+A pass forms each key's terms from the plan of its pattern, the key's
+bits that the operator reads; the plans are kept on the tables, so every
+later pass of the algebra at that width reuses them.
 w_component and gamma_component are one pass each and m_component four,
 each a chain over the stored keys of its input: the passes sum int
 numerators over the input's denominator, and the result is stored as it
@@ -20,7 +23,9 @@ N-degree off its key.  The compositions of those passes reuse the general
 code: apply_W is SymTensor.placement_sum of w_component, and bar_w and
 bar_gamma are GradedPoly differences of two passes of two passes.  The
 Gamma contraction and W+ stay one packed chain per output component,
-over one field width for the tensor, the widest of its components'.
+over one field width for the tensor, the widest of its components'; the
+contraction's two passes add into one dict, each scaling its
+component's numerators to the common denominator as it reads them.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N and M act per
@@ -189,18 +194,15 @@ def apply_W(t: SymTensor) -> SymTensor:
 
 def _contract(t: SymTensor, idx: tuple, tab: _Tables):
     """(x, den): the Gamma contraction sum_a Gamma_a t^(idx a) as packed
-    int numerators x over den, the lcm of the two inputs' denominators."""
+    int numerators x over den, the lcm of the two inputs' denominators;
+    each pass scales its input's numerators to den."""
     alg = t.alg
     parts = [t.get(idx + (a,)) for a in (1, 2)]
     den = lcm(*(p.den for p in parts))
     x: dict = {}
     for a, p in zip((1, 2), parts):
         if p:
-            nums = keys_at(p, tab.width)
-            if p.den != den:
-                f = den // p.den
-                nums = {k: n * f for k, n in nums.items()}
-            alg.replace_sum(nums, tab.gamma[a], x)
+            alg.replace_sum(keys_at(p, tab.width), tab.gamma[a], x, den // p.den)
     return x, den
 
 

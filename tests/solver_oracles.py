@@ -121,6 +121,49 @@ def apply_Q(t: SymTensor) -> SymTensor:
     return out
 
 
+def replace_sum_by_sources(alg, nums, table, out, scale=1):
+    """Algebra.replace_sum without plans: every key tests every source of
+    table (a _ReplaceTable) and counts each Koszul sign itself.  For each
+    source the exponent is (key >> shift) & mask; one power leaves the
+    key, with the sign of the odd fields below an odd source.  Each
+    destination's unit key then enters, with the sign of the odd fields
+    below an odd destination: an odd destination already present kills
+    the term, an even one gains a power.  Keys enter and leave out as in
+    the pass, and out is checked against the term budget when the pass
+    ends."""
+    mask, sources = table.mask, table.sources
+    get = out.get
+    for key, num in nums.items():
+        num *= scale
+        for shift, unit, below, dsts in sources:
+            e = (key >> shift) & mask
+            if not e:
+                continue
+            base = key - unit
+            n = num * e if e != 1 else num
+            if below and (key & below).bit_count() & 1:
+                n = -n
+            for dunit, dbelow, pd, coeff in dsts:
+                if pd:
+                    if base & dunit:
+                        continue
+                    f = -n * coeff if (base & dbelow).bit_count() & 1 else n * coeff
+                else:
+                    f = n * coeff
+                k = base + dunit
+                old = get(k)
+                if old is None:
+                    out[k] = f
+                else:
+                    f += old
+                    if f:
+                        out[k] = f
+                    else:
+                        del out[k]
+    alg.check_budget(out)
+    return out
+
+
 def replace_by_derivatives(p, fields):
     """sum coeff * dst * (left derivative of p by src) over the (src, dst,
     coeff) triples of fields, one derivative and one product at a time

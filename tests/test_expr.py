@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp2brst.algebra import Algebra, TermBudgetError
-from sp2brst.expr import ExprError, _tokenize, parse, serialize
+from sp2brst.expr import ExprError, _position, _tokenize, parse, serialize
 from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
 from sp2brst.theory import abelian_spec, mixed_parity_spec
@@ -126,9 +126,11 @@ def test_serialization_is_deterministic():
 
 
 def test_token_positions_across_tabs_crlf_and_blank_lines():
-    # a tab and a CR each take one column; only LF starts a new line
-    tokens = _tokenize("xi[1]\t+ 2\r\n\n\t*xi[2]")
-    assert [(val, line, col) for _, val, line, col in tokens] == [
+    # a tab and a CR each take one column; only LF starts a new line.
+    # Tokens carry offsets, and a position is computed from the offset.
+    text = "xi[1]\t+ 2\r\n\n\t*xi[2]"
+    tokens = _tokenize(text)
+    assert [(val, *_position(text, at)) for _, val, at in tokens] == [
         ("xi", 1, 1), ("[", 1, 3), ("1", 1, 4), ("]", 1, 5), ("+", 1, 7),
         ("2", 1, 9), ("*", 3, 2), ("xi", 3, 3), ("[", 3, 5), ("2", 3, 6),
         ("]", 3, 7), ("", 3, 8)]
