@@ -10,7 +10,8 @@ A^a is taken as C^(alpha a) times m brackets with the generators
 xi_alpha, and F from the m^2 generator brackets {xi_alpha, xi_beta}.
 Below them sit the placement sum evaluated on every full index tuple, Q
 with M applied three times, Q as the package's own Q step run on every
-component of a tensor, and the first-order operators
+component of a tensor, the first-order pass without plans, each key
+testing every source of its table, and the first-order operators
 without the packed pass: each W^a and Gamma_a pass summed one derivative
 and one product at a time, and from those passes M, the Gamma
 contraction, W, the bar operators and W+ = Q Gamma as whole-tensor

@@ -187,7 +187,7 @@ def _abelian():
 
 
 def test_bracket_result_fitting_the_operand_width_is_stored_at_it():
-    # the bound 15 + 15 - 2 needs width 5, but the result has degree 4
+    # the bound 14 + 14 - 2 needs width 5, but the result has degree 4
     alg = _abelian()
     x = alg.ghost(1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 14
     y = alg.ghost_mom(1, 1) * alg.xi(2) ** 2 + alg.xi(2) ** 14
