@@ -112,7 +112,7 @@ def test_keys_agreeing_on_the_selector_share_a_plan(mixed_alg):
     width = 4
     table, _ = alg.replace_table(_w_fields(alg, 1), width)
     outside = [v for v in range(len(alg.vars))
-               if not alg.var_parity[v] and not (15 << width * v) & table.sel]
+               if not alg.var_parity[v] and not (table.mask << width * v) & table.sel]
     assert outside
     k1 = next(iter(keys_at(alg.ghost_mom(1, 1) * alg.xi(2) * alg.ghost_mom(2, 2), width)))
     k2 = k1 + (3 << width * outside[0])
