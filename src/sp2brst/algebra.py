@@ -37,8 +37,9 @@ with right derivatives acting on X and left derivatives on Y.  The ghost
 entries of w are fixed by the canonical pairings (C,P) and (pi,lam); the
 matter entries come from the theory's structure tables, completed by graded
 antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  The batched entry,
-Algebra.brackets(xs, ys), forms {x, y} for every pair and walks each
-operand once for the whole call, at one field width; bracket and
+Algebra.brackets(xs, ys), forms each {x, y} as its one-pair bracket and
+shares only the walk of each operand, once for the whole call at one
+field width, and the packs of the structure functions; bracket and
 matter_bracket are its one-pair case.  The walk that makes a term's row
 also emits its derivative rows: one power of the variable leaves the key
 and the masks.  Each X gives its right derivatives by every paired
@@ -687,20 +688,8 @@ class Algebra:
     def xi(self, a):
         return self.gen(self.vid(Sector.XI, a))
 
-    def xip(self, a):
-        return self.gen(self.vid(Sector.XI_PHYS, a))
-
     def ghost_mom(self, a, i):
         return self.gen(self.vid(Sector.GHOST_MOM, a, i))
-
-    def ghost(self, a, i):
-        return self.gen(self.vid(Sector.GHOST, a, i))
-
-    def lagrange(self, a):
-        return self.gen(self.vid(Sector.LAGRANGE, a))
-
-    def lagrange_mom(self, a):
-        return self.gen(self.vid(Sector.LAGRANGE_MOM, a))
 
     # -- constructors -------------------------------------------------------
 
@@ -1094,28 +1083,23 @@ class Algebra:
         paired it contains, each y its left derivatives by the partners of
         the variables any x gave.  Every product term has total degree at
         most deg x + deg w + deg y less 2, w a structure function, and the
-        width holds it for the largest x and y, so the dx * w products and
-        their products with dy never carry.  Each dx * w is formed once
-        per x, and every pairing's product of a pair goes into one
+        width holds it for the largest x and y, so no product carries.
+        Each structure function is packed once per call.  Each entry is
+        then formed as its one-pair bracket: the pair's derivative rows,
+        each pairing's dx * w, then every pairing's product in one
         _product_sum call, a constant pairing scalar scaling its rows.
-        The packs live only as long as the call.  A result whose largest
-        total degree fits the widest operand width is repacked to it.
+        So each entry's product sums are those of its one-pair bracket,
+        and a call passes the term budget exactly where one of its pairs
+        alone does.  The packs live only as long as the call.  A result
+        whose largest total degree fits the widest operand width is
+        repacked to it.
 
         Every pairing removes one factor from each side and the matter
         pairings have cp-degree 0, so the two derivatives drop at most one
         cp factor in all: a term of x above max_cp + 1 - (least cp-degree
         of y) feeds only terms above max_cp, and likewise for y.  A pair
         whose least cp-degrees already pass max_cp is zero, and the rows
-        of such terms are dropped before any product.  A dx * w shared by
-        several ys is formed from the rows the y of least cp-degree among
-        them keeps, which are those a bracket of that pair alone multiplies
-        by w; a row of dx * w has the cp-degree of its dx row, the
-        structure functions holding coordinates only, so its products with
-        a y that could not use that row all lie above max_cp, and
-        _product_sum forms none of them.  So each product sum holds at
-        every budget check what it holds in the bracket of one pair, apart
-        from terms of cp-degrees that pair drops, and the call passes the
-        term budget only where one of its pairs alone does."""
+        of such terms are dropped before any product."""
         for p in (*xs, *ys):
             if p.alg is not self and not self.compatible(p.alg):
                 raise TheoryError(
@@ -1140,68 +1124,39 @@ class Algebra:
         rows_w = {}  # pairing index -> the packed rows of its structure function
         table = []
         for x, px in zip(xs, packs_x):
-            if px is None:
-                table.append([zero] * len(ys))
-                continue
-            dx_all, lo_x, hi_x = px
-            lx = x.den
-            cols = []  # per y: (dx, dy, den of y) of the pair, or None if zero
+            row = []
+            table.append(row)
             for y, py in zip(ys, packs_y):
-                if py is None:
-                    cols.append(None)
+                if px is None or py is None:
+                    row.append(zero)
                     continue
-                dy, lo_y, hi_y = py
-                dx = dx_all
+                (dx, lo_x, hi_x), (dy, lo_y, hi_y) = px, py
                 if max_cp is not None:
                     if lo_x + lo_y - 1 > max_cp:
-                        cols.append(None)
+                        row.append(zero)
                         continue
                     if hi_x > max_cp + 1 - lo_y:
                         dx = _drop_above(dx, max_cp + 1 - lo_y, info)
                     if hi_y > max_cp + 1 - lo_x:
                         dy = _drop_above(dy, max_cp + 1 - lo_x, info)
-                cols.append((dx, dy, y.den))
-            # pairing index -> the rows of dx by its v_A that dx * w is formed
-            # from: the most that any y meeting w keeps (the kept rows of
-            # two ys are nested)
-            src = {}
-            for col in cols:
-                if col is not None:
-                    dx, dy, _ = col
-                    for i, (va, vb, _, mid) in enumerate(self._omega):
-                        d1 = dx.get(va)
-                        if (mid is not None and d1 is not None and vb in dy
-                                and len(d1) > len(src.get(i, ()))):
-                            src[i] = d1
-            dxw = {}  # pairing index -> (the rows of dx * w, their den) for this x
-            row = []
-            for col in cols:
-                if col is None:
-                    row.append(zero)
-                    continue
-                dx, dy, ly = col
                 work = []
                 for i, (va, vb, c0, mid) in enumerate(self._omega):
                     d1, d2 = dx.get(va), dy.get(vb)
                     if d1 is None or d2 is None:
                         continue
-                    l1 = lx
+                    l1 = x.den
                     if mid is not None:  # dx * w first, then * dy
-                        got = dxw.get(i)
-                        if got is None:
-                            if i not in rows_w:
-                                rows_w[i] = _pack(keys_at(mid, width), lay)[0]
-                            acc, den = self._product_sum(
-                                [(src[i], rows_w[i], lx * mid.den, 1)], max_cp)
-                            got = dxw[i] = (_pack(acc, lay)[0], den)
-                        d1, l1 = got
-                        if not d1:
+                        if i not in rows_w:
+                            rows_w[i] = _pack(keys_at(mid, width), lay)[0]
+                        acc, l1 = self._product_sum(
+                            [(d1, rows_w[i], x.den * mid.den, 1)], max_cp)
+                        if not acc:
                             continue
-                    work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
+                        d1 = _pack(acc, lay)[0]
+                    work.append((d1, d2, l1 * y.den * c0.denominator, c0.numerator))
                 acc, den = self._product_sum(work, max_cp)
                 w = width
                 if w > narrow and acc and max(lay.reads(acc, -1)).bit_length() <= narrow:
                     acc, w = _repack(acc, width, narrow), narrow
                 row.append(self.from_keys(acc, w, den))
-            table.append(row)
         return table

@@ -26,7 +26,9 @@ the bottom sit the product of two monomials merged pair by pair with its
 Koszul sign counted by bisection, the sum of products accumulated one
 product at a time in Fraction arithmetic, and the bracket built from
 those.  The solver and the algebra compute the same results more
-cheaply; only tests call these.
+cheaply; only tests call these.  The generators that only tests name
+come first: a physical coordinate, a ghost, a Lagrange multiplier and
+its momentum.
 """
 
 from __future__ import annotations
@@ -35,11 +37,27 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from sp2brst.algebra import _cp_of, _drop_above, _pack, keys_at
+from sp2brst.algebra import Sector, _cp_of, _drop_above, _pack, keys_at
 from sp2brst.operators import (_gamma_fields, _q_step, _tables, _w_fields, apply_M,
                                apply_W_plus, n_apply, n_inverse)
 from sp2brst.solver import HALF, ConventionError, build_F, pair_bracket, projected_seed
 from sp2brst.tensors import SymTensor
+
+
+def xip(alg, a):
+    return alg.gen(alg.vid(Sector.XI_PHYS, a))
+
+
+def ghost(alg, a, i):
+    return alg.gen(alg.vid(Sector.GHOST, a, i))
+
+
+def lagrange(alg, a):
+    return alg.gen(alg.vid(Sector.LAGRANGE, a))
+
+
+def lagrange_mom(alg, a):
+    return alg.gen(alg.vid(Sector.LAGRANGE_MOM, a))
 
 
 def boundary_seed(alg) -> SymTensor:
@@ -56,7 +74,7 @@ def a_component_by_brackets(p, a: int):
     for r in range(1, alg.m + 1):
         w = alg.bracket(alg.xi(r), p)
         if w:
-            out = out + alg.mul(alg.ghost(r, a), w)
+            out = out + alg.mul(ghost(alg, r, a), w)
     return out
 
 
@@ -72,7 +90,7 @@ def build_F_by_brackets(alg) -> SymTensor:
             for be in range(1, alg.m + 1):
                 w = alg.bracket(alg.xi(al), alg.xi(be))
                 if w:
-                    out = out + alg.mul(alg.mul(alg.ghost(al, a), w), alg.ghost(be, b))
+                    out = out + alg.mul(alg.mul(ghost(alg, al, a), w), ghost(alg, be, b))
         return out
 
     return SymTensor.from_full(alg, 2, comp)

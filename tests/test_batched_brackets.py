@@ -1,23 +1,27 @@
 """Algebra.brackets, the batched bracket, against the per-pair oracle.
 
-On the generated theories of test_generated_theories, every entry of a
-brackets table must equal bracket_per_pair, the bracket packed for its
+The batched call forms every entry as its one-pair bracket and shares
+only the operand walks and the structure-function packs.  On the
+generated theories of test_generated_theories, every entry of a brackets
+table must therefore equal bracket_per_pair, the bracket packed for its
 pair alone, term for term and in the same term order: with and without
 max_cp, with operands stored at field widths 4 and 5 and of different
 least cp-degrees, with zero operands among them, through the matter
 pairings only, and in the fixed point's call, tensor_brackets of a part
-of Pi with itself and every lower part.  Under a tight term budget a
-call must raise exactly where one of its pairs alone raises.  The Jacobi
-check, two batched calls, must report the defects that two brackets per
-cyclic term give.
+of Pi with itself and every lower part.  Since each entry's product sums
+are those of its one-pair bracket, under a tight term budget a call must
+raise exactly where one of its pairs alone raises.  The Jacobi check,
+two batched calls, must report the defects that two brackets per cyclic
+term give.
 """
 
+from functools import partial
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solver_oracles import bracket_per_pair, boundary_seed, placement_sum_by_tuples
+from solver_oracles import bracket_per_pair, boundary_seed, ghost, placement_sum_by_tuples
 from test_generated_theories import deformed_so3, direct_sums, mixed2
 
 from sp2brst.algebra import Algebra, TermBudgetError, keys_at
@@ -47,7 +51,7 @@ def _operands(alg, rng, widths):
             continue
         p = random_element(alg, rng) + random_element(alg, rng)
         for i in range(rng.randint(0, 2)):
-            p = p * alg.ghost(1, i + 1)
+            p = p * ghost(alg, 1, i + 1)
         out.append(alg.from_keys(keys_at(p, width), width, p.den))
     return out
 
@@ -110,7 +114,7 @@ def test_structure_products_keep_the_term_budget():
     # which meets no structure function, must not widen the rows
     spec = deformed_so3_spec()
     alg = Algebra(spec)
-    c = alg.ghost
+    c = partial(ghost, alg)
     ghosts = [c(a, i) for a in (1, 2, 3) for i in (1, 2)]
     g = sum((ghosts[i] * ghosts[j] for i in range(6) for j in range(i + 1, 6)), alg.zero())
     x = alg.xi(1) * (1 + g * (1 + alg.xi(2) + alg.xi(2) ** 2 + alg.xi(2) ** 3))
@@ -134,10 +138,10 @@ def test_zero_operands_and_empty_lists():
 
 
 def test_structure_products_are_formed_for_every_y():
-    # dx * w is formed once per x; a y of high least cp-degree drops the
-    # x terms it cannot use, and the next y still meets them
+    # each pair forms its own dx * w; a y of high least cp-degree drops
+    # the x terms it cannot use, and the next y still meets them
     alg = Algebra(so3_spec())
-    c = alg.ghost
+    c = partial(ghost, alg)
     x = alg.xi(1) * c(1, 1) * c(1, 2) * c(2, 1) + alg.xi(1)
     ys = [alg.xi(2) * c(3, 1) * c(3, 2), alg.xi(2)]
     got = alg.brackets([x], ys, max_cp=3)

@@ -14,6 +14,7 @@ from sp2brst.cli import main
 from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
 from sp2brst.tensors import SymmetryError, SymTensor
+from solver_oracles import ghost
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -89,7 +90,7 @@ def test_verify_rejects_disagreeing_structured_form(capsys, tmp_path,
 
     def broken(pi, k=None):
         alg = pi.alg
-        extra = alg.ghost(1, 1) * alg.ghost(2, 1) * alg.ghost(3, 1)
+        extra = ghost(alg, 1, 1) * ghost(alg, 2, 1) * ghost(alg, 3, 1)
         return quad_term(pi, k) + SymTensor(alg, 2, {(1, 1): extra})
 
     monkeypatch.setattr(solver_mod, "quad_term", broken)

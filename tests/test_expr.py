@@ -13,6 +13,7 @@ from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
 from sp2brst.theory import abelian_spec, mixed_parity_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
+from solver_oracles import ghost, lagrange, lagrange_mom
 
 ALG = Algebra(mixed_parity_spec())
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -25,8 +26,8 @@ def test_parse_basics():
     assert parse(ALG, "xi[1]^2") == ALG.xi(1) ** 2
     assert parse(ALG, "-xi[1] + xi[1]").is_zero()
     assert parse(ALG, "0").is_zero()
-    assert parse(ALG, "P[2,1]*C[2,1]") == ALG.mul(ALG.ghost_mom(2, 1), ALG.ghost(2, 1))
-    assert parse(ALG, "lam[1]*pi[1]") == ALG.mul(ALG.lagrange(1), ALG.lagrange_mom(1))
+    assert parse(ALG, "P[2,1]*C[2,1]") == ALG.mul(ALG.ghost_mom(2, 1), ghost(ALG, 2, 1))
+    assert parse(ALG, "lam[1]*pi[1]") == ALG.mul(lagrange(ALG, 1), lagrange_mom(ALG, 1))
 
 
 def test_precedence_and_grouping():
@@ -120,8 +121,8 @@ def test_roundtrip(p):
 
 
 def test_serialization_is_deterministic():
-    p = ALG.xi(1) * ALG.xi(2) + ALG.ghost(1, 1) * ALG.ghost_mom(2, 2) - ALG.one()
-    q = -ALG.one() + ALG.ghost(1, 1) * ALG.ghost_mom(2, 2) + ALG.xi(1) * ALG.xi(2)
+    p = ALG.xi(1) * ALG.xi(2) + ghost(ALG, 1, 1) * ALG.ghost_mom(2, 2) - ALG.one()
+    q = -ALG.one() + ghost(ALG, 1, 1) * ALG.ghost_mom(2, 2) + ALG.xi(1) * ALG.xi(2)
     assert serialize(p) == serialize(q)
 
 
@@ -149,7 +150,7 @@ def test_token_positions_across_tabs_crlf_and_blank_lines():
 
 def test_odd_factors_out_of_order_take_their_koszul_sign():
     a = ALG
-    c11, c12, p11 = a.ghost(1, 1), a.ghost(1, 2), a.ghost_mom(1, 1)
+    c11, c12, p11 = ghost(a, 1, 1), ghost(a, 1, 2), a.ghost_mom(1, 1)
     assert parse(a, "C[1,2]*C[1,1]") == -a.mul(c11, c12)
     assert parse(a, "C[1,2]*C[1,1]") == a.mul(c12, c11)
     assert parse(a, "C[1,2]*xi[1]*C[1,1]") == -a.mul(a.xi(1), a.mul(c11, c12))
@@ -183,7 +184,7 @@ def test_chains_of_unary_minus():
     assert parse(a, "2*--xi[1]*-3") == -6 * a.xi(1)
     assert parse(a, "xi[1] - -xi[1]") == 2 * a.xi(1)
     assert parse(a, "-2^2") == -4
-    assert parse(a, "- - C[1,2]*-C[1,1]") == a.mul(a.ghost(1, 1), a.ghost(1, 2))
+    assert parse(a, "- - C[1,2]*-C[1,1]") == a.mul(ghost(a, 1, 1), ghost(a, 1, 2))
 
 
 def test_parenthesized_and_plain_terms_mixed():

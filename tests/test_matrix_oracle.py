@@ -12,7 +12,7 @@ enumerated generators and seeded random elements over three theories.
 import random
 from itertools import permutations
 
-from solver_oracles import derive_right
+from solver_oracles import derive_right, lagrange, lagrange_mom
 from sp2brst.algebra import Algebra, Sector
 from sp2brst.identities import random_element
 from sp2brst.operators import gamma_component, m_component, n_apply, w_component
@@ -33,7 +33,7 @@ def oracle_N(x):
                 alg.ghost_mom(r, a),
                 alg.derive_left(x, (alg.vid(Sector.GHOST_MOM, r, a),))[0])
         out = out + alg.mul(
-            alg.lagrange(r), alg.derive_left(x, (alg.vid(Sector.LAGRANGE, r),))[0])
+            lagrange(alg, r), alg.derive_left(x, (alg.vid(Sector.LAGRANGE, r),))[0])
     return out
 
 
@@ -54,7 +54,7 @@ def oracle_W(x, a):
                 alg.ghost_mom(r, b),
                 alg.derive_left(x, (alg.vid(Sector.LAGRANGE, r),))[0]) * e
             out = out + alg.mul(
-                alg.lagrange_mom(r),
+                lagrange_mom(alg, r),
                 alg.derive_left(x, (alg.vid(Sector.GHOST, r, b),))[0]) \
                 * (-e if eps_r else e)
     return out
@@ -72,7 +72,7 @@ def oracle_Gamma(x, a):
             if not e:
                 continue
             out = out - alg.mul(
-                alg.lagrange(r),
+                lagrange(alg, r),
                 alg.derive_left(x, (alg.vid(Sector.GHOST_MOM, r, b),))[0]) * e
     return out
 

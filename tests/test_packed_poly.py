@@ -24,7 +24,7 @@ from sp2brst.theoryfile import build_algebra, parse_theory
 from solver_oracles import (add_terms, apply_W_by_passes, bracket_by_merges,
                             cp_select_terms, mul_sum, n_apply_terms,
                             n_inverse_terms, scale_terms, substitute_zero_terms,
-                            term_cpdeg, term_ndeg)
+                            ghost, lagrange, term_cpdeg, term_ndeg)
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -163,8 +163,8 @@ def test_each_kernel_meets_two_widths():
     # one fixed pair per algebra, so the repack paths run whatever the
     # generator draws
     for alg in ALGEBRAS:
-        x, lam = alg.xi(1), alg.lagrange(1)
-        p = x ** 7 * lam + Fraction(1, 2) * lam ** 8 + alg.ghost(1, 1) * x
+        x, lam = alg.xi(1), lagrange(alg, 1)
+        p = x ** 7 * lam + Fraction(1, 2) * lam ** 8 + ghost(alg, 1, 1) * x
         q = widen(x ** 8 * alg.ghost_mom(1, 2) - Fraction(2, 3) * lam ** 15, 2)
         assert p.width != q.width
         assert items(p + q) == list(add_terms(alg, p.terms, q.terms).items())

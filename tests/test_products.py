@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.theory import so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
-from solver_oracles import bracket_by_merges, mul_sum
+from solver_oracles import bracket_by_merges, ghost, lagrange, lagrange_mom, mul_sum
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
@@ -82,14 +82,14 @@ def test_bracket_matches_the_merge_oracle(case, max_cp):
 def _wide_pair():
     """Two so3 elements with a 13-term bracket and a 27-term product."""
     alg = Algebra(so3_spec())
-    x = (alg.xi(1) * alg.ghost(2, 1) * alg.ghost(3, 2)
-         + alg.xi(2) ** 2 * alg.lagrange_mom(1) * Fraction(1, 3)
-         + alg.ghost_mom(1, 1) * alg.ghost(2, 2) * alg.ghost(3, 1)
-         - alg.lagrange(2) * alg.lagrange_mom(3) ** 2)
-    y = (alg.ghost_mom(2, 2) * alg.ghost_mom(3, 1) * alg.lagrange(1)
-         + alg.xi(3) * alg.ghost(1, 2) * Fraction(-2, 3)
-         + alg.ghost(1, 1) * alg.lagrange(3) ** 2
-         + alg.xi(1) * alg.xi(2) * alg.ghost_mom(1, 2) * alg.lagrange_mom(2))
+    x = (alg.xi(1) * ghost(alg, 2, 1) * ghost(alg, 3, 2)
+         + alg.xi(2) ** 2 * lagrange_mom(alg, 1) * Fraction(1, 3)
+         + alg.ghost_mom(1, 1) * ghost(alg, 2, 2) * ghost(alg, 3, 1)
+         - lagrange(alg, 2) * lagrange_mom(alg, 3) ** 2)
+    y = (alg.ghost_mom(2, 2) * alg.ghost_mom(3, 1) * lagrange(alg, 1)
+         + alg.xi(3) * ghost(alg, 1, 2) * Fraction(-2, 3)
+         + ghost(alg, 1, 1) * lagrange(alg, 3) ** 2
+         + alg.xi(1) * alg.xi(2) * alg.ghost_mom(1, 2) * lagrange_mom(alg, 2))
     return x + y, y * 2 - x
 
 

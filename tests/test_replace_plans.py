@@ -25,7 +25,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solver_oracles import bracket_by_merges, replace_by_derivatives, replace_sum_by_sources
+from solver_oracles import (bracket_by_merges, ghost, lagrange, replace_by_derivatives,
+                            replace_sum_by_sources)
 from test_generated_theories import deformed_so3, direct_sums, mixed2
 
 from sp2brst.algebra import Algebra, keys_at
@@ -136,7 +137,7 @@ def test_an_odd_destination_already_present(mixed_alg):
     cases = [
         (alg.xi(1) ** 2 * alg.ghost_mom(1, 1), 1),   # P[1,1] present: one term left
         (alg.xi(1) * alg.xi(2) * alg.ghost_mom(1, 1), 0),  # both present: none
-        (alg.xi(1) ** 3 * alg.ghost_mom(1, 2) * alg.ghost(2, 1), 2),
+        (alg.xi(1) ** 3 * alg.ghost_mom(1, 2) * ghost(alg, 2, 1), 2),
     ]
     for p, count in cases:
         got = _check_pass(alg, p, p.nums, 4, fields, table, 1)
@@ -171,11 +172,11 @@ def test_exponents_filling_the_field(mixed_alg):
               (_vid(alg, "lam[1]"), _vid(alg, "xi[1]"), 1))
     for n, width in ((15, 4), (15, 5), (16, 5)):
         table, _ = alg.replace_table(fields, width)
-        p = alg.xi(1) ** n + alg.xi(1) ** (n - 1) * alg.lagrange(1)
+        p = alg.xi(1) ** n + alg.xi(1) ** (n - 1) * lagrange(alg, 1)
         got = _check_pass(alg, p, keys_at(p, width), width, fields, table, 1)
         assert alg.from_keys(got, width, 1) == (
-            3 * n * alg.xi(1) ** (n - 1) * alg.lagrange(1)
-            + 3 * (n - 1) * alg.xi(1) ** (n - 2) * alg.lagrange(1) ** 2
+            3 * n * alg.xi(1) ** (n - 1) * lagrange(alg, 1)
+            + 3 * (n - 1) * alg.xi(1) ** (n - 2) * lagrange(alg, 1) ** 2
             + alg.xi(1) ** n)
 
 
@@ -189,7 +190,7 @@ def _abelian():
 def test_bracket_result_fitting_the_operand_width_is_stored_at_it():
     # the bound 14 + 14 - 2 needs width 5, but the result has degree 4
     alg = _abelian()
-    x = alg.ghost(1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 14
+    x = ghost(alg, 1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 14
     y = alg.ghost_mom(1, 1) * alg.xi(2) ** 2 + alg.xi(2) ** 14
     assert (x.width, y.width) == (4, 4)
     got = alg.bracket(x, y)
@@ -202,8 +203,8 @@ def test_bracket_result_of_total_degree_16_stays_at_width_5():
     # one batched call: the first result has a term of total degree 16 and
     # stays at the products' width, the second fits the operands' width
     alg = _abelian()
-    x16 = alg.ghost(1, 1) * alg.xi(1) ** 8
-    x4 = alg.ghost(1, 1) * alg.xi(3)
+    x16 = ghost(alg, 1, 1) * alg.xi(1) ** 8
+    x4 = ghost(alg, 1, 1) * alg.xi(3)
     y = alg.ghost_mom(1, 1) * alg.xi(2) ** 8
     got = alg.brackets([x16, x4], [y])
     assert [row[0].width for row in got] == [5, 4]

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import sp2brst.solver as solver_mod
-from solver_oracles import (a_component_by_brackets, boundary_seed, term_cpdeg,
-                            term_parity)
+from solver_oracles import (a_component_by_brackets, boundary_seed, ghost, lagrange,
+                            lagrange_mom, term_cpdeg, term_parity)
 from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.operators import apply_W, apply_W_plus, w_component
@@ -31,12 +31,12 @@ def test_omega1_explicit_form():
     alg = Algebra(abelian_spec(2))
     om1 = build_omega1(alg)
     a = alg
-    want1 = (a.xi(1) * a.ghost(1, 1) + a.xi(2) * a.ghost(2, 1)
-             + a.ghost_mom(1, 2) * a.lagrange_mom(1)
-             + a.ghost_mom(2, 2) * a.lagrange_mom(2))
-    want2 = (a.xi(1) * a.ghost(1, 2) + a.xi(2) * a.ghost(2, 2)
-             - a.ghost_mom(1, 1) * a.lagrange_mom(1)
-             - a.ghost_mom(2, 1) * a.lagrange_mom(2))
+    want1 = (a.xi(1) * ghost(a, 1, 1) + a.xi(2) * ghost(a, 2, 1)
+             + a.ghost_mom(1, 2) * lagrange_mom(a, 1)
+             + a.ghost_mom(2, 2) * lagrange_mom(a, 2))
+    want2 = (a.xi(1) * ghost(a, 1, 2) + a.xi(2) * ghost(a, 2, 2)
+             - a.ghost_mom(1, 1) * lagrange_mom(a, 1)
+             - a.ghost_mom(2, 1) * lagrange_mom(a, 2))
     assert om1.get((1,)) == want1
     assert om1.get((2,)) == want2
     for a_idx in (1, 2):
@@ -150,7 +150,7 @@ def test_tampered_omega_detected(so3_result):
     alg = so3_result.algebra
     omega = so3_result.omega
     tampered = omega + SymTensor.from_full(
-        alg, 1, lambda idx: alg.xi(2) * alg.ghost(2, idx[0]))
+        alg, 1, lambda idx: alg.xi(2) * ghost(alg, 2, idx[0]))
     report = verify_master(tampered, so3_result.config.k)
     assert not report.ok
     assert report.agree
@@ -158,7 +158,7 @@ def test_tampered_omega_detected(so3_result):
 
 def test_upsilon_threading():
     alg = Algebra(so3_spec())
-    y = alg.lagrange(1) * alg.ghost(1, 1) * alg.ghost(1, 2)
+    y = lagrange(alg, 1) * ghost(alg, 1, 1) * ghost(alg, 1, 2)
     ups = apply_W(SymTensor.from_scalar(y))
     assert not ups.is_zero()
     validate_upsilon(alg, ups)
@@ -177,14 +177,14 @@ def test_upsilon_validation():
     with pytest.raises(TheoryError):
         validate_upsilon(alg, SymTensor.zero(alg, 2))
     even = SymTensor.from_full(
-        alg, 1, lambda idx: alg.lagrange_mom(1) * alg.ghost(1, 1) * alg.ghost(1, 2))
+        alg, 1, lambda idx: lagrange_mom(alg, 1) * ghost(alg, 1, 1) * ghost(alg, 1, 2))
     with pytest.raises(TheoryError):
         validate_upsilon(alg, even)
     low = build_omega1(alg)  # odd, ngh 1, but cp-degree 1
     with pytest.raises(TheoryError):
         validate_upsilon(alg, low)
     not_closed = SymTensor.from_full(
-        alg, 1, lambda idx: alg.lagrange(1) * alg.ghost(1, 1) * alg.lagrange_mom(1))
+        alg, 1, lambda idx: lagrange(alg, 1) * ghost(alg, 1, 1) * lagrange_mom(alg, 1))
     with pytest.raises(TheoryError):
         validate_upsilon(alg, not_closed)
 

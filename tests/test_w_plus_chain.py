@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from solver_oracles import (apply_Q, apply_Q_three_m, apply_W_plus_by_passes,
-                            gamma_by_passes, m_by_passes, term_ndeg)
+                            gamma_by_passes, ghost, lagrange, m_by_passes, term_ndeg)
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import apply_Gamma, apply_W_plus, m_component
@@ -129,12 +129,12 @@ def test_q_reads_n_degree_at_field_edges(n):
     # carry any N-degree: a pure-N term of degree n = 7 or 15 fills the
     # 3- or 4-bit field of its chain, and 8 and 16 take one bit more
     alg = _algebra("mixed2")
-    xi, lam = alg.xi(1), alg.lagrange(1)
+    xi, lam = alg.xi(1), lagrange(alg, 1)
 
     def comp(i):
         p_i = alg.ghost_mom(2, i)
         return (xi ** (n - 4) * p_i ** 2 * lam ** 2 * Fraction(3, 5)
-                + xi ** (n - 3) * alg.ghost(2, 3 - i) * p_i * Fraction(-7, 2)
+                + xi ** (n - 3) * ghost(alg, 2, 3 - i) * p_i * Fraction(-7, 2)
                 + xi * lam ** (n - 1))
 
     for rank in range(3):
