@@ -23,8 +23,10 @@ in one loop, Algebra._product_sum; the first-order operators
 Algebra.replace_sum, which forms each key's terms from the plan of its
 pattern, the key's bits that the pass reads, built once per table and
 pattern (_ReplaceTable).  N-degrees, cp-degrees and parities are read off
-a key with masks (_Layout), and no kernel decodes a key.  A kernel repacks
-an input only when its width differs from the one the call needs, and a
+a key with masks (_Layout), and no kernel decodes a key.  Every kernel
+stores its result at the width Algebra._width picks for the call, which
+is MIN_WIDTH until a degree bound passes total degree 31; a kernel
+repacks an input only when its width differs from the call's, and a
 chain, whose passes keep each term's total degree, never does.  Tuple
 monomials, (variable id, exponent) pairs sorted by id, remain only where
 people read them: the terms view, decoded on each read (expr.serialize,
@@ -64,10 +66,10 @@ _ONE = Fraction(1)
 DEFAULT_MAX_TERMS = 1_000_000
 
 # the narrowest field width a polynomial is stored at, holding total
-# degree 15: below it, products of the bundled theories' and the identity
-# sampler's polynomials would widen their fields, and sums repack them,
-# at almost every step
-MIN_WIDTH = 4
+# degree 31: every product and bracket of the bundled theories' and the
+# identity sampler's polynomials fits it, so none of their kernels or sums
+# repacks a key
+MIN_WIDTH = 5
 
 
 class Sector(IntEnum):
@@ -134,17 +136,17 @@ class GradedPoly:
     zero, so two polynomials of one width are equal exactly when their
     den and nums are.  width holds every term's total degree (2 ** width
     exceeds it), so no field carries when keys or fields are summed (see
-    _Layout).  Widths are not canonical, and none is below MIN_WIDTH, so
-    that polynomials of the usual degrees share one width.  A kernel forms
-    its result at the widest width of its inputs, or wider if the total
-    degrees it forms need it: a product the sum of its factors' largest
-    total degrees, the bracket that of x, y and a structure function, less
-    2.  The brackets then store a result at the widest width of their
-    operands when its largest total degree fits it, so that sums of
-    brackets and operands repack nothing.  A chain of first-order passes
-    keeps each term's total degree and needs no check.  Only an input
-    stored at another width than the call's is repacked, as in +, == and
-    the Gamma contraction.
+    _Layout).  Widths are not canonical, and none is below MIN_WIDTH.  One
+    rule, Algebra._width, picks the width of every kernel: the widest
+    width of its inputs, or wider if the total degrees it forms need it (a
+    product the sum of its factors' largest total degrees, the bracket
+    that of x, y and a structure function, less 2), and the kernel stores
+    its result at that width.  A chain of first-order passes keeps each
+    term's total degree and needs no check.  So while every bound stays
+    within MIN_WIDTH's total degree 31, all polynomials share that one
+    width; past it a kernel widens, and only an input stored at another
+    width than the call's is repacked, as in +, == and the Gamma
+    contraction.
 
     Polynomials are made by the algebra: _poly takes packed keys as they
     are, Algebra.from_keys makes their denominator canonical, and
@@ -1090,9 +1092,8 @@ class Algebra:
         _product_sum call, a constant pairing scalar scaling its rows.
         So each entry's product sums are those of its one-pair bracket,
         and a call passes the term budget exactly where one of its pairs
-        alone does.  The packs live only as long as the call.  A result
-        whose largest total degree fits the widest operand width is
-        repacked to it.
+        alone does.  The packs live only as long as the call, and every
+        result is stored at the call's width.
 
         Every pairing removes one factor from each side and the matter
         pairings have cp-degree 0, so the two derivatives drop at most one
@@ -1111,8 +1112,7 @@ class Algebra:
             return [[zero] * len(ys) for _ in xs]
         need = (max(x._degree() for x in live_x) + max(y._degree() for y in live_y)
                 + self._mid_degree - 2)
-        narrow = max(p.width for p in (*live_x, *live_y))
-        width = max(need.bit_length(), narrow)
+        width = self._width(need, *live_x, *live_y)
         lay = self.layout(width)
         info = lay.info
         packs_x = [_operand(x, lay, paired, False, max_cp) if x.nums else None
@@ -1155,8 +1155,5 @@ class Algebra:
                         d1 = _pack(acc, lay)[0]
                     work.append((d1, d2, l1 * y.den * c0.denominator, c0.numerator))
                 acc, den = self._product_sum(work, max_cp)
-                w = width
-                if w > narrow and acc and max(lay.reads(acc, -1)).bit_length() <= narrow:
-                    acc, w = _repack(acc, width, narrow), narrow
-                row.append(self.from_keys(acc, w, den))
+                row.append(self.from_keys(acc, width, den))
         return table

@@ -13,9 +13,10 @@ Exit codes: 0 all checks pass; 1 a verification failed (nonzero
 residual, direct and structured residuals that disagree, method
 disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
-2 input error (bad document, bad expression, Jacobi-violating structure
-table, an option out of range, or a polynomial formed by solve, lift or
-verify outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms form).
+2 input error (bad document, bad expression, nesting or an integer past
+the parser's limits, Jacobi-violating structure table, an option out of
+range, or a polynomial formed by solve, lift or verify outgrew the
+SP2_BRST_MAX_TERMS term cap, checked as terms form).
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.

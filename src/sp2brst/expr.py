@@ -18,6 +18,10 @@ Numbers and variables are read as (monomial, coefficient) pairs and a
 term of them as one such pair, odd factors moved into variable order with
 their Koszul sign; only a parenthesized factor makes a term a product of
 polynomials.  A sum's terms are packed by one Algebra.poly call.
+
+Parentheses and unary minuses nest at most MAX_DEPTH deep, and an
+integer may have no more digits than int() reads; past either limit the
+parse raises ExprError.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ class ExprError(ValueError):
 # whitespace, newlines included
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
 _KINDS = (None, "INT", "NAME", "SYM")
+
+# the deepest nesting of parentheses and unary minuses a parse accepts: the
+# parser recurses a few frames per level, and this many stay well inside
+# the interpreter's default recursion limit
+MAX_DEPTH = 100
 
 
 def _tokenize(text):
@@ -62,10 +71,25 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses and unary minuses open around the factor
 
     def error(self, message, offset):
         """The ExprError of message at an offset of the text."""
         return ExprError(message, *_position(self.text, offset))
+
+    def integer(self, val, at):
+        """The value of the INT token val at an offset of the text."""
+        try:
+            return int(val)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer of {len(val)} digits is too long", at) from None
+
+    def nest(self, at):
+        """Open one more level of nesting at an offset of the text; the
+        caller closes it with self.depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"nested more than {MAX_DEPTH} levels deep", at)
 
     def peek(self):
         return self.tokens[self.i]
@@ -156,10 +180,12 @@ class _Parser:
     def factor(self):
         """A (monomial, coefficient) pair for a number or a variable, with
         any power and unary minus, and a polynomial otherwise."""
-        kind, val, _ = self.peek()
+        kind, val, at = self.peek()
         if kind == "SYM" and val == "-":
             self.next()
+            self.nest(at)
             p = self.factor()  # -x^2 is -(x^2), as serialize writes it
+            self.depth -= 1
             return (p[0], -p[1]) if isinstance(p, tuple) else -p
         p = self.atom()
         kind, val, _ = self.peek()
@@ -168,7 +194,7 @@ class _Parser:
             tok = self.next()
             if tok[0] != "INT":
                 raise self.error("expected integer exponent", tok[2])
-            e = int(tok[1])
+            e = self.integer(tok[1], tok[2])
             if e >= 2 and self._is_odd_generator(p):
                 raise self.error("odd variable raised to a power >= 2", tok[2])
             if isinstance(p, tuple):  # a number or one variable
@@ -190,19 +216,21 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "SYM" and val == "(":
             self.next()
+            self.nest(at)
             p = self.expr()
             self.expect_sym(")")
+            self.depth -= 1
             return p
         if kind == "INT":
             self.next()
-            num = int(val)
+            num = self.integer(val, at)
             k2, v2, _ = self.peek()
             if k2 == "SYM" and v2 == "/":
                 self.next()
                 tok = self.next()
                 if tok[0] != "INT":
                     raise self.error("expected integer denominator", tok[2])
-                den = int(tok[1])
+                den = self.integer(tok[1], tok[2])
                 if den == 0:
                     raise self.error("zero denominator", tok[2])
                 return (), Fraction(num, den)
@@ -219,14 +247,14 @@ class _Parser:
         tok = self.next()
         if tok[0] != "INT":
             raise self.error("expected index", tok[2])
-        idx = [int(tok[1])]
+        idx = [self.integer(tok[1], tok[2])]
         kind2, val2, _ = self.peek()
         if kind2 == "SYM" and val2 == ",":
             self.next()
             tok = self.next()
             if tok[0] != "INT":
                 raise self.error("expected index", tok[2])
-            idx.append(int(tok[1]))
+            idx.append(self.integer(tok[1], tok[2]))
         self.expect_sym("]")
         want_two = name in ("P", "C")
         if want_two != (len(idx) == 2):

@@ -61,7 +61,8 @@ class TheoryDocument(NamedTuple):
         for n, text in self.observables:
             if n == key:
                 return n, text
-        if key.isdecimal() and 1 <= int(key) <= len(self.observables):
+        # a position has few digits, and int() refuses very long strings
+        if key.isdecimal() and len(key) < 20 and 1 <= int(key) <= len(self.observables):
             return self.observables[int(key) - 1]
         known = ", ".join(n for n, _ in self.observables) or "none defined"
         raise TheoryFileError(f"no observable named {key!r} (known: {known})")
@@ -69,6 +70,18 @@ class TheoryDocument(NamedTuple):
 
 def _fail(msg: str) -> None:
     raise TheoryFileError(msg)
+
+
+def _printable(text, what):
+    """text, if it is a string the reports can print: a JSON escape can
+    spell a lone surrogate, which no output encoding takes."""
+    if not isinstance(text, str):
+        _fail(f"{what} must be a string")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        _fail(f"{what} holds a lone surrogate")
+    return text
 
 
 def _named_list(raw, what):
@@ -124,13 +137,23 @@ def _unique_keys(pairs) -> dict:
 
 def _decode(data, what: str) -> dict:
     """Decode bytes or text (a dict passes through) into a JSON object of
-    the supported format, rejecting a key repeated in any object."""
+    the supported format, rejecting a key repeated in any object, bytes
+    that are not UTF-8, an integer of more digits than int() converts and
+    nesting deeper than the decoder's recursion reaches."""
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise TheoryFileError(
                 f"line {e.lineno}, col {e.colno}: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise TheoryFileError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+        except TheoryFileError:
+            raise
+        except ValueError:  # the only other one: an over-long integer
+            raise TheoryFileError("an integer has too many digits") from None
+        except RecursionError:
+            raise TheoryFileError("arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         _fail(f"{what} must be a JSON object")
     if data.get("format") != FORMAT:
@@ -178,9 +201,7 @@ def parse_theory(data) -> TheoryDocument:
         if isinstance(entry, str):
             observables.append((str(i), rewrite(entry)))
         elif isinstance(entry, dict) and isinstance(entry.get("expr"), str):
-            name = entry.get("name", str(i))
-            if not isinstance(name, str):
-                _fail(f"observables[{i}]: name must be a string")
+            name = _printable(entry.get("name", str(i)), f"observables[{i}]: name")
             observables.append((name, rewrite(entry["expr"])))
         else:
             _fail(f"observables[{i}] must be an expression string or "
@@ -192,9 +213,7 @@ def parse_theory(data) -> TheoryDocument:
     if order is not None and (not isinstance(order, int) or order < 2):
         _fail("order must be an integer >= 2")
 
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        _fail("label must be a string")
+    label = _printable(data.get("label", ""), "label")
 
     spec = TheorySpec(c_par, p_par, tables["U"], tables["mixed"],
                       label=label or "theory")

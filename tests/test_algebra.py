@@ -88,7 +88,8 @@ def test_poly_packs_well_formed_monomials():
     x, p11 = alg.xi(1), alg.ghost_mom(1, 1)
     assert alg.poly({((_X, 2),): 2}) == 2 * x * x
     assert alg.poly({((_X, 1), (_P11, 1)): 1, ((_X, 3),): 0}) == x * p11
-    assert alg.poly({((_X, 16),): Fraction(1, 2)}).width == 5
+    assert alg.poly({((_X, 31),): Fraction(1, 2)}).width == 5
+    assert alg.poly({((_X, 32),): Fraction(1, 2)}).width == 6
     assert alg.poly({}) == alg.zero() and alg.poly({(): 3}) == 3
 
 

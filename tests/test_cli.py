@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import sp2brst.algebra as algebra_mod
 import sp2brst.cli as cli_mod
 import sp2brst.solver as solver_mod
 from sp2brst.cli import main
@@ -407,3 +408,91 @@ def test_python_dash_m_runs_the_cli():
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     want = (GOLDEN_DIR / "solve-so3.txt").read_text(encoding="utf-8")
     assert f"exit {proc.returncode}\n{proc.stdout}" == want, proc.stderr
+
+
+# -- inputs past the parser's and the JSON decoder's limits -----------------
+
+
+def _so3_text(**changes):
+    """theories/so3.json as text, with its top-level fields changed and
+    its U entry 1,2,3 replaced by changes["U123"] if given."""
+    doc = json.loads((THEORY_DIR / "so3.json").read_text(encoding="utf-8"))
+    if "U123" in changes:
+        doc["U"]["1,2,3"] = changes.pop("U123")
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_LONG = "9" * 5000  # past the 4,300 digits int() converts by default
+MALFORMED_THEORIES = {
+    "parentheses": _so3_text(U123="(" * 260 + "1" + ")" * 260),
+    "unary-minuses": _so3_text(U123="-" * 1000 + "1"),
+    "long-literal": _so3_text(U123=_LONG),
+    "long-exponent": _so3_text(U123="J1^" + _LONG),
+    "long-index": _so3_text(U123=f"xi[{_LONG}]"),
+    "long-order": _so3_text().replace('"order": 6', f'"order": {_LONG}'),
+    "deep-json": _so3_text().replace('"order": 6', '"order": ' + "[" * 100_000
+                                     + "]" * 100_000),
+    "not-utf8": _so3_text().encode().replace(b'"so3"', b'"so3\xff"'),
+    "lone-surrogate": _so3_text(label="so3\udcff"),  # spelled \udcff in the JSON
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_THEORIES))
+def test_malformed_theory_is_input_error(capsys, tmp_path, name):
+    path = tmp_path / "theory.json"
+    text = MALFORMED_THEORIES[name]
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    code, out, err = run(capsys, "solve", str(path), "--order", "2")
+    assert code == 2 and out == ""
+    _one_error_line(err)
+
+
+def _omega_text(component, order="2"):
+    return ('{"format": 1, "kind": "omega", "label": "so3", "order": %s, '
+            '"components": {"1": "%s", "2": "0"}}' % (order, component))
+
+
+MALFORMED_CHARGES = {
+    "parentheses": _omega_text("(" * 2000 + "1" + ")" * 2000),
+    "unary-minuses": _omega_text("-" * 2000 + "1"),
+    "long-literal": _omega_text(_LONG),
+    "long-order": _omega_text("0", order=_LONG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHARGES))
+def test_malformed_charge_document_is_input_error(capsys, tmp_path, name):
+    path = tmp_path / "omega.json"
+    path.write_text(MALFORMED_CHARGES[name])
+    code, _, err = run(capsys, "verify", str(THEORY_DIR / "so3.json"), str(path))
+    assert code == 2
+    _one_error_line(err)
+
+
+def test_long_observable_position_is_input_error(capsys):
+    code, _, err = run(capsys, "lift", str(THEORY_DIR / "so3.json"),
+                       "--observable", _LONG, "--order", "2")
+    assert code == 2
+    assert _one_error_line(err).startswith("error: no observable named")
+
+
+def test_deformed_pipeline_repacks_nothing(capsys, tmp_path, monkeypatch):
+    # every polynomial of solve, verify and lift on so3-deformed at k=5
+    # is stored at MIN_WIDTH, so no kernel and no sum moves a key
+    calls = []
+    real = algebra_mod._repack
+
+    def counted(nums, old, new):
+        calls.append((len(nums), old, new))
+        return real(nums, old, new)
+
+    monkeypatch.setattr(algebra_mod, "_repack", counted)
+    theory = str(THEORY_DIR / "so3-deformed.json")
+    omega = str(tmp_path / "omega.json")
+    for argv in (("solve", theory, "--method", "fixed-point", "--out", omega),
+                 ("verify", theory, omega),
+                 ("lift", theory, "--observable", "J2sq", "--method", "fixed-point")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, out
+    assert calls == []

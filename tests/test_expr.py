@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp2brst.algebra import Algebra, TermBudgetError
-from sp2brst.expr import ExprError, _position, _tokenize, parse, serialize
+from sp2brst.expr import MAX_DEPTH, ExprError, _position, _tokenize, parse, serialize
 from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
 from sp2brst.theory import abelian_spec, mixed_parity_spec
@@ -174,8 +174,8 @@ def test_zeroth_and_rational_powers():
     assert parse(a, "0^0") == 1
     assert parse(a, "1/2^3*xi[1]") == a.xi(1) * Fraction(1, 8)
     assert parse(a, "2/3^2*xi[1]^2*xi[1]^3") == a.xi(1) ** 5 * Fraction(4, 9)
-    assert parse(a, "xi[1]^16") == a.xi(1) ** 16  # past the narrowest field width
-    assert parse(a, "xi[1]^16").width == 5
+    assert parse(a, "xi[1]^32") == a.xi(1) ** 32  # past the narrowest field width
+    assert parse(a, "xi[1]^32").width == 6
 
 
 def test_chains_of_unary_minus():
@@ -185,6 +185,35 @@ def test_chains_of_unary_minus():
     assert parse(a, "xi[1] - -xi[1]") == 2 * a.xi(1)
     assert parse(a, "-2^2") == -4
     assert parse(a, "- - C[1,2]*-C[1,1]") == a.mul(ghost(a, 1, 1), ghost(a, 1, 2))
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("(-", ")")])
+def test_nesting_depth_limit(opener, closer):
+    # each opener is one level, or two for "(-": the limit counts them alike
+    a = ALG
+    per = len(opener)
+    n = MAX_DEPTH // per
+    text = opener * n + "xi[1]" + closer * n
+    assert parse(a, text) == (-1) ** (n * opener.count("-")) * a.xi(1)
+    deeper = opener * (n + 1) + "xi[1]" + closer * (n + 1)
+    with pytest.raises(ExprError, match=f"nested more than {MAX_DEPTH} levels deep") as e:
+        parse(a, deeper)
+    assert (e.value.line, e.value.col) == (1, MAX_DEPTH + 1)
+    # far past the interpreter's recursion limit, still one ExprError
+    with pytest.raises(ExprError):
+        parse(a, opener * 5000 + "1" + closer * 5000)
+    # sibling groups do not add up
+    assert parse(a, " + ".join([text] * 3)) == parse(a, text) * 3
+
+
+@pytest.mark.parametrize("template, col", [
+    ("{}", 1), ("xi[1]^{}", 7), ("xi[{}]", 4), ("1/{}", 3), ("C[1,{}]", 5)])
+def test_integer_past_the_digit_limit(template, col):
+    digits = "7" * 5000
+    with pytest.raises(ExprError, match="integer of 5000 digits is too long") as e:
+        parse(ALG, template.format(digits))
+    assert (e.value.line, e.value.col) == (1, col)
+    assert parse(ALG, template.format("1")) is not None
 
 
 def test_parenthesized_and_plain_terms_mixed():

@@ -13,8 +13,8 @@ rational coefficients, at field widths 4 and 5; each pass's output is
 passed once more, so exponents above 1 reach every source.
 
 Algebra.brackets forms products at the width their degree bound needs
-and stores a result at the widest width of the call's operands when the
-result's largest total degree fits it.
+and stores every result at that width, so a result past MIN_WIDTH sums
+with polynomials stored at MIN_WIDTH by repacking them.
 """
 
 import random
@@ -29,7 +29,7 @@ from solver_oracles import (bracket_by_merges, ghost, lagrange, replace_by_deriv
                             replace_sum_by_sources)
 from test_generated_theories import deformed_so3, direct_sums, mixed2
 
-from sp2brst.algebra import Algebra, keys_at
+from sp2brst.algebra import MIN_WIDTH, Algebra, keys_at
 from sp2brst.identities import random_element
 from sp2brst.operators import _gamma_fields, _w_fields
 from sp2brst.theory import abelian_spec
@@ -140,12 +140,12 @@ def test_an_odd_destination_already_present(mixed_alg):
         (alg.xi(1) ** 3 * alg.ghost_mom(1, 2) * ghost(alg, 2, 1), 2),
     ]
     for p, count in cases:
-        got = _check_pass(alg, p, p.nums, 4, fields, table, 1)
+        got = _check_pass(alg, p, keys_at(p, 4), 4, fields, table, 1)
         assert len(got) == count
     # W^1 moves P[2,1] (even) to xi[2] (odd): dropped where xi[2] is present
     p = alg.xi(2) * alg.ghost_mom(2, 1) ** 2
     w1, _ = alg.replace_table(_w_fields(alg, 1), 4)
-    assert _check_pass(alg, p, p.nums, 4, _w_fields(alg, 1), w1, 1) == {}
+    assert _check_pass(alg, p, keys_at(p, 4), 4, _w_fields(alg, 1), w1, 1) == {}
 
 
 @pytest.mark.parametrize("width", (4, 5))
@@ -187,29 +187,38 @@ def _abelian():
     return Algebra(abelian_spec(3))
 
 
-def test_bracket_result_fitting_the_operand_width_is_stored_at_it():
-    # the bound 14 + 14 - 2 needs width 5, but the result has degree 4
+def test_bracket_result_is_stored_at_the_call_width():
+    # the bound 30 + 30 - 2 needs width 6, and the result of degree 4,
+    # which MIN_WIDTH holds, stays at width 6
     alg = _abelian()
-    x = ghost(alg, 1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 14
-    y = alg.ghost_mom(1, 1) * alg.xi(2) ** 2 + alg.xi(2) ** 14
-    assert (x.width, y.width) == (4, 4)
+    x = ghost(alg, 1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 30
+    y = alg.ghost_mom(1, 1) * alg.xi(2) ** 2 + alg.xi(2) ** 30
+    assert (x.width, y.width) == (MIN_WIDTH, MIN_WIDTH) == (5, 5)
     got = alg.bracket(x, y)
-    assert got.width == 4
+    assert got.width == 6
     assert got.terms == bracket_by_merges(alg, x, y)
     assert got == alg.xi(1) ** 2 * alg.xi(2) ** 2
 
 
-def test_bracket_result_of_total_degree_16_stays_at_width_5():
-    # one batched call: the first result has a term of total degree 16 and
-    # stays at the products' width, the second fits the operands' width
+def test_bracket_result_of_total_degree_32_sums_with_width_5_polynomials():
+    # one batched call whose bound 17 + 17 - 2 needs width 6: the first
+    # result has a term of total degree 32, the second one of degree 17,
+    # and both stay at the call's width
     alg = _abelian()
-    x16 = ghost(alg, 1, 1) * alg.xi(1) ** 8
-    x4 = ghost(alg, 1, 1) * alg.xi(3)
-    y = alg.ghost_mom(1, 1) * alg.xi(2) ** 8
-    got = alg.brackets([x16, x4], [y])
-    assert [row[0].width for row in got] == [5, 4]
-    assert got[0][0]._degree() == 16
-    for x, (r,) in zip((x16, x4), got):
+    x32 = ghost(alg, 1, 1) * alg.xi(1) ** 16
+    x17 = ghost(alg, 1, 1) * alg.xi(3)
+    y = alg.ghost_mom(1, 1) * alg.xi(2) ** 16
+    got = alg.brackets([x32, x17], [y])
+    assert [row[0].width for row in got] == [6, 6]
+    assert got[0][0]._degree() == 32
+    for x, (r,) in zip((x32, x17), got):
         assert r.terms == bracket_by_merges(alg, x, y)
         assert r == alg.bracket(x, y)
-    assert got[1][0] == alg.xi(3) * alg.xi(2) ** 8
+    (r32,), (r17,) = got
+    x3x2 = alg.xi(3) * alg.xi(2) ** 16
+    assert x3x2.width == 5 and r17 == x3x2
+    assert (r17 - x3x2).is_zero() and (x3x2 - r17).is_zero()
+    want = alg.poly({((0, 16), (1, 16)): 1, ((1, 16), (2, 1)): 2, ((2, 1),): -1})
+    for total in (r32 + r17 + x3x2 - alg.xi(3), -alg.xi(3) + x3x2 + r17 + r32):
+        assert total.width == 6
+        assert total.terms == want.terms
