@@ -39,7 +39,7 @@ from .tensors import SymTensor
 from .theory import TheorySpec, jacobi_violations
 
 FORMAT = 1
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"xi", "xip", "P", "C", "lam", "pi"}
 
 
@@ -92,7 +92,7 @@ def _named_list(raw, what):
         if not isinstance(entry, dict):
             _fail(f"{what}[{i}] must be an object with name and parity")
         name, parity = entry.get("name"), entry.get("parity")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             _fail(f"{what}[{i}]: name must be an identifier")
         if name in _RESERVED:
             _fail(f"{what}[{i}]: name {name!r} collides with a canonical variable family")

@@ -413,23 +413,23 @@ def test_python_dash_m_runs_the_cli():
 # -- inputs past the parser's and the JSON decoder's limits -----------------
 
 
-def _so3_text(**changes):
-    """theories/so3.json as text, with its top-level fields changed and
-    its U entry 1,2,3 replaced by changes["U123"] if given."""
+def _so3_text(u123=None, **fields):
+    """theories/so3.json as text, its U entry 1,2,3 replaced by u123 if
+    given and its top-level fields updated by fields."""
     doc = json.loads((THEORY_DIR / "so3.json").read_text(encoding="utf-8"))
-    if "U123" in changes:
-        doc["U"]["1,2,3"] = changes.pop("U123")
-    doc.update(changes)
+    if u123 is not None:
+        doc["U"]["1,2,3"] = u123
+    doc.update(fields)
     return json.dumps(doc)
 
 
 _LONG = "9" * 5000  # past the 4,300 digits int() converts by default
 MALFORMED_THEORIES = {
-    "parentheses": _so3_text(U123="(" * 260 + "1" + ")" * 260),
-    "unary-minuses": _so3_text(U123="-" * 1000 + "1"),
-    "long-literal": _so3_text(U123=_LONG),
-    "long-exponent": _so3_text(U123="J1^" + _LONG),
-    "long-index": _so3_text(U123=f"xi[{_LONG}]"),
+    "parentheses": _so3_text(u123="(" * 260 + "1" + ")" * 260),
+    "unary-minuses": _so3_text(u123="-" * 1000 + "1"),
+    "long-literal": _so3_text(u123=_LONG),
+    "long-exponent": _so3_text(u123="J1^" + _LONG),
+    "long-index": _so3_text(u123=f"xi[{_LONG}]"),
     "long-order": _so3_text().replace('"order": 6', f'"order": {_LONG}'),
     "deep-json": _so3_text().replace('"order": 6', '"order": ' + "[" * 100_000
                                      + "]" * 100_000),

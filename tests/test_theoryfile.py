@@ -90,6 +90,7 @@ def test_document_shape_errors():
         ({"format": 1, "extra": 1}, "unknown fields"),
         (_doc(constraints="x"), "must be a list"),
         (_doc(constraints=[{"name": "a b", "parity": 0}]), "identifier"),
+        (_doc(constraints=[{"name": "T1\n", "parity": 0}]), "identifier"),
         (_doc(constraints=[{"name": "xi", "parity": 0}]), "canonical variable family"),
         (_doc(constraints=[{"name": "T", "parity": 2}]), "parity"),
         (_doc(constraints=[{"name": "T", "parity": 0},
