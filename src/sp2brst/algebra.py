@@ -41,14 +41,14 @@ matter entries come from the theory's structure tables, completed by graded
 antisymmetry  w_ji = -(-1)^(eps_i eps_j) w_ij.  The batched entry,
 Algebra.brackets(xs, ys), forms each {x, y} as its one-pair bracket and
 shares only the walk of each operand, once for the whole call at one
-field width, and the packs of the structure functions; bracket and
-matter_bracket are its one-pair case.  The walk that makes a term's row
-also emits its derivative rows: one power of the variable leaves the key
-and the masks.  Each X gives its right derivatives by every paired
-variable it contains, each Y its left derivatives by the partners of
-those, and a pair's sum runs over the table entries whose two
-derivatives are both nonzero.  derive_left takes any number of
-variables from the same walk.
+field width, and the packs of the structure functions; bracket is its
+one-pair case, and matter=True takes the matter pairings only, as the
+solver's A and F do.  The walk that makes a term's row also emits its
+derivative rows: one power of the variable leaves the key and the masks.
+Each X gives its right derivatives by every paired variable it contains,
+each Y its left derivatives by the partners of those, and a pair's sum
+runs over the table entries whose two derivatives are both nonzero.
+derive_left takes any number of variables from the same walk.
 """
 
 from __future__ import annotations
@@ -993,7 +993,10 @@ class Algebra:
             if not isinstance(text, str):
                 raise TheoryError(f"{where}: structure entries must be expression "
                                   f"strings, found {type(text).__name__}")
-            poly = expr.parse(self, text)
+            try:
+                poly = expr.parse(self, text)
+            except expr.ExprError as e:  # its column counts in text as parsed
+                raise TheoryError(f"{where} {text!r}: {e}") from None
             for mono in poly.terms:
                 for v, _ in mono:
                     if self.var_sector[v] not in (Sector.XI, Sector.XI_PHYS):
@@ -1058,22 +1061,17 @@ class Algebra:
             else:
                 emit((vi, vj, _ONE, w))
 
-    def brackets(self, xs, ys, *, max_cp=None):
+    def brackets(self, xs, ys, *, max_cp=None, matter=False):
         """[[{x, y} for y in ys] for x in xs], the graded Poisson bracket of
         every pair; with max_cp, each truncated at that cp-degree without
-        forming the products above it.  Each operand is walked once for the
-        whole call (see _brackets)."""
-        return self._brackets(xs, ys, self._paired, max_cp)
+        forming the products above it; with matter, through x's matter
+        pairings only, so x = xi_alpha C^(alpha a) gives the solver's A^a y.
+        Each operand is walked once for the whole call (see _brackets)."""
+        return self._brackets(xs, ys, self._matter if matter else self._paired, max_cp)
 
     def bracket(self, x, y, *, max_cp=None):
         """Graded Poisson bracket {x, y}: brackets of one pair."""
         return self._brackets((x,), (y,), self._paired, max_cp)[0][0]
-
-    def matter_bracket(self, x, y):
-        """{x, y} through x's derivatives by the coordinates only, its
-        matter pairings: for x = xi_alpha C^(alpha a) it is
-        C^(alpha a) {xi_alpha, y}, the solver's A^a y."""
-        return self._brackets((x,), (y,), self._matter, None)[0][0]
 
     def _brackets(self, xs, ys, paired, max_cp):
         """The table of sums of (d_r x/d v_A) w_AB (d_l y/d v_B) over the

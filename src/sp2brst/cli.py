@@ -36,7 +36,7 @@ from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
 from .operators import OutsideDomainError
 from .solver import (ConventionError, Method, SolverConfig, boundary_violations,
-                     solve, verify_master)
+                     checks_pass, render_checks, solve, verify_master)
 from .tensors import SymmetryError
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
                          dump_document, load_omega, observable_document,
@@ -105,8 +105,9 @@ def _observables(doc: TheoryDocument, alg: Algebra) -> dict:
         try:
             parsed[name] = expr.parse(alg, source)
             require_matter_only(parsed[name])
-        except ValueError as e:
-            raise TheoryFileError(f"observable {name}: {e}") from None
+        except ValueError as e:  # a parse error's column counts in source
+            shown = f" {source!r}" if isinstance(e, expr.ExprError) else ""
+            raise TheoryFileError(f"observable {name}{shown}: {e}") from None
     return parsed
 
 
@@ -203,14 +204,9 @@ def cmd_verify(args) -> int:
         omega, order = load_omega(fh.read(), alg)
     print(f"loaded charge document at truncation order {order}")
     report = verify_master(omega, order)
-    print(report.render())
     problems = boundary_violations(omega)
-    if problems:
-        for p in problems:
-            print(f"boundary condition violated: {p}")
-    else:
-        print("boundary conditions: satisfied")
-    passed = report.ok and report.agree and not problems
+    print(render_checks(report, problems))
+    passed = checks_pass(report, problems)
     print("verification: " + ("passed" if passed else "FAILED"))
     return OK if passed else FAIL
 

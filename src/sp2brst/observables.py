@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-
 from .algebra import Algebra, GradedPoly, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
 from .solver import (SolverResult, apply_A, degree_lines, neumann_apply,
@@ -62,13 +61,13 @@ def require_matter_only(phi0: GradedPoly) -> None:
 def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> FirstClassCheck:
     """First class means {phi0, xi_alpha}' lies in the ideal generated by
     the constraints for every alpha.  The ideal is linear in the xi, so
-    membership is decided by setting xi = 0: the remainder must vanish."""
-    if alg is None:
-        alg = phi0.alg
+    membership is decided by setting xi = 0: the remainder must vanish.
+    One Algebra.brackets call gives every {phi0, xi_alpha}'."""
+    alg = phi0.alg if alg is None else alg
     require_matter_only(phi0)
-    for alpha in range(1, alg.m + 1):
-        remainder = alg.bracket(phi0, alg.xi(alpha)).substitute_zero((Sector.XI,))
-        if remainder:
+    (row,) = alg.brackets([phi0], [alg.xi(alpha) for alpha in range(1, alg.m + 1)])
+    for alpha, br in enumerate(row, 1):
+        if remainder := br.substitute_zero((Sector.XI,)):
             return FirstClassCheck(False, alpha, remainder)
     return FirstClassCheck(True)
 
@@ -150,8 +149,7 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     k_part = k_tensor.get(())
     phi_prime = phi0 + k_part
 
-    table = alg.brackets([omega.get((1,)), omega.get((2,))], [phi_prime], max_cp=k)
-    direct = SymTensor.from_full(alg, 1, lambda idx: table[idx[0] - 1][0])
+    direct = tensor_bracket(omega, SymTensor.from_scalar(phi_prime), k)
     structured = (apply_W(k_tensor) + omega_phi0 + images).truncate_cp(k)
     try:
         ngh_ok = phi_prime.ngh() == 0

@@ -14,8 +14,8 @@ and Pi collects the higher ghost-degree corrections.  The master equations
 which holds term by term against the directly evaluated bracket for *any*
 Pi, not just solutions (verify_master checks both sides).  Here
 A^a = {Xi^a, .}' taken through the matter pairings only, which is
-C^(alpha a) {xi_alpha, .}', and F^ab = A^a Xi^b: one bracket with Xi per
-(component, index) pair.  Projecting with
+C^(alpha a) {xi_alpha, .}', and F^ab = A^a Xi^b: A X and F each take
+their brackets with Xi from one Algebra.brackets call.  Projecting with
 the generalized inverse W+ turns G = 0 into the fixed-point problem
 
     Pi = Upsilon - W+(F + A Pi + quad(Pi)),
@@ -146,20 +146,19 @@ def build_omega1(alg: Algebra) -> SymTensor:
 
 def build_F(alg: Algebra) -> SymTensor:
     """F^ab = A^a Xi^b = C^(alpha a) {xi_alpha, xi_beta}' C^(beta b), one
-    bracket per index pair; equals the direct bracket
+    matter Algebra.brackets table checked symmetric by from_full; equals
     {Omega_1^a, Omega_1^b}' (the ghost-sector pairings cancel)."""
     xi = constraint_half(alg)
-    return SymTensor.from_full(
-        alg, 2, lambda idx: alg.matter_bracket(xi.get((idx[0],)), xi.get((idx[1],))))
+    comps = [xi.get((1,)), xi.get((2,))]
+    table = alg.brackets(comps, comps, matter=True)
+    return SymTensor.from_full(alg, 2, lambda idx: table[idx[0] - 1][idx[1] - 1])
 
 
 def apply_A(t: SymTensor) -> SymTensor:
     """Rank n -> n+1: (A X)^(a0..an) = sum_j A^(aj) X^(rest), with
     A^a = {Xi^a, .}' through the matter pairings, which is
-    C^(alpha a) {xi_alpha, .}': one bracket per (component, index) pair."""
-    xi = constraint_half(t.alg)
-    bracket = t.alg.matter_bracket
-    return t.placement_sum(lambda p, a: bracket(xi.get((a,)), p))
+    C^(alpha a) {xi_alpha, .}': one tensor_brackets table for X."""
+    return tensor_brackets(constraint_half(t.alg), [t], matter=True)[0]
 
 
 def tensor_bracket(x: SymTensor, y: SymTensor, k: int | None = None) -> SymTensor:
@@ -169,15 +168,17 @@ def tensor_bracket(x: SymTensor, y: SymTensor, k: int | None = None) -> SymTenso
     return tensor_brackets(x, [y], k)[0]
 
 
-def tensor_brackets(x: SymTensor, ys: list, k: int | None = None) -> list:
+def tensor_brackets(x: SymTensor, ys: list, k: int | None = None, *, matter=False) -> list:
     """[tensor_bracket(x, y, k) for y in ys], every bracket from one
-    Algebra.brackets call: each component of x and of the ys is walked
-    once, and each (component, index) pair bracketed once."""
+    Algebra.brackets call, with matter through the matter pairings only:
+    each component of x and of the ys is walked once, and each
+    (component, index) pair bracketed once."""
     if x.rank != 1:
         raise ValueError("tensor_bracket expects a rank-1 first argument")
     comps = {id(p): p for y in ys for p in y.comps.values()}
     column = {key: j for j, key in enumerate(comps)}
-    table = x.alg.brackets([x.get((1,)), x.get((2,))], list(comps.values()), max_cp=k)
+    table = x.alg.brackets([x.get((1,)), x.get((2,))], list(comps.values()),
+                           max_cp=k, matter=matter)
     return [y.placement_sum(lambda p, a: table[a - 1][column[id(p)]]) for y in ys]
 
 
@@ -415,6 +416,19 @@ def boundary_violations(omega: SymTensor):
     return problems
 
 
+def checks_pass(report: MasterReport, problems) -> bool:
+    """The pass rule of solve and verify: a zero residual that agrees with
+    its structured form, and no boundary violation."""
+    return report.ok and report.agree and not problems
+
+
+def render_checks(report: MasterReport, problems) -> str:
+    """The report of solve and verify: the master equations, then each
+    boundary violation or that there is none."""
+    rows = [f"boundary condition violated: {p}" for p in problems]
+    return "\n".join([report.render(), *(rows or ["boundary conditions: satisfied"])])
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 
@@ -434,23 +448,17 @@ class SolverResult(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.report.ok and self.report.agree and not self.boundary_problems
+        return checks_pass(self.report, self.boundary_problems)
 
     def render(self) -> str:
-        rows = [
+        return "\n".join([
             f"theory: {self.spec.label} "
             f"(m={self.spec.m}, physical={self.spec.n_physical})",
             f"truncation: cp-degree {self.config.k}, method {self.config.method.value}",
             f"Omega terms: {self.omega.term_count()} "
             f"(boundary {self.omega1.term_count()}, correction {self.pi.term_count()})",
-            self.report.render(),
-        ]
-        if self.boundary_problems:
-            rows.append("boundary conditions VIOLATED:")
-            rows.extend("  " + p for p in self.boundary_problems)
-        else:
-            rows.append("boundary conditions: satisfied")
-        return "\n".join(rows)
+            render_checks(self.report, self.boundary_problems),
+        ])
 
 
 def solve(spec: TheorySpec, config: SolverConfig,

@@ -8,7 +8,10 @@ pair alone, term for term and in the same term order: with and without
 max_cp, with operands stored at field widths 4 and 5 and of different
 least cp-degrees, with zero operands among them, through the matter
 pairings only, and in the fixed point's call, tensor_brackets of a part
-of Pi with itself and every lower part.  Since each entry's product sums
+of Pi with itself and every lower part.  A and F, which bracket with the
+constraint half Xi through the matter pairings, must equal one per-pair
+bracket per (component, index) placement, and A, F and the first-class
+check must each make one batched call.  Since each entry's product sums
 are those of its one-pair bracket, under a tight term budget a call must
 raise exactly where one of its pairs alone raises.  The Jacobi check,
 two batched calls, must report the defects that two brackets per cyclic
@@ -21,12 +24,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solver_oracles import bracket_per_pair, boundary_seed, ghost, placement_sum_by_tuples
+from solver_oracles import (bracket_per_pair, boundary_seed, build_F_by_brackets, ghost,
+                            placement_sum_by_tuples)
 from test_generated_theories import deformed_so3, direct_sums, mixed2
 
 from sp2brst.algebra import Algebra, TermBudgetError, keys_at
 from sp2brst.identities import random_element
-from sp2brst.solver import solve_pi_fixed_point, tensor_brackets
+from sp2brst.observables import check_first_class
+from sp2brst.solver import (apply_A, build_F, constraint_half, solve_pi_fixed_point,
+                            tensor_brackets)
+from sp2brst.tensors import SymTensor
 from sp2brst.theory import (
     MAX_REPORT, TheorySpec, deformed_so3_spec, jacobi_violations, so3_spec)
 
@@ -76,10 +83,79 @@ def test_matter_brackets_match_per_pair(spec, seed, wx, wy, max_cp):
     alg = Algebra(spec)
     rng = Random(seed)
     xs, ys = _operands(alg, rng, wx), _operands(alg, rng, wy)
-    got = alg._brackets(xs, ys, alg._matter, max_cp)
+    got = alg.brackets(xs, ys, max_cp=max_cp, matter=True)
     assert [[items(p) for p in row] for row in got] == _table(alg, xs, ys, alg._matter, max_cp)
-    assert items(alg.matter_bracket(xs[0], ys[0])) == items(
-        bracket_per_pair(alg, xs[0], ys[0], alg._matter))
+
+
+def _tensor(alg, rng, rank):
+    """A rank-n tensor of random elements, about one component in five
+    zero."""
+    return SymTensor(alg, rank, {
+        idx: random_element(alg, rng) if rng.random() < 0.8 else alg.zero()
+        for idx in SymTensor(alg, rank).indices()})
+
+
+def _comps(t):
+    return {key: items(p) for key, p in t.comps.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(spec=THEORIES, seed=st.integers(0, 2 ** 32), rank=st.integers(0, 2))
+def test_apply_a_matches_per_pair_placements(spec, seed, rank):
+    # one matter table for the tensor, against one matter bracket of Xi^a
+    # per (component, index) placement, each packed for its pair alone
+    alg = Algebra(spec)
+    t = _tensor(alg, Random(seed), rank)
+    xi = constraint_half(alg)
+    want = t.placement_sum(lambda p, a: bracket_per_pair(alg, xi.get((a,)), p, alg._matter))
+    assert _comps(apply_A(t)) == _comps(want)
+    assert apply_A(t) == placement_sum_by_tuples(
+        t, lambda p, a: bracket_per_pair(alg, xi.get((a,)), p, alg._matter))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(spec=THEORIES)
+def test_build_f_matches_per_pair(spec):
+    alg = Algebra(spec)
+    xi = constraint_half(alg)
+    want = SymTensor.from_full(alg, 2, lambda idx: bracket_per_pair(
+        alg, xi.get((idx[0],)), xi.get((idx[1],)), alg._matter))
+    assert _comps(build_F(alg)) == _comps(want)
+    assert build_F(alg) == build_F_by_brackets(alg)
+
+
+def test_a_f_and_first_class_check_make_one_kernel_call(monkeypatch):
+    alg = Algebra(deformed_so3_spec())
+    calls = []
+    real = Algebra._brackets
+
+    def counted(self, xs, ys, paired, max_cp):
+        calls.append((len(xs), len(ys), paired))
+        return real(self, xs, ys, paired, max_cp)
+
+    monkeypatch.setattr(Algebra, "_brackets", counted)
+    rng = Random(3)
+    t = SymTensor(alg, 2, {idx: random_element(alg, rng) for idx in ((1, 1), (1, 2), (2, 2))})
+    apply_A(t)
+    assert calls == [(2, 3, alg._matter)]  # Xi^1, Xi^2 against t's 3 components
+    calls.clear()
+    build_F(alg)
+    assert calls == [(2, 2, alg._matter)]
+    calls.clear()
+    assert check_first_class(alg.xi(2) ** 2, alg).ok
+    assert calls == [(1, 3, alg._paired)]
+
+
+def test_first_class_check_reports_the_first_failing_alpha():
+    # {q1, xi_1} = -xi_1 lies in the ideal and {q1, xi_2} = -1 does not;
+    # q2 fails at both constraints and is reported at the first
+    spec = TheorySpec((0, 0), (0, 0), mixed_table={
+        (1, 3): "xi[1]", (2, 3): "1", (1, 4): "1", (2, 4): "1"})
+    alg = Algebra(spec)
+    q1, q2 = (alg.gen(alg._xi_vid(i)) for i in (3, 4))
+    assert check_first_class(q1) == (False, 2, alg.scalar(-1))
+    assert check_first_class(q2) == (False, 1, alg.scalar(-1))
+    assert check_first_class(alg.xi(1)).ok
 
 
 def _per_pair_or_error(alg, x, y, max_cp):

@@ -1,7 +1,9 @@
 """Command-line pipeline: exit codes, determinism, document round-trips."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -496,3 +498,89 @@ def test_deformed_pipeline_repacks_nothing(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0, out
     assert calls == []
+
+
+def test_deformed_pipeline_kernel_calls(capsys, tmp_path, monkeypatch):
+    # A, F and the first-class check each form their brackets in one
+    # batched call, so each command makes this many kernel calls
+    counts = []
+    real = algebra_mod.Algebra._brackets
+
+    def counted(self, *args):
+        counts[-1] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(algebra_mod.Algebra, "_brackets", counted)
+    theory = str(THEORY_DIR / "so3-deformed.json")
+    omega = str(tmp_path / "omega.json")
+    for argv in (("solve", theory, "--method", "fixed-point", "--out", omega),
+                 ("verify", theory, omega),
+                 ("lift", theory, "--observable", "J2sq", "--method", "fixed-point")):
+        counts.append(0)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, out
+    assert counts == [15, 6, 28]
+
+
+# -- parse errors name their entry and the text their column counts in ------
+
+
+def _shown_text(line):
+    """(entry, shown text, line, column) of a parse error naming its text."""
+    m = re.fullmatch(r"error: (?:invalid structure table: )?(.+?) ('.*'): "
+                     r"line (\d+), col (\d+): .*", line)
+    assert m, line
+    return m[1], ast.literal_eval(m[2]), int(m[3]), int(m[4])
+
+
+@pytest.mark.parametrize("theory, field, key, text, want", [
+    ("so3.json", "U", "1,2,3", "J1 * J2 + )",
+     "U[1,2,3] 'xi[1] * xi[2] + )': line 1, col 17: unexpected ')'"),
+    ("shift.json", "mixed", "1,2", "T *\n  (q + ))",
+     "mixed[1,2] 'xi[1] *\\n  (xip[1] + ))': line 2, col 13: unexpected ')'"),
+])
+def test_structure_entry_parse_error_names_its_entry(capsys, tmp_path, theory, field,
+                                                     key, text, want):
+    # the column counts in the text the message shows, aliases rewritten
+    doc = json.loads((THEORY_DIR / theory).read_text())
+    doc[field][key] = text
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--order", "2")
+    assert code == 2 and out == ""
+    error = _one_error_line(err)
+    assert error == "error: invalid structure table: " + want
+    _, shown, line, col = _shown_text(error)
+    assert shown.split("\n")[line - 1][col - 1] == ")"
+
+
+def test_observable_parse_error_names_its_text(capsys, tmp_path):
+    doc = json.loads((THEORY_DIR / "so3.json").read_text())
+    doc["observables"].append({"name": "bad", "expr": "J1 *\n J2 +"})
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lift", str(path), "--observable", "J1sq",
+                         "--order", "2", "--method", "fixed-point")
+    assert code == 2 and "observable lift" not in out
+    line = _one_error_line(err)
+    assert line == ("error: observable bad 'xi[1] *\\n xi[2] +': "
+                    "line 2, col 9: unexpected end of input")
+    assert _shown_text(line) == ("observable bad", "xi[1] *\n xi[2] +", 2, 9)
+
+
+# -- one check rendering and pass rule for solve and verify ------------------
+
+
+def test_solve_reports_boundary_violations_in_verify_wording(capsys, monkeypatch):
+    golden = (GOLDEN_DIR / "verify-omega-so3-tampered.txt").read_text(encoding="utf-8")
+    violated = [r for r in golden.splitlines() if r.startswith("boundary condition violated: ")]
+    assert len(violated) == 1
+    problem = violated[0].removeprefix("boundary condition violated: ")
+    monkeypatch.setattr(solver_mod, "boundary_violations", lambda omega: [problem])
+    code, out, _ = run(capsys, "solve", str(THEORY_DIR / "so3.json"), "--order", "3",
+                       "--method", "fixed-point")
+    assert code == 1
+    rows = out.splitlines()
+    assert rows[-1] == violated[0]
+    assert "master equations: satisfied through cp-degree 3" in rows
+    assert not any("VIOLATED" in r for r in rows)
