@@ -634,6 +634,8 @@ class Algebra:
         self.var_cpwt = tuple(1 if v.sector in _CP_SECTORS else 0 for v in vars_)
         self.by_name = {v.name: v.vid for v in vars_}
         self._index = {(v.sector, v.alpha, v.sp2): v.vid for v in vars_}
+        # a declared coordinate name reads as that coordinate's variable
+        self.by_name.update((n, self._xi_vid(i)) for i, n in enumerate(spec.names, 1))
         # the _Layout of each field width met, and the operators module's
         # packed tables, one set per width, built on first use
         self._layouts: dict = {}
@@ -995,8 +997,8 @@ class Algebra:
                                   f"strings, found {type(text).__name__}")
             try:
                 poly = expr.parse(self, text)
-            except expr.ExprError as e:  # its column counts in text as parsed
-                raise TheoryError(f"{where} {text!r}: {e}") from None
+            except expr.ExprError as e:  # its column counts in text as written
+                raise TheoryError(f"{where} {expr.echo(text)}: {e}") from None
             for mono in poly.terms:
                 for v, _ in mono:
                     if self.var_sector[v] not in (Sector.XI, Sector.XI_PHYS):

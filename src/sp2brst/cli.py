@@ -14,9 +14,9 @@ residual, direct and structured residuals that disagree, method
 disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
 2 input error (bad document, bad expression, nesting or an integer past
-the parser's limits, Jacobi-violating structure table, an option out of
-range, or a polynomial formed by solve, lift or verify outgrew the
-SP2_BRST_MAX_TERMS term cap, checked as terms form).
+the parser's limits, Jacobi-violating structure table, an option or an
+order out of range, or a polynomial formed by solve, lift or verify
+outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms form).
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -35,7 +35,7 @@ from .identities import run_identity_suite
 from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
 from .operators import OutsideDomainError
-from .solver import (ConventionError, Method, SolverConfig, boundary_violations,
+from .solver import (MAX_ORDER, ConventionError, Method, SolverConfig, boundary_violations,
                      checks_pass, render_checks, solve, verify_master)
 from .tensors import SymmetryError
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
@@ -75,23 +75,33 @@ def _load(path: str, max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
     return doc, build_algebra(doc, max_terms)
 
 
+def _check_jacobi(alg: Algebra) -> None:
+    """Print the Jacobi report of alg's structure table; a violated
+    identity is an input error."""
+    report = validate_jacobi(alg)
+    print(report.render())
+    if not report.ok:
+        raise TheoryFileError("the structure table violates the Jacobi identity")
+
+
 def _open_theory(path: str) -> tuple:
     """Load a theory document into an algebra under the SP2_BRST_MAX_TERMS
     budget, read before anything else, and print its header and Jacobi
-    report; returns (document, algebra, whether the Jacobi identity holds)."""
+    report; returns (document, algebra)."""
     doc, alg = _load(path, _max_terms())
     spec = doc.spec
     print(f"theory {spec.label}: {spec.m} constraints, "
           f"{spec.n_physical} physical coordinates")
-    report = validate_jacobi(alg)
-    print(report.render())
-    return doc, alg, report.ok
+    _check_jacobi(alg)
+    return doc, alg
 
 
 def _config(args, doc: TheoryDocument) -> SolverConfig:
     """--order, else the document's order, else DEFAULT_ORDER."""
     if args.order is not None:
         k = _at_least(args.order, 2, "--order")
+        if k > MAX_ORDER:
+            raise UsageError(f"--order must be at most {MAX_ORDER}")
     else:
         k = doc.order or DEFAULT_ORDER
     return SolverConfig(k=k, method=Method(args.method))
@@ -106,7 +116,7 @@ def _observables(doc: TheoryDocument, alg: Algebra) -> dict:
             parsed[name] = expr.parse(alg, source)
             require_matter_only(parsed[name])
         except ValueError as e:  # a parse error's column counts in source
-            shown = f" {source!r}" if isinstance(e, expr.ExprError) else ""
+            shown = f" {expr.echo(source)}" if isinstance(e, expr.ExprError) else ""
             raise TheoryFileError(f"observable {name}{shown}: {e}") from None
     return parsed
 
@@ -130,9 +140,7 @@ def _omega_summary(res) -> list:
 
 
 def cmd_solve(args) -> int:
-    doc, alg, ok = _open_theory(args.file)
-    if not ok:
-        return INPUT_ERROR
+    doc, alg = _open_theory(args.file)
     config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
     for row in _omega_summary(res):
@@ -144,9 +152,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    doc, alg, ok = _open_theory(args.file)
-    if not ok:
-        return INPUT_ERROR
+    doc, alg = _open_theory(args.file)
     name, _ = doc.observable(args.observable)
     observables = _observables(doc, alg)
     phi0 = observables.pop(name)
@@ -185,10 +191,7 @@ def cmd_check_identities(args) -> int:
     spec = None
     if args.theory:
         doc, alg = _load(args.theory)
-        jacobi = validate_jacobi(alg)
-        print(jacobi.render())
-        if not jacobi.ok:
-            return INPUT_ERROR
+        _check_jacobi(alg)
         spec = doc.spec
     report = run_identity_suite(degree=args.degree, samples=args.samples,
                                 seed=args.seed, spec=spec)
@@ -197,9 +200,7 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc, alg, ok = _open_theory(args.file)
-    if not ok:
-        return INPUT_ERROR
+    doc, alg = _open_theory(args.file)
     with open(args.omega_file, "rb") as fh:
         omega, order = load_omega(fh.read(), alg)
     print(f"loaded charge document at truncation order {order}")

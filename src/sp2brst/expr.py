@@ -7,7 +7,8 @@ Grammar (whitespace-insensitive):
     factor  := '-' factor | atom ('^' INT)?
     atom    := RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL:= INT ('/' INT)?
-    VARIABLE:= ('xi'|'xip'|'lam'|'pi') '[' INT ']'  |  ('P'|'C') '[' INT ',' INT ']'
+    VARIABLE:= ('xi'|'xip'|'lam'|'pi') '[' INT ']'  |  ('P'|'C') '[' INT ',' INT ']'  |  NAME
+    NAME    := a declared coordinate name (TheorySpec.names), a whole identifier
 
 Serialisation is deterministic: terms in canonical monomial order (total
 degree, then factor ids), factors ascending, coefficients as 'p/q'.
@@ -242,7 +243,10 @@ class _Parser:
     def variable(self):
         kind, name, at = self.next()
         if name not in ("xi", "xip", "P", "C", "lam", "pi"):
-            raise self.error(f"unknown variable family {name!r}", at)
+            vid = self.alg.by_name.get(name)  # a declared coordinate name
+            if vid is None:
+                raise self.error(f"unknown variable family {name!r}", at)
+            return vid
         self.expect_sym("[")
         tok = self.next()
         if tok[0] != "INT":
@@ -268,38 +272,31 @@ class _Parser:
         return vid
 
 
+def echo(text):
+    """text as an error message shows it: quoted when at most 80 characters
+    long, else only its length, so one bad entry gives one short line."""
+    return repr(text) if len(text) <= 80 else f"({len(text)} characters)"
+
+
 def parse(alg, text) -> GradedPoly:
     """Parse an expression string into a polynomial over `alg`."""
     return _Parser(alg, text).parse()
-
-
-def _term_sort_key(alg, mono):
-    return (sum(e for _, e in mono), mono)
 
 
 def serialize(p: GradedPoly) -> str:
     """Deterministic plain-text rendering; parse(serialize(p)) == p."""
     if not p:
         return "0"
-    alg = p.alg
     terms = p.terms
-    names = [v.name for v in alg.vars]
+    names = [v.name for v in p.alg.vars]
     chunks = []
-    first = True
-    for mono in sorted(terms, key=lambda m: _term_sort_key(alg, m)):
+    for mono in sorted(terms, key=lambda m: (sum(e for _, e in m), m)):
         c = terms[mono]
         neg = c < 0
         mag = -c if neg else c
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in mono]
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if first:
-            chunks.append(f"-{body}" if neg else body)
-            first = False
-        else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
-    return "".join(chunks)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        chunks.append((" - " if neg else " + ") + "*".join(factors))
+    text = "".join(chunks)  # the first term's sign is "-" or nothing
+    return "-" + text[3:] if text[1] == "-" else text[3:]

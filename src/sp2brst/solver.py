@@ -70,20 +70,25 @@ class Method(Enum):
     BOTH = "both"
 
 
+# the largest truncation order: every bundled Pi stops by cp-degree 6, but
+# the work and the report grow with the order even after Pi has stopped
+MAX_ORDER = 1000
+
+
 class SolverConfig:
     """Truncation degree, optional boundary datum Upsilon, and method.
 
     k is the cp-degree (ghost C plus ghost momentum pi count) through which
-    the charges are constructed and verified; every reported zero is exact
-    through that degree.
+    the charges are constructed and verified, 2 to MAX_ORDER; every
+    reported zero is exact through that degree.
     """
 
     __slots__ = ("k", "upsilon", "method")
 
     def __init__(self, k: int, upsilon: SymTensor | None = None,
                  method: Method = Method.BOTH):
-        if k < 2:
-            raise ValueError("truncation degree k must be at least 2")
+        if not 2 <= k <= MAX_ORDER:
+            raise ValueError(f"truncation degree k must be from 2 to {MAX_ORDER}")
         for name, value in zip(self.__slots__, (k, upsilon, method)):
             object.__setattr__(self, name, value)
 

@@ -11,6 +11,8 @@ mappings.  The Poisson structure it induces is realised by
 * ``mixed_table[(i, j)]`` holds brackets involving at least one physical
   coordinate, with global coordinate indices (constraints first).  Missing
   mirror entries are completed by graded antisymmetry.
+* ``names[i - 1]``, if given, is the declared name of global coordinate i,
+  which expression strings may write for it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ MAX_REPORT = 10
 
 class TheorySpec:
     __slots__ = ("constraint_parities", "physical_parities", "u_table",
-                 "mixed_table", "label")
+                 "mixed_table", "label", "names")
 
     def __init__(self, constraint_parities, physical_parities=(),
-                 u_table=None, mixed_table=None, label=""):
+                 u_table=None, mixed_table=None, label="", names=()):
         put = object.__setattr__
         put(self, "constraint_parities", tuple(p & 1 for p in constraint_parities))
         put(self, "physical_parities", tuple(p & 1 for p in physical_parities))
         put(self, "u_table", MappingProxyType(dict(u_table or {})))
         put(self, "mixed_table", MappingProxyType(dict(mixed_table or {})))
         put(self, "label", label)
+        put(self, "names", tuple(names))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")

@@ -14,10 +14,11 @@ A theory document carries the data of a constraint system:
     }
 
 Expression strings use the canonical variable names (xi[1], xip[1],
-P[1,1], C[1,2], lam[1], pi[1]); declared constraint/physical names may
-be used as aliases and are rewritten to the canonical names before
-parsing.  U keys are "alpha,beta,gamma" constraint triples; mixed keys
-are "i,j" global coordinate pairs (constraints first, then physical).
+P[1,1], C[1,2], lam[1], pi[1]) or the declared constraint and physical
+names, which the spec keeps as TheorySpec.names and the expression
+parser resolves; the document keeps every expression as written.  U keys
+are "alpha,beta,gamma" constraint triples; mixed keys are "i,j" global
+coordinate pairs (constraints first, then physical), the order of names.
 Structure validation (index ranges, parity consistency, graded
 antisymmetry, first-class form) happens when the algebra is built.
 
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 from . import expr
 from .algebra import DEFAULT_MAX_TERMS, Algebra, TheoryError
+from .solver import MAX_ORDER
 from .tensors import SymTensor
 from .theory import TheorySpec, jacobi_violations
 
@@ -50,8 +52,6 @@ class TheoryFileError(ValueError):
 
 class TheoryDocument(NamedTuple):
     spec: TheorySpec
-    constraint_names: tuple
-    physical_names: tuple
     observables: tuple  # of (name, expression-string)
     order: int | None
 
@@ -115,15 +115,6 @@ def _index_key(key, arity, what):
         _fail(f"{what} key {key!r} must be {arity} comma-separated indices")
 
 
-def _alias_rewriter(names):
-    if not names:
-        return lambda text: text
-    pattern = re.compile(
-        r"\b(" + "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
-        + r")\b")
-    return lambda text: pattern.sub(lambda m: names[m.group(1)], text)
-
-
 def _unique_keys(pairs) -> dict:
     """A JSON object that names each key once; json.loads alone would keep
     the last value of a repeated key."""
@@ -174,10 +165,6 @@ def parse_theory(data) -> TheoryDocument:
     if set(c_names) & set(p_names):
         _fail("constraint and physical names overlap")
 
-    alias = {n: f"xi[{i}]" for i, n in enumerate(c_names, 1)}
-    alias.update((n, f"xip[{i}]") for i, n in enumerate(p_names, 1))
-    rewrite = _alias_rewriter(alias)
-
     tables = {}  # U and mixed, each keyed by its index tuples
     for field, arity in (("U", 3), ("mixed", 2)):
         raw = data.get(field, {})
@@ -191,7 +178,7 @@ def parse_theory(data) -> TheoryDocument:
             if idx in table:
                 first = next(k for k in raw if _index_key(k, arity, field) == idx)
                 _fail(f"{field} keys {first!r} and {key!r} name the same entry")
-            table[idx] = rewrite(text)
+            table[idx] = text
 
     obs_raw = data.get("observables", [])
     if not isinstance(obs_raw, list):
@@ -199,10 +186,10 @@ def parse_theory(data) -> TheoryDocument:
     observables = []
     for i, entry in enumerate(obs_raw, 1):
         if isinstance(entry, str):
-            observables.append((str(i), rewrite(entry)))
+            observables.append((str(i), entry))
         elif isinstance(entry, dict) and isinstance(entry.get("expr"), str):
             name = _printable(entry.get("name", str(i)), f"observables[{i}]: name")
-            observables.append((name, rewrite(entry["expr"])))
+            observables.append((name, entry["expr"]))
         else:
             _fail(f"observables[{i}] must be an expression string or "
                   "an object with an 'expr' field")
@@ -210,14 +197,14 @@ def parse_theory(data) -> TheoryDocument:
         _fail("observables: duplicate names")
 
     order = data.get("order")
-    if order is not None and (not isinstance(order, int) or order < 2):
-        _fail("order must be an integer >= 2")
+    if order is not None and (not isinstance(order, int) or not 2 <= order <= MAX_ORDER):
+        _fail(f"order must be an integer from 2 to {MAX_ORDER}")
 
     label = _printable(data.get("label", ""), "label")
 
     spec = TheorySpec(c_par, p_par, tables["U"], tables["mixed"],
-                      label=label or "theory")
-    return TheoryDocument(spec, c_names, p_names, tuple(observables), order)
+                      label=label or "theory", names=c_names + p_names)
+    return TheoryDocument(spec, tuple(observables), order)
 
 
 def build_algebra(doc: TheoryDocument, max_terms: int = DEFAULT_MAX_TERMS) -> Algebra:
@@ -288,8 +275,8 @@ def load_omega(data, alg: Algebra):
         _fail(f"omega document is for theory {data.get('label')!r}, "
               f"not {alg.spec.label!r}")
     order = data.get("order")
-    if not isinstance(order, int) or order < 2:
-        _fail("omega document: order must be an integer >= 2")
+    if not isinstance(order, int) or not 2 <= order <= MAX_ORDER:
+        _fail(f"omega document: order must be an integer from 2 to {MAX_ORDER}")
     comps = data.get("components")
     if not isinstance(comps, dict) or set(comps) != {"1", "2"}:
         _fail("omega document: components must map '1' and '2' to expressions")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,9 +192,13 @@ def test_jacobi_violation_is_input_error(capsys, tmp_path):
                         {"name": "T3", "parity": 0}],
         "U": {"1,2,3": "1 + T1", "2,3,1": "1", "3,1,2": "1"},
     }))
-    code, out, _ = run(capsys, "solve", str(bad))
-    assert code == 2
-    assert "Jacobi identity: VIOLATED" in out
+    # the report goes to stdout and, as for every input error, one error
+    # line to stderr
+    for argv in (["solve", str(bad)], ["check-identities", "--theory", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "Jacobi identity: VIOLATED" in out
+        assert _one_error_line(err) == "error: the structure table violates the Jacobi identity"
 
 
 def test_term_budget_cap(capsys, monkeypatch):
@@ -472,6 +477,43 @@ def test_malformed_charge_document_is_input_error(capsys, tmp_path, name):
     _one_error_line(err)
 
 
+_HUGE_ORDER = "1" + "0" * 4000  # a JSON integer that int() still converts
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{theory}"],
+    ["verify", str(THEORY_DIR / "so3.json"), "{omega}"],
+    ["solve", str(THEORY_DIR / "so3.json"), "--order", "1001"],
+], ids=["theory-order", "charge-order", "option"])
+def test_orders_past_the_cap_are_refused_at_once(tmp_path, argv):
+    # each used to run for as long as its order asked, printing a line
+    # per degree; a refusal must come at once, so a hang fails here
+    theory, omega = tmp_path / "theory.json", tmp_path / "omega.json"
+    theory.write_text(_so3_text().replace('"order": 6', '"order": ' + _HUGE_ORDER))
+    omega.write_text(_omega_text("0", order=_HUGE_ORDER))
+    argv = [a.format(theory=theory, omega=omega) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(THEORY_DIR.parent / "src"))
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "sp2brst", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert time.monotonic() - started < 2
+    assert proc.returncode == 2
+    assert _one_error_line(proc.stderr) in (
+        "error: order must be an integer from 2 to 1000",
+        "error: omega document: order must be an integer from 2 to 1000",
+        "error: --order must be at most 1000")
+
+
+def test_order_1000_is_accepted(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", str(THEORY_DIR / "so3.json"), "--order", "1000",
+                       "--method", "fixed-point", "--out", str(tmp_path / "omega.json"))
+    assert code == 0 and "  degree 1000: residual zero" in out.splitlines()
+    theory = tmp_path / "theory.json"
+    theory.write_text(_so3_text(order=1000))
+    code, out, _ = run(capsys, "verify", str(theory), str(tmp_path / "omega.json"))
+    assert code == 0 and "loaded charge document at truncation order 1000" in out
+
+
 def test_long_observable_position_is_input_error(capsys):
     code, _, err = run(capsys, "lift", str(THEORY_DIR / "so3.json"),
                        "--observable", _LONG, "--order", "2")
@@ -535,13 +577,13 @@ def _shown_text(line):
 
 @pytest.mark.parametrize("theory, field, key, text, want", [
     ("so3.json", "U", "1,2,3", "J1 * J2 + )",
-     "U[1,2,3] 'xi[1] * xi[2] + )': line 1, col 17: unexpected ')'"),
+     "U[1,2,3] 'J1 * J2 + )': line 1, col 11: unexpected ')'"),
     ("shift.json", "mixed", "1,2", "T *\n  (q + ))",
-     "mixed[1,2] 'xi[1] *\\n  (xip[1] + ))': line 2, col 13: unexpected ')'"),
+     "mixed[1,2] 'T *\\n  (q + ))': line 2, col 8: unexpected ')'"),
 ])
 def test_structure_entry_parse_error_names_its_entry(capsys, tmp_path, theory, field,
                                                      key, text, want):
-    # the column counts in the text the message shows, aliases rewritten
+    # the message shows the text as written, and the column counts in it
     doc = json.loads((THEORY_DIR / theory).read_text())
     doc[field][key] = text
     path = tmp_path / "theory.json"
@@ -563,9 +605,42 @@ def test_observable_parse_error_names_its_text(capsys, tmp_path):
                          "--order", "2", "--method", "fixed-point")
     assert code == 2 and "observable lift" not in out
     line = _one_error_line(err)
-    assert line == ("error: observable bad 'xi[1] *\\n xi[2] +': "
-                    "line 2, col 9: unexpected end of input")
-    assert _shown_text(line) == ("observable bad", "xi[1] *\n xi[2] +", 2, 9)
+    assert line == ("error: observable bad 'J1 *\\n J2 +': "
+                    "line 2, col 6: unexpected end of input")
+    assert _shown_text(line) == ("observable bad", "J1 *\n J2 +", 2, 6)
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("1" + " " * 78 + ")", "'1" + " " * 78 + ")'"),  # 80 characters: echoed
+    ("1" + " " * 79 + ")", "(81 characters)"),
+])
+def test_parse_error_echoes_only_short_entries(capsys, tmp_path, text, shown):
+    path = tmp_path / "theory.json"
+    path.write_text(_so3_text(u123=text))
+    code, _, err = run(capsys, "solve", str(path), "--order", "2")
+    assert code == 2
+    assert _one_error_line(err) == (f"error: invalid structure table: U[1,2,3] {shown}: "
+                                    f"line 1, col {len(text)}: unexpected ')'")
+
+
+def test_long_entries_give_short_error_lines(capsys, tmp_path):
+    # a 5,000-digit literal is named by its entry and length, and the
+    # column still counts in the text as written
+    path = tmp_path / "theory.json"
+    path.write_text(_so3_text(u123="1 + " + _LONG))
+    code, _, err = run(capsys, "solve", str(path), "--order", "2")
+    assert code == 2
+    assert _one_error_line(err) == (
+        "error: invalid structure table: U[1,2,3] (5004 characters): "
+        "line 1, col 5: integer of 5000 digits is too long")
+
+    doc = json.loads(_so3_text())
+    doc["observables"].append({"name": "bad", "expr": "J1 * " + _LONG})
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "lift", str(path), "--observable", "J1sq", "--order", "2")
+    assert code == 2
+    assert _one_error_line(err) == ("error: observable bad (5005 characters): "
+                                    "line 1, col 6: integer of 5000 digits is too long")
 
 
 # -- one check rendering and pass rule for solve and verify ------------------

@@ -1,0 +1,83 @@
+"""The exit-code contract under fuzzing: a malformed document gives exit 0,
+1 or 2, never a traceback, and an exit 2 prints exactly one error line.
+
+The bundled documents' U, mixed and observable entries are replaced by
+strings built from the document's declared names, canonical variables,
+a name followed by an index, names glued to digits or to other names,
+unbalanced parentheses and printable noise.  A document with a mutated
+structure entry is solved in process at order 2, and one with a mutated
+observable lifts that observable, as solve reads no observable.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from sp2brst.cli import main
+
+THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(THEORY_DIR.glob("*.json"))}
+CANONICAL = ["xi[1]", "xi[2]", "xip[1]", "xi[9]", "P[1,1]", "C[1,2]", "lam[1]", "pi[1]",
+             "xi", "C[1,3]"]
+OPERATORS = ["+", "-", "*", "^", "^2", "/", "(", ")", "[", "]", ",", "0"]
+
+
+def _slots(doc):
+    """(field, key) of every entry a mutation may replace."""
+    slots = [(field, key) for field in ("U", "mixed") for key in doc.get(field, {})]
+    return slots + [("observables", i) for i in range(len(doc.get("observables", [])))]
+
+
+@st.composite
+def mutated_documents(draw):
+    """(document, [command, options]): a bundled document with one entry
+    replaced, and the command that reads that entry."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    names = [c["name"] for c in doc.get("constraints", []) + doc.get("physical", [])]
+    atom = st.sampled_from(names + ["xi[1]", "1", "2", "1/2"])
+    piece = st.one_of(
+        atom,
+        st.sampled_from(CANONICAL),
+        st.sampled_from(names).map(lambda n: n + "[1]"),
+        st.tuples(st.sampled_from(names), st.sampled_from(names + ["1", "07"]))
+          .map("".join),
+        st.sampled_from(names).map(lambda n: "2" + n),
+        st.sampled_from(OPERATORS),
+        st.sampled_from(["(" * 3, ")" * 3, "((" + names[0], names[-1] + "))"]),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    )
+    # a sum of products of atoms, which often parses, or pieces run together
+    terms = st.lists(atom, min_size=1, max_size=3).map("*".join)
+    text = draw(st.one_of(
+        st.lists(terms, min_size=1, max_size=3).map(" + ".join),
+        st.tuples(st.sampled_from(["", " ", "*", " + "]),
+                  st.lists(piece, min_size=1, max_size=7))
+          .map(lambda t: t[0].join(t[1]))))
+    field, key = draw(st.sampled_from(_slots(doc)))
+    if field == "observables":
+        doc[field][key]["expr"] = text
+        return doc, ["lift", "--observable", str(key + 1)]
+    doc[field][key] = text
+    return doc, ["solve"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(case, tmp_path_factory):
+    doc, (command, *options) = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-theory.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *options, "--order", "2",
+                     "--method", "fixed-point"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        # the error, then the timing line every run prints
+        assert len(lines) == 2 and lines[0].startswith("error: "), lines

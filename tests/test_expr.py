@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sp2brst.algebra import Algebra, TermBudgetError
+from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
 from sp2brst.expr import MAX_DEPTH, ExprError, _position, _tokenize, parse, serialize
 from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
-from sp2brst.theory import abelian_spec, mixed_parity_spec
+from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
 from solver_oracles import ghost, lagrange, lagrange_mom
 
@@ -313,3 +313,27 @@ def test_roundtrip_on_bundled_theories(name):
     for _ in range(40):
         p = random_element(alg, rng) + random_element(alg, rng) * random_element(alg, rng)
         assert parse(alg, serialize(p)) == p
+
+
+def test_declared_names_read_as_their_coordinates():
+    # the spec's i-th name is global coordinate i: constraints, then physical
+    alg = Algebra(TheorySpec((0, 1), (0,), {(2, 2, 1): "1 + B"}, names=("B", "F", "q")))
+    assert parse(alg, "B^2 - 3*F*q") == parse(alg, "xi[1]^2 - 3*xi[2]*xip[1]")
+    assert alg.bracket(alg.xi(2), alg.xi(2)) == parse(alg, "xi[1] + xi[1]^2")
+    assert serialize(parse(alg, "q*B")) == "xi[1]*xip[1]"
+    for text, col, message in [("B[1]", 2, "unexpected '['"),
+                               ("Bq", 1, "unknown variable family 'Bq'"),
+                               ("2B", 2, "unexpected 'B'"),
+                               ("b", 1, "unknown variable family 'b'")]:
+        with pytest.raises(ExprError) as e:
+            parse(alg, text)
+        assert str(e.value) == f"line 1, col {col}: {message}"
+    # names are not variables of the algebra itself
+    assert "B" not in {v.name for v in alg.vars}
+    with pytest.raises(ExprError, match="unknown variable family 'B'"):
+        parse(ALG, "B")
+
+
+def test_more_names_than_coordinates_is_a_theory_error():
+    with pytest.raises(TheoryError, match="coordinate index 3 out of range 1..2"):
+        Algebra(TheorySpec((0,), (0,), names=("a", "b", "c")))

@@ -15,7 +15,7 @@ import pytest
 
 from sp2brst import SolverConfig, TheorySpec
 from sp2brst.algebra import Algebra, TheoryError
-from sp2brst.solver import DegreeLine
+from sp2brst.solver import MAX_ORDER, DegreeLine
 from sp2brst.tensors import SymTensor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +73,12 @@ def test_solver_config_validates_and_compares_by_value():
         SolverConfig(k=1)
     assert SolverConfig(k=4) == SolverConfig(4)
     assert SolverConfig(k=4) != SolverConfig(k=5)
+
+
+def test_solver_config_caps_the_order():
+    assert SolverConfig(k=MAX_ORDER).k == MAX_ORDER == 1000
+    with pytest.raises(ValueError, match="from 2 to 1000"):
+        SolverConfig(k=MAX_ORDER + 1)
 
 
 def test_theory_spec_keeps_a_frozen_copy_of_its_tables():

@@ -1,4 +1,4 @@
-"""Theory documents: parsing, validation, aliases, result round-trips."""
+"""Theory documents: parsing, validation, declared names, result round-trips."""
 
 import json
 from pathlib import Path
@@ -46,13 +46,18 @@ def test_bundled_theories_are_valid():
 
 
 def test_alias_rewriting():
+    # the document keeps the declared names as written, and the parser
+    # reads each as its coordinate
     doc = parse_theory(_doc(
         U={"1,2,3": "1 + T3", "2,3,1": "1 + T3", "3,1,2": "1 + T3"},
         observables=[{"name": "c", "expr": "T1^2 + T2^2 + T3^2"}]))
-    assert doc.spec.u_table[(1, 2, 3)] == "1 + xi[3]"
-    assert doc.observables == (("c", "xi[1]^2 + xi[2]^2 + xi[3]^2"),)
+    assert doc.spec.names == ("T1", "T2", "T3")
+    assert doc.spec.u_table[(1, 2, 3)] == "1 + T3"
+    assert doc.observables == (("c", "T1^2 + T2^2 + T3^2"),)
     alg = build_algebra(doc)
     assert alg.bracket(alg.xi(1), alg.xi(2)) == alg.xi(3) + alg.mul(alg.xi(3), alg.xi(3))
+    assert parse_expr(alg, doc.observables[0][1]) == \
+        parse_expr(alg, "xi[1]^2 + xi[2]^2 + xi[3]^2")
 
 
 def test_alias_respects_word_boundaries():
@@ -63,15 +68,19 @@ def test_alias_respects_word_boundaries():
         "mixed": {"1,2": "1"},
         "observables": ["T*Tq"],
     })
-    # "Tq" must not be rewritten as "xi[1]q"
-    assert doc.observables[0][1] == "xi[1]*xip[1]"
+    assert doc.spec.names == ("T", "Tq")
+    assert doc.observables[0][1] == "T*Tq"
+    # "Tq" is one name, never "T" followed by "q"
+    alg = build_algebra(doc)
+    assert serialize(parse_expr(alg, "T*Tq")) == "xi[1]*xip[1]"
+    assert serialize(parse_expr(alg, "Tq")) == "xip[1]"
 
 
 def test_observable_lookup():
     doc = parse_theory(_doc(observables=["T1^2", {"name": "c", "expr": "T2"}]))
-    assert doc.observable("1") == ("1", "xi[1]^2")
-    assert doc.observable("c") == ("c", "xi[2]")
-    assert doc.observable("2") == ("c", "xi[2]")  # 1-based position
+    assert doc.observable("1") == ("1", "T1^2")
+    assert doc.observable("c") == ("c", "T2")
+    assert doc.observable("2") == ("c", "T2")  # 1-based position
     with pytest.raises(TheoryFileError) as err:
         doc.observable("missing")
     assert "known: 1, c" in str(err.value)
@@ -81,7 +90,7 @@ def test_observable_lookup():
     # an exact name wins over a position
     named = parse_theory(_doc(observables=[{"name": "2", "expr": "T1"},
                                            {"name": "b", "expr": "T2"}]))
-    assert named.observable("2") == ("2", "xi[1]")
+    assert named.observable("2") == ("2", "T1")
 
 
 def test_document_shape_errors():
@@ -214,6 +223,28 @@ def test_omega_document_rejections(mixed2_result):
     assert "omega component 1" in str(err.value)
     with pytest.raises(TheoryFileError):
         load_omega("{not json", alg)
+
+
+def test_documents_cap_the_order():
+    assert parse_theory(_doc(order=1000)).order == 1000
+    with pytest.raises(TheoryFileError, match="order must be an integer from 2 to 1000"):
+        parse_theory(_doc(order=1001))
+    doc = parse_theory((THEORY_DIR / "so3.json").read_bytes())
+    alg = build_algebra(doc)
+    omega = {"format": 1, "kind": "omega", "label": "so3", "components": {"1": "0", "2": "0"}}
+    assert load_omega(json.dumps(dict(omega, order=1000)), alg)[1] == 1000
+    with pytest.raises(TheoryFileError, match="order must be an integer from 2 to 1000"):
+        load_omega(json.dumps(dict(omega, order=1001)), alg)
+
+
+def test_charge_documents_accept_declared_names():
+    doc = parse_theory((THEORY_DIR / "so3.json").read_bytes())
+    alg = build_algebra(doc)
+    text = json.dumps({"format": 1, "kind": "omega", "label": "so3", "order": 2,
+                       "components": {"1": "J1*C[1,1] + J3*C[3,1]", "2": "J2*C[2,2]"}})
+    omega, _ = load_omega(text, alg)
+    assert omega.get((1,)) == parse_expr(alg, "xi[1]*C[1,1] + xi[3]*C[3,1]")
+    assert omega.get((2,)) == parse_expr(alg, "xi[2]*C[2,2]")
 
 
 def test_repeated_components_key_is_rejected(mixed2_result):
