@@ -96,14 +96,17 @@ def _open_theory(path: str) -> tuple:
     return doc, alg
 
 
+def _check_order(args) -> None:
+    """Refuse an --order out of range before any document is read."""
+    if args.order is not None:
+        _at_least(args.order, 2, "--order")
+        if args.order > MAX_ORDER:
+            raise UsageError(f"--order must be at most {MAX_ORDER}")
+
+
 def _config(args, doc: TheoryDocument) -> SolverConfig:
     """--order, else the document's order, else DEFAULT_ORDER."""
-    if args.order is not None:
-        k = _at_least(args.order, 2, "--order")
-        if k > MAX_ORDER:
-            raise UsageError(f"--order must be at most {MAX_ORDER}")
-    else:
-        k = doc.order or DEFAULT_ORDER
+    k = args.order or doc.order or DEFAULT_ORDER
     return SolverConfig(k=k, method=Method(args.method))
 
 
@@ -140,6 +143,7 @@ def _omega_summary(res) -> list:
 
 
 def cmd_solve(args) -> int:
+    _check_order(args)
     doc, alg = _open_theory(args.file)
     config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
@@ -152,6 +156,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    _check_order(args)
     doc, alg = _open_theory(args.file)
     name, _ = doc.observable(args.observable)
     observables = _observables(doc, alg)

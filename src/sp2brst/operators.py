@@ -22,25 +22,25 @@ width holds every key the chain forms.  N and N^-1 read each term's
 N-degree off its key.  The compositions of those passes reuse the general
 code: apply_W is SymTensor.placement_sum of w_component, and bar_w and
 bar_gamma are GradedPoly differences of two passes of two passes.  The
-Gamma contraction and W+ stay one packed chain per output component,
-over one field width for the tensor, the widest of its components'; the
-contraction's two passes add into one dict, each scaling its
-component's numerators to the common denominator as it reads them.
+Gamma contraction stays one packed chain per output component, over one
+field width for the tensor, the widest of its components'; its two
+passes add into one dict, each scaling its component's numerators to the
+common denominator as it reads them.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N and M act per
-component, and W+ = Q Gamma lowers the rank by one.  On rank n >= 1, Q
-is the exact inverse of (nN + M); its closed form is polynomial in M and
-N^-1 thanks to the reduction
+component, and W+ = Q Gamma lowers the rank by one: the Q step on each
+component of the Gamma contraction.  On rank n >= 1, Q is the exact
+inverse of (nN + M); its closed form is polynomial in M and N^-1 thanks
+to the reduction
 M^n = (2^(n-1)-1) N^(n-2) M^2 - (2^(n-1)-2) N^(n-1) M.
 
-W+ runs per output component as one chain: the Gamma contraction X,
-then M X and M^2 X (_q_step, the package's only Q).  W and Gamma, and
-so M, preserve the N-degree, so on a term of N-degree d, read off its
-packed key, each power of N^-1 in Q is a power of the number d: the
-result's term is c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank
-coefficients, its int numerator brought over one lcm, and no N pass
-runs.
+The Q step (_q_step, the package's only Q) forms M X and M^2 X of its
+component X.  W and Gamma, and so M, preserve the N-degree, so on a term
+of N-degree d, read off its packed key, each power of N^-1 in Q is a
+power of the number d: the result's term is
+c1 X/d + c2 (M X)/d^2 + c3 (M^2 X)/d^3 with Q's rank coefficients, its
+int numerator brought over one lcm, and no N pass runs.
 
 Sp(2) metric conventions:  eps^12 = +1 = -eps^21,  eps_12 = -1 = -eps_21,
 so that eps^ab eps_bc = delta^a_c.
@@ -76,19 +76,25 @@ def n_apply(p: GradedPoly) -> GradedPoly:
     return p.alg.from_keys(out, p.width, p.den)
 
 
-def n_inverse(p: GradedPoly, power=1) -> GradedPoly:
-    """N^-power term by term, over den times the power of the lcm D of the
-    terms' N-degrees: a term of N-degree d gains (D / d)^power."""
-    alg = p.alg
+def _domain_degrees(p: GradedPoly) -> list:
+    """_n_degrees(p), each checked: a term of N-degree 0 lies outside the
+    domain of N^-1 and raises OutsideDomainError."""
     degs = _n_degrees(p)
     for (k, n), d in zip(p.nums.items(), degs):
         if d == 0:
             raise OutsideDomainError(
                 "term outside the invertible domain of N: "
-                f"{alg.from_keys({k: n}, p.width, p.den)!r}")
+                f"{p.alg.from_keys({k: n}, p.width, p.den)!r}")
+    return degs
+
+
+def n_inverse(p: GradedPoly, power=1) -> GradedPoly:
+    """N^-power term by term, over den times the power of the lcm D of the
+    terms' N-degrees: a term of N-degree d gains (D / d)^power."""
+    degs = _domain_degrees(p)
     big = lcm(*degs)
     out = {k: n * (big // d) ** power for (k, n), d in zip(p.nums.items(), degs)}
-    return alg.from_keys(out, p.width, p.den * big ** power)
+    return p.alg.from_keys(out, p.width, p.den * big ** power)
 
 
 def _w_fields(alg, a):
@@ -122,16 +128,14 @@ def _gamma_fields(alg, a):
 
 class _Tables:
     """The packed replace_sum tables of W^a and Gamma_a, indexed by a, at
-    one field width, and the algebra's _Layout of that width."""
+    one field width."""
 
-    __slots__ = ("width", "w", "gamma", "lay")
+    __slots__ = ("w", "gamma")
 
     def __init__(self, alg, width):
-        self.width = width
         # W^a and Gamma_a have int coefficients: fden is 1
         self.w = {a: alg.replace_table(_w_fields(alg, a), width)[0] for a in (1, 2)}
         self.gamma = {a: alg.replace_table(_gamma_fields(alg, a), width)[0] for a in (1, 2)}
-        self.lay = alg.layout(width)
 
 
 def _tables(alg, width) -> _Tables:
@@ -141,12 +145,6 @@ def _tables(alg, width) -> _Tables:
     if tab is None:
         tab = alg.operator_tables[width] = _Tables(alg, width)
     return tab
-
-
-def _tensor_tables(t: SymTensor) -> _Tables:
-    """The tables at one field width for every component of t, the widest
-    of theirs; the narrower components are repacked to it (keys_at)."""
-    return _tables(t.alg, max((p.width for p in t.comps.values()), default=MIN_WIDTH))
 
 
 def w_component(p: GradedPoly, a: int) -> GradedPoly:
@@ -192,32 +190,27 @@ def apply_W(t: SymTensor) -> SymTensor:
     return t.placement_sum(w_component)
 
 
-def _contract(t: SymTensor, idx: tuple, tab: _Tables):
-    """(x, den): the Gamma contraction sum_a Gamma_a t^(idx a) as packed
-    int numerators x over den, the lcm of the two inputs' denominators;
-    each pass scales its input's numerators to den."""
-    alg = t.alg
-    parts = [t.get(idx + (a,)) for a in (1, 2)]
-    den = lcm(*(p.den for p in parts))
-    x: dict = {}
-    for a, p in zip((1, 2), parts):
-        if p:
-            alg.replace_sum(keys_at(p, tab.width), tab.gamma[a], x, den // p.den)
-    return x, den
-
-
 def apply_Gamma(t: SymTensor) -> SymTensor:
-    """Rank n -> n-1 (zero on rank 0): contraction on the last index, one
-    packed chain per output component."""
+    """Rank n -> n-1 (zero on rank 0): out^idx = sum_a Gamma_a t^(idx a),
+    one packed chain per output component.  Every component is read at
+    one width, the widest of t's (keys_at repacks the narrower ones), and
+    over den, the lcm of the two inputs' denominators: each pass scales
+    its input's numerators to den."""
     alg = t.alg
     if t.rank == 0:
         return SymTensor.zero(alg, 0)
-    tab = _tensor_tables(t)
+    width = max((p.width for p in t.comps.values()), default=MIN_WIDTH)
+    tab = _tables(alg, width)
     out = SymTensor(alg, t.rank - 1)
     for idx in out.indices():
-        x, den = _contract(t, idx, tab)
+        parts = [t.get(idx + (a,)) for a in (1, 2)]
+        den = lcm(*(p.den for p in parts))
+        x: dict = {}
+        for a, p in zip((1, 2), parts):
+            if p:
+                alg.replace_sum(keys_at(p, width), tab.gamma[a], x, den // p.den)
         if x:
-            out.comps[idx] = alg.from_keys(x, tab.width, den)
+            out.comps[idx] = alg.from_keys(x, width, den)
     return out
 
 
@@ -233,29 +226,25 @@ def _q_coefficients(n: int):
     return (n + 1) * (n + 2), -(n + 3), 1, n * (n + 1) * (n + 2)
 
 
-def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
-    """The one Q step: Q on a component of a rank-n tensor, given as
-    packed int numerators x over den.
+def _q_step(n: int, p: GradedPoly) -> GradedPoly:
+    """The one Q step: Q on p, a component of a rank-n tensor.
 
-    M X and M^2 X are formed by replace_sum over the same den.  M
-    preserves the N-degree, so on a term of N-degree d, read off its key,
-    the powers of N^-1 in Q are numbers, and the term is
+    M X and M^2 X are formed by replace_sum over p's den.  M preserves
+    the N-degree, so on a term of N-degree d, read off its key, the
+    powers of N^-1 in Q are numbers, and the term is
     (a1 d^2 X + a2 d MX + a3 M^2X) over c den d^3.  The sum is folded in
     two steps, each checked against the term budget: the N^-1 and M N^-2
     parts first, then the M^2 N^-3 part.  The result's numerators are then
     brought over c den D^3, D the lcm of the terms' N-degrees.  A term of
-    N-degree 0 in x raises OutsideDomainError; those of MX and M^2X have
+    N-degree 0 in p raises OutsideDomainError; those of MX and M^2X have
     the degrees of the terms they come from."""
-    lay = tab.lay
-    for k, num in x.items():
-        if not k & lay.n:
-            raise OutsideDomainError(
-                "term outside the invertible domain of N: "
-                f"{alg.from_keys({k: num}, tab.width, den)!r}")
+    alg, x = p.alg, p.nums
+    tab, lay = _tables(alg, p.width), alg.layout(p.width)
+    degs = _domain_degrees(p)
     mx = _m_sum(alg, tab, x)
     mmx = _m_sum(alg, tab, mx)
     a1, a2, a3, c = _q_coefficients(n)
-    out = {k: a1 * num * d * d for (k, num), d in zip(x.items(), lay.reads(x, lay.n))}
+    out = {k: a1 * num * d * d for (k, num), d in zip(x.items(), degs)}
     get = out.get
     for (k, num), d in zip(mx.items(), lay.reads(mx, lay.n)):
         s = get(k, 0) + a2 * d * num
@@ -275,27 +264,14 @@ def _q_step(alg, tab: _Tables, n: int, x: dict, den: int) -> GradedPoly:
     big = lcm(*degs)
     for (k, num), d in zip(out.items(), degs):
         out[k] = num * (big // d) ** 3
-    return alg.from_keys(out, tab.width, den * c * big ** 3)
+    return alg.from_keys(out, p.width, p.den * c * big ** 3)
 
 
 def apply_W_plus(t: SymTensor) -> SymTensor:
-    """W+ = Q Gamma: rank n -> n-1; vanishes identically on rank 0.
-
-    One packed chain per output component: the Gamma contraction (two
-    replace_sum passes into one sum), then the Q step.  One field width
-    serves every component."""
-    alg = t.alg
-    if t.rank == 0:
-        return SymTensor.zero(alg, 0)
-    tab = _tensor_tables(t)
-    out = SymTensor(alg, t.rank - 1)
-    for idx in out.indices():
-        x, den = _contract(t, idx, tab)
-        if x:
-            q = _q_step(alg, tab, out.rank, x, den)
-            if q:
-                out.comps[idx] = q
-    return out
+    """W+ = Q Gamma: rank n -> n-1, the Q step on each component of the
+    Gamma contraction; vanishes identically on rank 0."""
+    g = apply_Gamma(t)
+    return g.map(lambda p: _q_step(g.rank, p) if p else p)
 
 
 # ---------------------------------------------------------------------------

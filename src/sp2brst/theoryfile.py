@@ -43,6 +43,8 @@ from .theory import TheorySpec, jacobi_violations
 FORMAT = 1
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"xi", "xip", "P", "C", "lam", "pi"}
+# the control characters and the line and paragraph separators
+_CONTROL = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
 
 
 class TheoryFileError(ValueError):
@@ -73,14 +75,17 @@ def _fail(msg: str) -> None:
 
 
 def _printable(text, what):
-    """text, if it is a string the reports can print: a JSON escape can
-    spell a lone surrogate, which no output encoding takes."""
+    """text, if it is a string the reports can print on one line: a JSON
+    escape can spell a lone surrogate, which no output encoding takes, or
+    a control character, which could break an error line in two."""
     if not isinstance(text, str):
         _fail(f"{what} must be a string")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         _fail(f"{what} holds a lone surrogate")
+    if not _CONTROL.isdisjoint(text):
+        _fail(f"{what} holds a control character")
     return text
 
 
@@ -158,7 +163,7 @@ def parse_theory(data) -> TheoryDocument:
     unknown = set(data) - {"format", "label", "constraints", "physical",
                            "U", "mixed", "observables", "order"}
     if unknown:
-        _fail(f"unknown fields: {', '.join(sorted(unknown))}")
+        _fail(f"unknown fields: {', '.join(map(repr, sorted(unknown)))}")
 
     c_names, c_par = _named_list(data.get("constraints", []), "constraints")
     p_names, p_par = _named_list(data.get("physical", []), "physical")
@@ -172,9 +177,9 @@ def parse_theory(data) -> TheoryDocument:
             _fail(f"{field} must be an object")
         tables[field] = table = {}
         for key, text in raw.items():
-            if not isinstance(text, str):
-                _fail(f"{field}[{key}] must be an expression string")
             idx = _index_key(key, arity, field)
+            if not isinstance(text, str):
+                _fail(f"{field}[{','.join(map(str, idx))}] must be an expression string")
             if idx in table:
                 first = next(k for k in raw if _index_key(k, arity, field) == idx)
                 _fail(f"{field} keys {first!r} and {key!r} name the same entry")

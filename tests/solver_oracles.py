@@ -38,8 +38,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from sp2brst.algebra import Sector, _cp_of, _drop_above, _pack, keys_at
-from sp2brst.operators import (_gamma_fields, _q_step, _tables, _w_fields, apply_M,
-                               apply_W_plus, n_apply, n_inverse)
+from sp2brst.operators import (_gamma_fields, _q_step, _w_fields, apply_M, apply_W_plus,
+                               n_apply, n_inverse)
 from sp2brst.solver import HALF, ConventionError, build_F, pair_bracket, projected_seed
 from sp2brst.tensors import SymTensor
 
@@ -130,11 +130,11 @@ def apply_Q_three_m(t: SymTensor) -> SymTensor:
 
 
 def apply_Q(t: SymTensor) -> SymTensor:
-    """Q per component, each component's stored keys through the Q step
-    of apply_W_plus at the component's own width."""
+    """Q per component, each component through the Q step of
+    apply_W_plus at the component's own width."""
     out = SymTensor(t.alg, t.rank)
     for idx, p in t.comps.items():
-        q = _q_step(t.alg, _tables(t.alg, p.width), t.rank, p.nums, p.den)
+        q = _q_step(t.rank, p)
         if q:
             out.comps[idx] = q
     return out

@@ -292,8 +292,9 @@ def test_order_below_two_is_input_error(capsys, command):
     argv = [command, str(THEORY_DIR / "so3.json"), "--order", "1"]
     if command == "lift":
         argv += ["--observable", "J1sq"]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""  # refused before the theory is read
     assert _one_error_line(err) == "error: --order must be at least 2, got 1"
 
 
@@ -480,14 +481,14 @@ def test_malformed_charge_document_is_input_error(capsys, tmp_path, name):
 _HUGE_ORDER = "1" + "0" * 4000  # a JSON integer that int() still converts
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["solve", "{theory}"], "order must be an integer from 2 to 1000"),
+@pytest.mark.parametrize("argv, error, quiet", [
+    (["solve", "{theory}"], "order must be an integer from 2 to 1000", True),
     (["verify", str(THEORY_DIR / "so3.json"), "{omega}"],
-     "omega document: order must be an integer from 2 to 1000"),
+     "omega document: order must be an integer from 2 to 1000", False),
     (["solve", str(THEORY_DIR / "so3.json"), "--order", "1001"],
-     "--order must be at most 1000"),
+     "--order must be at most 1000", True),
 ], ids=["theory-order", "charge-order", "option"])
-def test_orders_past_the_cap_are_refused_at_once(tmp_path, argv, error):
+def test_orders_past_the_cap_are_refused_at_once(tmp_path, argv, error, quiet):
     # each used to run for as long as its order asked, printing a line
     # per degree; a refusal must come at once, so a hang fails here
     theory, omega = tmp_path / "theory.json", tmp_path / "omega.json"
@@ -501,6 +502,9 @@ def test_orders_past_the_cap_are_refused_at_once(tmp_path, argv, error):
     assert time.monotonic() - started < 2
     assert proc.returncode == 2
     assert _one_error_line(proc.stderr) == "error: " + error
+    # verify prints the theory's header and Jacobi report before it reads
+    # the charges; a bad theory or option is refused before any report
+    assert (proc.stdout == "") == quiet, proc.stdout
 
 
 def test_order_1000_is_accepted(capsys, tmp_path):

@@ -7,6 +7,10 @@ a name followed by an index, names glued to digits or to other names,
 unbalanced parentheses and printable noise.  A document with a mutated
 structure entry is solved in process at order 2, and one with a mutated
 observable lifts that observable, as solve reads no observable.
+
+A second strategy renames a top-level, U or mixed key, or replaces the
+label or an observable's name, with strings of newlines, control
+characters, quotes and the empty string: none may split the error line.
 """
 
 import contextlib
@@ -23,6 +27,8 @@ DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(THEORY_DIR.glob("
 CANONICAL = ["xi[1]", "xi[2]", "xip[1]", "xi[9]", "P[1,1]", "C[1,2]", "lam[1]", "pi[1]",
              "xi", "C[1,3]"]
 OPERATORS = ["+", "-", "*", "^", "^2", "/", "(", ")", "[", "]", ",", "0"]
+ODD_PIECES = ["", "\n", "\r\n", "\t", "\x00", "\x1b[1m", "\x7f", "\x85", "\u2028",
+              "'", '"', "\\", ",", "1", " "]
 
 
 def _slots(doc):
@@ -65,9 +71,38 @@ def mutated_documents(draw):
     return doc, ["solve"]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(case=mutated_documents())
-def test_mutated_documents_keep_the_exit_code_contract(case, tmp_path_factory):
+@st.composite
+def renamed_documents(draw):
+    """(document, [command, options]): a bundled document with one key,
+    its label or one observable name replaced by a string built from
+    ODD_PIECES and the old text, and the command that reads it."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    slots = [("top", key) for key in doc] + [("label", None)]
+    slots += [(field, key) for field in ("U", "mixed") for key in doc.get(field, {})]
+    slots += [("observables", i) for i in range(len(doc.get("observables", [])))]
+    where, key = draw(st.sampled_from(slots))
+    if where == "observables":
+        old = doc[where][key]["name"]
+    else:
+        old = doc.get("label", "") if where == "label" else key
+    pieces = st.sampled_from(ODD_PIECES + [old, old[:1]])
+    text = draw(st.lists(pieces, min_size=1, max_size=4).map("".join))
+    if where == "observables":
+        doc[where][key]["name"] = text
+        return doc, ["lift", "--observable", str(key + 1)]
+    if where == "label":
+        doc["label"] = text
+    else:
+        table = doc if where == "top" else doc[where]
+        value = table.pop(key)
+        if where != "top" and draw(st.booleans()):
+            value = draw(st.sampled_from([1, None, ["xi[1]"]]))
+        table[text] = value
+    return doc, ["solve"]
+
+
+def _check_contract(case, tmp_path_factory):
     doc, (command, *options) = case
     path = tmp_path_factory.getbasetemp() / "fuzzed-theory.json"
     path.write_text(json.dumps(doc))
@@ -81,3 +116,15 @@ def test_mutated_documents_keep_the_exit_code_contract(case, tmp_path_factory):
         lines = err.getvalue().splitlines()
         # the error, then the timing line every run prints
         assert len(lines) == 2 and lines[0].startswith("error: "), lines
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(case, tmp_path_factory):
+    _check_contract(case, tmp_path_factory)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=renamed_documents())
+def test_renamed_keys_and_names_keep_one_error_line(case, tmp_path_factory):
+    _check_contract(case, tmp_path_factory)
