@@ -145,8 +145,7 @@ class GradedPoly:
     term's total degree and needs no check.  So while every bound stays
     within MIN_WIDTH's total degree 31, all polynomials share that one
     width; past it a kernel widens, and only an input stored at another
-    width than the call's is repacked, as in +, == and the Gamma
-    contraction.
+    width than the call's is repacked, as in + and ==.
 
     Polynomials are made by the algebra: _poly takes packed keys as they
     are, Algebra.from_keys makes their denominator canonical, and

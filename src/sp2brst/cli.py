@@ -17,6 +17,9 @@ ConventionError, SymmetryError or OutsideDomainError);
 the parser's limits, Jacobi-violating structure table, an option or an
 order out of range, or a polynomial formed by solve, lift or verify
 outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms form).
+Each command reads all of its input before its first report line, so an
+input error prints nothing on standard output, save a Jacobi report or
+the lines before an exceeded term budget.
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -84,16 +87,13 @@ def _check_jacobi(alg: Algebra) -> None:
         raise TheoryFileError("the structure table violates the Jacobi identity")
 
 
-def _open_theory(path: str) -> tuple:
-    """Load a theory document into an algebra under the SP2_BRST_MAX_TERMS
-    budget, read before anything else, and print its header and Jacobi
-    report; returns (document, algebra)."""
-    doc, alg = _load(path, _max_terms())
+def _report_theory(doc: TheoryDocument, alg: Algebra) -> None:
+    """Print the theory's header and Jacobi report, once the command has
+    read all of its input: an input error prints nothing on stdout."""
     spec = doc.spec
     print(f"theory {spec.label}: {spec.m} constraints, "
           f"{spec.n_physical} physical coordinates")
     _check_jacobi(alg)
-    return doc, alg
 
 
 def _check_order(args) -> None:
@@ -144,7 +144,8 @@ def _omega_summary(res) -> list:
 
 def cmd_solve(args) -> int:
     _check_order(args)
-    doc, alg = _open_theory(args.file)
+    doc, alg = _load(args.file, _max_terms())
+    _report_theory(doc, alg)
     config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
     for row in _omega_summary(res):
@@ -157,9 +158,10 @@ def cmd_solve(args) -> int:
 
 def cmd_lift(args) -> int:
     _check_order(args)
-    doc, alg = _open_theory(args.file)
+    doc, alg = _load(args.file, _max_terms())
     name, _ = doc.observable(args.observable)
     observables = _observables(doc, alg)
+    _report_theory(doc, alg)
     phi0 = observables.pop(name)
     config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
@@ -205,9 +207,10 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc, alg = _open_theory(args.file)
+    doc, alg = _load(args.file, _max_terms())
     with open(args.omega_file, "rb") as fh:
         omega, order = load_omega(fh.read(), alg)
+    _report_theory(doc, alg)
     print(f"loaded charge document at truncation order {order}")
     report = verify_master(omega, order)
     problems = boundary_violations(omega)

@@ -150,16 +150,10 @@ def _poly_checks(alg, x):
     mp = m2
     for n in (3, 4, 5):
         mp = m_component(mp)
-        rhs = ((2 ** (n - 1) - 1) * _n_power(m2, n - 2)
-               - (2 ** (n - 1) - 2) * _n_power(m1, n - 1))
+        rhs = ((2 ** (n - 1) - 1) * n_apply(m2, n - 2)
+               - (2 ** (n - 1) - 2) * n_apply(m1, n - 1))
         out.append((f"M^{n} reduction to M^2 and M", "V", mp - rhs))
     return out
-
-
-def _n_power(p, k):
-    for _ in range(k):
-        p = n_apply(p)
-    return p
 
 
 def _tensor_checks(alg, tensors):
@@ -192,7 +186,7 @@ def _kernel_checks(alg, xc):
     """Defects of the bar-operator identities on a W-closed element."""
     out = []
     lhs = bar_w(bar_gamma(xc)) - bar_gamma(bar_w(xc))
-    rhs = 4 * _n_power(xc, 2) - 2 * m_component(n_apply(xc))
+    rhs = 4 * n_apply(xc, 2) - 2 * m_component(n_apply(xc))
     out.append(("barW barGamma - barGamma barW = 4N^2 - 2MN", "ker W",
                 lhs - rhs))
     recon = (m_component(n_inverse(xc)) * HALF

@@ -20,12 +20,11 @@ forms, over one canonical denominator; nothing is packed on entry or
 decoded on exit.  A pass keeps each term's total degree, so the input's
 width holds every key the chain forms.  N and N^-1 read each term's
 N-degree off its key.  The compositions of those passes reuse the general
-code: apply_W is SymTensor.placement_sum of w_component, and bar_w and
-bar_gamma are GradedPoly differences of two passes of two passes.  The
-Gamma contraction stays one packed chain per output component, over one
-field width for the tensor, the widest of its components'; its two
-passes add into one dict, each scaling its component's numerators to the
-common denominator as it reads them.
+code: apply_W is SymTensor.placement_sum of w_component, apply_Gamma
+the GradedPoly sum of two gamma_component passes per output component,
+and bar_w and bar_gamma GradedPoly differences of two passes of two
+passes.  So no operator repacks keys or brings two polynomials over one
+denominator: GradedPoly's + and - do.
 
 Tensor operators: W raises the rank by one via the cyclic sum over the
 output indices, Gamma contracts the last index, N and M act per
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .algebra import MIN_WIDTH, GradedPoly, Sector, keys_at
+from .algebra import GradedPoly, Sector
 from .tensors import SymTensor
 
 EPS_UP = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
@@ -71,8 +70,10 @@ def _n_degrees(p: GradedPoly) -> list:
     return lay.reads(p.nums, lay.n)
 
 
-def n_apply(p: GradedPoly) -> GradedPoly:
-    out = {k: n * d for (k, n), d in zip(p.nums.items(), _n_degrees(p)) if d}
+def n_apply(p: GradedPoly, power=1) -> GradedPoly:
+    """N^power term by term (power >= 1): a term of N-degree d gains
+    d^power."""
+    out = {k: n * d ** power for (k, n), d in zip(p.nums.items(), _n_degrees(p)) if d}
     return p.alg.from_keys(out, p.width, p.den)
 
 
@@ -192,25 +193,15 @@ def apply_W(t: SymTensor) -> SymTensor:
 
 def apply_Gamma(t: SymTensor) -> SymTensor:
     """Rank n -> n-1 (zero on rank 0): out^idx = sum_a Gamma_a t^(idx a),
-    one packed chain per output component.  Every component is read at
-    one width, the widest of t's (keys_at repacks the narrower ones), and
-    over den, the lcm of the two inputs' denominators: each pass scales
-    its input's numerators to den."""
-    alg = t.alg
+    the GradedPoly sum of two gamma_component passes per output component,
+    so + picks its width and denominator."""
     if t.rank == 0:
-        return SymTensor.zero(alg, 0)
-    width = max((p.width for p in t.comps.values()), default=MIN_WIDTH)
-    tab = _tables(alg, width)
-    out = SymTensor(alg, t.rank - 1)
+        return SymTensor.zero(t.alg, 0)
+    out = SymTensor(t.alg, t.rank - 1)
     for idx in out.indices():
-        parts = [t.get(idx + (a,)) for a in (1, 2)]
-        den = lcm(*(p.den for p in parts))
-        x: dict = {}
-        for a, p in zip((1, 2), parts):
-            if p:
-                alg.replace_sum(keys_at(p, width), tab.gamma[a], x, den // p.den)
-        if x:
-            out.comps[idx] = alg.from_keys(x, width, den)
+        p = gamma_component(t.get(idx + (1,)), 1) + gamma_component(t.get(idx + (2,)), 2)
+        if p:
+            out.comps[idx] = p
     return out
 
 

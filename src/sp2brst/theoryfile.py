@@ -18,7 +18,9 @@ P[1,1], C[1,2], lam[1], pi[1]) or the declared constraint and physical
 names, which the spec keeps as TheorySpec.names and the expression
 parser resolves; the document keeps every expression as written.  U keys
 are "alpha,beta,gamma" constraint triples; mixed keys are "i,j" global
-coordinate pairs (constraints first, then physical), the order of names.
+coordinate pairs (constraints first, then physical), the order of names;
+each index has one spelling (_INDEX_RE).  A theory and a charge document
+refuse a field they do not define, and "format" is the JSON integer 1.
 Structure validation (index ranges, parity consistency, graded
 antisymmetry, first-class form) happens when the algebra is built.
 
@@ -42,6 +44,9 @@ from .theory import TheorySpec, jacobi_violations
 
 FORMAT = 1
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# an index as ASCII decimal digits, with no sign, space, underscore or
+# leading zero: the one spelling of each index
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 _RESERVED = {"xi", "xip", "P", "C", "lam", "pi"}
 # the control characters and the line and paragraph separators
 _CONTROL = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
@@ -111,13 +116,12 @@ def _named_list(raw, what):
 
 
 def _index_key(key, arity, what):
+    """The index tuple of a U or mixed key, each index spelled as _INDEX_RE
+    reads it, in fewer than 20 digits, which int() always converts."""
     parts = key.split(",")
-    if len(parts) != arity:
+    if len(parts) != arity or not all(_INDEX_RE.fullmatch(p) and len(p) < 20 for p in parts):
         _fail(f"{what} key {key!r} must be {arity} comma-separated indices")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        _fail(f"{what} key {key!r} must be {arity} comma-separated indices")
+    return tuple(map(int, parts))
 
 
 def _unique_keys(pairs) -> dict:
@@ -152,18 +156,25 @@ def _decode(data, what: str) -> dict:
             raise TheoryFileError("arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         _fail(f"{what} must be a JSON object")
-    if data.get("format") != FORMAT:
-        _fail(f"unsupported format {data.get('format')!r} (expected {FORMAT})")
+    fmt = data.get("format")
+    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    if type(fmt) is not int or fmt != FORMAT:
+        _fail(f"unsupported format {fmt!r} (expected {FORMAT})")
     return data
+
+
+def _known_fields(data: dict, fields: set, prefix: str = "") -> None:
+    """Refuse a top-level field the document kind does not define."""
+    unknown = set(data) - fields
+    if unknown:
+        _fail(f"{prefix}unknown fields: {', '.join(map(repr, sorted(unknown)))}")
 
 
 def parse_theory(data) -> TheoryDocument:
     """Parse and validate a theory document (bytes, text, or dict)."""
     data = _decode(data, "document")
-    unknown = set(data) - {"format", "label", "constraints", "physical",
-                           "U", "mixed", "observables", "order"}
-    if unknown:
-        _fail(f"unknown fields: {', '.join(map(repr, sorted(unknown)))}")
+    _known_fields(data, {"format", "label", "constraints", "physical",
+                         "U", "mixed", "observables", "order"})
 
     c_names, c_par = _named_list(data.get("constraints", []), "constraints")
     p_names, p_par = _named_list(data.get("physical", []), "physical")
@@ -180,9 +191,6 @@ def parse_theory(data) -> TheoryDocument:
             idx = _index_key(key, arity, field)
             if not isinstance(text, str):
                 _fail(f"{field}[{','.join(map(str, idx))}] must be an expression string")
-            if idx in table:
-                first = next(k for k in raw if _index_key(k, arity, field) == idx)
-                _fail(f"{field} keys {first!r} and {key!r} name the same entry")
             table[idx] = text
 
     obs_raw = data.get("observables", [])
@@ -276,6 +284,8 @@ def load_omega(data, alg: Algebra):
     data = _decode(data, "omega document")
     if data.get("kind") != "omega":
         _fail(f"expected an omega document, found kind {data.get('kind')!r}")
+    _known_fields(data, {"format", "kind", "label", "order", "components"},
+                  "omega document: ")
     if data.get("label") != alg.spec.label:
         _fail(f"omega document is for theory {data.get('label')!r}, "
               f"not {alg.spec.label!r}")

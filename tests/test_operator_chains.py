@@ -1,7 +1,8 @@
-"""W and the bar operators, composed of packed passes, against the same
-compositions of derivative-by-derivative passes.
+"""W, Gamma and the bar operators, composed of packed passes, against the
+same compositions of derivative-by-derivative passes.
 
-apply_W is SymTensor.placement_sum of w_component, and bar_w and
+apply_W is SymTensor.placement_sum of w_component, apply_Gamma the sum
+of two gamma_component passes per output component, and bar_w and
 bar_gamma are GradedPoly differences of w_component or gamma_component
 applied twice.  Each must equal the same composition of
 derivative-by-derivative passes (solver_oracles), and raise where those
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from solver_oracles import apply_W_by_passes, bar_gamma_by_passes, bar_w_by_passes
+from solver_oracles import (apply_W_by_passes, bar_gamma_by_passes, bar_w_by_passes,
+                            gamma_by_passes)
 from sp2brst.algebra import Algebra, GradedPoly, TermBudgetError
 from sp2brst.identities import random_element, random_tensor
-from sp2brst.operators import apply_W, bar_gamma, bar_w
+from sp2brst.operators import apply_Gamma, apply_W, bar_gamma, bar_w
 from sp2brst.tensors import SymTensor
 from sp2brst.theoryfile import build_algebra, parse_theory
 
@@ -104,23 +106,25 @@ def test_bar_chains_match_their_passes(name):
 def test_budget_checked_inside_apply_w(name):
     # From the largest input component up to the budget the passes first
     # fit in, apply_W must raise where placement_sum of the passes does,
-    # with the same message: after each placement's pass and after each
-    # addition to an output component.  Some error must name a polynomial
-    # that is no output component, which a chain that checked only its
-    # results would never raise on.
+    # and apply_Gamma where the sum of its two passes does, with the same
+    # message: after each pass and after each addition to an output
+    # component.  Some error must name a polynomial that is no output
+    # component, which a chain that checked only its results would never
+    # raise on.
     alg = _algebra(name)
-    rng = random.Random(f"apply-w-budget-{name}")
-    inside = False
-    for _ in range(8):
-        t = (random_tensor(alg, rng, 2, max_cp=3, max_n=3)
-             + random_tensor(alg, rng, 2, max_cp=3, max_n=3))
-        out = apply_W(t)
-        floor = max(p.term_count() for p in t.comps.values())
-        need, counts = _same_budget_errors(
-            apply_W, apply_W_by_passes, lambda b: _twin_tensor(t, b), floor)
-        inside |= bool(counts - {p.term_count() for p in out.comps.values()})
-        assert apply_W(_twin_tensor(t, need)).comps == out.comps
-    assert inside, "no error named an intermediate"
+    for chain, oracle in ((apply_W, apply_W_by_passes), (apply_Gamma, gamma_by_passes)):
+        rng = random.Random(f"apply-w-budget-{name}")
+        inside = False
+        for _ in range(8):
+            t = (random_tensor(alg, rng, 2, max_cp=3, max_n=3)
+                 + random_tensor(alg, rng, 2, max_cp=3, max_n=3))
+            out = chain(t)
+            floor = max(p.term_count() for p in t.comps.values())
+            need, counts = _same_budget_errors(
+                chain, oracle, lambda b: _twin_tensor(t, b), floor)
+            inside |= bool(counts - {p.term_count() for p in out.comps.values()})
+            assert chain(_twin_tensor(t, need)).comps == out.comps
+        assert inside, f"no error of {chain.__name__} named an intermediate"
 
 
 @pytest.mark.parametrize("name", THEORIES)

@@ -66,6 +66,7 @@ def test_n_counts_constraint_sector():
     a = ALG
     x = a.xi(1) * lagrange(a, 2) * ghost(a, 1, 1)
     assert n_apply(x) == 2 * x
+    assert n_apply(x, 3) == n_apply(n_apply(n_apply(x)))
     assert n_apply(ghost(a, 1, 1)).is_zero()
     assert n_apply(lagrange_mom(a, 1)).is_zero()
     assert n_inverse(x) == x * Fraction(1, 2)

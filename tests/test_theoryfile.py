@@ -96,6 +96,8 @@ def test_observable_lookup():
 def test_document_shape_errors():
     cases = [
         ({"format": 2}, "unsupported format"),
+        ({"format": True}, "unsupported format True"),
+        ({"format": 1.0}, "unsupported format 1.0"),
         ({"format": 1, "extra": 1}, "unknown fields"),
         (_doc(constraints="x"), "must be a list"),
         (_doc(constraints=[{"name": "a b", "parity": 0}]), "identifier"),
@@ -108,11 +110,12 @@ def test_document_shape_errors():
         (_doc(U={"1,2,x": "1"}), "3 comma-separated"),
         (_doc(U={"1,2,3": 5}), "expression string"),
         (_doc(mixed={"1": "1"}), "2 comma-separated"),
-        # int() reads " 3", "+3", "03" and "٣" as 3: one entry named twice
+        # int() reads " 3", "+3", "03" and "٣" as 3, but an index has one
+        # spelling, so no entry can be named twice
         (_doc(U={"1,2,3": "1", "2,3,1": "1", "3,1,2": "1", "1,2, 3": "5"}),
-         "U keys '1,2,3' and '1,2, 3' name the same entry"),
+         "U key '1,2, 3' must be 3 comma-separated indices"),
         (_doc(mixed={"1,+2": "1", "1,02": "1"}),
-         "mixed keys '1,+2' and '1,02' name the same entry"),
+         "mixed key '1,+2' must be 2 comma-separated indices"),
         (_doc(order=1), "order"),
         (_doc(order="six"), "order"),
         (_doc(observables=[5]), "observables[1]"),
@@ -126,8 +129,15 @@ def test_document_shape_errors():
         assert needle in str(err.value), raw
 
 
-def test_index_key_spelled_once_keeps_working():
-    doc = parse_theory(_doc(U={"1,2, 3": "1", "2,3,+1": "1", "3,1,02": "1"}))
+def test_index_key_has_one_spelling():
+    # int() reads all but "1,2," as indices; an index is ASCII decimal
+    # digits with no sign, space, underscore or leading zero, under 20 of them
+    for key in ("1,2, 3", "  1, 2 ,3\n", "2,3,+1", "3,1,02", "1_0,2,3", "1,2,\u0663",
+                "1,2,", "1,2,3" + "0" * 30):
+        with pytest.raises(TheoryFileError) as err:
+            parse_theory(_doc(U={key: "1"}))
+        assert str(err.value) == f"U key {key!r} must be 3 comma-separated indices"
+    doc = parse_theory(_doc(U={"1,2,3": "1", "2,3,1": "1", "3,1,2": "1"}))
     assert doc.spec.u_table == {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1"}
 
 
@@ -223,6 +233,15 @@ def test_omega_document_rejections(mixed2_result):
     assert "omega component 1" in str(err.value)
     with pytest.raises(TheoryFileError):
         load_omega("{not json", alg)
+    # the theory reader's rules: no unknown field, and format the JSON integer 1
+    bad = dict(good, **{"extra\nfield": 1})
+    with pytest.raises(TheoryFileError) as err:
+        load_omega(json.dumps(bad), alg)
+    assert str(err.value) == "omega document: unknown fields: 'extra\\nfield'"
+    for fmt in (True, 1.0):
+        with pytest.raises(TheoryFileError) as err:
+            load_omega(json.dumps(dict(good, format=fmt)), alg)
+        assert str(err.value) == f"unsupported format {fmt!r} (expected 1)"
 
 
 def test_documents_cap_the_order():

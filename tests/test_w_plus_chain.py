@@ -1,10 +1,12 @@
-"""W+ = Q Gamma as one int-numerator chain per component, against its
-definition.
+"""W+ = Q Gamma as the Q step on each component of the Gamma
+contraction, against its definition.
 
-apply_W_plus sums the Gamma contraction, applies M twice and folds Q's
-powers of N into one scale per term; it must equal Q with M applied three
-times after the Gamma contraction, and the whole-tensor passes of
-replace_left it replaced, also where the term budget stops them.
+apply_Gamma is the GradedPoly sum of two gamma_component passes per
+output component, and it must equal gamma_by_passes.  apply_W_plus then
+applies M twice to each component and folds Q's powers of N into one
+scale per term; it must equal Q with M applied three times after the
+Gamma contraction, and the whole-tensor passes of replace_left it
+replaced, also where the term budget stops them.
 """
 
 import random
