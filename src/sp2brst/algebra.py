@@ -916,10 +916,10 @@ class Algebra:
                     sel |= dunit | dbelow
         return _ReplaceTable(sel, mask, sources), fden
 
-    def replace_sum(self, nums, table, out, scale=1):
+    def replace_sum(self, nums, table, out):
         """Add to out, a dict from packed key to int numerator, the sum of
-        scale * coeff * dst * (left derivative w.r.t. src) of the terms of
-        nums (packed key -> int numerator) over the entries of table (see
+        coeff * dst * (left derivative w.r.t. src) of the terms of nums
+        (packed key -> int numerator) over the entries of table (see
         replace_table), in one pass over nums, and return out.  The
         first-order core: it makes no Fraction, and since it keeps each
         term's total degree, the width of its input holds every pass.
@@ -928,18 +928,16 @@ class Algebra:
         selector, its pattern: each key looks its pattern's plan up in the
         table (_ReplaceTable.plan builds it on a miss) and forms one term
         per (key delta, factor) pair of it, key + delta with numerator
-        num * scale * factor, in source-then-destination order.  A key
-        new to out is stored as it is, a repeated one added to and dropped
-        when it cancels, and out is checked against the term budget when
-        the pass ends."""
+        num * factor, in source-then-destination order.  A key new to out
+        is stored as it is, a repeated one added to and dropped when it
+        cancels, and out is checked against the term budget when the pass
+        ends."""
         sel, plans, plan_of = table.sel, table.plans, table.plan
         get = out.get
         for key, num in nums.items():
             plan = plans.get(key & sel)
             if plan is None:
                 plan = plan_of(key & sel)
-            if scale != 1:
-                num *= scale
             for delta, c in plan:
                 k = key + delta
                 f = num * c

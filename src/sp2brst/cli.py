@@ -15,8 +15,11 @@ disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
 2 input error (bad document, bad expression, nesting or an integer past
 the parser's limits, Jacobi-violating structure table, an option or an
-order out of range, or a polynomial formed by solve, lift or verify
-outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms form).
+order out of range, a charge document term above its order or not odd
+with ngh 1, or a polynomial formed by solve, lift or verify outgrew the
+SP2_BRST_MAX_TERMS term cap, checked as terms form); 130 interrupted by
+SIGINT, with no traceback; 141 standard output closed before the report
+was written, with no traceback and no error line.
 Each command reads all of its input before its first report line, so an
 input error prints nothing on standard output, save a Jacobi report or
 the lines before an exceeded term budget.
@@ -38,14 +41,15 @@ from .identities import run_identity_suite
 from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
 from .operators import OutsideDomainError
-from .solver import (MAX_ORDER, ConventionError, Method, SolverConfig, boundary_violations,
-                     checks_pass, render_checks, solve, verify_master)
+from .solver import MAX_ORDER, ConventionError, Method, SolverConfig, solve, verify_master
 from .tensors import SymmetryError
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
                          dump_document, load_omega, observable_document,
                          omega_document, parse_theory, validate_jacobi)
 
 OK, FAIL, INPUT_ERROR = 0, 1, 2
+# the shell's codes of a command ended by SIGINT and by SIGPIPE
+INTERRUPTED, CLOSED_STDOUT = 130, 141
 DEFAULT_ORDER = 4
 
 
@@ -213,9 +217,8 @@ def cmd_verify(args) -> int:
     _report_theory(doc, alg)
     print(f"loaded charge document at truncation order {order}")
     report = verify_master(omega, order)
-    problems = boundary_violations(omega)
-    print(render_checks(report, problems))
-    passed = checks_pass(report, problems)
+    print(report.render())
+    passed = report.ok
     print("verification: " + ("passed" if passed else "FAILED"))
     return OK if passed else FAIL
 
@@ -266,9 +269,19 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
     except (ConventionError, SymmetryError, OutsideDomainError) as e:
         print(f"verification failed: {e}")
         return FAIL
+    except BrokenPipeError:
+        # nothing reads the report any more; send what is still buffered
+        # to os.devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
+    except KeyboardInterrupt:
+        return INTERRUPTED
     except (TheoryFileError, TheoryError, expr.ExprError, UsageError,
             TermBudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -291,8 +291,9 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
     leaves its samples to the parent.  The parent then checks, in sample
     order, every sample without a row, so the lowest sample that raises
     raises here as it would in one process.  Every worker is reaped
-    before this returns, and one whose parent is killed stops before its
-    next sample.
+    before this returns, and stopped first if an exception (an interrupt,
+    say) leaves it; one whose parent is killed stops before its next
+    sample.
 
     Results are deterministic functions of (degree, samples, seed, spec).
     """
@@ -321,6 +322,14 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
         place(0, _check_chunk(alg, degree, seed, range(0, samples, n)))
         for j, _, fd in workers:
             payloads[j] = _read_all(fd)
+    except BaseException:
+        # imported only here: signal builds enums that every command's
+        # start-up would pay for
+        from signal import SIGKILL
+
+        for _, pid, _ in workers:
+            os.kill(pid, SIGKILL)  # not yet reaped: pid is still the worker
+        raise
     finally:
         for j, pid, fd in workers:
             os.close(fd)

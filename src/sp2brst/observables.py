@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra, GradedPoly, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
-from .solver import (SolverResult, apply_A, degree_lines, neumann_apply,
-                     render_lines, tensor_bracket)
+from .solver import MasterReport, SolverResult, apply_A, neumann_apply, tensor_bracket
 from .tensors import SymTensor
 
 _MATTER = (Sector.XI, Sector.XI_PHYS)
@@ -77,41 +76,46 @@ def restrict(phi_prime: GradedPoly) -> GradedPoly:
     return phi_prime.substitute_zero(_RESTRICTED)
 
 
+# the boundary conditions of a lift; its report's boundary names those
+# that fail
+BAR_GAMMA, RESTRICTION, NGH = "barGamma K = 0", "restriction returns phi0", "ngh(Phi') = 0"
+
+
 class ObservableLift(NamedTuple):
     """A lifted observable Phi' = phi0 + K with its verification record.
 
-    residual is the directly evaluated {Omega^a, Phi'}'; structured is
-    W K + [Omega, phi0] + A K + [Pi, K], its last two terms summed from
-    the images the solve for K formed.  Both must vanish through the
-    truncation degree and agree term by term for any K.
+    report's residual is the directly evaluated {Omega^a, Phi'}' and its
+    structured form W K + [Omega, phi0] + A K + [Pi, K], the last two
+    terms summed from the images the solve for K formed.  Both must
+    vanish through the truncation degree and agree term by term for any
+    K, and report.boundary names each of BAR_GAMMA, RESTRICTION and NGH
+    that fails.
     """
 
     phi0: GradedPoly
     k_part: GradedPoly
-    phi_prime: GradedPoly
-    k: int
-    residual: SymTensor
-    structured: SymTensor
-    lines: tuple
-    bar_gamma_zero: bool
-    restriction_ok: bool
-    ngh_ok: bool
+    report: MasterReport
+
+    @property
+    def phi_prime(self) -> GradedPoly:
+        return self.phi0 + self.k_part
 
     @property
     def ok(self) -> bool:
-        return (self.residual.is_zero() and self.residual == self.structured
-                and self.bar_gamma_zero and self.restriction_ok and self.ngh_ok)
+        return self.report.ok
 
     def render(self) -> str:
-        rows = [
+        def mark(condition):
+            return "NO" if condition in self.report.boundary else "yes"
+
+        return "\n".join([
             "observable lift: " + ("verified" if self.ok else "FAILED")
-            + f" through cp-degree {self.k}",
+            + f" through cp-degree {self.report.k}",
             f"  correction terms: {self.k_part.term_count()}",
-        ]
-        rows += render_lines(self.lines, "commutator")
-        rows.append(f"  boundary barGamma K = 0: {'yes' if self.bar_gamma_zero else 'NO'}")
-        rows.append(f"  restriction returns phi0: {'yes' if self.restriction_ok else 'NO'}")
-        return "\n".join(rows)
+            *self.report.degree_rows("commutator"),
+            f"  boundary {BAR_GAMMA}: {mark(BAR_GAMMA)}",
+            f"  {RESTRICTION}: {mark(RESTRICTION)}",
+        ])
 
 
 def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
@@ -155,24 +159,28 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
         ngh_ok = phi_prime.ngh() == 0
     except ValueError:  # terms of different ngh
         ngh_ok = False
-    return ObservableLift(
-        phi0=phi0, k_part=k_part, phi_prime=phi_prime, k=k,
-        residual=direct, structured=structured,
-        lines=degree_lines(direct, structured, k),
-        bar_gamma_zero=bar_gamma(k_part).is_zero(),
-        restriction_ok=restrict(phi_prime) == phi0,
-        ngh_ok=ngh_ok)
+    failed = tuple(name for name, holds in (
+        (BAR_GAMMA, bar_gamma(k_part).is_zero()),
+        (RESTRICTION, restrict(phi_prime) == phi0),
+        (NGH, ngh_ok)) if not holds)
+    return ObservableLift(phi0, k_part, MasterReport(k, direct, structured, failed))
 
 
 class RealizationReport(NamedTuple):
     """Bracket and product compatibility of two lifts under restriction."""
 
-    bracket_ok: bool
-    product_ok: bool
     bracket_restricted: GradedPoly
     bracket_expected: GradedPoly
     product_restricted: GradedPoly
     product_expected: GradedPoly
+
+    @property
+    def bracket_ok(self) -> bool:
+        return self.bracket_restricted == self.bracket_expected
+
+    @property
+    def product_ok(self) -> bool:
+        return self.product_restricted == self.product_expected
 
     @property
     def ok(self) -> bool:
@@ -188,16 +196,14 @@ class RealizationReport(NamedTuple):
 def verify_realization(lift1: ObservableLift, lift2: ObservableLift) -> RealizationReport:
     """restrict({Phi'_1, Phi'_2}') must equal {phi_1, phi_2}' and
     restrict(Phi'_1 Phi'_2) must equal phi_1 phi_2, exactly."""
-    if lift1.k != lift2.k:
+    if lift1.report.k != lift2.report.k:
         raise ValueError("lifts were computed at different truncation orders")
-    alg = lift1.phi_prime.alg
+    alg = lift1.phi0.alg
+    phi1, phi2 = lift1.phi_prime, lift2.phi_prime
     # restrict keeps exactly the cp-degree 0 terms, so nothing above it
     # needs forming
-    br = restrict(alg.bracket(lift1.phi_prime, lift2.phi_prime, max_cp=0))
-    br_want = alg.bracket(lift1.phi0, lift2.phi0, max_cp=0)
-    pr = restrict(alg.mul(lift1.phi_prime, lift2.phi_prime, max_cp=0))
-    pr_want = alg.mul(lift1.phi0, lift2.phi0, max_cp=0)
     return RealizationReport(
-        bracket_ok=br == br_want, product_ok=pr == pr_want,
-        bracket_restricted=br, bracket_expected=br_want,
-        product_restricted=pr, product_expected=pr_want)
+        restrict(alg.bracket(phi1, phi2, max_cp=0)),
+        alg.bracket(lift1.phi0, lift2.phi0, max_cp=0),
+        restrict(alg.mul(phi1, phi2, max_cp=0)),
+        alg.mul(lift1.phi0, lift2.phi0, max_cp=0))

@@ -330,53 +330,59 @@ class DegreeLine(NamedTuple):
     agree: bool
 
 
-def degree_lines(direct: SymTensor, structured: SymTensor, k: int) -> tuple:
-    """One DegreeLine per cp-degree 0..k of a residual evaluated directly
-    and in structured form."""
-    lines = []
-    for d in range(k + 1):
-        dp, sp = direct.cp_part(d), structured.cp_part(d)
-        lines.append(DegreeLine(d, dp.is_zero(), dp == sp))
-    return tuple(lines)
-
-
-def render_lines(lines: tuple, noun: str) -> list:
-    """One report row per DegreeLine, naming the residual `noun`."""
-    return [f"  degree {line.degree}: {noun} "
-            + ("zero" if line.direct_zero else "NONZERO")
-            + ("" if line.agree else "  [structured form DISAGREES]")
-            for line in lines]
-
-
 class MasterReport(NamedTuple):
-    """Residual of the master equations through cp-degree k, evaluated both
-    ways: directly as {Omega^a, Omega^b}' and structurally as
-    G = W Pi + F + A Pi + quad(Pi).  The two must agree term by term."""
+    """A residual through cp-degree k evaluated two ways, directly and in
+    structured form, which must agree term by term, with the boundary
+    conditions that fail next to it.  The one pass rule: the residual is
+    zero, the two forms agree and no boundary condition fails.
+
+    verify_master evaluates the master equations {Omega^a, Omega^b}'
+    against G = W Pi + F + A Pi + quad(Pi), with Omega's failed
+    derivative read-offs; lift evaluates {Omega^a, Phi'}', with the
+    names of the lift's failed boundary conditions."""
 
     k: int
     residual: SymTensor
     structured: SymTensor
-    lines: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.residual.is_zero()
+    boundary: tuple
 
     @property
     def agree(self) -> bool:
         return self.residual == self.structured
 
+    @property
+    def ok(self) -> bool:
+        return self.residual.is_zero() and self.agree and not self.boundary
+
+    @property
+    def lines(self) -> tuple:
+        """One DegreeLine per cp-degree 0..k."""
+        return tuple(DegreeLine(d, (dp := self.residual.cp_part(d)).is_zero(),
+                                dp == self.structured.cp_part(d))
+                     for d in range(self.k + 1))
+
+    def degree_rows(self, noun: str) -> list:
+        """One report row per DegreeLine, naming the residual noun."""
+        return [f"  degree {line.degree}: {noun} "
+                + ("zero" if line.direct_zero else "NONZERO")
+                + ("" if line.agree else "  [structured form DISAGREES]")
+                for line in self.lines]
+
     def render(self) -> str:
-        head = "master equations: " + ("satisfied" if self.ok else "VIOLATED")
-        return "\n".join([f"{head} through cp-degree {self.k}"]
-                         + render_lines(self.lines, "residual"))
+        """The report of solve and verify: the master equations degree by
+        degree, then each boundary violation or that there is none."""
+        head = "master equations: " + ("satisfied" if self.residual.is_zero() else "VIOLATED")
+        rows = [f"boundary condition violated: {p}" for p in self.boundary]
+        return "\n".join([f"{head} through cp-degree {self.k}", *self.degree_rows("residual"),
+                          *(rows or ["boundary conditions: satisfied"])])
 
 
 def verify_master(omega: SymTensor, k: int) -> MasterReport:
     """Evaluate {Omega^a, Omega^b}' directly and compare with the structured
     residual; the two agree identically for any Pi = Omega - Omega_1.  All
     four (a, b) entries come from one Algebra.brackets call, so from_full
-    checks their symmetry."""
+    checks their symmetry.  The report carries Omega's boundary
+    violations."""
     alg = omega.alg
     comps = [omega.get((1,)), omega.get((2,))]
     table = alg.brackets(comps, comps, max_cp=k)
@@ -384,7 +390,7 @@ def verify_master(omega: SymTensor, k: int) -> MasterReport:
     pi = omega - build_omega1(alg)
     structured = (apply_W(pi) + build_F(alg) + apply_A(pi)
                   + quad_term(pi, k)).truncate_cp(k)
-    return MasterReport(k, direct, structured, degree_lines(direct, structured, k))
+    return MasterReport(k, direct, structured, tuple(boundary_violations(omega)))
 
 
 def boundary_violations(omega: SymTensor):
@@ -421,19 +427,6 @@ def boundary_violations(omega: SymTensor):
     return problems
 
 
-def checks_pass(report: MasterReport, problems) -> bool:
-    """The pass rule of solve and verify: a zero residual that agrees with
-    its structured form, and no boundary violation."""
-    return report.ok and report.agree and not problems
-
-
-def render_checks(report: MasterReport, problems) -> str:
-    """The report of solve and verify: the master equations, then each
-    boundary violation or that there is none."""
-    rows = [f"boundary condition violated: {p}" for p in problems]
-    return "\n".join([report.render(), *(rows or ["boundary conditions: satisfied"])])
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 
@@ -449,11 +442,10 @@ class SolverResult(NamedTuple):
     f: SymTensor
     pi: SymTensor
     report: MasterReport
-    boundary_problems: tuple
 
     @property
     def ok(self) -> bool:
-        return checks_pass(self.report, self.boundary_problems)
+        return self.report.ok
 
     def render(self) -> str:
         return "\n".join([
@@ -462,7 +454,7 @@ class SolverResult(NamedTuple):
             f"truncation: cp-degree {self.config.k}, method {self.config.method.value}",
             f"Omega terms: {self.omega.term_count()} "
             f"(boundary {self.omega1.term_count()}, correction {self.pi.term_count()})",
-            render_checks(self.report, self.boundary_problems),
+            self.report.render(),
         ])
 
 
@@ -498,8 +490,5 @@ def solve(spec: TheorySpec, config: SolverConfig,
         raise ConventionError("fixed-point and descendant expansions disagree")
     pi = pis[Method.FIXED_POINT if Method.FIXED_POINT in pis else Method.DESCENDANTS]
     omega = omega1 + pi
-    report = verify_master(omega, k)
-    problems = tuple(boundary_violations(omega))
     return SolverResult(spec=spec, config=config, algebra=alg, omega=omega,
-                        omega1=omega1, f=f, pi=pi, report=report,
-                        boundary_problems=problems)
+                        omega1=omega1, f=f, pi=pi, report=verify_master(omega, k))

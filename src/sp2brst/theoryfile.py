@@ -278,9 +278,29 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_charge_terms(a: int, p, order: int) -> None:
+    """Refuse a term of charge component a that is not odd with ngh 1 or
+    lies above the order, naming the first such term."""
+    try:
+        if not p or ((p.parity(), p.ngh()) == (1, 1) and p.truncate_cp(order) == p):
+            return
+    except ValueError:  # terms of different parity or ngh
+        pass
+    for mono, coeff in p.terms.items():
+        term = p.alg.poly({mono: coeff})
+        where = f"omega component {a}: term {expr.serialize(term)}"
+        if (term.parity(), term.ngh()) != (1, 1):
+            _fail(f"{where} has parity {term.parity()} and ngh {term.ngh()}; "
+                  "a charge is odd with ngh 1")
+        if term.min_cp() > order:
+            _fail(f"{where} has cp-degree {term.min_cp()}, above the order {order}")
+
+
 def load_omega(data, alg: Algebra):
     """Read back an omega document emitted for the theory of alg; returns
-    (omega tensor, order)."""
+    (omega tensor, order).  Every term of a component must be odd with
+    ngh 1 and lie at cp-degree at most the order: a term the order does
+    not reach would pass verification unchecked."""
     data = _decode(data, "omega document")
     if data.get("kind") != "omega":
         _fail(f"expected an omega document, found kind {data.get('kind')!r}")
@@ -304,5 +324,6 @@ def load_omega(data, alg: Algebra):
             parsed[a] = expr.parse(alg, text)
         except expr.ExprError as e:
             raise TheoryFileError(f"omega component {a}: {e}") from None
+        _check_charge_terms(a, parsed[a], order)
     omega = SymTensor.from_full(alg, 1, lambda idx: parsed[idx[0]])
     return omega, order

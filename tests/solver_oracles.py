@@ -140,7 +140,7 @@ def apply_Q(t: SymTensor) -> SymTensor:
     return out
 
 
-def replace_sum_by_sources(alg, nums, table, out, scale=1):
+def replace_sum_by_sources(alg, nums, table, out):
     """Algebra.replace_sum without plans: every key tests every source of
     table (a _ReplaceTable) and counts each Koszul sign itself.  For each
     source the exponent is (key >> shift) & mask; one power leaves the
@@ -153,7 +153,6 @@ def replace_sum_by_sources(alg, nums, table, out, scale=1):
     mask, sources = table.mask, table.sources
     get = out.get
     for key, num in nums.items():
-        num *= scale
         for shift, unit, below, dsts in sources:
             e = (key >> shift) & mask
             if not e:

@@ -5,6 +5,8 @@ import pytest
 from solver_oracles import ghost, lagrange, lagrange_mom, xip
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.observables import (
+    BAR_GAMMA,
+    NGH,
     NotFirstClassError,
     check_first_class,
     lift,
@@ -39,13 +41,25 @@ def test_noncentral_lift_needs_correction(so3_result):
     lifted = lift(phi0, so3_result)
     assert lifted.ok
     assert not lifted.k_part.is_zero()
-    assert lifted.bar_gamma_zero
-    assert lifted.restriction_ok
-    assert lifted.ngh_ok
+    assert lifted.report.boundary == ()  # barGamma K = 0, restriction, ngh 0
     assert restrict(lifted.phi_prime) == phi0
     # every correction term carries at least one elevated variable, so the
     # lift is invisible at C = pi = 0
     assert restrict(lifted.k_part).is_zero()
+
+
+@pytest.mark.parametrize("failed, rows", [
+    ((BAR_GAMMA,), ["  boundary barGamma K = 0: NO", "  restriction returns phi0: yes"]),
+    ((NGH,), ["  boundary barGamma K = 0: yes", "  restriction returns phi0: yes"]),
+])
+def test_a_failed_lift_condition_fails_the_one_pass_rule(so3_result, failed, rows):
+    # the commutator vanishes, yet a failed boundary condition fails the lift
+    lifted = lift(so3_result.algebra.xi(1) ** 2, so3_result)
+    bad = lifted._replace(report=lifted.report._replace(boundary=failed))
+    assert lifted.ok and not bad.ok and bad.report.residual.is_zero()
+    shown = bad.render().splitlines()
+    assert shown[0] == "observable lift: FAILED through cp-degree 6"
+    assert shown[-2:] == rows
 
 
 def test_realization_of_the_bracket(so3_result):

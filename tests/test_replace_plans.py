@@ -58,15 +58,14 @@ def _field_sets(alg, rng):
     return sets
 
 
-def _check_pass(alg, p, nums, width, fields, table, fden, scale=1):
+def _check_pass(alg, p, nums, width, fields, table, fden):
     """One pass of nums (p's keys at width) against both references; its
     output dict."""
-    got = alg.replace_sum(nums, table, {}, scale)
-    want = replace_sum_by_sources(alg, nums, table, {}, scale)
+    got = alg.replace_sum(nums, table, {})
+    want = replace_sum_by_sources(alg, nums, table, {})
     assert list(got.items()) == list(want.items())
-    if scale == 1:
-        assert (alg.from_keys(dict(got), width, p.den * fden)
-                == replace_by_derivatives(p, fields))
+    assert (alg.from_keys(dict(got), width, p.den * fden)
+            == replace_by_derivatives(p, fields))
     return got
 
 
@@ -146,23 +145,6 @@ def test_an_odd_destination_already_present(mixed_alg):
     p = alg.xi(2) * alg.ghost_mom(2, 1) ** 2
     w1, _ = alg.replace_table(_w_fields(alg, 1), 4)
     assert _check_pass(alg, p, keys_at(p, 4), 4, _w_fields(alg, 1), w1, 1) == {}
-
-
-@pytest.mark.parametrize("width", (4, 5))
-def test_scale_multiplies_each_numerator(mixed_alg, width):
-    alg = mixed_alg
-    rng = random.Random(f"scale-{width}")
-    table, _ = alg.replace_table(_gamma_fields(alg, 2), width)
-    for scale in (-1, 2, 6, 35):
-        p = random_element(alg, rng) + random_element(alg, rng, max_n=2)
-        nums = keys_at(p, width)
-        plain = alg.replace_sum(nums, table, {})
-        got = _check_pass(alg, p, nums, width, _gamma_fields(alg, 2), table, 1, scale)
-        assert list(got.items()) == [(k, n * scale) for k, n in plain.items()]
-        # added into a dict that already holds terms, as _contract does
-        out = dict(plain)
-        alg.replace_sum(nums, table, out, scale)
-        assert out == {k: n * (1 + scale) for k, n in plain.items() if n * (1 + scale)}
 
 
 def test_exponents_filling_the_field(mixed_alg):

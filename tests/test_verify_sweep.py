@@ -1,0 +1,76 @@
+"""verify proves exactly what a charge document holds.
+
+Every single-term mutation of the golden so3 charge document (order 4)
+is verified in process against theories/so3.json: each term of each
+component is dropped, doubled or has its sign flipped, and every mutant
+must exit 1.  A mutant that exits 0 is a finding, never a case to drop.
+
+Terms the order cannot prove, or that a charge cannot hold, make the
+document malformed: appended to component 1, an odd ngh-1 term of
+cp-degree 5, an even term and a term of ngh 2 each exit 2 with one error
+line that names the component and the term, and print nothing on
+standard output.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sp2brst import expr
+from sp2brst.cli import main
+from sp2brst.theoryfile import build_algebra, parse_theory
+
+THEORY = Path(__file__).resolve().parent.parent / "theories" / "so3.json"
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "omega-so3.json")
+                    .read_text())
+
+
+def _verify(doc, path):
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(THEORY), str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _mutants():
+    """(component, term, how, document) of every single-term drop,
+    doubling and sign flip of the golden document."""
+    alg = build_algebra(parse_theory(THEORY.read_bytes()))
+    for a, text in GOLDEN["components"].items():
+        p = expr.parse(alg, text)
+        for mono, coeff in p.terms.items():
+            for how, factor in (("drop", -1), ("double", 1), ("flip", -2)):
+                doc = json.loads(json.dumps(GOLDEN))
+                doc["components"][a] = expr.serialize(p + alg.poly({mono: coeff * factor}))
+                yield a, alg.poly({mono: coeff}), how, doc
+
+
+def test_every_single_term_mutant_fails_verification(tmp_path):
+    path = tmp_path / "mutant.json"
+    codes = {}
+    for a, term, how, doc in _mutants():
+        codes[(a, repr(term), how)] = _verify(doc, path)[0]
+    assert len(codes) == 162
+    assert {case: code for case, code in codes.items() if code != 1} == {}
+
+
+@pytest.mark.parametrize("term, message", [
+    ("C[1,1]*C[2,1]*C[3,1]*C[1,2]*C[2,2]*P[1,1]*P[2,1]*P[3,1]*P[1,2]",
+     "omega component 1: term -P[1,1]*P[1,2]*P[2,1]*P[3,1]*C[1,1]*C[1,2]*C[2,1]*C[2,2]*C[3,1]"
+     " has cp-degree 5, above the order 4"),
+    ("xi[1]", "omega component 1: term xi[1] has parity 0 and ngh 0; "
+              "a charge is odd with ngh 1"),
+    ("C[1,1]*C[2,1]", "omega component 1: term C[1,1]*C[2,1] has parity 0 and ngh 2; "
+                      "a charge is odd with ngh 1"),
+], ids=["cp-degree-5", "even", "ngh-2"])
+def test_terms_a_charge_cannot_hold_are_input_errors(tmp_path, term, message):
+    doc = json.loads(json.dumps(GOLDEN))
+    doc["components"]["1"] += " + " + term
+    code, out, err = _verify(doc, tmp_path / "omega.json")
+    assert (code, out) == (2, "")
+    # the error, then the timing line every run prints
+    assert err.splitlines()[:-1] == [f"error: {message}"]
