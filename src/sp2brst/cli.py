@@ -17,12 +17,14 @@ ConventionError, SymmetryError or OutsideDomainError);
 the parser's limits, Jacobi-violating structure table, an option or an
 order out of range, a charge document term above its order or not odd
 with ngh 1, or a polynomial formed by solve, lift or verify outgrew the
-SP2_BRST_MAX_TERMS term cap, checked as terms form); 130 interrupted by
-SIGINT, with no traceback; 141 standard output closed before the report
-was written, with no traceback and no error line.
+SP2_BRST_MAX_TERMS term cap, checked as terms form), or the process ran
+out of memory, which like the term cap means the command ran out of
+room; 130 interrupted by SIGINT, with no traceback; 141 standard output
+closed before the report was written, with no traceback and no error
+line.
 Each command reads all of its input before its first report line, so an
 input error prints nothing on standard output, save a Jacobi report or
-the lines before an exceeded term budget.
+the lines before an exceeded term budget or exhausted memory.
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -41,8 +43,9 @@ from .identities import run_identity_suite
 from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
 from .operators import OutsideDomainError
-from .solver import MAX_ORDER, ConventionError, Method, SolverConfig, solve, verify_master
+from .solver import ConventionError, Method, SolverConfig, solve, verify_master
 from .tensors import SymmetryError
+from .theory import MAX_ORDER
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
                          dump_document, load_omega, observable_document,
                          omega_document, parse_theory, validate_jacobi)
@@ -133,7 +136,7 @@ def _write_out(path: str, document: dict) -> None:
         fh.write(dump_document(document))
 
 
-def _omega_summary(res) -> list:
+def _omega_summary(res, texts: tuple) -> list:
     rows = []
     for a in (1, 2):
         comp = res.omega.get((a,))
@@ -141,8 +144,8 @@ def _omega_summary(res) -> list:
             f"degree {d}: {n}" for d in range(res.config.k + 1)
             if (n := comp.cp_part(d).term_count()))
         rows.append(f"Omega^{a} terms by cp-degree: {counts or 'none'}")
-    for a in (1, 2):
-        rows.append(f"Omega^{a} = {expr.serialize(res.omega.get((a,)))}")
+    for a, text in enumerate(texts, 1):
+        rows.append(f"Omega^{a} = {text}")
     return rows
 
 
@@ -152,11 +155,12 @@ def cmd_solve(args) -> int:
     _report_theory(doc, alg)
     config = _config(args, doc)
     res = solve(doc.spec, config, algebra=alg)
-    for row in _omega_summary(res):
+    texts = tuple(expr.serialize(res.omega.get((a,))) for a in (1, 2))
+    for row in _omega_summary(res, texts):
         print(row)
     print(res.render())
     if args.out:
-        _write_out(args.out, omega_document(doc.spec.label, config.k, res.omega))
+        _write_out(args.out, omega_document(doc.spec.label, config.k, texts))
     return OK if res.ok else FAIL
 
 
@@ -172,14 +176,16 @@ def cmd_lift(args) -> int:
     if not res.ok:
         print(res.render())
         return FAIL
-    print(f"observable {name} = {expr.serialize(phi0)}")
+    phi0_text = expr.serialize(phi0)
+    print(f"observable {name} = {phi0_text}")
     try:
         lifted = lift(phi0, res)
     except NotFirstClassError as e:
         print(f"rejected: {e}")
         return FAIL
     print(lifted.render())
-    print(f"Phi' = {expr.serialize(lifted.phi_prime)}")
+    phi_prime_text = expr.serialize(lifted.phi_prime)
+    print(f"Phi' = {phi_prime_text}")
     status = lifted.ok
     for other_name, other in observables.items():
         try:
@@ -192,7 +198,7 @@ def cmd_lift(args) -> int:
         status = status and other_lift.ok and realization.ok
     if args.out:
         _write_out(args.out, observable_document(
-            doc.spec.label, name, config.k, phi0, lifted.phi_prime))
+            doc.spec.label, name, config.k, phi0_text, phi_prime_text))
     return OK if status else FAIL
 
 
@@ -282,6 +288,10 @@ def main(argv=None) -> int:
         return CLOSED_STDOUT
     except KeyboardInterrupt:
         return INTERRUPTED
+    except MemoryError:
+        # out of room, as an exceeded term budget is
+        print("error: out of memory", file=sys.stderr)
+        return INPUT_ERROR
     except (TheoryFileError, TheoryError, expr.ExprError, UsageError,
             TermBudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .algebra import Algebra, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
-from .theory import TheorySpec
+from .theory import MAX_ORDER, TheorySpec
 
 HALF = Fraction(1, 2)
 
@@ -68,11 +68,6 @@ class Method(Enum):
     FIXED_POINT = "fixed-point"
     DESCENDANTS = "descendants"
     BOTH = "both"
-
-
-# the largest truncation order: every bundled Pi stops by cp-degree 6, but
-# the work and the report grow with the order even after Pi has stopped
-MAX_ORDER = 1000
 
 
 class SolverConfig:

@@ -20,6 +20,9 @@ from __future__ import annotations
 from types import MappingProxyType
 
 MAX_REPORT = 10
+# the largest truncation order: every bundled Pi stops by cp-degree 6, but
+# the work and the report grow with the order even after Pi has stopped
+MAX_ORDER = 1000
 
 
 class TheorySpec:

@@ -32,15 +32,13 @@ result from the files alone.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import NamedTuple
 
 from . import expr
 from .algebra import DEFAULT_MAX_TERMS, Algebra, TheoryError
-from .solver import MAX_ORDER
 from .tensors import SymTensor
-from .theory import TheorySpec, jacobi_violations
+from .theory import MAX_ORDER, TheorySpec, jacobi_violations
 
 FORMAT = 1
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -141,6 +139,10 @@ def _decode(data, what: str) -> dict:
     that are not UTF-8, an integer of more digits than int() converts and
     nesting deeper than the decoder's recursion reaches."""
     if isinstance(data, (bytes, str)):
+        # imported only where a document is read or written: building an
+        # algebra from a spec needs no json
+        import json
+
         try:
             data = json.loads(data, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
@@ -251,30 +253,36 @@ def validate_jacobi(alg: Algebra) -> JacobiReport:
 
 # -- result documents --------------------------------------------------------
 
-def omega_document(label: str, order: int, omega: SymTensor) -> dict:
+# the documents take the serialized polynomials, the texts a command
+# prints, so that each is formed once
+
+def omega_document(label: str, order: int, components: tuple) -> dict:
+    """components: the texts of Omega^1 and Omega^2."""
     return {
         "format": FORMAT,
         "kind": "omega",
         "label": label,
         "order": order,
-        "components": {str(a): expr.serialize(omega.get((a,))) for a in (1, 2)},
+        "components": {str(a): text for a, text in enumerate(components, 1)},
     }
 
 
 def observable_document(label: str, name: str, order: int,
-                        phi0, phi_prime) -> dict:
+                        phi0: str, phi_prime: str) -> dict:
     return {
         "format": FORMAT,
         "kind": "observable",
         "label": label,
         "name": name,
         "order": order,
-        "phi0": expr.serialize(phi0),
-        "phi_prime": expr.serialize(phi_prime),
+        "phi0": phi0,
+        "phi_prime": phi_prime,
     }
 
 
 def dump_document(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

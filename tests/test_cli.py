@@ -13,8 +13,10 @@ import pytest
 
 import sp2brst.algebra as algebra_mod
 import sp2brst.cli as cli_mod
+import sp2brst.expr as expr_mod
 import sp2brst.solver as solver_mod
 from sp2brst.cli import main
+from sp2brst.observables import ObservableLift
 from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
 from sp2brst.tensors import SymmetryError, SymTensor
@@ -563,6 +565,44 @@ def test_deformed_pipeline_kernel_calls(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0, out
     assert counts == [15, 6, 28]
+
+
+def test_printed_polynomials_are_serialized_once(capsys, tmp_path, monkeypatch):
+    # each command serializes a polynomial once, for its stdout line, and
+    # writes that text into its document; lift forms Phi' once
+    serialized, formed = [], []
+    serialize, phi_prime = expr_mod.serialize, ObservableLift.phi_prime
+
+    def counted_serialize(p):
+        serialized[-1] += 1
+        return serialize(p)
+
+    def counted_phi_prime(self):
+        formed[-1] += 1
+        return phi_prime.fget(self)
+
+    monkeypatch.setattr(expr_mod, "serialize", counted_serialize)
+    monkeypatch.setattr(ObservableLift, "phi_prime", property(counted_phi_prime))
+    theory = str(THEORY_DIR / "so3-deformed.json")
+    omega, lifted = str(tmp_path / "omega.json"), str(tmp_path / "lift.json")
+    outputs = []
+    for argv in (("solve", theory, "--method", "fixed-point", "--out", omega),
+                 ("verify", theory, omega),
+                 ("lift", theory, "--observable", "J2sq", "--method", "fixed-point",
+                  "--out", lifted)):
+        serialized.append(0)
+        formed.append(0)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, out
+        outputs.append(out.splitlines())
+    assert serialized == [2, 0, 2]
+    assert formed == [0, 0, 1]
+    charges = json.loads(Path(omega).read_text())["components"]
+    assert [f"Omega^{a} = {charges[a]}" for a in "12"] == [
+        line for line in outputs[0] if line.startswith("Omega^") and " = " in line]
+    doc = json.loads(Path(lifted).read_text())
+    assert f"observable J2sq = {doc['phi0']}" in outputs[2]
+    assert f"Phi' = {doc['phi_prime']}" in outputs[2]
 
 
 # -- parse errors name their entry and the text their column counts in ------

@@ -104,7 +104,8 @@ def _check_pipeline(spec: TheorySpec, k: int) -> None:
     assert (pi0 + apply_W_plus(apply_A(pi0))).truncate_cp(k) == seed.truncate_cp(k)
     higher = solve_pi_fixed_point(seed, k + 1)
     assert res.pi == higher.truncate_cp(k)
-    doc = omega_document(spec.label, k, res.omega)
+    doc = omega_document(spec.label, k,
+                         tuple(expr.serialize(res.omega.get((a,))) for a in (1, 2)))
     omega, order = load_omega(dump_document(doc), alg)
     assert (omega, order) == (res.omega, k)
     assert _verifies(omega, k)

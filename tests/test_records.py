@@ -4,6 +4,12 @@ The result records are named tuples, and TheorySpec and SolverConfig
 are __slots__ classes that validate their inputs; none of them needs
 ``dataclasses``, whose import pulls in ``inspect`` and the modules
 behind it on every command's start-up.
+
+A process imports only the package modules it uses: ``import sp2brst``
+loads no submodule, and json loads only where a document is read or
+written.  Each import set is checked in a child interpreter, on the
+``sp2brst`` modules and json alone, since site hooks may import other
+standard modules before the probe runs.
 """
 
 import os
@@ -21,17 +27,54 @@ from sp2brst.tensors import SymTensor
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+def _loaded(probe: str) -> set:
+    """The names of sys.modules after probe runs in a child interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    probe = ("import sys\n"
-             "import sp2brst.cli\n"
-             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+    code = probe + "\nimport sys\nprint(' '.join(sys.modules), file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def _package_and_json(modules: set) -> set:
+    return {m for m in modules if m.startswith("sp2brst.") or m == "json"}
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    assert _loaded("import sp2brst.cli") & {"dataclasses", "inspect"} == set()
+
+
+def test_package_import_loads_no_submodule():
+    assert _package_and_json(_loaded("import sp2brst")) == set()
+
+
+def test_building_an_algebra_loads_no_solver_and_no_json():
+    # the set-up a check-identities run over mixed2 needs
+    loaded = _loaded("import sp2brst\n"
+                     "from sp2brst import theoryfile\n"
+                     "sp2brst.Algebra(sp2brst.mixed_parity_spec())\n")
+    assert _package_and_json(loaded) == {
+        "sp2brst.algebra", "sp2brst.expr", "sp2brst.tensors", "sp2brst.theory",
+        "sp2brst.theoryfile"}
+
+
+def test_star_import_binds_every_public_name():
+    loaded = _loaded("import sp2brst\n"
+                     "names = {}\n"
+                     "exec('from sp2brst import *', names)\n"
+                     "assert [n for n in sp2brst.__all__ if n not in names] == []\n")
+    assert "sp2brst.solver" in loaded
+
+
+def test_check_identities_without_a_theory_loads_no_json():
+    loaded = _loaded("import contextlib, io\n"
+                     "from sp2brst.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    assert main(['check-identities', '--samples', '2']) == 0\n")
+    assert "sp2brst.identities" in loaded and "json" not in loaded
 
 
 def _spec(label="t"):

@@ -1,12 +1,16 @@
-"""SIGINT and a closed standard output keep the exit-code contract.
+"""SIGINT, a closed standard output and exhausted memory keep the
+exit-code contract.
 
 Each command runs in a child process.  SIGINT goes to that child only:
 it exits 130 at once, with no traceback, and the identity suite's
 forked workers are stopped rather than waited for.  A standard output
 whose reader has gone exits 141, whether output is buffered or not, and
-prints no traceback, no "Exception ignored" line and no error line.
+prints no traceback, no "Exception ignored" line and no error line.  A
+solve that runs out of address space (RLIMIT_AS, set in the child only)
+exits 2 with one error line, as an exceeded term budget does.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -63,3 +67,42 @@ def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert _timing_line_only(proc.stderr), proc.stderr
+
+
+# the cubic Heisenberg theory: its fixed point at order 5 grows past the
+# address-space cap below in about a second
+CUBIC = {"format": 1, "label": "cubic",
+         "constraints": [{"name": n, "parity": 0} for n in ("X", "Y", "Z")],
+         "U": {"1,2,3": "1 + X*Y"}}
+MEMORY_CAP = 50 << 20
+
+
+def _settable_cap():
+    try:
+        import resource
+    except ImportError:
+        return False
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    return hard == resource.RLIM_INFINITY or hard >= MEMORY_CAP
+
+
+@pytest.mark.skipif(not _settable_cap(), reason="needs a settable RLIMIT_AS")
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    theory = tmp_path / "cubic.json"
+    theory.write_text(json.dumps(CUBIC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sp2brst", "solve", str(theory),
+         "--method", "fixed-point", "--order", "5"],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    # the error, then the timing line every run prints
+    assert proc.stderr.splitlines()[:-1] == ["error: out of memory"], proc.stderr
+    assert proc.stdout.splitlines() == [
+        "theory cubic: 3 constraints, 0 physical coordinates",
+        "Jacobi identity: holds on all coordinate triples"]

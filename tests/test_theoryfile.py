@@ -22,6 +22,11 @@ from sp2brst.theoryfile import (
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
 
+def _components(omega):
+    """The texts of Omega^1 and Omega^2, which omega_document takes."""
+    return tuple(serialize(omega.get((a,))) for a in (1, 2))
+
+
 def _doc(**overrides):
     base = {
         "format": 1,
@@ -198,7 +203,7 @@ def test_trivial_theory_end_to_end():
 
 def test_omega_document_roundtrip(mixed2_result):
     res = mixed2_result
-    doc = omega_document("mixed2", res.config.k, res.omega)
+    doc = omega_document("mixed2", res.config.k, _components(res.omega))
     text = dump_document(doc)
     back, order = load_omega(text, res.algebra)
     assert order == res.config.k
@@ -209,7 +214,7 @@ def test_omega_document_roundtrip(mixed2_result):
 
 def test_omega_document_rejections(mixed2_result):
     res = mixed2_result
-    good = omega_document("mixed2", res.config.k, res.omega)
+    good = omega_document("mixed2", res.config.k, _components(res.omega))
     alg = res.algebra
 
     bad = dict(good, kind="observable")
@@ -269,7 +274,7 @@ def test_charge_documents_accept_declared_names():
 def test_repeated_components_key_is_rejected(mixed2_result):
     # a zero component ahead of the real one, which json.loads would drop
     res = mixed2_result
-    good = omega_document("mixed2", res.config.k, res.omega)
+    good = omega_document("mixed2", res.config.k, _components(res.omega))
     text = dump_document(good).replace('"1": ', '"1": "0",\n    "1": ', 1)
     assert json.loads(text)["components"] == good["components"]
     with pytest.raises(TheoryFileError) as err:
@@ -280,7 +285,7 @@ def test_repeated_components_key_is_rejected(mixed2_result):
 def test_observable_document_shape(so3_result):
     alg = so3_result.algebra
     phi0 = alg.xi(1) ** 2
-    doc = observable_document("so3", "J1sq", 6, phi0, phi0)
+    doc = observable_document("so3", "J1sq", 6, serialize(phi0), serialize(phi0))
     assert doc["kind"] == "observable"
     assert doc["phi0"] == serialize(phi0)
     assert parse_expr(alg, doc["phi_prime"]) == phi0
