@@ -14,7 +14,7 @@ Run from the repository root:
 
 import argparse
 
-from sp2brst import Method, SolverConfig, lift, so3_spec, solve, verify_realization
+from sp2brst import Algebra, Method, lift, so3_spec, solve, verify_realization
 from sp2brst.expr import serialize
 
 
@@ -25,7 +25,7 @@ def main() -> None:
                     help="truncation cp-degree (default 4)")
     args = ap.parse_args()
 
-    res = solve(so3_spec(), SolverConfig(k=args.order, method=Method.BOTH))
+    res = solve(Algebra(so3_spec()), args.order, Method.BOTH)
     print(res.render())
     print()
     for a in (1, 2):

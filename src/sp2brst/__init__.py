@@ -22,11 +22,11 @@ _MODULES = {
     "SymTensor": "tensors",
     **dict.fromkeys(("TheorySpec", "abelian_spec", "so3_spec", "deformed_so3_spec",
                      "mixed_parity_spec", "jacobi_violations"), "theory"),
-    **dict.fromkeys(("SolverConfig", "Method", "SolverResult", "MasterReport",
-                     "ConventionError", "solve", "verify_master"), "solver"),
-    **dict.fromkeys(("FirstClassCheck", "NotFirstClassError", "ObservableLift",
-                     "RealizationReport", "check_first_class", "lift", "restrict",
-                     "verify_realization"), "observables"),
+    **dict.fromkeys(("Method", "SolverResult", "MasterReport", "ConventionError",
+                     "solve", "verify_master"), "solver"),
+    **dict.fromkeys(("NotFirstClassError", "ObservableLift", "RealizationReport",
+                     "check_first_class", "lift", "restrict", "verify_realization"),
+                    "observables"),
     **dict.fromkeys(("TheoryDocument", "TheoryFileError", "parse_theory"),
                     "theoryfile"),
 }

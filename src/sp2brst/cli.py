@@ -13,18 +13,20 @@ Exit codes: 0 all checks pass; 1 a verification failed (nonzero
 residual, direct and structured residuals that disagree, method
 disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
-2 input error (bad document, bad expression, nesting or an integer past
-the parser's limits, Jacobi-violating structure table, an option or an
-order out of range, a charge document term above its order or not odd
-with ngh 1, or a polynomial formed by solve, lift or verify outgrew the
-SP2_BRST_MAX_TERMS term cap, checked as terms form), or the process ran
-out of memory, which like the term cap means the command ran out of
-room; 130 interrupted by SIGINT, with no traceback; 141 standard output
-closed before the report was written, with no traceback and no error
-line.
+2 input error (bad document, bad expression, nesting, an integer or a
+formed coefficient past the parser's limits, Jacobi-violating structure
+table, an option or an order out of range, a charge document term above
+its order or not odd with ngh 1, or a polynomial formed by solve, lift
+or verify outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms
+form), or the process ran out of memory or formed a coefficient of more
+digits than str() writes (4,300 by default), which like the term cap
+means the command ran out of room; 130 interrupted by SIGINT, with no
+traceback; 141 standard output closed before the report was written,
+with no traceback and no error line.
 Each command reads all of its input before its first report line, so an
 input error prints nothing on standard output, save a Jacobi report or
-the lines before an exceeded term budget or exhausted memory.
+the lines before an exceeded term budget, exhausted memory or a
+coefficient too long to write.
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -43,7 +45,7 @@ from .identities import run_identity_suite
 from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
 from .operators import OutsideDomainError
-from .solver import ConventionError, Method, SolverConfig, solve, verify_master
+from .solver import ConventionError, Method, solve, verify_master
 from .tensors import SymmetryError
 from .theory import MAX_ORDER
 from .theoryfile import (TheoryDocument, TheoryFileError, build_algebra,
@@ -111,10 +113,9 @@ def _check_order(args) -> None:
             raise UsageError(f"--order must be at most {MAX_ORDER}")
 
 
-def _config(args, doc: TheoryDocument) -> SolverConfig:
-    """--order, else the document's order, else DEFAULT_ORDER."""
-    k = args.order or doc.order or DEFAULT_ORDER
-    return SolverConfig(k=k, method=Method(args.method))
+def _solve(args, doc: TheoryDocument, alg: Algebra):
+    """solve by --method at --order, else the document's, else DEFAULT_ORDER."""
+    return solve(alg, args.order or doc.order or DEFAULT_ORDER, Method(args.method))
 
 
 def _observables(doc: TheoryDocument, alg: Algebra) -> dict:
@@ -141,7 +142,7 @@ def _omega_summary(res, texts: tuple) -> list:
     for a in (1, 2):
         comp = res.omega.get((a,))
         counts = ", ".join(
-            f"degree {d}: {n}" for d in range(res.config.k + 1)
+            f"degree {d}: {n}" for d in range(res.k + 1)
             if (n := comp.cp_part(d).term_count()))
         rows.append(f"Omega^{a} terms by cp-degree: {counts or 'none'}")
     for a, text in enumerate(texts, 1):
@@ -153,14 +154,13 @@ def cmd_solve(args) -> int:
     _check_order(args)
     doc, alg = _load(args.file, _max_terms())
     _report_theory(doc, alg)
-    config = _config(args, doc)
-    res = solve(doc.spec, config, algebra=alg)
+    res = _solve(args, doc, alg)
     texts = tuple(expr.serialize(res.omega.get((a,))) for a in (1, 2))
     for row in _omega_summary(res, texts):
         print(row)
     print(res.render())
     if args.out:
-        _write_out(args.out, omega_document(doc.spec.label, config.k, texts))
+        _write_out(args.out, omega_document(doc.spec.label, res.k, texts))
     return OK if res.ok else FAIL
 
 
@@ -171,8 +171,7 @@ def cmd_lift(args) -> int:
     observables = _observables(doc, alg)
     _report_theory(doc, alg)
     phi0 = observables.pop(name)
-    config = _config(args, doc)
-    res = solve(doc.spec, config, algebra=alg)
+    res = _solve(args, doc, alg)
     if not res.ok:
         print(res.render())
         return FAIL
@@ -198,20 +197,19 @@ def cmd_lift(args) -> int:
         status = status and other_lift.ok and realization.ok
     if args.out:
         _write_out(args.out, observable_document(
-            doc.spec.label, name, config.k, phi0_text, phi_prime_text))
+            doc.spec.label, name, res.k, phi0_text, phi_prime_text))
     return OK if status else FAIL
 
 
 def cmd_check_identities(args) -> int:
     _at_least(args.degree, 1, "--degree")
     _at_least(args.samples, 1, "--samples")
-    spec = None
+    alg = None  # the suite's own mixed2 algebra
     if args.theory:
-        doc, alg = _load(args.theory)
+        _, alg = _load(args.theory)
         _check_jacobi(alg)
-        spec = doc.spec
     report = run_identity_suite(degree=args.degree, samples=args.samples,
-                                seed=args.seed, spec=spec)
+                                seed=args.seed, alg=alg)
     print(report.render())
     return OK if report.ok else FAIL
 
@@ -293,7 +291,7 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return INPUT_ERROR
     except (TheoryFileError, TheoryError, expr.ExprError, UsageError,
-            TermBudgetError, OSError) as e:
+            TermBudgetError, expr.DigitLimitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     finally:

@@ -22,12 +22,15 @@ polynomials.  A sum's terms are packed by one Algebra.poly call.
 
 Parentheses and unary minuses nest at most MAX_DEPTH deep, and an
 integer may have no more digits than int() reads; past either limit the
-parse raises ExprError.
+parse raises ExprError.  So does a coefficient it forms, in a product, a
+sum or a power's squaring, of more digits than str() writes; serialize
+raises DigitLimitError for one formed elsewhere.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import GradedPoly
@@ -38,6 +41,23 @@ class ExprError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+class DigitLimitError(ValueError):
+    """A coefficient has more digits than str() writes."""
+
+
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(); 0, no limit, before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(c) -> bool:
+    """Whether an int or a Fraction has a numerator or denominator past the
+    digit limit, which is at least 640: 2 ** 2126 < 10 ** 640."""
+    m = max(abs(c.numerator), c.denominator)
+    limit = _digit_limit() if m.bit_length() > 2126 else 0
+    return bool(limit) and m >= 10 ** limit
 
 
 # an int, a name or one other non-space character; finditer steps over
@@ -85,6 +105,14 @@ class _Parser:
         except ValueError:  # more digits than the interpreter converts
             raise self.error(f"integer of {len(val)} digits is too long", at) from None
 
+    def check(self, p, at):
+        """p, a number or a polynomial formed at an offset of the text,
+        unless a coefficient of it is past the digit limit."""
+        for c in p.terms.values() if isinstance(p, GradedPoly) else (p,):
+            if _too_long(c):
+                raise self.error(f"a coefficient of more than {_digit_limit()} digits", at)
+        return p
+
     def nest(self, at):
         """Open one more level of nesting at an offset of the text; the
         caller closes it with self.depth -= 1."""
@@ -119,6 +147,7 @@ class _Parser:
         terms = {}
         sign = 1
         while True:
+            at = self.peek()[2]
             term = self.term()
             for mono, c in (term,) if isinstance(term, tuple) else term.terms.items():
                 if not c:
@@ -127,7 +156,7 @@ class _Parser:
                     c = -c
                 old = terms.get(mono)
                 if old is not None:
-                    c += old
+                    c = self.check(c + old, at)
                     if not c:
                         del terms[mono]
                         continue
@@ -146,23 +175,23 @@ class _Parser:
         product is a polynomial, each later factor multiplied in turn."""
         p = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind != "SYM" or val != "*":
                 return p
             self.next()
             q = self.factor()
             if isinstance(p, tuple) and isinstance(q, tuple):
-                p = self._times(p, q)
+                p = self._times(p, q, at)
             else:
-                p = self._poly(p) * self._poly(q)
+                p = self.check(self._poly(p) * self._poly(q), at)
 
-    def _times(self, p, q):
+    def _times(self, p, q, at):
         """The product of two (monomial, coefficient) pairs: exponents add,
         an odd variable in both gives coefficient 0, and the sign flips once
         for each odd factor of q moved left past a larger one of p."""
         (m1, c), (m2, c2) = p, q
         if c2 != 1:
-            c *= c2
+            c = self.check(c * c2, at)
         if not m2 or not c:
             return m1, c
         par = self.alg.var_parity
@@ -199,10 +228,23 @@ class _Parser:
             if e >= 2 and self._is_odd_generator(p):
                 raise self.error("odd variable raised to a power >= 2", tok[2])
             if isinstance(p, tuple):  # a number or one variable
-                p = (tuple((v, e) for v, _ in p[0]) if e else (), p[1] ** e)
+                p = (tuple((v, e) for v, _ in p[0]) if e else (), self.power(p[1], e, tok[2]))
             else:
-                p = p ** e
+                p = self.power(p, e, tok[2])
         return p
+
+    def power(self, p, e, at):
+        """p ** e for a number or a polynomial p, by squaring, each product
+        checked as it forms, so no step multiplies coefficients past the
+        digit limit."""
+        out = self.alg.one() if isinstance(p, GradedPoly) else 1
+        while e:
+            if e & 1:
+                out = self.check(out * p, at)
+            e >>= 1
+            if e:
+                p = self.check(p * p, at)
+        return out
 
     def _is_odd_generator(self, p):
         if not isinstance(p, tuple):
@@ -296,7 +338,11 @@ def serialize(p: GradedPoly) -> str:
         mag = -c if neg else c
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in mono]
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+            try:
+                factors.insert(0, str(mag))
+            except ValueError:  # past the interpreter's digit limit
+                raise DigitLimitError(f"a coefficient of more than {_digit_limit()} "
+                                      "digits is too long to write") from None
         chunks.append((" - " if neg else " + ") + "*".join(factors))
     text = "".join(chunks)  # the first term's sign is "-" or nothing
     return "-" + text[3:] if text[1] == "-" else text[3:]

@@ -38,7 +38,7 @@ from .operators import (apply_Gamma, apply_M, apply_N, apply_W,
                         apply_W_plus, bar_gamma, bar_w, gamma_component,
                         m_component, n_apply, n_inverse, w_component)
 from .tensors import SymTensor
-from .theory import TheorySpec, mixed_parity_spec
+from .theory import mixed_parity_spec
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -280,10 +280,11 @@ def _read_all(fd: int) -> bytes:
 
 
 def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
-                       spec: TheorySpec | None = None) -> IdentityReport:
-    """Check every identity on `samples` seeded random elements of
-    cp-degree and N-degree at most `degree`; a failing sample counts once
-    per identity, which keeps its first defect.
+                       alg: Algebra | None = None) -> IdentityReport:
+    """Check every identity on `samples` seeded random elements of alg
+    (default: the mixed2 algebra) of cp-degree and N-degree at most
+    `degree`; a failing sample counts once per identity, which keeps its
+    first defect.
 
     Sample i depends only on (seed, i).  With n processes (one per CPU),
     forked worker j checks samples j, j + n, ... and the parent samples
@@ -295,13 +296,12 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
     say) leaves it; one whose parent is killed stops before its next
     sample.
 
-    Results are deterministic functions of (degree, samples, seed, spec).
+    Results are deterministic functions of (degree, samples, seed, alg.spec).
     """
-    if spec is None:
-        spec = mixed_parity_spec()
-    if spec.m == 0:
+    if alg is None:
+        alg = Algebra(mixed_parity_spec())
+    if alg.m == 0:
         raise TheoryError("the identity suite needs at least one constraint")
-    alg = Algebra(spec)
     n = _workers(samples)
     rows: list = [None] * samples
 
@@ -351,5 +351,5 @@ def run_identity_suite(degree: int = 4, samples: int = 100, seed: int = 0,
             tally[name, domain] = (fails, first)
     results = tuple(IdentityResult(name, domain, samples, fails, first)
                     for (name, domain), (fails, first) in tally.items())
-    return IdentityReport(spec.label or "anonymous", degree, samples, seed,
+    return IdentityReport(alg.spec.label or "anonymous", degree, samples, seed,
                           results)

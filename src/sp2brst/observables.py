@@ -45,30 +45,24 @@ class NotFirstClassError(ValueError):
             f"{remainder!r} outside the constraint ideal")
 
 
-class FirstClassCheck(NamedTuple):
-    ok: bool
-    alpha: int | None = None
-    remainder: GradedPoly | None = None
-
-
 def require_matter_only(phi0: GradedPoly) -> None:
     others = [s for s in Sector if s not in _MATTER]
     if phi0.substitute_zero(others).term_count() != phi0.term_count():
         raise ValueError("phi0 must be a polynomial in the matter variables only")
 
 
-def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> FirstClassCheck:
+def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> None:
     """First class means {phi0, xi_alpha}' lies in the ideal generated by
     the constraints for every alpha.  The ideal is linear in the xi, so
     membership is decided by setting xi = 0: the remainder must vanish.
-    One Algebra.brackets call gives every {phi0, xi_alpha}'."""
+    One Algebra.brackets call gives every {phi0, xi_alpha}'; the first
+    alpha with a remainder raises NotFirstClassError."""
     alg = phi0.alg if alg is None else alg
     require_matter_only(phi0)
     (row,) = alg.brackets([phi0], [alg.xi(alpha) for alpha in range(1, alg.m + 1)])
     for alpha, br in enumerate(row, 1):
         if remainder := br.substitute_zero((Sector.XI,)):
-            return FirstClassCheck(False, alpha, remainder)
-    return FirstClassCheck(True)
+            raise NotFirstClassError(alpha, remainder)
 
 
 def restrict(phi_prime: GradedPoly) -> GradedPoly:
@@ -82,7 +76,7 @@ BAR_GAMMA, RESTRICTION, NGH = "barGamma K = 0", "restriction returns phi0", "ngh
 
 
 class ObservableLift(NamedTuple):
-    """A lifted observable Phi' = phi0 + K with its verification record.
+    """A lifted observable, phi_prime = phi0 + K, with its verification record.
 
     report's residual is the directly evaluated {Omega^a, Phi'}' and its
     structured form W K + [Omega, phi0] + A K + [Pi, K], the last two
@@ -94,11 +88,8 @@ class ObservableLift(NamedTuple):
 
     phi0: GradedPoly
     k_part: GradedPoly
+    phi_prime: GradedPoly
     report: MasterReport
-
-    @property
-    def phi_prime(self) -> GradedPoly:
-        return self.phi0 + self.k_part
 
     @property
     def ok(self) -> bool:
@@ -123,18 +114,16 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
     {Omega^a, Phi'}' = 0 through the solver's truncation degree.  Every
     polynomial formed stays under the term budget of the solve's algebra.
 
-    A non-first-class phi0 is rejected with the witnessing constraint and
-    remainder.
+    A non-first-class phi0 is rejected: check_first_class raises
+    NotFirstClassError with the witnessing constraint and remainder.
     """
     alg = omega_result.algebra
     if not alg.compatible(phi0.alg):
         raise ValueError("phi0 belongs to an algebra over a different theory")
-    fc = check_first_class(phi0, alg)
-    if not fc.ok:
-        raise NotFirstClassError(fc.alpha, fc.remainder)
+    check_first_class(phi0, alg)
 
     omega, pi = omega_result.omega, omega_result.pi
-    k = omega_result.config.k
+    k = omega_result.k
 
     # the solve calls op once per degree part of K, so the images it
     # returns add up to (A + [Pi, .]) K, a term of the structured residual
@@ -163,7 +152,8 @@ def lift(phi0: GradedPoly, omega_result: SolverResult) -> ObservableLift:
         (BAR_GAMMA, bar_gamma(k_part).is_zero()),
         (RESTRICTION, restrict(phi_prime) == phi0),
         (NGH, ngh_ok)) if not holds)
-    return ObservableLift(phi0, k_part, MasterReport(k, direct, structured, failed))
+    return ObservableLift(phi0, k_part, phi_prime,
+                          MasterReport(k, direct, structured, failed))
 
 
 class RealizationReport(NamedTuple):

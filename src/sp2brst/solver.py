@@ -27,8 +27,10 @@ below d.  One graded solve gives the fixed point and every inverse
 (I + W+ op)^-1.  The multi-bracket expansion Pi = <e^(Pi_0)>, with
 Pi_0 = (I + W+ A)^-1 (Upsilon - W+ F), reproduces the solution, its m-fold
 brackets built by size from the smaller ones; Pi_0 is built only for it.
-The solver can run both and insists they agree.  Each stage takes the
-tensors it consumes and the order k: solve forms the seed once,
+The solver can run both and insists they agree.  solve takes the theory
+as its Algebra, which also fixes the term budget, and the order k and
+the method as plain arguments.  Each stage takes the tensors it
+consumes and the order k: solve forms the seed once,
 projected_seed(Upsilon, F), and hands it to build_pi0(seed, k) and
 solve_pi_fixed_point(seed, k), and Pi_0 to solve_pi_descendants(pi0, k).
 
@@ -47,7 +49,7 @@ from typing import NamedTuple
 from .algebra import Algebra, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
-from .theory import MAX_ORDER, TheorySpec
+from .theory import MAX_ORDER
 
 HALF = Fraction(1, 2)
 
@@ -70,47 +72,17 @@ class Method(Enum):
     BOTH = "both"
 
 
-class SolverConfig:
-    """Truncation degree, optional boundary datum Upsilon, and method.
-
-    k is the cp-degree (ghost C plus ghost momentum pi count) through which
-    the charges are constructed and verified, 2 to MAX_ORDER; every
-    reported zero is exact through that degree.
-    """
-
-    __slots__ = ("k", "upsilon", "method")
-
-    def __init__(self, k: int, upsilon: SymTensor | None = None,
-                 method: Method = Method.BOTH):
-        if not 2 <= k <= MAX_ORDER:
-            raise ValueError(f"truncation degree k must be from 2 to {MAX_ORDER}")
-        for name, value in zip(self.__slots__, (k, upsilon, method)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.upsilon, self.method) == (other.k, other.upsilon, other.method)
-
-    __hash__ = None
-
-
 def validate_upsilon(alg: Algebra, upsilon: SymTensor) -> None:
-    """The boundary datum must be rank 1, odd, ngh 1, cp-degree >= 2 and
-    annihilated by the rank-raising W."""
-    if upsilon.rank != 1:
-        raise TheoryError("upsilon must be a rank-1 tensor")
-    for idx in upsilon.indices():
-        p = upsilon.get(idx)
-        if not p:
-            continue
-        if p.parity() != 1 or p.ngh() != 1:
-            raise TheoryError("upsilon components must be odd with ngh = 1")
+    """The boundary datum must be a rank-1 tensor over alg's theory, odd,
+    ngh 1, cp-degree >= 2 and annihilated by the rank-raising W."""
+    if upsilon.rank != 1 or not alg.compatible(upsilon.alg):
+        raise TheoryError("upsilon must be a rank-1 tensor over the algebra's theory")
+    try:
+        graded = all(p.parity() == 1 and p.ngh() == 1 for p in upsilon.comps.values())
+    except ValueError:  # terms of both parities or of several ngh
+        graded = False
+    if not graded:
+        raise TheoryError("upsilon components must be odd with ngh = 1")
     mc = upsilon.min_cp()
     if mc is not None and mc < 2:
         raise TheoryError("upsilon must start at cp-degree 2")
@@ -429,9 +401,9 @@ def boundary_violations(omega: SymTensor):
 class SolverResult(NamedTuple):
     """Everything the construction produced, plus the verification report."""
 
-    spec: TheorySpec
-    config: SolverConfig
     algebra: Algebra
+    k: int
+    method: Method
     omega: SymTensor
     omega1: SymTensor
     f: SymTensor
@@ -443,47 +415,40 @@ class SolverResult(NamedTuple):
         return self.report.ok
 
     def render(self) -> str:
+        spec = self.algebra.spec
         return "\n".join([
-            f"theory: {self.spec.label} "
-            f"(m={self.spec.m}, physical={self.spec.n_physical})",
-            f"truncation: cp-degree {self.config.k}, method {self.config.method.value}",
+            f"theory: {spec.label} (m={spec.m}, physical={spec.n_physical})",
+            f"truncation: cp-degree {self.k}, method {self.method.value}",
             f"Omega terms: {self.omega.term_count()} "
             f"(boundary {self.omega1.term_count()}, correction {self.pi.term_count()})",
             self.report.render(),
         ])
 
 
-def solve(spec: TheorySpec, config: SolverConfig,
-          algebra: Algebra | None = None) -> SolverResult:
-    """Assemble Omega^a = Omega_1^a + Pi^a and verify the master equations
-    through cp-degree k (exactly)."""
-    if algebra is not None:
-        alg = algebra
-    elif config.upsilon is not None:
-        alg = config.upsilon.alg
-    else:
-        alg = Algebra(spec)
-    if alg.spec != spec:
-        raise TheoryError("algebra and upsilon must be built over the given theory")
-    if config.upsilon is None:
+def solve(alg: Algebra, k: int, method: Method = Method.BOTH, *,
+          upsilon: SymTensor | None = None) -> SolverResult:
+    """Assemble Omega^a = Omega_1^a + Pi^a over alg's theory and verify the
+    master equations exactly through cp-degree k (the count of ghosts C
+    and pi), from 2 to MAX_ORDER.  upsilon, the boundary datum, is zero
+    unless given (see validate_upsilon)."""
+    if not 2 <= k <= MAX_ORDER:
+        raise ValueError(f"truncation degree k must be from 2 to {MAX_ORDER}")
+    if upsilon is None:
         upsilon = SymTensor.zero(alg, 1)
     else:
-        upsilon = config.upsilon
         validate_upsilon(alg, upsilon)
-    k = config.k
     omega1 = build_omega1(alg)
     f = build_F(alg)
     seed = projected_seed(upsilon, f)
     # Pi_0 serves only the descendant sum; with both, it is built first
-    pi0 = None if config.method is Method.FIXED_POINT else build_pi0(seed, k)
-    pis = {}
-    if config.method is not Method.DESCENDANTS:
-        pis[Method.FIXED_POINT] = solve_pi_fixed_point(seed, k)
+    pi0 = None if method is Method.FIXED_POINT else build_pi0(seed, k)
+    pi = None if method is Method.DESCENDANTS else solve_pi_fixed_point(seed, k)
     if pi0 is not None:
-        pis[Method.DESCENDANTS] = solve_pi_descendants(pi0, k)
-    if len(pis) == 2 and pis[Method.FIXED_POINT] != pis[Method.DESCENDANTS]:
-        raise ConventionError("fixed-point and descendant expansions disagree")
-    pi = pis[Method.FIXED_POINT if Method.FIXED_POINT in pis else Method.DESCENDANTS]
+        descended = solve_pi_descendants(pi0, k)
+        if pi is None:
+            pi = descended
+        elif pi != descended:
+            raise ConventionError("fixed-point and descendant expansions disagree")
     omega = omega1 + pi
-    return SolverResult(spec=spec, config=config, algebra=alg, omega=omega,
-                        omega1=omega1, f=f, pi=pi, report=verify_master(omega, k))
+    return SolverResult(algebra=alg, k=k, method=method, omega=omega, omega1=omega1,
+                        f=f, pi=pi, report=verify_master(omega, k))

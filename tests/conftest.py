@@ -1,21 +1,21 @@
 import pytest
 
-from sp2brst import Algebra, Method, SolverConfig, abelian_spec, mixed_parity_spec, so3_spec, solve
+from sp2brst import Algebra, Method, abelian_spec, mixed_parity_spec, so3_spec, solve
 
 
 @pytest.fixture(scope="session")
 def so3_result():
-    return solve(so3_spec(), SolverConfig(k=6, method=Method.BOTH))
+    return solve(Algebra(so3_spec()), 6, Method.BOTH)
 
 
 @pytest.fixture(scope="session")
 def abelian_result():
-    return solve(abelian_spec(3), SolverConfig(k=6, method=Method.BOTH))
+    return solve(Algebra(abelian_spec(3)), 6, Method.BOTH)
 
 
 @pytest.fixture(scope="session")
 def mixed2_result():
-    return solve(mixed_parity_spec(), SolverConfig(k=4, method=Method.BOTH))
+    return solve(Algebra(mixed_parity_spec()), 4, Method.BOTH)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from sp2brst.observables import (NotFirstClassError, check_first_class,
                                  lift, restrict, verify_realization)
 from solver_oracles import (boundary_seed, descendant_expand, descendant_trees,
                             double_factorial, ghost, multi_bracket, xip)
-from sp2brst.solver import (Method, SolverConfig, SymTensor, build_pi0, solve,
+from sp2brst.solver import (Method, SymTensor, build_pi0, solve,
                             solve_pi_descendants, solve_pi_fixed_point,
                             verify_master)
 from sp2brst.theory import (TheorySpec, abelian_spec, jacobi_violations,
@@ -58,7 +58,7 @@ def test_criterion_1_operator_identity_suite():
 def test_criterion_2_abelian_collapses_to_boundary():
     start = time.perf_counter()
     failures = []
-    res = solve(abelian_spec(3), SolverConfig(k=6, method=Method.BOTH))
+    res = solve(Algebra(abelian_spec(3)), 6, Method.BOTH)
     alg = res.algebra
     if not res.pi.is_zero():
         failures.append("correction Pi is nonzero for an abelian theory")
@@ -81,7 +81,7 @@ def test_criterion_2_abelian_collapses_to_boundary():
 def test_criterion_3_so3_end_to_end():
     start = time.perf_counter()
     failures = []
-    res = solve(so3_spec(), SolverConfig(k=6, method=Method.BOTH))
+    res = solve(Algebra(so3_spec()), 6, Method.BOTH)
     # report.residual is the direct evaluation of {Omega^a, Omega^b}',
     # independent of how Pi was produced
     if not res.report.residual.is_zero():
@@ -92,8 +92,8 @@ def test_criterion_3_so3_end_to_end():
         failures.append("boundary read-offs violated: "
                         + "; ".join(res.report.boundary))
     seed = boundary_seed(res.algebra)
-    pi_fp = solve_pi_fixed_point(seed, res.config.k)
-    pi_ds = solve_pi_descendants(build_pi0(seed, res.config.k), res.config.k)
+    pi_fp = solve_pi_fixed_point(seed, res.k)
+    pi_ds = solve_pi_descendants(build_pi0(seed, res.k), res.k)
     if pi_fp != pi_ds:
         failures.append("fixed-point and descendant corrections differ")
     if pi_fp != res.pi:
@@ -109,7 +109,7 @@ def test_criterion_4_mixed_parity_theory():
     alg = Algebra(spec)
     if jacobi_violations(alg):
         failures.append("structure functions fail the Jacobi identity")
-    res = solve(spec, SolverConfig(k=4, method=Method.BOTH), algebra=alg)
+    res = solve(alg, 4, Method.BOTH)
     if not res.ok:
         failures.append("mixed-parity solve failed verification")
     _finish(4, "mixed-parity theory verified at cp-degree 4",
@@ -146,11 +146,10 @@ def test_criterion_5_descendant_combinatorics():
         if descendant_trees(m) != _oracle_trees([str(i) for i in range(1, m + 1)]):
             failures.append(f"tree set for m={m} differs from enumeration oracle")
     alg = Algebra(so3_spec())
-    cfg = SolverConfig(k=6, method=Method.BOTH)
-    pi0 = build_pi0(boundary_seed(alg), cfg.k)
+    pi0 = build_pi0(boundary_seed(alg), 6)
     for m in (3, 4):
         xs = [pi0] * m
-        if multi_bracket(xs, cfg.k) != descendant_expand(xs, cfg.k):
+        if multi_bracket(xs, 6) != descendant_expand(xs, 6):
             failures.append(f"recursion and descendant sum differ at m={m}")
     _finish(5, "descendant tree combinatorics", failures,
             time.perf_counter() - start, budget=30)
@@ -159,7 +158,7 @@ def test_criterion_5_descendant_combinatorics():
 def test_criterion_6_casimir_realization():
     start = time.perf_counter()
     failures = []
-    res = solve(so3_spec(), SolverConfig(k=6, method=Method.BOTH))
+    res = solve(Algebra(so3_spec()), 6, Method.BOTH)
     alg = res.algebra
     casimir = sum((alg.mul(alg.xi(i), alg.xi(i)) for i in (1, 2, 3)),
                   alg.zero())
@@ -186,7 +185,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     failures = []
 
     # a perturbed charge must be caught, in the library and by the CLI
-    res = solve(so3_spec(), SolverConfig(k=4, method=Method.BOTH))
+    res = solve(Algebra(so3_spec()), 4, Method.BOTH)
     alg = res.algebra
     extra = alg.mul(alg.xi(1), ghost(alg, 1, 1))
     bad = SymTensor.from_full(
@@ -213,10 +212,11 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     # a non-first-class observable must be rejected with a witness
     spec = TheorySpec((0,), physical_parities=(0,),
                       mixed_table={(1, 2): "1"}, label="shift")
-    shift_res = solve(spec, SolverConfig(k=3, method=Method.BOTH))
+    shift_res = solve(Algebra(spec), 3, Method.BOTH)
     q = xip(shift_res.algebra, 1)
-    fc = check_first_class(q)
-    if fc.ok or fc.alpha != 1 or fc.remainder is None or fc.remainder.is_zero():
+    with pytest.raises(NotFirstClassError) as err:
+        check_first_class(q)
+    if err.value.alpha != 1 or err.value.remainder.is_zero():
         failures.append("first-class check produced no witness for q")
     with pytest.raises(NotFirstClassError) as err:
         lift(q, shift_res)

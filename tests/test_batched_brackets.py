@@ -30,7 +30,7 @@ from test_generated_theories import deformed_so3, direct_sums, mixed2
 
 from sp2brst.algebra import Algebra, TermBudgetError, keys_at
 from sp2brst.identities import random_element
-from sp2brst.observables import check_first_class
+from sp2brst.observables import NotFirstClassError, check_first_class
 from sp2brst.solver import (apply_A, build_F, constraint_half, solve_pi_fixed_point,
                             tensor_brackets)
 from sp2brst.tensors import SymTensor
@@ -142,7 +142,7 @@ def test_a_f_and_first_class_check_make_one_kernel_call(monkeypatch):
     build_F(alg)
     assert calls == [(2, 2, alg._matter)]
     calls.clear()
-    assert check_first_class(alg.xi(2) ** 2, alg).ok
+    check_first_class(alg.xi(2) ** 2, alg)
     assert calls == [(1, 3, alg._paired)]
 
 
@@ -153,9 +153,11 @@ def test_first_class_check_reports_the_first_failing_alpha():
         (1, 3): "xi[1]", (2, 3): "1", (1, 4): "1", (2, 4): "1"})
     alg = Algebra(spec)
     q1, q2 = (alg.gen(alg._xi_vid(i)) for i in (3, 4))
-    assert check_first_class(q1) == (False, 2, alg.scalar(-1))
-    assert check_first_class(q2) == (False, 1, alg.scalar(-1))
-    assert check_first_class(alg.xi(1)).ok
+    for q, alpha in ((q1, 2), (q2, 1)):
+        with pytest.raises(NotFirstClassError) as err:
+            check_first_class(q)
+        assert (err.value.alpha, err.value.remainder) == (alpha, alg.scalar(-1))
+    check_first_class(alg.xi(1))
 
 
 def _per_pair_or_error(alg, x, y, max_cp):

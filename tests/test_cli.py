@@ -15,8 +15,8 @@ import sp2brst.algebra as algebra_mod
 import sp2brst.cli as cli_mod
 import sp2brst.expr as expr_mod
 import sp2brst.solver as solver_mod
+from sp2brst.algebra import GradedPoly
 from sp2brst.cli import main
-from sp2brst.observables import ObservableLift
 from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
 from sp2brst.tensors import SymmetryError, SymTensor
@@ -433,10 +433,13 @@ def _so3_text(u123=None, **fields):
 
 
 _LONG = "9" * 5000  # past the 4,300 digits int() converts by default
+_WIDE = "9" * 4000  # int() reads it, str() cannot write its square
 MALFORMED_THEORIES = {
     "parentheses": _so3_text(u123="(" * 260 + "1" + ")" * 260),
     "unary-minuses": _so3_text(u123="-" * 1000 + "1"),
     "long-literal": _so3_text(u123=_LONG),
+    "long-product": _so3_text(u123=_WIDE + "*" + _WIDE),
+    "huge-power": _so3_text(u123="2^99999999999"),  # refused before it is computed
     "long-exponent": _so3_text(u123="J1^" + _LONG),
     "long-index": _so3_text(u123=f"xi[{_LONG}]"),
     "long-order": _so3_text().replace('"order": 6', f'"order": {_LONG}'),
@@ -569,40 +572,69 @@ def test_deformed_pipeline_kernel_calls(capsys, tmp_path, monkeypatch):
 
 def test_printed_polynomials_are_serialized_once(capsys, tmp_path, monkeypatch):
     # each command serializes a polynomial once, for its stdout line, and
-    # writes that text into its document; lift forms Phi' once
-    serialized, formed = [], []
-    serialize, phi_prime = expr_mod.serialize, ObservableLift.phi_prime
+    # writes that text into its document; each lift forms Phi' = phi0 + K
+    # once, counted as the additions to an observable given to lift
+    serialized, formed, lifted = [], [], set()
+    serialize, add, lift = expr_mod.serialize, GradedPoly.__add__, cli_mod.lift
 
     def counted_serialize(p):
         serialized[-1] += 1
         return serialize(p)
 
-    def counted_phi_prime(self):
-        formed[-1] += 1
-        return phi_prime.fget(self)
+    def counted_lift(phi0, res):
+        lifted.add(id(phi0))  # phi0 lives as long as the command
+        return lift(phi0, res)
+
+    def counted_add(self, other):
+        formed[-1] += id(self) in lifted
+        return add(self, other)
 
     monkeypatch.setattr(expr_mod, "serialize", counted_serialize)
-    monkeypatch.setattr(ObservableLift, "phi_prime", property(counted_phi_prime))
+    monkeypatch.setattr(cli_mod, "lift", counted_lift)
+    monkeypatch.setattr(GradedPoly, "__add__", counted_add)
     theory = str(THEORY_DIR / "so3-deformed.json")
-    omega, lifted = str(tmp_path / "omega.json"), str(tmp_path / "lift.json")
+    omega, lifted_doc = str(tmp_path / "omega.json"), str(tmp_path / "lift.json")
     outputs = []
     for argv in (("solve", theory, "--method", "fixed-point", "--out", omega),
                  ("verify", theory, omega),
                  ("lift", theory, "--observable", "J2sq", "--method", "fixed-point",
-                  "--out", lifted)):
+                  "--out", lifted_doc),
+                 # casimir, then the two other observables for the realization
+                 ("lift", str(THEORY_DIR / "so3.json"), "--observable", "casimir")):
         serialized.append(0)
         formed.append(0)
+        lifted.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0, out
         outputs.append(out.splitlines())
-    assert serialized == [2, 0, 2]
-    assert formed == [0, 0, 1]
+    assert serialized == [2, 0, 2, 2]
+    assert formed == [0, 0, 1, 3]
     charges = json.loads(Path(omega).read_text())["components"]
     assert [f"Omega^{a} = {charges[a]}" for a in "12"] == [
         line for line in outputs[0] if line.startswith("Omega^") and " = " in line]
-    doc = json.loads(Path(lifted).read_text())
+    doc = json.loads(Path(lifted_doc).read_text())
     assert f"observable J2sq = {doc['phi0']}" in outputs[2]
     assert f"Phi' = {doc['phi_prime']}" in outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", str(THEORY_DIR / "so3.json")),
+    ("check-identities", "--theory", str(THEORY_DIR / "so3.json"), "--samples", "4"),
+    ("check-identities", "--samples", "4"),
+], ids=["solve", "check-identities-theory", "check-identities"])
+def test_each_command_builds_one_algebra(capsys, monkeypatch, argv):
+    # the algebra loaded for the Jacobi check is the one solved and sampled
+    built = []
+    init = algebra_mod.Algebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra_mod.Algebra, "__init__", counted_init)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, out
+    assert len(built) == 1
 
 
 # -- parse errors name their entry and the text their column counts in ------
@@ -682,6 +714,22 @@ def test_long_entries_give_short_error_lines(capsys, tmp_path):
     assert code == 2
     assert _one_error_line(err) == ("error: observable bad (5005 characters): "
                                     "line 1, col 6: integer of 5000 digits is too long")
+
+
+def test_own_coefficient_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # 3,000-digit structure constants parse, but the order-4 charges have
+    # coefficients past 4,300 digits: like an exceeded term budget, the
+    # lines printed before stay, then one error line
+    path = tmp_path / "theory.json"
+    doc = json.loads(_so3_text())
+    doc["U"] = {key: "7" * 3000 for key in doc["U"]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--order", "4")
+    assert code == 2
+    assert out.splitlines() == ["theory so3: 3 constraints, 0 physical coordinates",
+                                "Jacobi identity: holds on all coordinate triples"]
+    assert _one_error_line(err) == (
+        "error: a coefficient of more than 4300 digits is too long to write")
 
 
 # -- one check rendering and pass rule for solve and verify ------------------

@@ -68,15 +68,15 @@ def test_m3_trees_explicit():
 
 
 def test_multi_bracket_matches_tree_sum(so3_result):
-    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
-    k = so3_result.config.k
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.k)
+    k = so3_result.k
     for m in (1, 2, 3, 4):
         xs = [pi0] * m
         assert multi_bracket(xs, k) == descendant_expand(xs, k)
 
 
 def test_multi_bracket_symmetry(so3_result):
-    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.k)
     k = 4
     x, y, z = pi0, pi0 * Fraction(1, 2), pi0 * 3
     ref = multi_bracket([x, y, z], k)
@@ -88,7 +88,7 @@ def test_multi_bracket_symmetry(so3_result):
 
 
 def test_multi_bracket_linearity(so3_result):
-    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.config.k)
+    pi0 = build_pi0(boundary_seed(so3_result.algebra), so3_result.k)
     k = 4
     lhs = multi_bracket([pi0 * 2, pi0, pi0], k)
     rhs = multi_bracket([pi0, pi0, pi0], k) * 2

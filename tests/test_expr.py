@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
-from sp2brst.expr import MAX_DEPTH, ExprError, _position, _tokenize, parse, serialize
+from sp2brst.expr import (MAX_DEPTH, DigitLimitError, ExprError, _position, _tokenize,
+                          parse, serialize)
 from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
 from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec
@@ -214,6 +215,39 @@ def test_integer_past_the_digit_limit(template, col):
         parse(ALG, template.format(digits))
     assert (e.value.line, e.value.col) == (1, col)
     assert parse(ALG, template.format("1")) is not None
+
+
+_WIDEST = "9" * 4300  # the most digits str() writes by default
+
+
+@pytest.mark.parametrize("text, col", [
+    (f"{_WIDEST}*{_WIDEST}", 4301),  # a product of numbers
+    (f"{_WIDEST}*xi[1] + xi[1]", 4310),  # a sum, 10 ** 4300 * xi[1]
+    ("2^99999999999", 3),  # a power, refused before it is computed
+    ("1/2^99999999999", 5),
+    ("10^4300", 4),  # 4,301 digits
+    ("(2)^99999999999", 5),  # a polynomial's power, refused at a squaring
+    ("(2*xi[1])^99999999999", 11),
+    ("(10)^4300", 6),
+    (f"({_WIDEST}*xi[1])*({_WIDEST})", 4309),  # a product of polynomials
+], ids=["product", "sum", "power", "power-of-a-fraction", "power-past-by-one",
+        "parenthesized-power", "power-of-a-term", "parenthesized-power-past-by-one",
+        "product-of-polynomials"])
+def test_formed_coefficient_past_the_digit_limit(text, col):
+    with pytest.raises(ExprError, match="a coefficient of more than 4300 digits") as e:
+        parse(ALG, text)
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_coefficients_up_to_the_digit_limit_parse_and_serialize():
+    widest = int(_WIDEST)
+    for text in (f"{_WIDEST}*1", "10^4299", "(10)^4299", f"{_WIDEST}*xi[1]^2 + 0",
+                 f"1/{_WIDEST}*(xi[1] + 1)"):
+        p = parse(ALG, text)
+        assert parse(ALG, serialize(p)) == p
+    assert serialize(ALG.scalar(widest)) == _WIDEST
+    with pytest.raises(DigitLimitError, match="more than 4300 digits"):
+        serialize(ALG.scalar(widest + 1) * ALG.xi(1))
 
 
 def test_parenthesized_and_plain_terms_mixed():

@@ -24,7 +24,7 @@ import sp2brst.solver as solver_mod
 from sp2brst import expr
 from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W_plus
-from sp2brst.solver import (Method, SolverConfig, apply_A, build_pi0, solve,
+from sp2brst.solver import (Method, apply_A, build_pi0, solve,
                             solve_pi_fixed_point, verify_master)
 from sp2brst.theory import TheorySpec, deformed_so3_spec, jacobi_violations
 from sp2brst.theoryfile import dump_document, load_omega, omega_document
@@ -93,7 +93,7 @@ def _verifies(omega, k: int) -> bool:
 def _check_pipeline(spec: TheorySpec, k: int) -> None:
     alg = Algebra(spec)
     assert jacobi_violations(alg) == []
-    res = solve(spec, SolverConfig(k=k, method=Method.BOTH), algebra=alg)
+    res = solve(alg, k, Method.BOTH)
     assert res.ok
     # F and A as one bracket with Xi per index are the generator-bracket loops
     assert res.f == build_F_by_brackets(alg)
@@ -141,6 +141,6 @@ def test_fixed_point_solve_forms_no_pi0(monkeypatch):
         raise AssertionError("the fixed point formed Pi_0")
 
     monkeypatch.setattr(solver_mod, "build_pi0", refuse)
-    res = solve(deformed_so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
     assert res.ok
     assert not res.pi.is_zero()

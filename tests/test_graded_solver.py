@@ -20,7 +20,7 @@ from solver_oracles import (boundary_seed, fixed_point_by_rounds, multi_bracket,
 from sp2brst import expr
 from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W, apply_W_plus
-from sp2brst.solver import (PAIR_COEFF, ConventionError, SolverConfig, apply_A,
+from sp2brst.solver import (PAIR_COEFF, ConventionError, apply_A,
                             build_F, build_omega1, build_pi0, neumann_apply,
                             power_brackets, solve_pi_descendants,
                             solve_pi_fixed_point, tensor_bracket)
@@ -42,46 +42,45 @@ def _document(name):
 
 @cache
 def _bundled(name):
-    """Algebra, config at the document order, and Pi_0 of a bundled theory."""
+    """Algebra, the document order, and Pi_0 of a bundled theory."""
     doc = _document(name)
     alg = build_algebra(doc)
-    config = SolverConfig(k=doc.order)
-    return alg, config, build_pi0(boundary_seed(alg), config.k)
+    return alg, doc.order, build_pi0(boundary_seed(alg), doc.order)
 
 
 @cache
 def _subset_powers(name):
     """multi_bracket([Pi_0] * m) for every m the exponential sum uses."""
-    _, config, pi0 = _bundled(name)
+    _, k, pi0 = _bundled(name)
     if pi0.is_zero():
         return []
-    top = (config.k - 1) // (max(2, pi0.min_cp()) - 1)
-    return [multi_bracket([pi0] * m, config.k) for m in range(1, top + 1)]
+    top = (k - 1) // (max(2, pi0.min_cp()) - 1)
+    return [multi_bracket([pi0] * m, k) for m in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_fixed_point_matches_round_oracle(name):
-    alg, config, pi0 = _bundled(name)
-    assert solve_pi_fixed_point(boundary_seed(alg), config.k) == \
-        fixed_point_by_rounds(pi0, config.k)
+    alg, k, pi0 = _bundled(name)
+    assert solve_pi_fixed_point(boundary_seed(alg), k) == \
+        fixed_point_by_rounds(pi0, k)
 
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_descendants_match_subset_oracle(name):
-    alg, config, pi0 = _bundled(name)
+    alg, k, pi0 = _bundled(name)
     want = SymTensor.zero(alg, 1)
     for m, term in enumerate(_subset_powers(name), 1):
-        want = (want + term * Fraction(1, math.factorial(m))).truncate_cp(config.k)
-    assert solve_pi_descendants(pi0, config.k) == want
+        want = (want + term * Fraction(1, math.factorial(m))).truncate_cp(k)
+    assert solve_pi_descendants(pi0, k) == want
 
 
 @pytest.mark.parametrize("name", ("so3", "so3-deformed"))
 def test_power_brackets_match_subset_recursion(name):
     # so3 at k=6 covers m = 1..5; so3-deformed at k=5 covers m = 1..4, and
     # its <Pi_0^5> starts at cp-degree 6, so it must truncate to zero
-    _, config, pi0 = _bundled(name)
+    _, k, pi0 = _bundled(name)
     subset = _subset_powers(name)
-    powers = power_brackets(pi0, 5, config.k)
+    powers = power_brackets(pi0, 5, k)
     assert powers[:len(subset)] == subset
     assert all(p.is_zero() for p in powers[len(subset):])
     assert len(subset) == {"so3": 5, "so3-deformed": 4}[name]
@@ -90,9 +89,9 @@ def test_power_brackets_match_subset_recursion(name):
 @pytest.mark.parametrize("name", THEORIES)
 def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
     # {f, g}' = {g, f}' for odd f, g: the solver brackets each pair once
-    alg, config, _ = _bundled(name)
-    pi = solve_pi_fixed_point(boundary_seed(alg), config.k)
-    parts = [part for part in map(pi.cp_part, range(config.k + 1)) if part]
+    alg, k, _ = _bundled(name)
+    pi = solve_pi_fixed_point(boundary_seed(alg), k)
+    parts = [part for part in map(pi.cp_part, range(k + 1)) if part]
     for i, x in enumerate(parts):
         for y in parts[i + 1:]:
             assert tensor_bracket(x, y) == tensor_bracket(y, x)
@@ -130,10 +129,10 @@ def test_neumann_rejects_non_raising_operator():
 def _inverse_cases(name):
     """(op, seed) of each (I + W+ op)^-1 the pipeline takes: Pi_0's, the
     pair bracket <Pi_0, Pi_0>'s and the lift's of a first-class observable."""
-    alg, config, pi0 = _bundled(name)
+    alg, k, pi0 = _bundled(name)
     doc = _document(name)
     phi0 = expr.parse(alg, doc.observable(LIFTED[name])[1])
-    pi = solve_pi_fixed_point(boundary_seed(alg), config.k)
+    pi = solve_pi_fixed_point(boundary_seed(alg), k)
     omega = build_omega1(alg) + pi
 
     def lift_op(t):
@@ -142,7 +141,7 @@ def _inverse_cases(name):
     pair = tensor_bracket(pi0, pi0) * 2
     return {
         "pi0": (apply_A, -apply_W_plus(build_F(alg))),
-        "pair": (apply_A, apply_W_plus(pair).truncate_cp(config.k) * PAIR_COEFF),
+        "pair": (apply_A, apply_W_plus(pair).truncate_cp(k) * PAIR_COEFF),
         "lift": (lift_op, -apply_W_plus(tensor_bracket(
             omega, SymTensor.from_scalar(phi0)))),
     }
@@ -150,7 +149,7 @@ def _inverse_cases(name):
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_neumann_matches_whole_tensor_series(name):
-    _, config, _ = _bundled(name)
+    _, k, _ = _bundled(name)
     for case, (op, seed) in _inverse_cases(name).items():
-        assert neumann_apply(op, seed, config.k) == \
-            neumann_by_terms(op, seed, config.k), case
+        assert neumann_apply(op, seed, k) == \
+            neumann_by_terms(op, seed, k), case

@@ -131,7 +131,7 @@ def test_suite_is_deterministic():
 
 
 def test_suite_accepts_explicit_spec():
-    rep = run_identity_suite(degree=2, samples=2, seed=3, spec=so3_spec())
+    rep = run_identity_suite(degree=2, samples=2, seed=3, alg=Algebra(so3_spec()))
     assert rep.ok
     assert rep.label == "so3"
     assert "theory so3" in rep.render()
@@ -210,7 +210,8 @@ def test_one_worker_per_cpu_and_one_beside_another_thread():
 def test_report_is_the_same_on_every_worker_count(monkeypatch, spec, broken):
     if broken:
         _break_w(monkeypatch, every_sample=broken == "every")
-    reports = _reports(monkeypatch, degree=2, samples=8, seed=0, spec=spec)
+    alg = Algebra(spec)
+    reports = _reports(monkeypatch, degree=2, samples=8, seed=0, alg=alg)
     assert len({rep.render() for rep in reports}) == 1
     rep = reports[0]
     assert rep.ok is not bool(broken)
@@ -220,7 +221,6 @@ def test_report_is_the_same_on_every_worker_count(monkeypatch, spec, broken):
         assert nil.first_defect.startswith("sample 0: ")
     if broken == "some":
         # each identity's count and first defect, from the samples one by one
-        alg = Algebra(spec)
         defects = {}
         for i in range(8):
             for name, domain, defect in identities._sample_rows(alg, 2, 0, i):

@@ -13,7 +13,7 @@ from sp2brst.observables import (
     restrict,
     verify_realization,
 )
-from sp2brst.solver import Method, SolverConfig, solve
+from sp2brst.solver import Method, solve
 from sp2brst.theory import TheorySpec, deformed_so3_spec, so3_spec
 
 SHIFT = TheorySpec((0,), physical_parities=(0,),
@@ -27,7 +27,7 @@ def _casimir(alg):
 def test_central_function_lifts_to_itself(so3_result):
     alg = so3_result.algebra
     phi0 = _casimir(alg)
-    assert check_first_class(phi0, alg).ok
+    check_first_class(phi0, alg)
     lifted = lift(phi0, so3_result)
     assert lifted.ok
     assert lifted.k_part.is_zero()
@@ -100,7 +100,7 @@ def test_mixed_parity_lift(mixed2_result):
 
 
 def test_deformed_lift():
-    res = solve(deformed_so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
     assert res.ok
     alg = res.algebra
     lifted = lift(alg.xi(2) ** 2, res)
@@ -109,14 +109,14 @@ def test_deformed_lift():
 
 
 def test_non_first_class_rejected():
-    res = solve(SHIFT, SolverConfig(k=3, method=Method.FIXED_POINT))
+    res = solve(Algebra(SHIFT), 3, Method.FIXED_POINT)
     assert res.ok
     alg = res.algebra
     q = xip(alg, 1)
-    fc = check_first_class(q, alg)
-    assert not fc.ok
-    assert fc.alpha == 1
-    assert fc.remainder == -1  # {q, xi_1}' = -1 survives at xi = 0
+    with pytest.raises(NotFirstClassError) as err:
+        check_first_class(q, alg)
+    assert err.value.alpha == 1
+    assert err.value.remainder == -1  # {q, xi_1}' = -1 survives at xi = 0
     with pytest.raises(NotFirstClassError) as err:
         lift(q, res)
     assert err.value.alpha == 1
@@ -124,10 +124,10 @@ def test_non_first_class_rejected():
 
 
 def test_shift_product_observable_lifts():
-    res = solve(SHIFT, SolverConfig(k=3, method=Method.FIXED_POINT))
+    res = solve(Algebra(SHIFT), 3, Method.FIXED_POINT)
     alg = res.algebra
     phi0 = alg.xi(1) * xip(alg, 1)
-    assert check_first_class(phi0, alg).ok
+    check_first_class(phi0, alg)
     lifted = lift(phi0, res)
     assert lifted.ok
     want = (alg.xi(1) * xip(alg, 1)
@@ -150,8 +150,7 @@ def test_lift_guards(so3_result):
 
 def test_lift_keeps_the_solve_budget():
     # the solve fits in 100 terms, the Neumann series of J1^2's lift does not
-    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
-                algebra=Algebra(so3_spec(), max_terms=100))
+    res = solve(Algebra(so3_spec(), max_terms=100), 4, Method.FIXED_POINT)
     with pytest.raises(TermBudgetError):
         lift(res.algebra.xi(1) ** 2, res)
 
@@ -159,8 +158,7 @@ def test_lift_keeps_the_solve_budget():
 def test_lift_budget_bounds_each_polynomial():
     # the solve forms no polynomial above 40 terms and the lift of J1^2
     # none of its tensors above 160, but one of its polynomials has 254
-    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
-                algebra=Algebra(so3_spec(), max_terms=200))
+    res = solve(Algebra(so3_spec(), max_terms=200), 4, Method.FIXED_POINT)
     assert res.ok
     with pytest.raises(TermBudgetError, match="budget 200"):
         lift(res.algebra.xi(1) ** 2, res)
@@ -168,8 +166,7 @@ def test_lift_budget_bounds_each_polynomial():
 
 def test_realization_order_mismatch(so3_result):
     alg = so3_result.algebra
-    res3 = solve(so3_result.spec, SolverConfig(k=3, method=Method.FIXED_POINT),
-                 algebra=alg)
+    res3 = solve(alg, 3, Method.FIXED_POINT)
     l6 = lift(_casimir(alg), so3_result)
     l3 = lift(_casimir(alg), res3)
     with pytest.raises(ValueError):

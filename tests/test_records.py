@@ -1,9 +1,9 @@
 """The package's records: immutable, compared by value, cheap to import.
 
-The result records are named tuples, and TheorySpec and SolverConfig
-are __slots__ classes that validate their inputs; none of them needs
-``dataclasses``, whose import pulls in ``inspect`` and the modules
-behind it on every command's start-up.
+The result records are named tuples, and TheorySpec is a __slots__
+class that validates its inputs; none of them needs ``dataclasses``,
+whose import pulls in ``inspect`` and the modules behind it on every
+command's start-up.
 
 A process imports only the package modules it uses: ``import sp2brst``
 loads no submodule, and json loads only where a document is read or
@@ -19,10 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from sp2brst import SolverConfig, TheorySpec
+from sp2brst import TheorySpec
 from sp2brst.algebra import Algebra, TheoryError
-from sp2brst.solver import MAX_ORDER, DegreeLine
-from sp2brst.tensors import SymTensor
+from sp2brst.solver import DegreeLine, MasterReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,7 +100,7 @@ def test_theory_spec_tables_are_not_shared():
 @pytest.mark.parametrize("record, field", [
     (_spec(), "label"),
     (_spec(), "constraint_parities"),
-    (SolverConfig(k=4), "k"),
+    (MasterReport(4, None, None, ()), "k"),
     (DegreeLine(0, True, True), "agree"),
 ])
 def test_fields_are_read_only(record, field):
@@ -109,19 +108,6 @@ def test_fields_are_read_only(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)
     assert getattr(record, field) == before
-
-
-def test_solver_config_validates_and_compares_by_value():
-    with pytest.raises(ValueError):
-        SolverConfig(k=1)
-    assert SolverConfig(k=4) == SolverConfig(4)
-    assert SolverConfig(k=4) != SolverConfig(k=5)
-
-
-def test_solver_config_caps_the_order():
-    assert SolverConfig(k=MAX_ORDER).k == MAX_ORDER == 1000
-    with pytest.raises(ValueError, match="from 2 to 1000"):
-        SolverConfig(k=MAX_ORDER + 1)
 
 
 def test_theory_spec_keeps_a_frozen_copy_of_its_tables():
@@ -149,11 +135,3 @@ def test_structure_entries_must_be_strings(tables):
     spec = TheorySpec((0, 0, 0), physical_parities=(0,), **tables)
     with pytest.raises(TheoryError, match="expression strings, found int"):
         Algebra(spec)
-
-
-def test_solver_config_is_unhashable():
-    # equal configs may hold an unhashable Upsilon, so none is hashable
-    alg = Algebra(TheorySpec((0,)))
-    for config in (SolverConfig(k=4), SolverConfig(k=4, upsilon=SymTensor.zero(alg, 1))):
-        with pytest.raises(TypeError):
-            hash(config)

@@ -12,8 +12,8 @@ from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
 from sp2brst.operators import apply_W, apply_W_plus, w_component
 from sp2brst.solver import (
+    MAX_ORDER,
     Method,
-    SolverConfig,
     apply_A,
     build_omega1,
     build_pi0,
@@ -92,7 +92,7 @@ def test_so3_solution(so3_result):
 
 def test_so3_truncation_stability(so3_result):
     # solving at a lower order reproduces the truncation of the k=6 solution
-    res4 = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    res4 = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
     assert res4.pi == so3_result.pi.truncate_cp(4)
     assert res4.ok
 
@@ -113,7 +113,7 @@ def test_mixed_parity_solution(mixed2_result):
 
 
 def test_deformed_so3_solution():
-    res = solve(deformed_so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
     assert res.ok
     assert res.pi.min_cp() == 2
 
@@ -122,7 +122,7 @@ def test_pair_normalisation_is_pinned(monkeypatch):
     # with -1/4 in place of -1/2 the fixed point no longer solves the
     # master equations: the residual shows up at cp-degree 3
     monkeypatch.setattr(solver_mod, "PAIR_COEFF", Fraction(-1, 4))
-    res = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    res = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
     assert not res.ok
     bad = [line.degree for line in res.report.lines if not line.direct_zero]
     assert bad and bad[0] == 3
@@ -151,25 +151,28 @@ def test_tampered_omega_detected(so3_result):
     omega = so3_result.omega
     tampered = omega + SymTensor.from_full(
         alg, 1, lambda idx: alg.xi(2) * ghost(alg, 2, idx[0]))
-    report = verify_master(tampered, so3_result.config.k)
+    report = verify_master(tampered, so3_result.k)
     assert not report.residual.is_zero()
     assert report.agree
 
 
 def test_upsilon_threading():
     alg = Algebra(so3_spec())
-    y = lagrange(alg, 1) * ghost(alg, 1, 1) * ghost(alg, 1, 2)
-    ups = apply_W(SymTensor.from_scalar(y))
+    ups = _upsilon(alg)
     assert not ups.is_zero()
     validate_upsilon(alg, ups)
-    config = SolverConfig(k=4, upsilon=ups, method=Method.BOTH)
-    res = solve(so3_spec(), config, algebra=alg)
+    res = solve(alg, 4, Method.BOTH, upsilon=ups)
     assert res.ok
     assert res.report.agree
     # the W+ part of Pi is exactly the datum
     assert apply_W_plus(res.pi) == apply_W_plus(ups)
-    plain = solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT))
+    plain = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
     assert res.pi != plain.pi
+
+
+def _upsilon(alg):
+    """A boundary datum: odd, ngh 1, from cp-degree 2 and W-closed."""
+    return apply_W(SymTensor.from_scalar(lagrange(alg, 1) * ghost(alg, 1, 1) * ghost(alg, 1, 2)))
 
 
 def test_upsilon_validation():
@@ -180,6 +183,14 @@ def test_upsilon_validation():
         alg, 1, lambda idx: lagrange_mom(alg, 1) * ghost(alg, 1, 1) * ghost(alg, 1, 2))
     with pytest.raises(TheoryError):
         validate_upsilon(alg, even)
+    mixed = SymTensor.from_full(alg, 1, lambda idx: ghost(alg, 1, 1) + alg.xi(1))
+    with pytest.raises(TheoryError, match="odd with ngh = 1"):
+        validate_upsilon(alg, mixed)  # terms of both parities
+    foreign = _upsilon(Algebra(abelian_spec(3)))
+    with pytest.raises(TheoryError, match="theory"):
+        validate_upsilon(alg, foreign)
+    with pytest.raises(TheoryError, match="theory"):
+        solve(alg, 3, upsilon=foreign)
     low = build_omega1(alg)  # odd, ngh 1, but cp-degree 1
     with pytest.raises(TheoryError):
         validate_upsilon(alg, low)
@@ -192,32 +203,33 @@ def test_upsilon_validation():
 def test_term_budget_enforced():
     alg = Algebra(so3_spec(), max_terms=10)
     with pytest.raises(TermBudgetError):
-        solve(so3_spec(), SolverConfig(k=4, method=Method.FIXED_POINT),
-              algebra=alg)
+        solve(alg, 4, Method.FIXED_POINT)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(k=1)
+        solve(Algebra(so3_spec()), 1)
     with pytest.raises(ValueError):
         Algebra(so3_spec(), max_terms=0)
+
+
+def test_solve_caps_the_order():
+    # one abelian constraint has no correction, so even MAX_ORDER is quick
+    alg = Algebra(abelian_spec(1))
+    assert solve(alg, MAX_ORDER).k == MAX_ORDER == 1000
+    with pytest.raises(ValueError, match="from 2 to 1000"):
+        solve(alg, MAX_ORDER + 1)
 
 
 def test_twin_instance_compatibility():
     # a solve over one Algebra instance verifies against tensors built over
     # a structurally identical instance
-    res = solve(so3_spec(), SolverConfig(k=3, method=Method.FIXED_POINT))
+    res = solve(Algebra(so3_spec()), 3, Method.FIXED_POINT)
     other = Algebra(so3_spec())
     om1_other = build_omega1(other)
     assert res.omega1 == om1_other
-    report = verify_master(res.omega1 + (res.omega - om1_other), res.config.k)
+    report = verify_master(res.omega1 + (res.omega - om1_other), res.k)
     assert report.ok
-
-
-def test_algebra_spec_mismatch_rejected():
-    alg = Algebra(abelian_spec(3))
-    with pytest.raises(TheoryError):
-        solve(so3_spec(), SolverConfig(k=3), algebra=alg)
 
 
 def test_apply_a_matches_component_sum():

@@ -7,7 +7,7 @@ import pytest
 
 from sp2brst.expr import parse as parse_expr
 from sp2brst.expr import serialize
-from sp2brst.solver import Method, SolverConfig, solve
+from sp2brst.solver import Method, solve
 from sp2brst.theoryfile import (
     TheoryFileError,
     build_algebra,
@@ -196,17 +196,17 @@ def test_trivial_theory_end_to_end():
     alg = build_algebra(doc)
     assert alg.m == 0
     assert validate_jacobi(alg).ok
-    res = solve(doc.spec, SolverConfig(k=2, method=Method.BOTH), algebra=alg)
+    res = solve(alg, 2, Method.BOTH)
     assert res.ok
     assert res.omega.is_zero()
 
 
 def test_omega_document_roundtrip(mixed2_result):
     res = mixed2_result
-    doc = omega_document("mixed2", res.config.k, _components(res.omega))
+    doc = omega_document("mixed2", res.k, _components(res.omega))
     text = dump_document(doc)
     back, order = load_omega(text, res.algebra)
-    assert order == res.config.k
+    assert order == res.k
     assert back == res.omega
     assert text.endswith("\n")
     assert json.loads(text)["kind"] == "omega"
@@ -214,7 +214,7 @@ def test_omega_document_roundtrip(mixed2_result):
 
 def test_omega_document_rejections(mixed2_result):
     res = mixed2_result
-    good = omega_document("mixed2", res.config.k, _components(res.omega))
+    good = omega_document("mixed2", res.k, _components(res.omega))
     alg = res.algebra
 
     bad = dict(good, kind="observable")
@@ -274,7 +274,7 @@ def test_charge_documents_accept_declared_names():
 def test_repeated_components_key_is_rejected(mixed2_result):
     # a zero component ahead of the real one, which json.loads would drop
     res = mixed2_result
-    good = omega_document("mixed2", res.config.k, _components(res.omega))
+    good = omega_document("mixed2", res.k, _components(res.omega))
     text = dump_document(good).replace('"1": ', '"1": "0",\n    "1": ', 1)
     assert json.loads(text)["components"] == good["components"]
     with pytest.raises(TheoryFileError) as err:
