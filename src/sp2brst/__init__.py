@@ -17,8 +17,8 @@ from importlib import import_module
 
 # the module of each public name
 _MODULES = {
-    **dict.fromkeys(("Algebra", "GradedPoly", "Sector", "TermBudgetError",
-                     "TheoryError"), "algebra"),
+    **dict.fromkeys(("Algebra", "GradedPoly", "InputError", "Sector",
+                     "TermBudgetError", "TheoryError"), "algebra"),
     "SymTensor": "tensors",
     **dict.fromkeys(("TheorySpec", "abelian_spec", "so3_spec", "deformed_so3_spec",
                      "mixed_parity_spec", "jacobi_violations"), "theory"),

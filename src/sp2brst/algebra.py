@@ -106,7 +106,11 @@ _N_SECTORS = (Sector.XI, Sector.GHOST_MOM, Sector.LAGRANGE)
 _CP_SECTORS = (Sector.GHOST, Sector.LAGRANGE_MOM)
 
 
-class TheoryError(ValueError):
+class InputError(ValueError):
+    """Input a command refuses with one error line and exit 2."""
+
+
+class TheoryError(InputError):
     """Inconsistent structure tables or malformed theory data."""
 
 

@@ -13,20 +13,23 @@ Exit codes: 0 all checks pass; 1 a verification failed (nonzero
 residual, direct and structured residuals that disagree, method
 disagreement, non-first-class observable, a failed internal check:
 ConventionError, SymmetryError or OutsideDomainError);
-2 input error (bad document, bad expression, nesting, an integer or a
-formed coefficient past the parser's limits, Jacobi-violating structure
-table, an option or an order out of range, a charge document term above
-its order or not odd with ngh 1, or a polynomial formed by solve, lift
-or verify outgrew the SP2_BRST_MAX_TERMS term cap, checked as terms
-form), or the process ran out of memory or formed a coefficient of more
-digits than str() writes (4,300 by default), which like the term cap
-means the command ran out of room; 130 interrupted by SIGINT, with no
-traceback; 141 standard output closed before the report was written,
-with no traceback and no error line.
+2 input error, an InputError (bad document, bad expression, nesting, an
+integer or a formed coefficient past the parser's limits, a parsed
+product of more pairs of terms than the SP2_BRST_MAX_TERMS term cap,
+Jacobi-violating structure table, an order out of range, a charge
+document term above its order or not odd with ngh 1, a bad command line
+or an --out path that cannot be written, both refused by argparse), or
+a polynomial formed by solve, lift or verify outgrew the term cap,
+checked as terms form, or the process ran out of memory or formed a
+coefficient of more digits than str() writes (4,300 by default), which
+like the term cap means the command ran out of room; 130 interrupted by
+SIGINT, with no traceback; 141 standard output closed before the report
+was written, with no traceback and no error line.
 Each command reads all of its input before its first report line, so an
-input error prints nothing on standard output, save a Jacobi report or
-the lines before an exceeded term budget, exhausted memory or a
-coefficient too long to write.
+input error prints one error line and the timing line on standard error
+and nothing on standard output, save a Jacobi report or the lines before
+an exceeded term budget, exhausted memory or a coefficient too long to
+write.
 
 Reports on standard output are deterministic functions of the inputs;
 timings go to standard error.
@@ -40,7 +43,7 @@ import sys
 import time
 
 from . import expr
-from .algebra import DEFAULT_MAX_TERMS, Algebra, TermBudgetError, TheoryError
+from .algebra import DEFAULT_MAX_TERMS, Algebra, InputError, TermBudgetError
 from .identities import run_identity_suite
 from .observables import (NotFirstClassError, lift, require_matter_only,
                           verify_realization)
@@ -58,14 +61,38 @@ INTERRUPTED, CLOSED_STDOUT = 130, 141
 DEFAULT_ORDER = 4
 
 
-class UsageError(ValueError):
-    """A command-line option outside the range the command can use."""
+class _ArgParser(argparse.ArgumentParser):
+    """Refuses a bad command line as an InputError of one line (argparse
+    writes an unknown argument as given), with no usage text."""
+
+    def error(self, message):
+        raise InputError(" ".join(message.splitlines()))
 
 
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise UsageError(f"{flag} must be at least {low}, got {value}")
-    return value
+def _int_from(low: int, high: int | None = None):
+    """The argparse type of an integer option from low to high."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    return integer
+
+
+def _out_path(path: str) -> str:
+    """The argparse type of --out: a path the command can write, checked
+    by opening it to append before anything runs; a file the check makes
+    is removed again, so a run that stops before its write leaves none."""
+    made = not os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if made:
+        os.remove(path)
+    return path
 
 
 def _max_terms() -> int:
@@ -77,8 +104,7 @@ def _max_terms() -> int:
             return value
     except ValueError:
         pass
-    raise TheoryFileError(
-        f"SP2_BRST_MAX_TERMS must be a positive integer, got {raw!r}")
+    raise InputError(f"SP2_BRST_MAX_TERMS must be a positive integer, got {raw!r}")
 
 
 def _load(path: str, max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
@@ -103,14 +129,6 @@ def _report_theory(doc: TheoryDocument, alg: Algebra) -> None:
     print(f"theory {spec.label}: {spec.m} constraints, "
           f"{spec.n_physical} physical coordinates")
     _check_jacobi(alg)
-
-
-def _check_order(args) -> None:
-    """Refuse an --order out of range before any document is read."""
-    if args.order is not None:
-        _at_least(args.order, 2, "--order")
-        if args.order > MAX_ORDER:
-            raise UsageError(f"--order must be at most {MAX_ORDER}")
 
 
 def _solve(args, doc: TheoryDocument, alg: Algebra):
@@ -151,7 +169,6 @@ def _omega_summary(res, texts: tuple) -> list:
 
 
 def cmd_solve(args) -> int:
-    _check_order(args)
     doc, alg = _load(args.file, _max_terms())
     _report_theory(doc, alg)
     res = _solve(args, doc, alg)
@@ -165,7 +182,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    _check_order(args)
     doc, alg = _load(args.file, _max_terms())
     name, _ = doc.observable(args.observable)
     observables = _observables(doc, alg)
@@ -202,8 +218,6 @@ def cmd_lift(args) -> int:
 
 
 def cmd_check_identities(args) -> int:
-    _at_least(args.degree, 1, "--degree")
-    _at_least(args.samples, 1, "--samples")
     alg = None  # the suite's own mixed2 algebra
     if args.theory:
         _, alg = _load(args.theory)
@@ -228,7 +242,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="sp2brst",
         description="Exact construction and verification of Sp(2)-symmetric "
                     "BRST charges and lifted observables.")
@@ -237,25 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="construct and verify the charges")
     p_solve.add_argument("file", help="theory document (JSON)")
-    p_solve.add_argument("--order", type=int, default=None,
+    p_solve.add_argument("--order", type=_int_from(2, MAX_ORDER), default=None,
                          help="truncation cp-degree (default: document order)")
     p_solve.add_argument("--method", choices=methods, default=Method.BOTH.value)
-    p_solve.add_argument("--out", default=None, help="write the charges to a JSON file")
+    p_solve.add_argument("--out", type=_out_path, default=None,
+                         help="write the charges to a JSON file")
     p_solve.set_defaults(func=cmd_solve)
 
     p_lift = sub.add_parser("lift", help="lift a named observable")
     p_lift.add_argument("file", help="theory document (JSON)")
     p_lift.add_argument("--observable", required=True,
                         help="name or 1-based index of a document observable")
-    p_lift.add_argument("--order", type=int, default=None)
+    p_lift.add_argument("--order", type=_int_from(2, MAX_ORDER), default=None)
     p_lift.add_argument("--method", choices=methods, default=Method.BOTH.value)
-    p_lift.add_argument("--out", default=None, help="write the lift to a JSON file")
+    p_lift.add_argument("--out", type=_out_path, default=None,
+                        help="write the lift to a JSON file")
     p_lift.set_defaults(func=cmd_lift)
 
     p_ident = sub.add_parser("check-identities",
                              help="run the seeded operator-identity suite")
-    p_ident.add_argument("--degree", type=int, default=4)
-    p_ident.add_argument("--samples", type=int, default=100)
+    p_ident.add_argument("--degree", type=_int_from(1), default=4)
+    p_ident.add_argument("--samples", type=_int_from(1), default=100)
     p_ident.add_argument("--seed", type=int, default=0)
     p_ident.add_argument("--theory", default=None,
                          help="optional theory document to sample over")
@@ -269,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
     except (ConventionError, SymmetryError, OutsideDomainError) as e:
@@ -290,8 +306,7 @@ def main(argv=None) -> int:
         # out of room, as an exceeded term budget is
         print("error: out of memory", file=sys.stderr)
         return INPUT_ERROR
-    except (TheoryFileError, TheoryError, expr.ExprError, UsageError,
-            TermBudgetError, expr.DigitLimitError, OSError) as e:
+    except (InputError, TermBudgetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     finally:

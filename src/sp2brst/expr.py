@@ -33,17 +33,17 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import GradedPoly
+from .algebra import GradedPoly, InputError
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     def __init__(self, message, line, col):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
 
 
-class DigitLimitError(ValueError):
+class DigitLimitError(InputError):
     """A coefficient has more digits than str() writes."""
 
 
@@ -112,6 +112,18 @@ class _Parser:
             if _too_long(c):
                 raise self.error(f"a coefficient of more than {_digit_limit()} digits", at)
         return p
+
+    def product(self, p, q, at):
+        """p * q for two numbers or two polynomials formed at an offset of
+        the text, checked as check() does; a product of polynomials whose
+        pairs of terms outnumber the term budget is refused before it forms,
+        so no power or product runs for long on a short text."""
+        if isinstance(p, GradedPoly):
+            m, n = p.term_count(), q.term_count()
+            if m * n > self.alg.max_terms:
+                raise self.error(f"a product of {m} by {n} terms is past the term "
+                                 f"budget ({self.alg.max_terms})", at)
+        return self.check(p * q, at)
 
     def nest(self, at):
         """Open one more level of nesting at an offset of the text; the
@@ -183,7 +195,7 @@ class _Parser:
             if isinstance(p, tuple) and isinstance(q, tuple):
                 p = self._times(p, q, at)
             else:
-                p = self.check(self._poly(p) * self._poly(q), at)
+                p = self.product(self._poly(p), self._poly(q), at)
 
     def _times(self, p, q, at):
         """The product of two (monomial, coefficient) pairs: exponents add,
@@ -234,16 +246,16 @@ class _Parser:
         return p
 
     def power(self, p, e, at):
-        """p ** e for a number or a polynomial p, by squaring, each product
-        checked as it forms, so no step multiplies coefficients past the
-        digit limit."""
+        """p ** e for a number or a polynomial p, by squaring, each step a
+        product(), so none multiplies coefficients past the digit limit or
+        more pairs of terms than the term budget."""
         out = self.alg.one() if isinstance(p, GradedPoly) else 1
         while e:
             if e & 1:
-                out = self.check(out * p, at)
+                out = self.product(out, p, at)
             e >>= 1
             if e:
-                p = self.check(p * p, at)
+                p = self.product(p, p, at)
         return out
 
     def _is_odd_generator(self, p):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Algebra, GradedPoly, Sector
+from .algebra import Algebra, GradedPoly, InputError, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
 from .solver import MasterReport, SolverResult, apply_A, neumann_apply, tensor_bracket
 from .tensors import SymTensor
@@ -48,7 +48,7 @@ class NotFirstClassError(ValueError):
 def require_matter_only(phi0: GradedPoly) -> None:
     others = [s for s in Sector if s not in _MATTER]
     if phi0.substitute_zero(others).term_count() != phi0.term_count():
-        raise ValueError("phi0 must be a polynomial in the matter variables only")
+        raise InputError("phi0 must be a polynomial in the matter variables only")
 
 
 def check_first_class(phi0: GradedPoly, alg: Algebra | None = None) -> None:

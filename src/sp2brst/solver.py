@@ -46,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Algebra, Sector, TheoryError
+from .algebra import Algebra, InputError, Sector, TheoryError
 from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
 from .theory import MAX_ORDER
@@ -432,7 +432,7 @@ def solve(alg: Algebra, k: int, method: Method = Method.BOTH, *,
     and pi), from 2 to MAX_ORDER.  upsilon, the boundary datum, is zero
     unless given (see validate_upsilon)."""
     if not 2 <= k <= MAX_ORDER:
-        raise ValueError(f"truncation degree k must be from 2 to {MAX_ORDER}")
+        raise InputError(f"truncation degree k must be from 2 to {MAX_ORDER}")
     if upsilon is None:
         upsilon = SymTensor.zero(alg, 1)
     else:

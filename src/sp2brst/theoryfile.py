@@ -36,7 +36,7 @@ import re
 from typing import NamedTuple
 
 from . import expr
-from .algebra import DEFAULT_MAX_TERMS, Algebra, TheoryError
+from .algebra import DEFAULT_MAX_TERMS, Algebra, InputError, TheoryError
 from .tensors import SymTensor
 from .theory import MAX_ORDER, TheorySpec, jacobi_violations
 
@@ -50,7 +50,7 @@ _RESERVED = {"xi", "xip", "P", "C", "lam", "pi"}
 _CONTROL = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
 
 
-class TheoryFileError(ValueError):
+class TheoryFileError(InputError):
     """Malformed document: bad JSON, bad shape, bad expression, or a
     structure table the algebra rejects."""
 

@@ -11,15 +11,19 @@ from pathlib import Path
 
 import pytest
 
+import sp2brst
 import sp2brst.algebra as algebra_mod
 import sp2brst.cli as cli_mod
 import sp2brst.expr as expr_mod
 import sp2brst.solver as solver_mod
-from sp2brst.algebra import GradedPoly
+from sp2brst.algebra import GradedPoly, InputError, TermBudgetError, TheoryError
 from sp2brst.cli import main
+from sp2brst.expr import DigitLimitError, ExprError
+from sp2brst.observables import NotFirstClassError
 from sp2brst.operators import OutsideDomainError
 from sp2brst.solver import ConventionError
 from sp2brst.tensors import SymmetryError, SymTensor
+from sp2brst.theoryfile import TheoryFileError
 from solver_oracles import ghost
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
@@ -297,21 +301,21 @@ def test_order_below_two_is_input_error(capsys, command):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""  # refused before the theory is read
-    assert _one_error_line(err) == "error: --order must be at least 2, got 1"
+    assert _one_error_line(err) == "error: argument --order: must be at least 2, got 1"
 
 
 def test_identity_degree_below_one_is_input_error(capsys):
     code, out, err = run(capsys, "check-identities", "--degree", "0")
     assert code == 2
     assert out == ""
-    assert _one_error_line(err) == "error: --degree must be at least 1, got 0"
+    assert _one_error_line(err) == "error: argument --degree: must be at least 1, got 0"
 
 
 def test_identity_zero_samples_is_input_error(capsys):
     code, out, err = run(capsys, "check-identities", "--samples", "0")
     assert code == 2
     assert "all identities hold" not in out
-    assert _one_error_line(err) == "error: --samples must be at least 1, got 0"
+    assert _one_error_line(err) == "error: argument --samples: must be at least 1, got 0"
 
 
 def test_lift_observable_by_index(capsys):
@@ -490,7 +494,7 @@ _HUGE_ORDER = "1" + "0" * 4000  # a JSON integer that int() still converts
     (["verify", str(THEORY_DIR / "so3.json"), "{omega}"],
      "omega document: order must be an integer from 2 to 1000"),
     (["solve", str(THEORY_DIR / "so3.json"), "--order", "1001"],
-     "--order must be at most 1000"),
+     "argument --order: must be at most 1000, got 1001"),
 ], ids=["theory-order", "charge-order", "option"])
 def test_orders_past_the_cap_are_refused_at_once(tmp_path, argv, error):
     # each used to run for as long as its order asked, printing a line
@@ -748,3 +752,98 @@ def test_solve_reports_boundary_violations_in_verify_wording(capsys, monkeypatch
     assert rows[-1] == violated[0]
     assert "master equations: satisfied through cp-degree 3" in rows
     assert not any("VIOLATED" in r for r in rows)
+
+
+# -- every input error is one InputError, every bad command line one line ----
+
+
+def test_input_errors_are_one_class():
+    assert sp2brst.InputError is InputError and issubclass(InputError, ValueError)
+    for cls in (TheoryError, TheoryFileError, ExprError, DigitLimitError):
+        assert issubclass(cls, InputError), cls
+    # failed checks and an exhausted term budget are not bad input
+    for cls in (NotFirstClassError, SymmetryError, OutsideDomainError, ConventionError,
+                TermBudgetError):
+        assert not issubclass(cls, InputError), cls
+
+
+_SO3 = str(THEORY_DIR / "so3.json")
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["frobnicate"], "'frobnicate'"),
+    (["solve"], "file"),
+    (["lift", _SO3], "--observable"),
+    (["solve", _SO3, "--order", "abc"], "argument --order: invalid integer value: 'abc'"),
+    (["solve", _SO3, "--order", "1"], "argument --order: must be at least 2, got 1"),
+    (["solve", _SO3, "--order", "1001"], "argument --order: must be at most 1000, got 1001"),
+    (["solve", _SO3, "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+    (["solve", _SO3, "--bogus"], "unrecognized arguments: --bogus"),
+    (["check-identities", "--samples", "0"], "argument --samples: must be at least 1, got 0"),
+    (["check-identities", "--degree", "x"], "argument --degree: invalid integer value: 'x'"),
+    (["solve", _SO3, "a\nb"], "unrecognized arguments: a b"),
+], ids=["nothing", "unknown-command", "no-file", "no-observable", "order-not-integer",
+        "order-1", "order-1001", "unknown-method", "unknown-option", "samples-0",
+        "degree-not-integer", "newline"])
+def test_bad_command_lines_are_input_errors(capsys, argv, named):
+    # argparse refuses them, as one error line and exit 2, not with its
+    # usage text and SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in _one_error_line(err)
+    assert "usage:" not in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sp2brst solve ")
+
+
+def _out_argv(command, out_path):
+    argv = [command, str(THEORY_DIR / "shift.json"), "--out", str(out_path)]
+    return argv + ["--observable", "Tq"] if command == "lift" else argv
+
+
+@pytest.mark.parametrize("command", ["solve", "lift"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_the_run(capsys, tmp_path, command, where):
+    out_path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *_out_argv(command, out_path))
+    assert code == 2 and out == ""  # refused before the header, and before the solve
+    error = _one_error_line(err)
+    assert error.startswith("error: argument --out: [Errno ") and str(out_path) in error
+
+
+@pytest.mark.parametrize("argv, budget, code", [
+    (["solve", _SO3, "--order", "4"], "10", 2),
+    (["lift", _SO3, "--observable", "1", "--order", "4"], "10", 2),
+    (["lift", str(THEORY_DIR / "shift.json"), "--observable", "q"], None, 1),
+], ids=["solve-past-budget", "lift-past-budget", "lift-rejected"])
+def test_a_run_that_stops_before_its_write_leaves_no_file(capsys, tmp_path, monkeypatch,
+                                                          argv, budget, code):
+    if budget:
+        monkeypatch.setenv("SP2_BRST_MAX_TERMS", budget)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (new, old):
+        assert run(capsys, *argv, "--out", str(path))[0] == code
+    assert not new.exists() and old.read_text() == "kept"
+
+
+def test_huge_polynomial_power_is_refused_at_once(capsys, tmp_path):
+    # (1+J1)^100000 is refused at the squaring whose pairs of terms pass
+    # the term budget, before that product forms
+    doc = json.loads(_so3_text())
+    doc["U"] = {"1,2,1": "(1+J1)^100000"}
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(doc))
+    started = time.monotonic()
+    code, out, err = run(capsys, "solve", str(path), "--order", "2")
+    assert time.monotonic() - started < 5
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (
+        "error: invalid structure table: U[1,2,1] '(1+J1)^100000': line 1, col 8: "
+        "a product of 1025 by 1025 terms is past the term budget (1000000)")

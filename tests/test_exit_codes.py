@@ -15,6 +15,14 @@ characters, quotes and the empty string: none may split the error line.
 A third strategy mutates the golden so3 charge document, verified
 against theories/so3.json: it renames, adds or retypes a top-level or
 component field, or splices pieces into a component's text.
+
+A fourth draws whole command lines from the real subcommands and options,
+with values out of range, not integers, empty, repeated or missing,
+unknown options and subcommands, an --out into a missing directory or at
+a directory, and file arguments missing, extra or naming a directory.  An
+exit 2 there prints nothing on stdout.  The valid runs stay small: the
+abelian3, shift and mixed2 theories at order 2 or 3, and the identity
+suite at degree 2 or less with 3 samples or fewer.
 """
 
 import contextlib
@@ -140,7 +148,67 @@ def mutated_charges(draw):
     return doc
 
 
-def _run_contract(argv):
+SMALL = [str(THEORY_DIR / f"{name}.json") for name in ("abelian3", "shift", "mixed2")]
+BAD_FILES = ["{tmp}/absent.json", "{tmp}", ""]
+# each file argument and option: (values it takes, values it refuses);
+# {tmp} is a directory of the test's own, where omega-abelian3.json is a
+# charge document abelian3 verifies
+FILE = (SMALL, BAD_FILES)
+OMEGA = (["{tmp}/omega-abelian3.json"],
+         [str(THEORY_DIR.parent / "tests" / "golden" / "omega-so3.json"), SMALL[0],
+          *BAD_FILES])
+RUN = {"--order": (["2", "3"], ["1", "0", "-1", "1001", "2.5", "abc", ""]),
+       "--method": (["fixed-point", "descendants", "both"], ["nope", ""]),
+       "--out": (["{tmp}/out.json"], ["{tmp}/missing/out.json", "{tmp}", ""])}
+COMMANDS = {  # the file arguments and the options of each subcommand
+    "solve": ([FILE], RUN),
+    "lift": ([FILE], {**RUN, "--observable": (["1", "2", "q", "Tq", "quad", "Bsq"],
+                                              ["0", "3", "nope", ""])}),
+    "check-identities": ([], {"--degree": (["1", "2"], ["0", "-1", "x", ""]),
+                              "--samples": (["1", "3"], ["0", "x", ""]),
+                              "--seed": (["0", "7", "-1"], ["x", ""]),
+                              "--theory": FILE}),
+    "verify": ([FILE, OMEGA], {}),
+}
+# options that keep a valid run small; drawn ones come after and win
+BASE = {"solve": ["--order", "2"], "lift": ["--order", "2", "--observable", "1"],
+        "check-identities": ["--samples", "2", "--degree", "2"], "verify": []}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of a bundled subcommand, or of an unknown one.  A
+    few of its parts are drawn wrong: a file argument missing, extra or
+    unreadable, an unknown option or argument (one with a newline among
+    them), a value refused or missing; an option may repeat."""
+    def fault():
+        return draw(st.integers(0, 4)) == 0
+
+    def value(good_bad):
+        return draw(st.sampled_from(good_bad[fault()]))
+
+    command = draw(st.sampled_from([*COMMANDS] * 4 + ["frobnicate", "--bogus"]))
+    if command not in COMMANDS:
+        return [command]
+    files, options = COMMANDS[command]
+    count = len(files) + (draw(st.sampled_from([-1, 1])) if fault() else 0)
+    argv = [command, *(value((files + [FILE])[i]) for i in range(max(count, 0)))]
+    argv += BASE[command]
+    if command == "lift" and fault():
+        argv = argv[:-2]  # no --observable
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)) if options else []:
+        argv.append(name)
+        if not fault():  # else the value is missing
+            argv.append(value(options[name]))
+    if fault():
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "a\nb"])))
+    return argv
+
+
+def _run_contract(argv, quiet=False):
+    """Run argv in process and check the contract; quiet: an exit 2
+    prints nothing on stdout either."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -150,6 +218,7 @@ def _run_contract(argv):
         lines = err.getvalue().splitlines()
         # the error, then the timing line every run prints
         assert len(lines) == 2 and lines[0].startswith("error: "), lines
+        assert not quiet or out.getvalue() == "", out.getvalue()
     return code
 
 
@@ -180,3 +249,15 @@ def test_mutated_charge_documents_keep_the_exit_code_contract(doc, tmp_path_fact
     code = _run_contract(["verify", str(THEORY_DIR / "so3.json"), str(path)])
     if code == 0:  # as the theory reader: no unknown field, format the integer 1
         assert set(doc) == set(GOLDEN_OMEGA) and type(doc["format"]) is int, doc.keys()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=command_lines())
+def test_command_lines_keep_the_exit_code_contract(argv, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp() / "command-lines"
+    omega = tmp / "omega-abelian3.json"
+    if not omega.exists():
+        tmp.mkdir(exist_ok=True)
+        assert _run_contract(["solve", SMALL[0], "--order", "2", "--method", "fixed-point",
+                              "--out", str(omega)]) == 0
+    _run_contract([a.format(tmp=tmp) for a in argv], quiet=True)

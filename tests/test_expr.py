@@ -293,6 +293,20 @@ def test_running_sum_is_held_to_the_term_budget():
         parse(small, "xi[1] + (lam[1] + xi[1]^2) - lam[1]")
 
 
+def test_products_whose_pairs_pass_the_term_budget_are_refused():
+    # m * n pairs of terms past the budget refuse a product before it forms
+    small = Algebra(mixed_parity_spec(), max_terms=6)
+    one, x = small.one(), small.xi(1)
+    assert parse(small, "(1 + xi[1])^3") == (one + x) ** 3  # at most 2 by 3 pairs
+    with pytest.raises(ExprError, match=r"a product of 3 by 3 terms is past "
+                                        r"the term budget \(6\)") as e:
+        parse(small, "(1 + xi[1])^7")  # (1 + xi[1])^2 squared
+    assert (e.value.line, e.value.col) == (1, 13)  # the exponent
+    with pytest.raises(ExprError, match="a product of 3 by 3 terms") as e:
+        parse(small, "(1 + xi[1] + lam[1])*(1 - xi[1] + lam[1])")
+    assert (e.value.line, e.value.col) == (1, 21)  # the '*'
+
+
 @pytest.mark.parametrize("text, line, col, message", _ERRORS)
 def test_error_columns_unchanged(text, line, col, message):
     with pytest.raises(ExprError) as err:
