@@ -29,9 +29,15 @@ is MIN_WIDTH until a degree bound passes total degree 31; a kernel
 repacks an input only when its width differs from the call's, and a
 chain, whose passes keep each term's total degree, never does.  Tuple
 monomials, (variable id, exponent) pairs sorted by id, remain only where
-people read them: the terms view, decoded on each read (expr.serialize,
-the theory checks, tests), and Algebra.poly, which checks and packs
-them.
+people read them: expr's parser and serialize and the theory checks,
+which decode keys with _factors, the terms view for tests and tracing,
+and Algebra.poly, which checks and packs them.
+
+Coefficients are ints from input to output: a scalar factor is read off
+an int or a Fraction by its numerator and denominator, p / n divides
+exactly by a nonzero int, and the pairing table's scalars are int
+pairs.  Only the terms view and a scalar of another type import
+fractions, on first use.
 
 The graded Poisson bracket is realised as a single sum over a sparse
 "symplectic pairing" table:  {X,Y} = sum_AB (d_r X/d v_A) w_AB (d_l Y/d v_B),
@@ -53,15 +59,13 @@ derive_left takes any number of variables from the same walk.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from enum import IntEnum
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
-
-_ONE = Fraction(1)
 
 DEFAULT_MAX_TERMS = 1_000_000
 
@@ -118,6 +122,27 @@ class TermBudgetError(RuntimeError):
     """A polynomial being formed exceeded its algebra's term budget."""
 
 
+def _is_rational(c) -> bool:
+    """Whether c is an int (a bool included) or a Fraction.  A Fraction
+    exists only once fractions is loaded, so this looks the module up in
+    sys.modules and imports nothing."""
+    if isinstance(c, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
+def _ratio(c) -> tuple:
+    """(numerator, denominator) of c in lowest terms, the denominator
+    positive: read off an int or a Fraction, and any other value through
+    Fraction(c), imported on this first use."""
+    if not _is_rational(c):
+        from fractions import Fraction
+
+        c = Fraction(c)
+    return int(c.numerator), int(c.denominator)
+
+
 class Variable(NamedTuple):
     vid: int
     sector: Sector
@@ -160,7 +185,8 @@ class GradedPoly:
 
     @property
     def terms(self):
-        """{monomial: Fraction} in stored order, decoded from the keys."""
+        """{monomial: Fraction} in stored order, decoded from the keys; it
+        imports fractions, so no command reads it."""
         return _decode(self.nums, self.width, self.den)
 
     # -- queries -----------------------------------------------------------
@@ -238,7 +264,7 @@ class GradedPoly:
                 raise TheoryError(
                     "cannot combine elements of algebras over different theories")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.alg.scalar(other)
         return None
 
@@ -300,7 +326,7 @@ class GradedPoly:
         return other._sum(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             if not other:
                 return self.alg.zero()
             num = other.numerator
@@ -311,9 +337,20 @@ class GradedPoly:
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.__mul__(other)
         return NotImplemented
+
+    def __truediv__(self, n):
+        """self / n for a nonzero int n, exact: the sign of n goes to the
+        numerators, |n| to the denominator, and from_keys makes it
+        canonical."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if not n:
+            raise ZeroDivisionError("polynomial division by zero")
+        out = {k: -v for k, v in self.nums.items()} if n < 0 else self.nums
+        return self.alg.from_keys(out, self.width, self.den * abs(n))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -329,7 +366,7 @@ class GradedPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.alg.scalar(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -378,6 +415,8 @@ def _factors(key, width):
 def _decode(nums, width, den):
     """The raw term dict of packed keys and their int numerators over den,
     one Fraction per distinct numerator, in the order of nums."""
+    from fractions import Fraction
+
     out = {}
     made = {}  # numerator -> its Fraction
     for k, n in nums.items():
@@ -645,8 +684,8 @@ class Algebra:
         self.operator_tables: dict = {}
         self._one = _poly(self, {0: 1}, 1, MIN_WIDTH)
 
-        # sparse pairing table: list of (vid_a, vid_b, scalar, structure
-        # function or None)
+        # sparse pairing table: list of (vid_a, vid_b, scalar as an int
+        # (numerator, denominator) pair, structure function or None)
         self._omega: list = []
         self._build_ghost_omega()
         self._build_matter_omega()
@@ -707,10 +746,10 @@ class Algebra:
         return self._one
 
     def scalar(self, c):
-        c = Fraction(c)
-        if not c:
+        num, den = _ratio(c)
+        if not num:
             return self.zero()
-        return _poly(self, {0: c.numerator}, c.denominator, MIN_WIDTH)
+        return _poly(self, {0: num}, den, MIN_WIDTH)
 
     def gen(self, vid):
         return _poly(self, {1 << MIN_WIDTH * vid: 1}, 1, MIN_WIDTH)
@@ -739,20 +778,20 @@ class Algebra:
                         f"must be {'1' if par[v] else 'at least 1'}")
                 last = v
                 d += e
-            c = Fraction(c)
-            if c:
-                kept[mono] = c
+            num, q = (c, 1) if type(c) is int else _ratio(c)
+            if num:
+                kept[mono] = num, q
                 top = max(top, d)
         if not kept:
             return self.zero()
-        den = lcm(*(c.denominator for c in kept.values()))
+        den = lcm(*(q for _, q in kept.values()))
         width = max(top.bit_length(), MIN_WIDTH)
         nums = {}
-        for mono, c in kept.items():
+        for mono, (n, q) in kept.items():
             key = 0
             for v, e in mono:
                 key += e << width * v
-            nums[key] = c.numerator * (den // c.denominator)
+            nums[key] = n * (den // q)
         return _poly(self, nums, den, width)
 
     def from_keys(self, nums, width, den):
@@ -892,14 +931,10 @@ class Algebra:
         by_src: dict = {}
         fden = 1
         for src, dst, coeff in fields:
-            if type(coeff) is not int:
-                coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
-                else:
-                    fden = lcm(fden, coeff.denominator)
-            if coeff:
-                by_src.setdefault(src, []).append((dst, coeff))
+            num, den = (coeff, 1) if type(coeff) is int else _ratio(coeff)
+            if num:
+                fden = lcm(fden, den)
+                by_src.setdefault(src, []).append((dst, num, den))
         below = []  # below[v]: the unit keys of the odd variables before v
         odd = 0
         for v, pv in enumerate(par):
@@ -910,8 +945,8 @@ class Algebra:
         sources = []
         sel = 0
         for src in sorted(by_src):
-            dsts = [(1 << width * dst, below[dst], par[dst], int(coeff * fden))
-                    for dst, coeff in by_src[src]]
+            dsts = [(1 << width * dst, below[dst], par[dst], num * (fden // den))
+                    for dst, num, den in by_src[src]]
             sources.append((width * src, 1 << width * src,
                             below[src] if par[src] else 0, dsts))
             sel |= mask << width * src | (below[src] if par[src] else 0)
@@ -925,7 +960,7 @@ class Algebra:
         coeff * dst * (left derivative w.r.t. src) of the terms of nums
         (packed key -> int numerator) over the entries of table (see
         replace_table), in one pass over nums, and return out.  The
-        first-order core: it makes no Fraction, and since it keeps each
+        first-order core: it sums int numerators, and since it keeps each
         term's total degree, the width of its input holds every pass.
 
         A term's pass depends only on its key's bits in the table's
@@ -969,12 +1004,12 @@ class Algebra:
             for i in (1, 2):
                 c = self.vid(Sector.GHOST, a, i)
                 pm = self.vid(Sector.GHOST_MOM, a, i)
-                emit((c, pm, _ONE, None))
-                emit((pm, c, Fraction(sgn), None))
+                emit((c, pm, (1, 1), None))
+                emit((pm, c, (sgn, 1), None))
             pi = self.vid(Sector.LAGRANGE_MOM, a)
             lam = self.vid(Sector.LAGRANGE, a)
-            emit((pi, lam, _ONE, None))
-            emit((lam, pi, Fraction(-sgn), None))
+            emit((pi, lam, (1, 1), None))
+            emit((lam, pi, (-sgn, 1), None))
 
     def _xi_vid(self, i):
         """Global coordinate index (constraints first, then physical) -> vid."""
@@ -1000,8 +1035,8 @@ class Algebra:
                 poly = expr.parse(self, text)
             except expr.ExprError as e:  # its column counts in text as written
                 raise TheoryError(f"{where} {expr.echo(text)}: {e}") from None
-            for mono in poly.terms:
-                for v, _ in mono:
+            for key in poly.nums:
+                for v, _ in _factors(key, poly.width):
                     if self.var_sector[v] not in (Sector.XI, Sector.XI_PHYS):
                         raise TheoryError(
                             f"{where}: structure entries may involve only coordinates, "
@@ -1060,9 +1095,9 @@ class Algebra:
                 continue
             vi, vj = self._xi_vid(i), self._xi_vid(j)
             if w.nums.keys() == {0}:
-                emit((vi, vj, Fraction(w.nums[0], w.den), None))
+                emit((vi, vj, (w.nums[0], w.den), None))
             else:
-                emit((vi, vj, _ONE, w))
+                emit((vi, vj, (1, 1), w))
 
     def brackets(self, xs, ys, *, max_cp=None, matter=False):
         """[[{x, y} for y in ys] for x in xs], the graded Poisson bracket of
@@ -1141,7 +1176,7 @@ class Algebra:
                     if hi_y > max_cp + 1 - lo_x:
                         dy = _drop_above(dy, max_cp + 1 - lo_x, info)
                 work = []
-                for i, (va, vb, c0, mid) in enumerate(self._omega):
+                for i, (va, vb, (cn, cd), mid) in enumerate(self._omega):
                     d1, d2 = dx.get(va), dy.get(vb)
                     if d1 is None or d2 is None:
                         continue
@@ -1154,7 +1189,7 @@ class Algebra:
                         if not acc:
                             continue
                         d1 = _pack(acc, lay)[0]
-                    work.append((d1, d2, l1 * y.den * c0.denominator, c0.numerator))
+                    work.append((d1, d2, l1 * y.den * cd, cn))
                 acc, den = self._product_sum(work, max_cp)
                 row.append(self.from_keys(acc, width, den))
         return table

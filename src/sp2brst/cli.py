@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -59,6 +60,10 @@ OK, FAIL, INPUT_ERROR = 0, 1, 2
 # the shell's codes of a command ended by SIGINT and by SIGPIPE
 INTERRUPTED, CLOSED_STDOUT = 130, 141
 DEFAULT_ORDER = 4
+# the one spelling of an integer option or SP2_BRST_MAX_TERMS: ASCII
+# digits after an optional minus, with no space, underscore, plus sign or
+# other digit that int() would read
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -69,14 +74,23 @@ class _ArgParser(argparse.ArgumentParser):
         raise InputError(" ".join(message.splitlines()))
 
 
-def _int_from(low: int, high: int | None = None):
-    """The argparse type of an integer option from low to high."""
+def _int_from(low: int | None = None, high: int | None = None):
+    """The argparse type of an integer option from low to high, either
+    bound None for none, spelt as _INT_RE; a refused value past 80
+    characters is shown by its length, as expr.echo shows a long text."""
     def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not _INT_RE.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"invalid integer value: {expr.echo(text)}")
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() converts
+            raise argparse.ArgumentTypeError(
+                f"integer of {len(text.lstrip('-'))} digits is too long") from None
+        shown = value if len(text) <= 80 else f"({len(text)} characters)"
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {shown}")
         return value
     return integer
 
@@ -96,15 +110,16 @@ def _out_path(path: str) -> str:
 
 
 def _max_terms() -> int:
+    """The term budget of SP2_BRST_MAX_TERMS, read as a positive integer
+    option is, else DEFAULT_MAX_TERMS."""
     raw = os.environ.get("SP2_BRST_MAX_TERMS")
     if raw is None:
         return DEFAULT_MAX_TERMS
     try:
-        if (value := int(raw)) > 0:
-            return value
-    except ValueError:
-        pass
-    raise InputError(f"SP2_BRST_MAX_TERMS must be a positive integer, got {raw!r}")
+        return _int_from(1)(raw)
+    except argparse.ArgumentTypeError:
+        raise InputError("SP2_BRST_MAX_TERMS must be a positive integer, "
+                         f"got {expr.echo(raw)}") from None
 
 
 def _load(path: str, max_terms: int = DEFAULT_MAX_TERMS) -> tuple:
@@ -272,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run the seeded operator-identity suite")
     p_ident.add_argument("--degree", type=_int_from(1), default=4)
     p_ident.add_argument("--samples", type=_int_from(1), default=100)
-    p_ident.add_argument("--seed", type=int, default=0)
+    p_ident.add_argument("--seed", type=_int_from(), default=0)
     p_ident.add_argument("--theory", default=None,
                          help="optional theory document to sample over")
     p_ident.set_defaults(func=cmd_check_identities)

@@ -18,22 +18,26 @@ rather than silently producing zero.
 Numbers and variables are read as (monomial, coefficient) pairs and a
 term of them as one such pair, odd factors moved into variable order with
 their Koszul sign; only a parenthesized factor makes a term a product of
-polynomials.  A sum's terms are packed by one Algebra.poly call.
+polynomials.  A sum's terms are packed by one Algebra.poly call.  A
+coefficient is an int unless the text has a rational literal a/b: only
+that makes a Fraction, importing fractions on its first use, and
+serialize writes each coefficient from the polynomial's int numerators
+and denominator.
 
 Parentheses and unary minuses nest at most MAX_DEPTH deep, and an
 integer may have no more digits than int() reads; past either limit the
 parse raises ExprError.  So does a coefficient it forms, in a product, a
-sum or a power's squaring, of more digits than str() writes; serialize
-raises DigitLimitError for one formed elsewhere.
+sum or a power's squaring, of more digits than str() writes in lowest
+terms; serialize raises DigitLimitError for one formed elsewhere.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 
-from .algebra import GradedPoly, InputError
+from .algebra import GradedPoly, InputError, _factors
 
 
 class ExprError(InputError):
@@ -52,12 +56,25 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _too_long(c) -> bool:
-    """Whether an int or a Fraction has a numerator or denominator past the
-    digit limit, which is at least 640: 2 ** 2126 < 10 ** 640."""
-    m = max(abs(c.numerator), c.denominator)
+def _too_long(num, den=1) -> bool:
+    """Whether num/den in lowest terms has a numerator or denominator past
+    the digit limit, which is at least 640: 2 ** 2126 < 10 ** 640."""
+    m = max(abs(num), den)
     limit = _digit_limit() if m.bit_length() > 2126 else 0
-    return bool(limit) and m >= 10 ** limit
+    return bool(limit) and m // gcd(num, den) >= 10 ** limit
+
+
+def _monomials(p):
+    """The (monomial, coefficient) pairs of polynomial p in stored order,
+    each coefficient an int over p's denominator 1, else a Fraction: only
+    a rational literal gives a parse a denominator, and it has loaded
+    fractions already."""
+    width, den = p.width, p.den
+    if den == 1:
+        return [(tuple(_factors(k, width)), n) for k, n in p.nums.items()]
+    from fractions import Fraction
+
+    return [(tuple(_factors(k, width)), Fraction(n, den)) for k, n in p.nums.items()]
 
 
 # an int, a name or one other non-space character; finditer steps over
@@ -107,9 +124,15 @@ class _Parser:
 
     def check(self, p, at):
         """p, a number or a polynomial formed at an offset of the text,
-        unless a coefficient of it is past the digit limit."""
-        for c in p.terms.values() if isinstance(p, GradedPoly) else (p,):
-            if _too_long(c):
+        unless a coefficient of it, in lowest terms, is past the digit
+        limit."""
+        if isinstance(p, GradedPoly):
+            den = p.den
+            pairs = ((n, den) for n in p.nums.values())
+        else:
+            pairs = ((p.numerator, p.denominator),)
+        for n, d in pairs:
+            if _too_long(n, d):
                 raise self.error(f"a coefficient of more than {_digit_limit()} digits", at)
         return p
 
@@ -161,7 +184,7 @@ class _Parser:
         while True:
             at = self.peek()[2]
             term = self.term()
-            for mono, c in (term,) if isinstance(term, tuple) else term.terms.items():
+            for mono, c in (term,) if isinstance(term, tuple) else _monomials(term):
                 if not c:
                     continue
                 if sign < 0:
@@ -262,7 +285,7 @@ class _Parser:
         if not isinstance(p, tuple):
             if p.term_count() != 1:
                 return False
-            (p,) = p.terms.items()
+            (p,) = _monomials(p)
         mono, c = p
         return len(mono) == 1 and mono[0][1] == 1 and \
             self.alg.var_parity[mono[0][0]] == 1 and c == 1
@@ -288,6 +311,8 @@ class _Parser:
                 den = self.integer(tok[1], tok[2])
                 if den == 0:
                     raise self.error("zero denominator", tok[2])
+                from fractions import Fraction  # loaded by a rational literal only
+
                 return (), Fraction(num, den)
             return (), num
         if kind == "NAME":
@@ -338,23 +363,27 @@ def parse(alg, text) -> GradedPoly:
 
 
 def serialize(p: GradedPoly) -> str:
-    """Deterministic plain-text rendering; parse(serialize(p)) == p."""
+    """Deterministic plain-text rendering; parse(serialize(p)) == p.  Each
+    coefficient n/den is written from p's int numerator n and denominator
+    den in lowest terms: n // g, then /den // g unless that is 1, with
+    g = gcd(n, den)."""
     if not p:
         return "0"
-    terms = p.terms
+    width, den = p.width, p.den
+    rows = sorted((sum(e for _, e in mono), mono, n)
+                  for mono, n in ((tuple(_factors(k, width)), n) for k, n in p.nums.items()))
     names = [v.name for v in p.alg.vars]
     chunks = []
-    for mono in sorted(terms, key=lambda m: (sum(e for _, e in m), m)):
-        c = terms[mono]
-        neg = c < 0
-        mag = -c if neg else c
+    for _, mono, n in rows:  # monomials are distinct, so no n is compared
+        g = gcd(n, den) if den != 1 else 1
+        mag, d = abs(n) // g, den // g
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in mono]
-        if mag != 1 or not factors:
+        if mag != 1 or d != 1 or not factors:
             try:
-                factors.insert(0, str(mag))
+                factors.insert(0, str(mag) if d == 1 else f"{mag}/{d}")
             except ValueError:  # past the interpreter's digit limit
                 raise DigitLimitError(f"a coefficient of more than {_digit_limit()} "
                                       "digits is too long to write") from None
-        chunks.append((" - " if neg else " + ") + "*".join(factors))
+        chunks.append((" - " if n < 0 else " + ") + "*".join(factors))
     text = "".join(chunks)  # the first term's sign is "-" or nothing
     return "-" + text[3:] if text[1] == "-" else text[3:]

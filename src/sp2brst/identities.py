@@ -30,7 +30,6 @@ import os
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Algebra, TheoryError
@@ -40,9 +39,10 @@ from .operators import (apply_Gamma, apply_M, apply_N, apply_W,
 from .tensors import SymTensor
 from .theory import mixed_parity_spec
 
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 MAX_MONOMIALS = 4
+# lcm(1..9): every coefficient s/q the sampler draws is s * (COMMON_DEN // q)
+# over it
+COMMON_DEN = 2520
 
 
 def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
@@ -52,20 +52,22 @@ def random_element(alg: Algebra, rng: random.Random, max_cp: int = 4,
     N-degree <= max_n, with degrees and parities mixed.  A monomial is a
     coefficient times 1 to max_n factors of N-weight 1 (xi, P, lam) and 0
     to max_cp of N-weight 0 (C, pi, xip), pools read off alg.var_nwt; it
-    is drawn again (up to 30 times) if an odd factor repeats."""
+    is drawn again (up to 30 times) if an odd factor repeats.  The
+    coefficient s/q is summed as the int s * (COMMON_DEN // q), and the sum
+    divided by COMMON_DEN."""
     counted = [v for v, w in enumerate(alg.var_nwt) if w]
     uncounted = [v for v, w in enumerate(alg.var_nwt) if not w]
     terms = Counter()
     for _ in range(rng.randint(1, MAX_MONOMIALS)):
         for _attempt in range(30):
-            coeff = Fraction(rng.choice([s for s in range(-9, 10) if s]),
-                             rng.randint(1, 9))
+            num = rng.choice([s for s in range(-9, 10) if s])
+            coeff = num * (COMMON_DEN // rng.randint(1, 9))
             factors = Counter(rng.choice(counted) for _ in range(rng.randint(1, max_n)))
             factors.update(rng.choice(uncounted) for _ in range(rng.randint(0, max_cp)))
             if all(e == 1 or not alg.var_parity[v] for v, e in factors.items()):
                 terms[tuple(sorted(factors.items()))] += coeff
                 break
-    return alg.poly(terms)
+    return alg.poly(terms) / COMMON_DEN
 
 
 def random_tensor(alg: Algebra, rng: random.Random, rank: int, **kw) -> SymTensor:
@@ -189,9 +191,9 @@ def _kernel_checks(alg, xc):
     rhs = 4 * n_apply(xc, 2) - 2 * m_component(n_apply(xc))
     out.append(("barW barGamma - barGamma barW = 4N^2 - 2MN", "ker W",
                 lhs - rhs))
-    recon = (m_component(n_inverse(xc)) * HALF
+    recon = (m_component(n_inverse(xc)) / 2
              + (bar_w(bar_gamma(n_inverse(xc, 2)))
-                - bar_gamma(bar_w(n_inverse(xc, 2)))) * QUARTER)
+                - bar_gamma(bar_w(n_inverse(xc, 2)))) / 4)
     out.append(("kernel reconstruction from M and bar operators", "ker W",
                 recon - xc))
     return out

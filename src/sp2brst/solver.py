@@ -34,7 +34,8 @@ consumes and the order k: solve forms the seed once,
 projected_seed(Upsilon, F), and hands it to build_pi0(seed, k) and
 solve_pi_fixed_point(seed, k), and Pi_0 to solve_pi_descendants(pi0, k).
 
-All arithmetic is exact (Fraction coefficients); truncation at cp-degree k
+All arithmetic is exact (int numerators over one denominator per
+polynomial, divided exactly by ints); truncation at cp-degree k
 is a projection, not an approximation, so a zero residual through k is a
 proof through k.
 """
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Algebra, InputError, Sector, TheoryError
@@ -51,15 +51,14 @@ from .operators import EPS_UP, apply_W, apply_W_plus
 from .tensors import SymTensor
 from .theory import MAX_ORDER
 
-HALF = Fraction(1, 2)
-
 # Normalisation of the pair bracket <.,.> relative to the symmetrized
-# double bracket [x,y] + [y,x].  The value -1/2 is pinned by requiring the
-# fixed point of Pi = Pi_0 + 1/2 <Pi,Pi> to solve the projected master
-# equation Pi = Upsilon - W+(F + A Pi + quad(Pi)) with the same quad(Pi)
-# that the residual G contains; the so(3) regression test shows that -1/4
-# in its place leaves a nonzero residual at cp-degree 3.
-PAIR_COEFF = Fraction(-1, 2)
+# double bracket [x,y] + [y,x], which it divides by PAIR_DIVISOR.  The
+# factor -1/2 is pinned by requiring the fixed point of
+# Pi = Pi_0 + 1/2 <Pi,Pi> to solve the projected master equation
+# Pi = Upsilon - W+(F + A Pi + quad(Pi)) with the same quad(Pi) that the
+# residual G contains; the so(3) regression test shows that -1/4 (a
+# divisor of -4) in its place leaves a nonzero residual at cp-degree 3.
+PAIR_DIVISOR = -2
 
 
 class ConventionError(RuntimeError):
@@ -157,7 +156,7 @@ def tensor_brackets(x: SymTensor, ys: list, k: int | None = None, *, matter=Fals
 def quad_term(pi: SymTensor, k: int | None = None) -> SymTensor:
     """quad(Pi)^ab = {Pi^a, Pi^b}' = 1/2 [Pi, Pi]^ab for odd rank-1 Pi,
     truncated at cp-degree k when k is given."""
-    return tensor_bracket(pi, pi, k) * HALF
+    return tensor_bracket(pi, pi, k) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
     makes [y, x] equal [x, y], so one bracket is taken and doubled.
     """
     raw = tensor_bracket(x, y, k) * 2
-    return neumann_apply(apply_A, apply_W_plus(raw) * PAIR_COEFF, k)
+    return neumann_apply(apply_A, apply_W_plus(raw) / PAIR_DIVISOR, k)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +228,9 @@ def pair_bracket(x: SymTensor, y: SymTensor, k: int) -> SymTensor:
 def solve_pi_fixed_point(seed: SymTensor, k: int) -> SymTensor:
     """Solve Pi = Upsilon - W+(F + A Pi + quad(Pi)) through cp-degree k, one
     cp-degree at a time, from the seed Upsilon - W+ F.  With
-    quad(Pi) = 1/2 [Pi, Pi] and PAIR_COEFF = -1/2 it reads
+    quad(Pi) = 1/2 [Pi, Pi] and PAIR_DIVISOR = -2 it reads
 
-        Pi = (Upsilon - W+ F) - W+ A Pi + PAIR_COEFF W+ [Pi, Pi].
+        Pi = (Upsilon - W+ F) - W+ A Pi + W+ [Pi, Pi] / PAIR_DIVISOR.
 
     Every part of Pi lies at cp-degree >= 2, so W+ A and the bracket both
     raise the degree, and the degree-d part of Pi follows from the parts
@@ -242,8 +241,8 @@ def solve_pi_fixed_point(seed: SymTensor, k: int) -> SymTensor:
 
     def grow(part, lower):
         raws = tensor_brackets(part, [part, *lower], k)
-        return ([-apply_W_plus(apply_A(part)), apply_W_plus(raws[0]) * PAIR_COEFF]
-                + [apply_W_plus(raw * 2) * PAIR_COEFF for raw in raws[1:]])
+        return ([-apply_W_plus(apply_A(part)), apply_W_plus(raws[0]) / PAIR_DIVISOR]
+                + [apply_W_plus(raw * 2) / PAIR_DIVISOR for raw in raws[1:]])
 
     return _graded_solve(seed, grow, k)
 
@@ -269,7 +268,7 @@ def power_brackets(x: SymTensor, n: int, k: int) -> list:
         for r in range(1, m // 2 + 1):
             weight = math.comb(m, r) * (1 if 2 * r == m else 2)
             total = total + pair_bracket(powers[r - 1], powers[m - r - 1], k) * weight
-        powers.append(total * HALF)
+        powers.append(total / 2)
     return powers
 
 
@@ -283,7 +282,7 @@ def solve_pi_descendants(pi0: SymTensor, k: int) -> SymTensor:
     b = max(2, pi0.min_cp())
     total = SymTensor.zero(pi0.alg, 1)
     for m, term in enumerate(power_brackets(pi0, (k - 1) // (b - 1), k), 1):
-        total = (total + term * Fraction(1, math.factorial(m))).truncate_cp(k)
+        total = (total + term / math.factorial(m)).truncate_cp(k)
     return total
 
 

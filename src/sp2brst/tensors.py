@@ -13,10 +13,9 @@ for components computed separately, such as the direct
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .algebra import GradedPoly
+from .algebra import GradedPoly, _is_rational
 
 
 class SymmetryError(ValueError):
@@ -156,11 +155,18 @@ class SymTensor:
         return self._combine(other, GradedPoly.__sub__)
 
     def __mul__(self, c):
-        if isinstance(c, (int, Fraction)):
+        if _is_rational(c):
             return self.map(lambda p: p * c)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __truediv__(self, n):
+        """Each component divided exactly by a nonzero int n (see
+        GradedPoly.__truediv__)."""
+        if not isinstance(n, int):
+            return NotImplemented
+        return self.map(lambda p: p / n)
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):

@@ -294,8 +294,8 @@ def _check_charge_terms(a: int, p, order: int) -> None:
             return
     except ValueError:  # terms of different parity or ngh
         pass
-    for mono, coeff in p.terms.items():
-        term = p.alg.poly({mono: coeff})
+    for key, num in p.nums.items():
+        term = p.alg.from_keys({key: num}, p.width, p.den)
         where = f"omega component {a}: term {expr.serialize(term)}"
         if (term.parity(), term.ngh()) != (1, 1):
             _fail(f"{where} has parity {term.parity()} and ngh {term.ngh()}; "

@@ -40,8 +40,10 @@ from itertools import combinations
 from sp2brst.algebra import Sector, _cp_of, _drop_above, _pack, keys_at
 from sp2brst.operators import (_gamma_fields, _q_step, _w_fields, apply_M, apply_W_plus,
                                n_apply, n_inverse)
-from sp2brst.solver import HALF, ConventionError, build_F, pair_bracket, projected_seed
+from sp2brst.solver import ConventionError, build_F, pair_bracket, projected_seed
 from sp2brst.tensors import SymTensor
+
+HALF = Fraction(1, 2)
 
 
 def xip(alg, a):
@@ -594,18 +596,18 @@ def mul_sum(alg, pairs, max_cp=None):
 
 
 def bracket_by_merges(alg, x, y, max_cp=None):
-    """{x, y}: for every entry (va, vb, c0, w) of the pairing table, the
-    right derivative of x by va (times w, then c0) times the left
+    """{x, y}: for every entry (va, vb, (cn, cd), w) of the pairing table,
+    the right derivative of x by va (times w, then cn/cd) times the left
     derivative of y by vb, through mul_sum, all in one sum."""
     pairs = []
-    for va, vb, c0, mid in alg._omega:
+    for va, vb, (cn, cd), mid in alg._omega:
         d1 = derive_terms(alg, x.terms, va, False)
         d2 = derive_terms(alg, y.terms, vb, True)
         if not d1 or not d2:
             continue
         if mid is not None:
             d1 = mul_sum(alg, [(d1, mid.terms)], max_cp)
-        pairs.append(({m: c * c0 for m, c in d1.items()}, d2))
+        pairs.append(({m: c * Fraction(cn, cd) for m, c in d1.items()}, d2))
     return mul_sum(alg, pairs, max_cp)
 
 
@@ -639,7 +641,7 @@ def bracket_per_pair(alg, x, y, paired=None, max_cp=None):
         if max(map(_cp_of, rows_y)) > max_cp + 1 - lo_x:
             dy = _drop_above(dy, max_cp + 1 - lo_x, info)
     work = []
-    for va, vb, c0, mid in alg._omega:
+    for va, vb, (cn, cd), mid in alg._omega:
         d1, d2 = dx.get(va), dy.get(vb)
         if d1 is None or d2 is None:
             continue
@@ -650,6 +652,6 @@ def bracket_per_pair(alg, x, y, paired=None, max_cp=None):
             if not acc:
                 continue
             d1 = _pack(acc, lay)[0]
-        work.append((d1, d2, l1 * ly * c0.denominator, c0.numerator))
+        work.append((d1, d2, l1 * ly * cd, cn))
     acc, den = alg._product_sum(work, max_cp)
     return alg.from_keys(acc, width, den)

@@ -795,6 +795,43 @@ def test_bad_command_lines_are_input_errors(capsys, argv, named):
     assert "usage:" not in err
 
 
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["check-identities", "--samples", " 1_0"],
+     "argument --samples: invalid integer value: ' 1_0'"),
+    (["check-identities", "--seed", "+1"], "argument --seed: invalid integer value: '+1'"),
+    (["solve", _SO3, "--order", "\u0663"], "argument --order: invalid integer value: '\u0663'"),
+    (["solve", _SO3, "--order", "3 "], "argument --order: invalid integer value: '3 '"),
+    (["solve", _SO3, "--order", _NINES], "argument --order: integer of 5000 digits is too long"),
+    (["solve", _SO3, "--order", "9" * 81],
+     "argument --order: must be at most 1000, got (81 characters)"),
+    (["solve", _SO3, "--order", "x" * 81],
+     "argument --order: invalid integer value: (81 characters)"),
+    (["check-identities", "--degree", "-" + "9" * 100],
+     "argument --degree: must be at least 1, got (101 characters)"),
+], ids=["space-underscore", "plus", "arabic-indic-digit", "trailing-space", "5000-nines",
+        "81-nines", "81-letters", "long-negative"])
+def test_option_integers_are_ascii_digits(capsys, argv, error):
+    # int() reads all but the last three of these; an option reads only
+    # -?[0-9]+, and a long refused value is shown by its length
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == "error: " + error
+
+
+@pytest.mark.parametrize("raw, shown", [
+    (" 10", "' 10'"), ("1_000", "'1_000'"), ("+10", "'+10'"), ("\u0661\u0660", "'\u0661\u0660'"),
+    ("0", "'0'"), (_NINES, "(5000 characters)")])
+def test_term_budget_is_read_as_ascii_digits(capsys, monkeypatch, raw, shown):
+    monkeypatch.setenv("SP2_BRST_MAX_TERMS", raw)
+    code, out, err = run(capsys, "solve", _SO3, "--order", "2")
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (
+        f"error: SP2_BRST_MAX_TERMS must be a positive integer, got {shown}")
+
+
 def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as e:
         main(["solve", "--help"])

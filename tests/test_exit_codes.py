@@ -17,9 +17,10 @@ against theories/so3.json: it renames, adds or retypes a top-level or
 component field, or splices pieces into a component's text.
 
 A fourth draws whole command lines from the real subcommands and options,
-with values out of range, not integers, empty, repeated or missing,
-unknown options and subcommands, an --out into a missing directory or at
-a directory, and file arguments missing, extra or naming a directory.  An
+with values out of range, not integers, integers spelt other than as
+ASCII digits, empty, repeated or missing, unknown options and
+subcommands, an --out into a missing directory or at a directory, and
+file arguments missing, extra or naming a directory.  An
 exit 2 there prints nothing on stdout.  The valid runs stay small: the
 abelian3, shift and mixed2 theories at order 2 or 3, and the identity
 suite at degree 2 or less with 3 samples or fewer.
@@ -157,16 +158,19 @@ FILE = (SMALL, BAD_FILES)
 OMEGA = (["{tmp}/omega-abelian3.json"],
          [str(THEORY_DIR.parent / "tests" / "golden" / "omega-so3.json"), SMALL[0],
           *BAD_FILES])
-RUN = {"--order": (["2", "3"], ["1", "0", "-1", "1001", "2.5", "abc", ""]),
+# integers int() reads but an option refuses: a space, an underscore, a
+# plus sign, non-ASCII digits, and more digits than int() converts
+NOT_ASCII = [" 1_0", "+3", "\u0663", "1 ", "9" * 5000]
+RUN = {"--order": (["2", "3"], ["1", "0", "-1", "1001", "2.5", "abc", "", *NOT_ASCII]),
        "--method": (["fixed-point", "descendants", "both"], ["nope", ""]),
        "--out": (["{tmp}/out.json"], ["{tmp}/missing/out.json", "{tmp}", ""])}
 COMMANDS = {  # the file arguments and the options of each subcommand
     "solve": ([FILE], RUN),
     "lift": ([FILE], {**RUN, "--observable": (["1", "2", "q", "Tq", "quad", "Bsq"],
                                               ["0", "3", "nope", ""])}),
-    "check-identities": ([], {"--degree": (["1", "2"], ["0", "-1", "x", ""]),
-                              "--samples": (["1", "3"], ["0", "x", ""]),
-                              "--seed": (["0", "7", "-1"], ["x", ""]),
+    "check-identities": ([], {"--degree": (["1", "2"], ["0", "-1", "x", "", *NOT_ASCII]),
+                              "--samples": (["1", "3"], ["0", "x", "", *NOT_ASCII]),
+                              "--seed": (["0", "7", "-1"], ["x", "", *NOT_ASCII]),
                               "--theory": FILE}),
     "verify": ([FILE, OMEGA], {}),
 }

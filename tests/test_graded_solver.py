@@ -20,7 +20,7 @@ from solver_oracles import (boundary_seed, fixed_point_by_rounds, multi_bracket,
 from sp2brst import expr
 from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W, apply_W_plus
-from sp2brst.solver import (PAIR_COEFF, ConventionError, apply_A,
+from sp2brst.solver import (PAIR_DIVISOR, ConventionError, apply_A,
                             build_F, build_omega1, build_pi0, neumann_apply,
                             power_brackets, solve_pi_descendants,
                             solve_pi_fixed_point, tensor_bracket)
@@ -141,7 +141,7 @@ def _inverse_cases(name):
     pair = tensor_bracket(pi0, pi0) * 2
     return {
         "pi0": (apply_A, -apply_W_plus(build_F(alg))),
-        "pair": (apply_A, apply_W_plus(pair).truncate_cp(k) * PAIR_COEFF),
+        "pair": (apply_A, apply_W_plus(pair).truncate_cp(k) / PAIR_DIVISOR),
         "lift": (lift_op, -apply_W_plus(tensor_bracket(
             omega, SymTensor.from_scalar(phi0)))),
     }

@@ -9,7 +9,10 @@ A process imports only the package modules it uses: ``import sp2brst``
 loads no submodule, and json loads only where a document is read or
 written.  Each import set is checked in a child interpreter, on the
 ``sp2brst`` modules and json alone, since site hooks may import other
-standard modules before the probe runs.
+standard modules before the probe runs.  No command but verify loads
+``fractions`` or the ``decimal`` it imports: rationals stay int
+numerators over one denominator, and only a rational literal in a text,
+as a charge document has, makes a Fraction.
 """
 
 import os
@@ -74,6 +77,39 @@ def test_check_identities_without_a_theory_loads_no_json():
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      "    assert main(['check-identities', '--samples', '2']) == 0\n")
     assert "sp2brst.identities" in loaded and "json" not in loaded
+
+
+_NO_FRACTIONS = {"fractions", "decimal"}
+_QUIET_MAIN = ("import contextlib, io\n"
+               "from sp2brst.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main({argv!r}) == {code}\n")
+_DEFORMED = "theories/so3-deformed.json"
+
+
+@pytest.mark.parametrize("probe", [
+    # the set-up the benchmark's probe times for identities-mixed2
+    "import sp2brst\n"
+    "from sp2brst import theoryfile\n"
+    "sp2brst.Algebra(sp2brst.mixed_parity_spec())\n",
+    # and for a theory document
+    "from sp2brst import theoryfile\n"
+    f"with open({_DEFORMED!r}, 'rb') as fh:\n"
+    "    doc = theoryfile.parse_theory(fh.read())\n"
+    "assert theoryfile.validate_jacobi(theoryfile.build_algebra(doc)).ok\n",
+    _QUIET_MAIN.format(argv=["solve", _DEFORMED], code=0),
+    _QUIET_MAIN.format(argv=["lift", _DEFORMED, "--observable", "J2sq"], code=0),
+    _QUIET_MAIN.format(argv=["check-identities", "--samples", "2"], code=0),
+], ids=["setup-mixed2", "setup-deformed", "solve", "lift", "check-identities"])
+def test_commands_load_no_fractions(probe):
+    assert _loaded(probe) & _NO_FRACTIONS == set()
+
+
+def test_verify_loads_fractions_for_the_rational_literals_it_reads():
+    # the golden charge document writes coefficients such as 1/2
+    loaded = _loaded(_QUIET_MAIN.format(
+        argv=["verify", "theories/so3.json", "tests/golden/omega-so3.json"], code=0))
+    assert "fractions" in loaded
 
 
 def _spec(label="t"):

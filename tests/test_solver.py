@@ -1,7 +1,6 @@
 """Charge construction: boundary part, residuals, methods, regressions."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -121,7 +120,7 @@ def test_deformed_so3_solution():
 def test_pair_normalisation_is_pinned(monkeypatch):
     # with -1/4 in place of -1/2 the fixed point no longer solves the
     # master equations: the residual shows up at cp-degree 3
-    monkeypatch.setattr(solver_mod, "PAIR_COEFF", Fraction(-1, 4))
+    monkeypatch.setattr(solver_mod, "PAIR_DIVISOR", -4)
     res = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
     assert not res.ok
     bad = [line.degree for line in res.report.lines if not line.direct_zero]
