@@ -7,15 +7,19 @@ the Casimir and the non-central J1^2 to observables and checks that
 restriction takes brackets and products of the lifts back to brackets
 and products of the inputs.
 
-Run from the repository root:
+It reads the theory from theories/so3.json beside this script's
+directory, so it runs from any directory with sp2brst importable:
 
     python3 scripts/demo_so3.py [--order K]
 """
 
 import argparse
+from pathlib import Path
 
-from sp2brst import Algebra, Method, lift, so3_spec, solve, verify_realization
+from sp2brst import Algebra, Method, lift, parse_theory, solve, verify_realization
 from sp2brst.expr import serialize
+
+THEORY = Path(__file__).resolve().parent.parent / "theories" / "so3.json"
 
 
 def main() -> None:
@@ -25,7 +29,7 @@ def main() -> None:
                     help="truncation cp-degree (default 4)")
     args = ap.parse_args()
 
-    res = solve(Algebra(so3_spec()), args.order, Method.BOTH)
+    res = solve(Algebra(parse_theory(THEORY.read_bytes()).spec), args.order, Method.BOTH)
     print(res.render())
     print()
     for a in (1, 2):

@@ -20,8 +20,7 @@ _MODULES = {
     **dict.fromkeys(("Algebra", "GradedPoly", "InputError", "Sector",
                      "TermBudgetError", "TheoryError"), "algebra"),
     "SymTensor": "tensors",
-    **dict.fromkeys(("TheorySpec", "abelian_spec", "so3_spec", "deformed_so3_spec",
-                     "mixed_parity_spec", "jacobi_violations"), "theory"),
+    **dict.fromkeys(("TheorySpec", "mixed_parity_spec", "jacobi_violations"), "theory"),
     **dict.fromkeys(("Method", "SolverResult", "MasterReport", "ConventionError",
                      "solve", "verify_master"), "solver"),
     **dict.fromkeys(("NotFirstClassError", "ObservableLift", "RealizationReport",

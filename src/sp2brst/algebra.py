@@ -108,6 +108,8 @@ _SECTOR_NGH = {
 # sectors counting towards the N-degree (constraint sector) / the C-pi degree
 _N_SECTORS = (Sector.XI, Sector.GHOST_MOM, Sector.LAGRANGE)
 _CP_SECTORS = (Sector.GHOST, Sector.LAGRANGE_MOM)
+# the matter sectors: the coordinates, the only variables of a structure entry
+_MATTER_SECTORS = (Sector.XI, Sector.XI_PHYS)
 
 
 class InputError(ValueError):
@@ -691,7 +693,7 @@ class Algebra:
         self._build_matter_omega()
         self._paired = frozenset(va for va, _, _, _ in self._omega)
         self._matter = frozenset(va for va in self._paired
-                                 if self.var_sector[va] in (Sector.XI, Sector.XI_PHYS))
+                                 if self.var_sector[va] in _MATTER_SECTORS)
         # the largest total degree of a structure function (see bracket)
         self._mid_degree = max(
             (mid._degree() for _, _, _, mid in self._omega if mid is not None), default=0)
@@ -1037,7 +1039,7 @@ class Algebra:
                 raise TheoryError(f"{where} {expr.echo(text)}: {e}") from None
             for key in poly.nums:
                 for v, _ in _factors(key, poly.width):
-                    if self.var_sector[v] not in (Sector.XI, Sector.XI_PHYS):
+                    if self.var_sector[v] not in _MATTER_SECTORS:
                         raise TheoryError(
                             f"{where}: structure entries may involve only coordinates, "
                             f"found {self.vars[v].name}")

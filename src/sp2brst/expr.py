@@ -37,7 +37,11 @@ import re
 import sys
 from math import gcd
 
-from .algebra import GradedPoly, InputError, _factors
+from .algebra import _SECTOR_BASENAME, GradedPoly, InputError, Sector, _factors
+
+# the canonical variable families, and the two that take an Sp(2) index
+_FAMILIES = frozenset(_SECTOR_BASENAME.values())
+_SP2_FAMILIES = frozenset(_SECTOR_BASENAME[s] for s in (Sector.GHOST_MOM, Sector.GHOST))
 
 
 class ExprError(InputError):
@@ -321,7 +325,7 @@ class _Parser:
 
     def variable(self):
         kind, name, at = self.next()
-        if name not in ("xi", "xip", "P", "C", "lam", "pi"):
+        if name not in _FAMILIES:
             vid = self.alg.by_name.get(name)  # a declared coordinate name
             if vid is None:
                 raise self.error(f"unknown variable family {name!r}", at)
@@ -339,7 +343,7 @@ class _Parser:
                 raise self.error("expected index", tok[2])
             idx.append(self.integer(tok[1], tok[2]))
         self.expect_sym("]")
-        want_two = name in ("P", "C")
+        want_two = name in _SP2_FAMILIES
         if want_two != (len(idx) == 2):
             raise self.error(f"{name} takes {'two indices' if want_two else 'one index'}", at)
         if want_two and idx[1] not in (1, 2):

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Algebra, GradedPoly, InputError, Sector
+from .algebra import _MATTER_SECTORS, Algebra, GradedPoly, InputError, Sector
 from .operators import apply_W, apply_W_plus, bar_gamma
 from .solver import MasterReport, SolverResult, apply_A, neumann_apply, tensor_bracket
 from .tensors import SymTensor
 
-_MATTER = (Sector.XI, Sector.XI_PHYS)
 _RESTRICTED = (Sector.GHOST, Sector.LAGRANGE_MOM)
 
 
@@ -46,7 +45,7 @@ class NotFirstClassError(ValueError):
 
 
 def require_matter_only(phi0: GradedPoly) -> None:
-    others = [s for s in Sector if s not in _MATTER]
+    others = [s for s in Sector if s not in _MATTER_SECTORS]
     if phi0.substitute_zero(others).term_count() != phi0.term_count():
         raise InputError("phi0 must be a polynomial in the matter variables only")
 

@@ -13,6 +13,11 @@ mappings.  The Poisson structure it induces is realised by
   mirror entries are completed by graded antisymmetry.
 * ``names[i - 1]``, if given, is the declared name of global coordinate i,
   which expression strings may write for it.
+
+The bundled theories are the documents in ``theories/``, which
+``theoryfile.parse_theory`` reads into a TheorySpec.  The one spec built
+here, ``mixed_parity_spec``, is the theory of ``check-identities``
+without ``--theory``, so that command reads no file.
 """
 
 from __future__ import annotations
@@ -58,29 +63,6 @@ class TheorySpec:
     @property
     def n_physical(self):
         return len(self.physical_parities)
-
-
-def abelian_spec(m, parities=None, label="abelian"):
-    """m constraints with vanishing brackets."""
-    if parities is None:
-        parities = (0,) * m
-    return TheorySpec(tuple(parities), label=label)
-
-
-def so3_spec(label="so3"):
-    """Angular-momentum algebra: {xi_i, xi_j} = eps_ijk xi_k."""
-    u = {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1"}
-    return TheorySpec((0, 0, 0), u_table=u, label=label)
-
-
-def deformed_so3_spec(label="so3-deformed"):
-    """so(3) with a polynomial deformation {xi_3, xi_1} = xi_2 + xi_2^2.
-
-    The cyclic Jacobi sum vanishes identically for any deformation of this
-    entry that depends on xi_2 alone.
-    """
-    u = {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1 + xi[2]"}
-    return TheorySpec((0, 0, 0), u_table=u, label=label)
 
 
 def mixed_parity_spec(label="mixed2"):

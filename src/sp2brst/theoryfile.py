@@ -45,7 +45,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # an index as ASCII decimal digits, with no sign, space, underscore or
 # leading zero: the one spelling of each index
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*")
-_RESERVED = {"xi", "xip", "P", "C", "lam", "pi"}
 # the control characters and the line and paragraph separators
 _CONTROL = frozenset(map(chr, [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]))
 
@@ -62,12 +61,12 @@ class TheoryDocument(NamedTuple):
 
     def observable(self, key: str) -> tuple:
         """(name, expression) of the observable named key or, failing
-        that, at 1-based position key."""
+        that, at 1-based position key, spelt as an index is (_INDEX_RE)."""
         for n, text in self.observables:
             if n == key:
                 return n, text
         # a position has few digits, and int() refuses very long strings
-        if key.isdecimal() and len(key) < 20 and 1 <= int(key) <= len(self.observables):
+        if _INDEX_RE.fullmatch(key) and len(key) < 20 and 1 <= int(key) <= len(self.observables):
             return self.observables[int(key) - 1]
         known = ", ".join(n for n, _ in self.observables) or "none defined"
         raise TheoryFileError(f"no observable named {key!r} (known: {known})")
@@ -102,7 +101,7 @@ def _named_list(raw, what):
         name, parity = entry.get("name"), entry.get("parity")
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             _fail(f"{what}[{i}]: name must be an identifier")
-        if name in _RESERVED:
+        if name in expr._FAMILIES:
             _fail(f"{what}[{i}]: name {name!r} collides with a canonical variable family")
         if parity not in (0, 1):
             _fail(f"{what}[{i}]: parity must be 0 or 1")

@@ -10,7 +10,6 @@ identically zero through the stated cp-degree, not zero to tolerance.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -19,15 +18,13 @@ from sp2brst.cli import main
 from sp2brst.identities import run_identity_suite
 from sp2brst.observables import (NotFirstClassError, check_first_class,
                                  lift, restrict, verify_realization)
+from conftest import THEORY_DIR, bundled
 from solver_oracles import (boundary_seed, descendant_expand, descendant_trees,
                             double_factorial, ghost, multi_bracket, xip)
 from sp2brst.solver import (Method, SymTensor, build_pi0, solve,
                             solve_pi_descendants, solve_pi_fixed_point,
                             verify_master)
-from sp2brst.theory import (TheorySpec, abelian_spec, jacobi_violations,
-                            mixed_parity_spec, so3_spec)
-
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+from sp2brst.theory import TheorySpec, jacobi_violations, mixed_parity_spec
 
 
 def _finish(num, label, failures, elapsed, budget=None):
@@ -58,7 +55,7 @@ def test_criterion_1_operator_identity_suite():
 def test_criterion_2_abelian_collapses_to_boundary():
     start = time.perf_counter()
     failures = []
-    res = solve(Algebra(abelian_spec(3)), 6, Method.BOTH)
+    res = solve(bundled("abelian3"), 6, Method.BOTH)
     alg = res.algebra
     if not res.pi.is_zero():
         failures.append("correction Pi is nonzero for an abelian theory")
@@ -81,7 +78,7 @@ def test_criterion_2_abelian_collapses_to_boundary():
 def test_criterion_3_so3_end_to_end():
     start = time.perf_counter()
     failures = []
-    res = solve(Algebra(so3_spec()), 6, Method.BOTH)
+    res = solve(bundled("so3"), 6, Method.BOTH)
     # report.residual is the direct evaluation of {Omega^a, Omega^b}',
     # independent of how Pi was produced
     if not res.report.residual.is_zero():
@@ -145,7 +142,7 @@ def test_criterion_5_descendant_combinatorics():
     for m in (3, 4):
         if descendant_trees(m) != _oracle_trees([str(i) for i in range(1, m + 1)]):
             failures.append(f"tree set for m={m} differs from enumeration oracle")
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     pi0 = build_pi0(boundary_seed(alg), 6)
     for m in (3, 4):
         xs = [pi0] * m
@@ -158,7 +155,7 @@ def test_criterion_5_descendant_combinatorics():
 def test_criterion_6_casimir_realization():
     start = time.perf_counter()
     failures = []
-    res = solve(Algebra(so3_spec()), 6, Method.BOTH)
+    res = solve(bundled("so3"), 6, Method.BOTH)
     alg = res.algebra
     casimir = sum((alg.mul(alg.xi(i), alg.xi(i)) for i in (1, 2, 3)),
                   alg.zero())
@@ -185,7 +182,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     failures = []
 
     # a perturbed charge must be caught, in the library and by the CLI
-    res = solve(Algebra(so3_spec()), 4, Method.BOTH)
+    res = solve(bundled("so3"), 4, Method.BOTH)
     alg = res.algebra
     extra = alg.mul(alg.xi(1), ghost(alg, 1, 1))
     bad = SymTensor.from_full(

@@ -4,18 +4,15 @@ fused replace_left kernel against derivative-by-derivative sums."""
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from sp2brst.algebra import Algebra, Sector, TermBudgetError, TheoryError
 from sp2brst.identities import random_element
-from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec, so3_spec
-from sp2brst.theoryfile import build_algebra, parse_theory
+from sp2brst.theory import TheorySpec, mixed_parity_spec
+from conftest import bundled
 from solver_oracles import (derive_right, derive_terms, ghost, lagrange, lagrange_mom,
                             term_cpdeg, term_ndeg, xip)
-
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
 
 def _degrees(gen):
@@ -146,8 +143,8 @@ def test_substitute_zero_restriction():
 
 
 def test_cross_theory_mixing_rejected():
-    a1 = Algebra(so3_spec())
-    a2 = Algebra(abelian_spec(3))
+    a1 = bundled("so3")
+    a2 = bundled("abelian3")
     with pytest.raises(TheoryError):
         a1.mul(a1.xi(1), a2.xi(1))
     with pytest.raises(TheoryError):
@@ -158,8 +155,8 @@ def test_cross_theory_mixing_rejected():
 
 def test_twin_algebras_are_compatible():
     # regression: equality and mixing must be structural, not instance-based
-    a1 = Algebra(so3_spec())
-    a2 = Algebra(so3_spec())
+    a1 = bundled("so3")
+    a2 = bundled("so3")
     assert a1.compatible(a2)
     assert a1.xi(1) == a2.xi(1)
     assert a1.xi(1) + a2.xi(2) == a2.xi(1) + a1.xi(2)
@@ -170,8 +167,8 @@ def test_twin_algebras_are_compatible():
 def test_term_budget_checked_where_terms_form():
     # elements of a twin algebra with the default budget, combined by one
     # whose budget is 3 terms
-    wide = Algebra(so3_spec())
-    small = Algebra(so3_spec(), max_terms=3)
+    wide = bundled("so3")
+    small = bundled("so3", max_terms=3)
     q = wide.xi(1) + wide.xi(2) + wide.xi(3) + lagrange(wide, 1)
     x = small.xi(1) + small.xi(2) + small.xi(3)  # at the budget
     with pytest.raises(TermBudgetError, match="budget 3"):
@@ -189,7 +186,7 @@ def test_term_budget_checked_where_terms_form():
 def test_power_squares_only_for_bits_still_to_come():
     # p ** 2 is p p: it forms no p ** 4, whose 44-term partial sum would
     # break this algebra's 40-term budget
-    alg = Algebra(so3_spec(), max_terms=40)
+    alg = bundled("so3", max_terms=40)
     p = (alg.xi(1) + alg.xi(2) + alg.xi(3)
          + ghost(alg, 1, 1) * alg.ghost_mom(1, 1) + lagrange_mom(alg, 1))
     square = p ** 2
@@ -225,7 +222,7 @@ def test_fermionic_self_bracket_allowed():
 @pytest.mark.parametrize(
     "name", ("abelian3", "mixed2", "shift", "so3", "so3-deformed"))
 def test_derivatives_match_oracle(name):
-    alg = build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+    alg = bundled(name)
     rng = random.Random(5)
     signs = powers = physical = 0
     for _ in range(40):
@@ -258,7 +255,7 @@ def _replace_left_oracle(alg, p, fields):
 
 @pytest.mark.parametrize("name", ("mixed2", "so3", "shift"))
 def test_replace_left_matches_derivative_oracle(name):
-    alg = build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+    alg = bundled(name)
     rng = random.Random(7)
     n = len(alg.vars)
     for _ in range(150):

@@ -24,6 +24,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from solver_oracles import (bracket_per_pair, boundary_seed, build_F_by_brackets, ghost,
                             placement_sum_by_tuples)
 from test_generated_theories import deformed_so3, direct_sums, mixed2
@@ -34,8 +35,7 @@ from sp2brst.observables import NotFirstClassError, check_first_class
 from sp2brst.solver import (apply_A, build_F, constraint_half, solve_pi_fixed_point,
                             tensor_brackets)
 from sp2brst.tensors import SymTensor
-from sp2brst.theory import (
-    MAX_REPORT, TheorySpec, deformed_so3_spec, jacobi_violations, so3_spec)
+from sp2brst.theory import MAX_REPORT, TheorySpec, jacobi_violations
 
 THEORIES = st.one_of(direct_sums(), deformed_so3(), mixed2())
 # the field width an operand is stored at; 0 draws the zero polynomial
@@ -125,7 +125,7 @@ def test_build_f_matches_per_pair(spec):
 
 
 def test_a_f_and_first_class_check_make_one_kernel_call(monkeypatch):
-    alg = Algebra(deformed_so3_spec())
+    alg = bundled("so3-deformed")
     calls = []
     real = Algebra._brackets
 
@@ -190,14 +190,13 @@ def test_structure_products_keep_the_term_budget():
     # y = xi_2 C C at max_cp 2: y keeps only the row of dx from xi_1, so
     # dx * w has 2 terms, not the 77 that every row of dx gives; a ghost,
     # which meets no structure function, must not widen the rows
-    spec = deformed_so3_spec()
-    alg = Algebra(spec)
+    alg = bundled("so3-deformed")
     c = partial(ghost, alg)
     ghosts = [c(a, i) for a in (1, 2, 3) for i in (1, 2)]
     g = sum((ghosts[i] * ghosts[j] for i in range(6) for j in range(i + 1, 6)), alg.zero())
     x = alg.xi(1) * (1 + g * (1 + alg.xi(2) + alg.xi(2) ** 2 + alg.xi(2) ** 3))
     y = alg.xi(2) * c(1, 1) * c(1, 2)
-    tight = Algebra(spec, max_terms=40)
+    tight = bundled("so3-deformed", max_terms=40)
     want = bracket_per_pair(tight, x, y, None, 2)
     assert want and tight.bracket(x, y, max_cp=2) == want
     assert tight.brackets([x], [y, c(2, 1)], max_cp=2) == [[want, tight.zero()]]
@@ -208,7 +207,7 @@ def test_structure_products_keep_the_term_budget():
 
 
 def test_zero_operands_and_empty_lists():
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     zero = alg.zero()
     assert alg.brackets([zero, zero], [alg.xi(1), zero]) == [[zero, zero], [zero, zero]]
     assert alg.brackets([], [alg.xi(1)]) == []
@@ -218,7 +217,7 @@ def test_zero_operands_and_empty_lists():
 def test_structure_products_are_formed_for_every_y():
     # each pair forms its own dx * w; a y of high least cp-degree drops
     # the x terms it cannot use, and the next y still meets them
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     c = partial(ghost, alg)
     x = alg.xi(1) * c(1, 1) * c(1, 2) * c(2, 1) + alg.xi(1)
     ys = [alg.xi(2) * c(3, 1) * c(3, 2), alg.xi(2)]

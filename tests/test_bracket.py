@@ -4,9 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from solver_oracles import ghost, lagrange, lagrange_mom, term_ngh, term_parity, xip
 from sp2brst.algebra import Algebra
-from sp2brst.theory import TheorySpec, mixed_parity_spec, so3_spec
+from sp2brst.theory import TheorySpec, mixed_parity_spec
 
 ALG = Algebra(mixed_parity_spec())  # constraints: one even, one odd
 
@@ -39,7 +40,7 @@ def test_cross_pairings_vanish():
 
 
 def test_so3_constraint_brackets():
-    a = Algebra(so3_spec())
+    a = bundled("so3")
     assert a.bracket(a.xi(1), a.xi(2)) == a.xi(3)
     assert a.bracket(a.xi(2), a.xi(3)) == a.xi(1)
     assert a.bracket(a.xi(3), a.xi(1)) == a.xi(2)

@@ -328,6 +328,11 @@ def test_lift_observable_by_index(capsys):
     code, out, err = run(capsys, "lift", *args, "--observable", "4")
     assert code == 2 and out == ""
     assert "no observable named '4'" in err
+    # a position is spelt in ASCII digits with no leading zero
+    for key in ("03", "\u0663", "\uff13"):
+        code, out, err = run(capsys, "lift", *args, "--observable", key)
+        assert code == 2 and out == ""
+        assert f"no observable named {key!r}" in err
 
 
 def test_convention_error_in_lift_exits_one(capsys, monkeypatch):

@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 from sp2brst.algebra import Algebra
 from sp2brst.expr import DigitLimitError, _digit_limit, parse, serialize
 from sp2brst.tensors import SymTensor
-from sp2brst.theory import mixed_parity_spec, so3_spec
+from sp2brst.theory import mixed_parity_spec
+from conftest import bundled
 
 ALG = Algebra(mixed_parity_spec())
-SO3 = Algebra(so3_spec())
+SO3 = bundled("so3")
 
 
 def fraction_serialize(p):

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +11,11 @@ from sp2brst.expr import (MAX_DEPTH, DigitLimitError, ExprError, _position, _tok
                           parse, serialize)
 from sp2brst.identities import random_element
 from sp2brst.solver import build_omega1
-from sp2brst.theory import TheorySpec, abelian_spec, mixed_parity_spec
-from sp2brst.theoryfile import build_algebra, parse_theory
+from sp2brst.theory import TheorySpec, mixed_parity_spec
+from conftest import bundled
 from solver_oracles import ghost, lagrange, lagrange_mom
 
 ALG = Algebra(mixed_parity_spec())
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
 
 def test_parse_basics():
@@ -52,7 +50,7 @@ def test_unary_minus_binds_looser_than_power():
 
 
 def test_serialize_golden():
-    alg = Algebra(abelian_spec(1))
+    alg = Algebra(TheorySpec((0,)))
     om1 = build_omega1(alg)
     assert serialize(om1.get((1,))) == "xi[1]*C[1,1] + P[1,2]*pi[1]"
     assert serialize(om1.get((2,))) == "xi[1]*C[1,2] - P[1,1]*pi[1]"
@@ -356,7 +354,7 @@ def test_plain_sums_match_the_algebra(case):
 @pytest.mark.parametrize(
     "name", ("abelian3", "mixed2", "shift", "so3", "so3-deformed"))
 def test_roundtrip_on_bundled_theories(name):
-    alg = build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+    alg = bundled(name)
     rng = random.Random(11)
     for _ in range(40):
         p = random_element(alg, rng) + random_element(alg, rng) * random_element(alg, rng)

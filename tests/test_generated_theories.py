@@ -3,10 +3,10 @@
 Three families, each relabelled by a drawn permutation of the
 constraints: direct sums of so(3), Heisenberg ({xi_1, xi_2} = xi_3, xi_3
 central) and abelian blocks; so(3) whose entry with output xi_j is
-scaled by a polynomial of degree <= 2 in xi_j alone (deformed_so3_spec
+scaled by a polynomial of degree <= 2 in xi_j alone (so3-deformed
 is one of them), alone or beside one abelian constraint; and the mixed2
 family of one even constraint B and one odd F with {F, F} = f(B) B, f of
-degree <= 2 (mixed_parity_spec is one of them).  On each, solve with
+degree <= 2 (mixed2 is one of them).  On each, solve with
 both methods must verify, F and A must equal their generator-bracket
 oracles (A on Pi_0), the fixed point's seed Upsilon - W+ F must be
 what (I + W+ A) gives back from Pi_0, and the charges at order k must be
@@ -17,6 +17,7 @@ and a copy with Omega^1 doubled fails them.
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from solver_oracles import (a_component_by_brackets, build_F_by_brackets,
                             placement_sum_by_tuples)
 
@@ -26,7 +27,7 @@ from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W_plus
 from sp2brst.solver import (Method, apply_A, build_pi0, solve,
                             solve_pi_fixed_point, verify_master)
-from sp2brst.theory import TheorySpec, deformed_so3_spec, jacobi_violations
+from sp2brst.theory import TheorySpec, jacobi_violations
 from sp2brst.theoryfile import dump_document, load_omega, omega_document
 
 # each block: its size and its structure table {(a, b, g): U_abg} over
@@ -132,7 +133,9 @@ def test_mixed2(spec, k):
 
 
 def test_relabelling_keeps_the_bundled_deformation():
-    spec = _relabel([(deformed_so3_spec().u_table, 3)], (0, 0, 0), [3, 1, 2])
+    # theories/so3-deformed.json's table, each entry in canonical spelling
+    bundled_table = {(1, 2, 3): "1", (2, 3, 1): "1", (3, 1, 2): "1 + xi[2]"}
+    spec = _relabel([(bundled_table, 3)], (0, 0, 0), [3, 1, 2])
     assert spec.u_table == {(3, 1, 2): "1", (1, 2, 3): "1", (2, 3, 1): "1 + xi[1]"}
 
 
@@ -141,6 +144,6 @@ def test_fixed_point_solve_forms_no_pi0(monkeypatch):
         raise AssertionError("the fixed point formed Pi_0")
 
     monkeypatch.setattr(solver_mod, "build_pi0", refuse)
-    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3-deformed"), 4, Method.FIXED_POINT)
     assert res.ok
     assert not res.pi.is_zero()

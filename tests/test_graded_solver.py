@@ -10,25 +10,22 @@ solver_oracles.
 import math
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 
 import sp2brst.solver as solver_mod
+from conftest import THEORY_DIR, bundled
 from solver_oracles import (boundary_seed, fixed_point_by_rounds, multi_bracket,
                             neumann_by_terms)
 from sp2brst import expr
-from sp2brst.algebra import Algebra
 from sp2brst.operators import apply_W, apply_W_plus
 from sp2brst.solver import (PAIR_DIVISOR, ConventionError, apply_A,
                             build_F, build_omega1, build_pi0, neumann_apply,
                             power_brackets, solve_pi_descendants,
                             solve_pi_fixed_point, tensor_bracket)
 from sp2brst.tensors import SymTensor
-from sp2brst.theory import so3_spec
 from sp2brst.theoryfile import build_algebra, parse_theory
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORIES = ("abelian3", "mixed2", "shift", "so3", "so3-deformed")
 # a first-class observable of each bundled theory
 LIFTED = {"abelian3": "quad", "mixed2": "Bsq", "shift": "Tq", "so3": "J1sq",
@@ -99,7 +96,7 @@ def test_tensor_bracket_is_symmetric_on_parts_of_pi(name):
 
 def test_descendants_bracket_count(monkeypatch):
     # <Pi_0^m> for m <= 7 at order 8: one pair bracket per r <= m/2
-    pi0 = build_pi0(boundary_seed(Algebra(so3_spec())), 8)
+    pi0 = build_pi0(boundary_seed(bundled("so3")), 8)
     calls = []
     original = solver_mod.pair_bracket
 
@@ -113,7 +110,7 @@ def test_descendants_bracket_count(monkeypatch):
 
 
 def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
-    seed = boundary_seed(Algebra(so3_spec()))
+    seed = boundary_seed(bundled("so3"))
     # W in place of A: W+ W keeps the cp-degree of the part it acts on
     monkeypatch.setattr(solver_mod, "apply_A", apply_W)
     with pytest.raises(ConventionError, match="failed to raise"):
@@ -121,7 +118,7 @@ def test_graded_loop_rejects_non_raising_bracket(monkeypatch):
 
 
 def test_neumann_rejects_non_raising_operator():
-    pi0 = build_pi0(boundary_seed(Algebra(so3_spec())), 4)
+    pi0 = build_pi0(boundary_seed(bundled("so3")), 4)
     with pytest.raises(ConventionError, match="failed to raise"):
         neumann_apply(apply_W, pi0, 4)
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import sp2brst.identities as identities
+from conftest import bundled
 from solver_oracles import term_cpdeg, term_ndeg
 from sp2brst.algebra import Algebra
 from sp2brst.identities import (IdentityReport, IdentityResult,
@@ -29,10 +30,12 @@ from sp2brst.identities import (IdentityReport, IdentityResult,
                                 random_w_closed, run_identity_suite,
                                 w_closed_part)
 from sp2brst.cli import main
+from sp2brst.expr import serialize
 from sp2brst.operators import OutsideDomainError, apply_W
+from sp2brst.solver import Method, solve
 from sp2brst.tensors import SymTensor
 from sp2brst.theoryfile import parse_theory
-from sp2brst.theory import mixed_parity_spec, so3_spec
+from sp2brst.theory import mixed_parity_spec
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,10 +134,22 @@ def test_suite_is_deterministic():
 
 
 def test_suite_accepts_explicit_spec():
-    rep = run_identity_suite(degree=2, samples=2, seed=3, alg=Algebra(so3_spec()))
+    rep = run_identity_suite(degree=2, samples=2, seed=3, alg=bundled("so3"))
     assert rep.ok
     assert rep.label == "so3"
     assert "theory so3" in rep.render()
+
+
+def test_mixed_parity_spec_is_its_document(mixed2_result):
+    # check-identities without --theory runs mixed_parity_spec: it must
+    # stay the theory of theories/mixed2.json
+    res = solve(bundled("mixed2"), 4, Method.BOTH)
+    assert res.render() == mixed2_result.render()
+    for a in (1, 2):
+        assert serialize(res.omega.get((a,))) == serialize(mixed2_result.omega.get((a,)))
+    spec_report, document_report = (run_identity_suite(2, 3, 0, alg=alg).render()
+                                    for alg in (Algebra(mixed_parity_spec()), bundled("mixed2")))
+    assert spec_report == document_report
 
 
 def test_report_renders_failures():

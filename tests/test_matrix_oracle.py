@@ -12,11 +12,12 @@ enumerated generators and seeded random elements over three theories.
 import random
 from itertools import permutations
 
+from conftest import bundled
 from solver_oracles import derive_right, lagrange, lagrange_mom
 from sp2brst.algebra import Algebra, Sector
 from sp2brst.identities import random_element
 from sp2brst.operators import gamma_component, m_component, n_apply, w_component
-from sp2brst.theory import TheorySpec, mixed_parity_spec, so3_spec
+from sp2brst.theory import TheorySpec, mixed_parity_spec
 
 EPS_UP = {(1, 1): 0, (1, 2): 1, (2, 1): -1, (2, 2): 0}
 EPS_DOWN = {(1, 1): 0, (1, 2): -1, (2, 1): 1, (2, 2): 0}
@@ -137,7 +138,7 @@ def _random_monomial(alg, rng, size):
 
 
 ALGEBRAS = [
-    Algebra(so3_spec()),
+    bundled("so3"),
     Algebra(mixed_parity_spec()),
     Algebra(TheorySpec((0,), physical_parities=(0,),
                        mixed_table={(1, 2): "1"}, label="shift")),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import bundled
 from solver_oracles import ghost, lagrange, lagrange_mom, xip
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.observables import (
@@ -14,7 +15,7 @@ from sp2brst.observables import (
     verify_realization,
 )
 from sp2brst.solver import Method, solve
-from sp2brst.theory import TheorySpec, deformed_so3_spec, so3_spec
+from sp2brst.theory import TheorySpec
 
 SHIFT = TheorySpec((0,), physical_parities=(0,),
                    mixed_table={(1, 2): "1"}, label="shift")
@@ -100,7 +101,7 @@ def test_mixed_parity_lift(mixed2_result):
 
 
 def test_deformed_lift():
-    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3-deformed"), 4, Method.FIXED_POINT)
     assert res.ok
     alg = res.algebra
     lifted = lift(alg.xi(2) ** 2, res)
@@ -150,7 +151,7 @@ def test_lift_guards(so3_result):
 
 def test_lift_keeps_the_solve_budget():
     # the solve fits in 100 terms, the Neumann series of J1^2's lift does not
-    res = solve(Algebra(so3_spec(), max_terms=100), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3", max_terms=100), 4, Method.FIXED_POINT)
     with pytest.raises(TermBudgetError):
         lift(res.algebra.xi(1) ** 2, res)
 
@@ -158,7 +159,7 @@ def test_lift_keeps_the_solve_budget():
 def test_lift_budget_bounds_each_polynomial():
     # the solve forms no polynomial above 40 terms and the lift of J1^2
     # none of its tensors above 160, but one of its polynomials has 254
-    res = solve(Algebra(so3_spec(), max_terms=200), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3", max_terms=200), 4, Method.FIXED_POINT)
     assert res.ok
     with pytest.raises(TermBudgetError, match="budget 200"):
         lift(res.algebra.xi(1) ** 2, res)

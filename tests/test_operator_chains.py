@@ -11,25 +11,19 @@ passes do, with the same message, when the term budget stops them.
 
 import random
 from functools import cache
-from pathlib import Path
 
 import pytest
 
+from conftest import bundled
 from solver_oracles import (apply_W_by_passes, bar_gamma_by_passes, bar_w_by_passes,
                             gamma_by_passes)
 from sp2brst.algebra import Algebra, GradedPoly, TermBudgetError
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import apply_Gamma, apply_W, bar_gamma, bar_w
 from sp2brst.tensors import SymTensor
-from sp2brst.theoryfile import build_algebra, parse_theory
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORIES = ("mixed2", "so3-deformed", "shift")
-
-
-@cache
-def _algebra(name):
-    return build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+_algebra = cache(bundled)
 
 
 def _tensors(name, rank, count=3):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import bundled
 from solver_oracles import apply_N_inverse, apply_Q, ghost, lagrange, lagrange_mom
 from sp2brst.algebra import Algebra
 from sp2brst.identities import random_tensor
@@ -24,9 +25,9 @@ from sp2brst.operators import (
     w_component,
 )
 from sp2brst.tensors import SymTensor
-from sp2brst.theory import mixed_parity_spec, so3_spec
+from sp2brst.theory import mixed_parity_spec
 
-ALG = Algebra(so3_spec())
+ALG = bundled("so3")
 
 
 def test_w_literal_actions():

@@ -11,7 +11,6 @@ equality, mul, bracket and the W chain run."""
 
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,18 +19,16 @@ from sp2brst import expr
 from sp2brst.algebra import Sector
 from sp2brst.operators import OutsideDomainError, apply_W, n_apply, n_inverse
 from sp2brst.tensors import SymTensor
-from sp2brst.theoryfile import build_algebra, parse_theory
+from conftest import bundled
 from solver_oracles import (add_terms, apply_W_by_passes, bracket_by_merges,
                             cp_select_terms, mul_sum, n_apply_terms,
                             n_inverse_terms, scale_terms, substitute_zero_terms,
                             ghost, lagrange, term_cpdeg, term_ndeg)
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
-
 # mixed2 has a fermionic constraint, so even ghosts that carry exponents;
 # so3-deformed has 21 variables and structure functions in its bracket
 ALGEBRAS = [
-    build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_text()))
+    bundled(name)
     for name in ("mixed2", "so3-deformed")
 ]
 

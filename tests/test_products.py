@@ -8,23 +8,19 @@ order, with or without a cp-degree limit, and a term budget must stop
 both at the same row with the same reported count."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from sp2brst.algebra import Algebra, TermBudgetError
-from sp2brst.theory import so3_spec
-from sp2brst.theoryfile import build_algebra, parse_theory
+from sp2brst.algebra import TermBudgetError
+from conftest import bundled
 from solver_oracles import bracket_by_merges, ghost, lagrange, lagrange_mom, mul_sum
-
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 
 # so3-deformed has structure-function pairings (a w factor between the
 # derivatives); mixed2 has a fermionic constraint, so even ghosts and odd
 # coordinates; shift has a physical coordinate
 ALGEBRAS = [
-    build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_text()))
+    bundled(name)
     for name in ("so3-deformed", "mixed2", "shift")
 ]
 
@@ -81,7 +77,7 @@ def test_bracket_matches_the_merge_oracle(case, max_cp):
 
 def _wide_pair():
     """Two so3 elements with a 13-term bracket and a 27-term product."""
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     x = (alg.xi(1) * ghost(alg, 2, 1) * ghost(alg, 3, 2)
          + alg.xi(2) ** 2 * lagrange_mom(alg, 1) * Fraction(1, 3)
          + alg.ghost_mom(1, 1) * ghost(alg, 2, 2) * ghost(alg, 3, 1)
@@ -97,7 +93,7 @@ def _wide_pair():
 def test_bracket_budget_stops_where_the_oracle_does(budget):
     x, y = _wide_pair()
     assert len(x.alg.bracket(x, y).terms) > budget
-    small = Algebra(so3_spec(), max_terms=budget)
+    small = bundled("so3", max_terms=budget)
     with pytest.raises(TermBudgetError) as got:
         small.bracket(x, y)
     with pytest.raises(TermBudgetError) as want:
@@ -108,7 +104,7 @@ def test_bracket_budget_stops_where_the_oracle_does(budget):
 @pytest.mark.parametrize("budget", [1, 7, 20, 26])
 def test_mul_budget_stops_where_the_oracle_does(budget):
     x, y = _wide_pair()
-    small = Algebra(so3_spec(), max_terms=budget)
+    small = bundled("so3", max_terms=budget)
     with pytest.raises(TermBudgetError) as got:
         small.mul(x, y)
     with pytest.raises(TermBudgetError) as want:

@@ -19,12 +19,11 @@ with polynomials stored at MIN_WIDTH by repacking them.
 
 import random
 from fractions import Fraction
-from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from solver_oracles import (bracket_by_merges, ghost, lagrange, replace_by_derivatives,
                             replace_sum_by_sources)
 from test_generated_theories import deformed_so3, direct_sums, mixed2
@@ -32,16 +31,8 @@ from test_generated_theories import deformed_so3, direct_sums, mixed2
 from sp2brst.algebra import MIN_WIDTH, Algebra, keys_at
 from sp2brst.identities import random_element
 from sp2brst.operators import _gamma_fields, _w_fields
-from sp2brst.theory import abelian_spec
-from sp2brst.theoryfile import build_algebra, parse_theory
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 BUNDLED = ("abelian3", "mixed2", "shift", "so3", "so3-deformed")
-
-
-@cache
-def _spec(name):
-    return parse_theory((THEORY_DIR / f"{name}.json").read_bytes())
 
 
 def _field_sets(alg, rng):
@@ -91,7 +82,7 @@ def _stream(alg, rng, count, width):
 @pytest.mark.parametrize("width", (4, 5))
 @pytest.mark.parametrize("name", BUNDLED)
 def test_streamed_passes_match_the_reference(name, width):
-    alg = build_algebra(_spec(name))
+    alg = bundled(name)
     served, passed = _stream(alg, random.Random(f"plans-{name}-{width}"), 24, width)
     assert 0 < served < passed  # plans were built, and later inputs reused them
 
@@ -165,14 +156,10 @@ def test_exponents_filling_the_field(mixed_alg):
 # -- bracket result widths ---------------------------------------------------
 
 
-def _abelian():
-    return Algebra(abelian_spec(3))
-
-
 def test_bracket_result_is_stored_at_the_call_width():
     # the bound 30 + 30 - 2 needs width 6, and the result of degree 4,
     # which MIN_WIDTH holds, stays at width 6
-    alg = _abelian()
+    alg = bundled("abelian3")
     x = ghost(alg, 1, 1) * alg.xi(1) ** 2 + alg.xi(1) ** 30
     y = alg.ghost_mom(1, 1) * alg.xi(2) ** 2 + alg.xi(2) ** 30
     assert (x.width, y.width) == (MIN_WIDTH, MIN_WIDTH) == (5, 5)
@@ -186,7 +173,7 @@ def test_bracket_result_of_total_degree_32_sums_with_width_5_polynomials():
     # one batched call whose bound 17 + 17 - 2 needs width 6: the first
     # result has a term of total degree 32, the second one of degree 17,
     # and both stay at the call's width
-    alg = _abelian()
+    alg = bundled("abelian3")
     x32 = ghost(alg, 1, 1) * alg.xi(1) ** 16
     x17 = ghost(alg, 1, 1) * alg.xi(3)
     y = alg.ghost_mom(1, 1) * alg.xi(2) ** 16

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sp2brst.solver as solver_mod
+from conftest import bundled
 from solver_oracles import (a_component_by_brackets, boundary_seed, ghost, lagrange,
                             lagrange_mom, term_cpdeg, term_parity)
 from sp2brst.algebra import Algebra, TermBudgetError, TheoryError
@@ -23,11 +24,11 @@ from sp2brst.solver import (
     verify_master,
 )
 from sp2brst.tensors import SymTensor
-from sp2brst.theory import abelian_spec, deformed_so3_spec, so3_spec
+from sp2brst.theory import TheorySpec
 
 
 def test_omega1_explicit_form():
-    alg = Algebra(abelian_spec(2))
+    alg = Algebra(TheorySpec((0, 0)))
     om1 = build_omega1(alg)
     a = alg
     want1 = (a.xi(1) * ghost(a, 1, 1) + a.xi(2) * ghost(a, 2, 1)
@@ -64,7 +65,7 @@ def test_omega1_bracket_is_w_plus_a():
     # {Omega_1^a, Y}' = W^a Y + A^a Y for every Y: the identity that welds
     # the operator calculus to the bracket, with A^a Y the matter bracket
     # {Xi^a, Y}' and, as the oracle has it, C^(alpha a) {xi_alpha, Y}'.
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     om1 = build_omega1(alg)
     rng = random.Random(21)
     for _ in range(15):
@@ -91,7 +92,7 @@ def test_so3_solution(so3_result):
 
 def test_so3_truncation_stability(so3_result):
     # solving at a lower order reproduces the truncation of the k=6 solution
-    res4 = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
+    res4 = solve(bundled("so3"), 4, Method.FIXED_POINT)
     assert res4.pi == so3_result.pi.truncate_cp(4)
     assert res4.ok
 
@@ -112,7 +113,7 @@ def test_mixed_parity_solution(mixed2_result):
 
 
 def test_deformed_so3_solution():
-    res = solve(Algebra(deformed_so3_spec()), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3-deformed"), 4, Method.FIXED_POINT)
     assert res.ok
     assert res.pi.min_cp() == 2
 
@@ -121,7 +122,7 @@ def test_pair_normalisation_is_pinned(monkeypatch):
     # with -1/4 in place of -1/2 the fixed point no longer solves the
     # master equations: the residual shows up at cp-degree 3
     monkeypatch.setattr(solver_mod, "PAIR_DIVISOR", -4)
-    res = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
+    res = solve(bundled("so3"), 4, Method.FIXED_POINT)
     assert not res.ok
     bad = [line.degree for line in res.report.lines if not line.direct_zero]
     assert bad and bad[0] == 3
@@ -156,7 +157,7 @@ def test_tampered_omega_detected(so3_result):
 
 
 def test_upsilon_threading():
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     ups = _upsilon(alg)
     assert not ups.is_zero()
     validate_upsilon(alg, ups)
@@ -165,7 +166,7 @@ def test_upsilon_threading():
     assert res.report.agree
     # the W+ part of Pi is exactly the datum
     assert apply_W_plus(res.pi) == apply_W_plus(ups)
-    plain = solve(Algebra(so3_spec()), 4, Method.FIXED_POINT)
+    plain = solve(bundled("so3"), 4, Method.FIXED_POINT)
     assert res.pi != plain.pi
 
 
@@ -175,7 +176,7 @@ def _upsilon(alg):
 
 
 def test_upsilon_validation():
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     with pytest.raises(TheoryError):
         validate_upsilon(alg, SymTensor.zero(alg, 2))
     even = SymTensor.from_full(
@@ -185,7 +186,7 @@ def test_upsilon_validation():
     mixed = SymTensor.from_full(alg, 1, lambda idx: ghost(alg, 1, 1) + alg.xi(1))
     with pytest.raises(TheoryError, match="odd with ngh = 1"):
         validate_upsilon(alg, mixed)  # terms of both parities
-    foreign = _upsilon(Algebra(abelian_spec(3)))
+    foreign = _upsilon(bundled("abelian3"))
     with pytest.raises(TheoryError, match="theory"):
         validate_upsilon(alg, foreign)
     with pytest.raises(TheoryError, match="theory"):
@@ -200,21 +201,21 @@ def test_upsilon_validation():
 
 
 def test_term_budget_enforced():
-    alg = Algebra(so3_spec(), max_terms=10)
+    alg = bundled("so3", max_terms=10)
     with pytest.raises(TermBudgetError):
         solve(alg, 4, Method.FIXED_POINT)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        solve(Algebra(so3_spec()), 1)
+        solve(bundled("so3"), 1)
     with pytest.raises(ValueError):
-        Algebra(so3_spec(), max_terms=0)
+        bundled("so3", max_terms=0)
 
 
 def test_solve_caps_the_order():
     # one abelian constraint has no correction, so even MAX_ORDER is quick
-    alg = Algebra(abelian_spec(1))
+    alg = Algebra(TheorySpec((0,)))
     assert solve(alg, MAX_ORDER).k == MAX_ORDER == 1000
     with pytest.raises(ValueError, match="from 2 to 1000"):
         solve(alg, MAX_ORDER + 1)
@@ -223,8 +224,8 @@ def test_solve_caps_the_order():
 def test_twin_instance_compatibility():
     # a solve over one Algebra instance verifies against tensors built over
     # a structurally identical instance
-    res = solve(Algebra(so3_spec()), 3, Method.FIXED_POINT)
-    other = Algebra(so3_spec())
+    res = solve(bundled("so3"), 3, Method.FIXED_POINT)
+    other = bundled("so3")
     om1_other = build_omega1(other)
     assert res.omega1 == om1_other
     report = verify_master(res.omega1 + (res.omega - om1_other), res.k)
@@ -232,7 +233,7 @@ def test_twin_instance_compatibility():
 
 
 def test_apply_a_matches_component_sum():
-    alg = Algebra(so3_spec())
+    alg = bundled("so3")
     rng = random.Random(23)
     t = SymTensor.from_full(alg, 1,
                             lambda idx: random_element(alg, rng, max_cp=2, max_n=2)

@@ -89,8 +89,10 @@ def test_observable_lookup():
     with pytest.raises(TheoryFileError) as err:
         doc.observable("missing")
     assert "known: 1, c" in str(err.value)
-    for key in ("0", "3", "-1"):
-        with pytest.raises(TheoryFileError):
+    # int() reads each of the last five as a position in range, but a
+    # position is spelt as an index is: ASCII digits, no leading zero
+    for key in ("0", "3", "-1", "01", "\u0661", "\uff12", "+1", " 2"):
+        with pytest.raises(TheoryFileError, match="no observable named"):
             doc.observable(key)
     # an exact name wins over a position
     named = parse_theory(_doc(observables=[{"name": "2", "expr": "T1"},
@@ -107,7 +109,6 @@ def test_document_shape_errors():
         (_doc(constraints="x"), "must be a list"),
         (_doc(constraints=[{"name": "a b", "parity": 0}]), "identifier"),
         (_doc(constraints=[{"name": "T1\n", "parity": 0}]), "identifier"),
-        (_doc(constraints=[{"name": "xi", "parity": 0}]), "canonical variable family"),
         (_doc(constraints=[{"name": "T", "parity": 2}]), "parity"),
         (_doc(constraints=[{"name": "T", "parity": 0},
                            {"name": "T", "parity": 0}]), "duplicate"),
@@ -132,6 +133,15 @@ def test_document_shape_errors():
         with pytest.raises(TheoryFileError) as err:
             parse_theory(raw)
         assert needle in str(err.value), raw
+
+
+@pytest.mark.parametrize("family", ["xi", "xip", "P", "C", "lam", "pi"])
+@pytest.mark.parametrize("field", ["constraints", "physical"])
+def test_canonical_family_is_no_declared_name(field, family):
+    with pytest.raises(TheoryFileError) as err:
+        parse_theory(_doc(**{field: [{"name": family, "parity": 0}]}))
+    assert str(err.value) == (f"{field}[1]: name {family!r} collides with a "
+                              "canonical variable family")
 
 
 def test_index_key_has_one_spelling():

@@ -11,25 +11,19 @@ Q as its closed form reads.
 
 import random
 from functools import cache
-from pathlib import Path
 
 import pytest
 
+from conftest import bundled
 from solver_oracles import (a_component_by_brackets, apply_Q, apply_Q_three_m,
                             build_F_by_brackets, placement_sum_by_tuples)
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import apply_W, w_component
 from sp2brst.solver import apply_A, build_F, tensor_bracket
-from sp2brst.theoryfile import build_algebra, parse_theory
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORIES = ("abelian3", "mixed2", "shift", "so3", "so3-deformed")
 LIMITS = range(6)
-
-
-@cache
-def _algebra(name):
-    return build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+_algebra = cache(bundled)
 
 
 def _pairs(name, count=16):

@@ -24,9 +24,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bundled
 from sp2brst import expr
 from sp2brst.cli import main
-from sp2brst.theoryfile import build_algebra, parse_theory
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 THEORY = THEORIES / "so3.json"
@@ -50,7 +50,7 @@ def _verify(doc, path, theory=THEORY):
 def _mutants():
     """(component, term, how, document) of every single-term drop,
     doubling and sign flip of the golden document."""
-    alg = build_algebra(parse_theory(THEORY.read_bytes()))
+    alg = bundled("so3")
     for a, text in GOLDEN["components"].items():
         p = expr.parse(alg, text)
         for mono, coeff in p.terms.items():
@@ -95,7 +95,7 @@ def deformed(tmp_path_factory):
     assert _main("solve", DEFORMED, "--method", "fixed-point", "--order", "3",
                  "--out", path)[0] == 0
     doc = json.loads(path.read_text())
-    alg = build_algebra(parse_theory(DEFORMED.read_bytes()))
+    alg = bundled("so3-deformed")
     comps = {a: expr.parse(alg, text) for a, text in doc["components"].items()}
     assert [len(p.terms) for p in comps.values()] == [66, 66]
     return alg, doc, comps, path

@@ -12,25 +12,19 @@ replaced, also where the term budget stops them.
 import random
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 
+from conftest import bundled
 from solver_oracles import (apply_Q, apply_Q_three_m, apply_W_plus_by_passes,
                             gamma_by_passes, ghost, lagrange, m_by_passes, term_ndeg)
 from sp2brst.algebra import Algebra, TermBudgetError
 from sp2brst.identities import random_element, random_tensor
 from sp2brst.operators import apply_Gamma, apply_W_plus, m_component
 from sp2brst.tensors import SymTensor
-from sp2brst.theoryfile import build_algebra, parse_theory
 
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORIES = ("mixed2", "so3-deformed", "shift")
-
-
-@cache
-def _algebra(name):
-    return build_algebra(parse_theory((THEORY_DIR / f"{name}.json").read_bytes()))
+_algebra = cache(bundled)
 
 
 def _tensors(name, rank, count=3):
